@@ -14,9 +14,9 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -57,28 +57,17 @@ def _manifest(command: str, run: RunConfig, args, max_residual: float) -> dict:
     }
 
 
-def _chunked(seq, n):
-    size = max(1, -(-len(seq) // n))
-    return [seq[i : i + size] for i in range(0, len(seq), size)]
-
-
-def _parallel_map(fn, chunks, threads):
-    if threads <= 1 or len(chunks) <= 1:
-        return [fn(chunk) for chunk in chunks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, chunks))
-
-
-def _require_e_grid(run: RunConfig):
-    if run.sweep.e_grid is None:
-        raise ConfigError("sweep.e_grid: required for this command")
+def _energies(run: RunConfig, key: str) -> list:
+    """sweep.<key> as a list of energies, each inside the open-channel window."""
+    value = getattr(run.sweep, key)
+    if value is None:
+        raise ConfigError(f"sweep.{key}: required for this command")
+    energies = list(value) if isinstance(value, tuple) else [value]
     window = integration_window(run.system)
-    for E in run.sweep.e_grid:
+    for E in energies:
         if not window.contains(E):
-            raise ConfigError(
-                f"sweep.e_grid: E={E} is outside the open-channel window"
-            )
-    return list(run.sweep.e_grid)
+            raise ConfigError(f"sweep.{key}: E={E} is outside the open-channel window")
+    return energies
 
 
 def cmd_fluxes(run: RunConfig, args) -> int:
@@ -100,16 +89,11 @@ def cmd_fluxes(run: RunConfig, args) -> int:
 
 
 def cmd_sweep_e(run: RunConfig, args) -> int:
-    grid = _require_e_grid(run)
     system = run.system
-
-    def worker(chunk):
-        return scan.energy_sweep(
-            run.potential_spec, system.sample.length, system.lead_l,
-            system.lead_r, system.thermo, chunk,
-        )
-
-    points = [p for part in _parallel_map(worker, _chunked(grid, args.threads), args.threads) for p in part]
+    points = scan.energy_sweep(
+        run.potential_spec, system.sample.length, system.lead_l,
+        system.lead_r, system.thermo, _energies(run, "e_grid"),
+    )
     _write_csv(
         os.path.join(args.out, "sweep_e.csv"),
         "E,transmission,phi_l,j_l,sigma,unitarity_residual",
@@ -129,11 +113,10 @@ def cmd_sweep_e(run: RunConfig, args) -> int:
 
 
 def cmd_sweep_l(run: RunConfig, args) -> int:
-    if run.sweep.energy is None:
-        raise ConfigError("sweep.energy: required for sweep-l")
+    (energy,) = _energies(run, "energy")
     system = run.system
     points = scan.l_sweep(
-        run.potential_spec, run.sweep.energy, system.lead_l, system.lead_r,
+        run.potential_spec, energy, system.lead_l, system.lead_r,
         system.thermo, run.sweep.l_checkpoints,
     )
     cls = scan.classify_transport(points, run.sweep.thresholds)
@@ -159,21 +142,15 @@ def cmd_sweep_l(run: RunConfig, args) -> int:
 
 
 def cmd_equivalence(run: RunConfig, args) -> int:
-    grid = _require_e_grid(run)
     system = run.system
-
-    def worker(chunk):
-        return scan.equivalence_rows(
-            run.potential_spec, chunk, run.sweep.l_checkpoints, system.lead_l,
-            system.lead_r, system.thermo, run.sweep.thresholds,
-        )
-
-    rows = [r for part in _parallel_map(worker, _chunked(grid, args.threads), args.threads) for r in part]
-    report = scan.summarize_equivalence(rows, int(max(run.sweep.l_checkpoints)))
+    report = scan.equivalence_report(
+        run.potential_spec, _energies(run, "e_grid"), run.sweep.l_checkpoints,
+        system.lead_l, system.lead_r, system.thermo, run.sweep.thresholds,
+    )
     _write_csv(
         os.path.join(args.out, "equivalence.csv"),
         "E,label,norm_slope,sigma_slope,sigma_at_l_max,contradiction",
-        [(r.E, r.label, r.norm_slope, r.sigma_slope, r.sigma_at_l_max, r.contradiction) for r in rows],
+        [(r.E, r.label, r.norm_slope, r.sigma_slope, r.sigma_at_l_max, r.contradiction) for r in report.rows],
     )
     _dump_json(
         os.path.join(args.out, "equivalence.json"),
@@ -211,14 +188,23 @@ def cmd_validate(run: RunConfig, args) -> int:
     return 0 if all_ok else 1
 
 
-def _dump_json(path, payload):
-    def _default(o):
-        if isinstance(o, np.generic):
-            return o.item()
-        raise TypeError(f"not serializable: {o!r}")
+def _strict(o):
+    """o with numpy scalars made Python ones and non-finite floats None."""
+    if isinstance(o, dict):
+        return {k: _strict(v) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_strict(v) for v in o]
+    if isinstance(o, np.generic):
+        o = o.item()
+    if isinstance(o, float) and not math.isfinite(o):
+        return None
+    return o
 
+
+def _dump_json(path, payload):
+    """Strict JSON: a non-finite float is written as null."""
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, default=_default, allow_nan=True)
+        json.dump(_strict(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -240,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="run configuration JSON")
     parser.add_argument("--out", required=True, help="output directory")
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument(
         "--seed-override", type=int, default=None,
         help="replace the disorder seed from the config",

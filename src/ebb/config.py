@@ -1,24 +1,29 @@
 """Run configuration: a single JSON document per run.
 
-Sections: sample, lead_l, lead_r, thermo, quadrature, sweep. Unknown keys
-and constraint violations are rejected with the offending key path, and
-the fully resolved configuration (defaults applied) is echoed back for
-the run manifest.
+Sections: sample, lead_l, lead_r, thermo, quadrature, sweep. Every section,
+and every object inside one, is made by calling a constructor with its keys
+as keyword arguments (see `_Builder.build`): the constructor's signature
+says which keys exist, which are required and which JSON type each takes,
+and the constructor itself checks the values. Errors name the offending
+key path, and the arguments actually used, defaults included, are echoed
+back as the resolved configuration for the run manifest.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Optional
+import sys
+import typing
+from dataclasses import dataclass, is_dataclass
+from typing import Optional, Union
 
 import numpy as np
 
-from . import potentials
+from . import leads, potentials
 from .errors import ConfigError
 from .fluxes import QuadratureParams, SystemConfig
-from .leads import LeadModel, SemiInfiniteLaplacian, TabulatedLead
 from .model import SampleSpec, ThermoParams
 from .scan import ClassificationThresholds
 
@@ -28,12 +33,24 @@ def geometric_checkpoints(lo: int = 10, hi: int = 2000, n: int = 13) -> list:
     return sorted(set(int(round(x)) for x in np.geomspace(lo, hi, n)))
 
 
+def energy_range(min: float, max: float, points: int) -> tuple:
+    """`points` equally spaced energies from `min` to `max`."""
+    if not (max > min and points >= 2):
+        raise ConfigError("need max > min and points >= 2")
+    return tuple(np.linspace(min, max, points).tolist())
+
+
 @dataclass(frozen=True)
 class SweepParams:
-    e_grid: Optional[tuple] = None         # explicit energies
+    e_grid: Union[tuple[float, ...], energy_range, None] = None  # list or range
     energy: Optional[float] = None         # single energy for sweep-l
-    l_checkpoints: tuple = tuple(geometric_checkpoints())
-    thresholds: ClassificationThresholds = field(default_factory=ClassificationThresholds)
+    l_checkpoints: tuple[int, ...] = tuple(geometric_checkpoints())
+    thresholds: ClassificationThresholds = ClassificationThresholds()
+
+    def __post_init__(self):
+        cps = list(self.l_checkpoints)
+        if not (cps and cps == sorted(cps) and cps[0] >= 1):
+            raise ConfigError("l_checkpoints: expected a nonempty increasing list of integers >= 1")
 
 
 @dataclass(frozen=True)
@@ -44,166 +61,128 @@ class RunConfig:
     resolved: dict
 
 
-def _check_keys(section: dict, allowed, path: str):
-    unknown = set(section) - set(allowed)
-    if unknown:
-        raise ConfigError(f"{path}: unknown key(s) {sorted(unknown)}")
+def _sample(length: int, potential: potentials.TYPES):
+    """The sample section: the sample it describes, and its potential spec."""
+    return SampleSpec(length, potentials.generate(potential, length)), potential
 
 
-def _get(section: dict, key: str, path: str, kind, default=None, required=False):
-    if key not in section:
-        if required:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = section[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if kind is not None and not isinstance(value, kind):
-        raise ConfigError(f"{path}.{key}: expected {getattr(kind, '__name__', kind)}")
-    return value
+def _run(
+    sample: _sample,
+    lead_l: leads.TYPES,
+    lead_r: leads.TYPES,
+    thermo: ThermoParams,
+    quadrature: QuadratureParams = QuadratureParams(),
+    sweep: SweepParams = SweepParams(),
+):
+    """The config root: the sections of a run configuration."""
+    spec_sample, spec = sample
+    return SystemConfig(spec_sample, lead_l, lead_r, thermo, quadrature), spec, sweep
 
 
-def _parse_potential(section, path, base_dir, seed_override=None):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object with a 'type' key")
-    ptype = _get(section, "type", path, str, required=True)
-    try:
-        if ptype == "zero":
-            _check_keys(section, {"type"}, path)
-            return potentials.Zero()
-        if ptype == "constant":
-            _check_keys(section, {"type", "value"}, path)
-            return potentials.Constant(_get(section, "value", path, float, required=True))
-        if ptype == "periodic":
-            _check_keys(section, {"type", "cell"}, path)
-            cell = _get(section, "cell", path, list, required=True)
-            return potentials.Periodic(tuple(cell))
-        if ptype == "anderson":
-            _check_keys(section, {"type", "amplitude", "seed"}, path)
-            seed = _get(section, "seed", path, int, required=True)
-            if seed_override is not None:
-                seed = seed_override
-            return potentials.AndersonRandom(
-                _get(section, "amplitude", path, float, required=True), seed
-            )
-        if ptype == "almost_mathieu":
-            _check_keys(section, {"type", "coupling", "frequency", "phase"}, path)
-            return potentials.AlmostMathieu(
-                _get(section, "coupling", path, float, required=True),
-                _get(section, "frequency", path, float, required=True),
-                _get(section, "phase", path, float, required=True),
-            )
-        if ptype == "file":
-            _check_keys(section, {"type", "path"}, path)
-            fpath = _get(section, "path", path, str, required=True)
-            return potentials.FromFile(os.path.join(base_dir, fpath))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}")
-    raise ConfigError(f"{path}.type: unknown potential type {ptype!r}")
+# JSON value kinds, by Python type (of a parsed value or of an annotation).
+_KINDS = {
+    type(None): "null", bool: "a boolean", int: "an integer", float: "a number",
+    str: "a string", list: "a list", tuple: "a list", dict: "an object",
+}
 
 
-def _parse_lead(section, path, base_dir) -> LeadModel:
-    if not isinstance(section, dict):
-        raise ConfigError(f"{path}: expected an object with a 'type' key")
-    ltype = _get(section, "type", path, str, required=True)
-    if ltype == "semi_infinite":
-        _check_keys(section, {"type", "hopping", "coupling"}, path)
-        hopping = _get(section, "hopping", path, float, default=1.0)
-        coupling = _get(section, "coupling", path, float, default=1.0)
-        if not hopping > 0:
-            raise ConfigError(f"{path}.hopping: must be > 0")
-        if coupling == 0:
-            raise ConfigError(f"{path}.coupling: must be nonzero")
-        return SemiInfiniteLaplacian(hopping, coupling)
-    if ltype == "tabulated":
-        _check_keys(section, {"type", "path"}, path)
-        fpath = _get(section, "path", path, str, required=True)
-        return TabulatedLead.from_csv(os.path.join(base_dir, fpath))
-    raise ConfigError(f"{path}.type: unknown lead type {ltype!r}")
+def _kind(annotation) -> str:
+    return _KINDS.get(typing.get_origin(annotation) or annotation, "an object")
 
 
-def _parse_thermo(section, path) -> ThermoParams:
-    _check_keys(section, {"beta_l", "beta_r", "mu_l", "mu_r"}, path)
-    beta_l = _get(section, "beta_l", path, float, required=True)
-    beta_r = _get(section, "beta_r", path, float, required=True)
-    if not beta_l > 0:
-        raise ConfigError(f"{path}.beta_l: must be > 0")
-    if not beta_r > 0:
-        raise ConfigError(f"{path}.beta_r: must be > 0")
-    return ThermoParams(
-        beta_l,
-        beta_r,
-        _get(section, "mu_l", path, float, default=0.0),
-        _get(section, "mu_r", path, float, default=0.0),
-    )
+class _Builder:
+    """Builds objects from config sections; see `build` and `check`.
 
+    A parameter named `path` is a file path relative to the config file's
+    directory, and the command line's seed override, when given, replaces
+    every configured `seed`.
+    """
 
-def _parse_quadrature(section, path) -> QuadratureParams:
-    _check_keys(section, {"tolerance", "max_evaluations", "edge_margin"}, path)
-    tol = _get(section, "tolerance", path, float, default=1e-8)
-    if not tol > 0:
-        raise ConfigError(f"{path}.tolerance: must be > 0")
-    margin = _get(section, "edge_margin", path, float, default=1e-6)
-    if margin < 0:
-        raise ConfigError(f"{path}.edge_margin: must be >= 0")
-    return QuadratureParams(tol, _get(section, "max_evaluations", path, int, default=500_000), margin)
+    def __init__(self, base_dir: str, seed_override: Optional[int]):
+        self.base_dir = base_dir
+        self.seed_override = seed_override
 
+    def build(self, fn, section, path: str):
+        """fn called with the keys of `section` as keyword arguments.
 
-def _parse_thresholds(section, path) -> ClassificationThresholds:
-    defaults = ClassificationThresholds()
-    _check_keys(
-        section,
-        {
-            "vanishing_slope_factor", "vanishing_r2", "persistent_floor",
-            "bounded_norm_slope_factor", "divergent_norm_slope_factor",
-        },
-        path,
-    )
-    return ClassificationThresholds(
-        _get(section, "vanishing_slope_factor", path, float, defaults.vanishing_slope_factor),
-        _get(section, "vanishing_r2", path, float, defaults.vanishing_r2),
-        _get(section, "persistent_floor", path, float, defaults.persistent_floor),
-        _get(section, "bounded_norm_slope_factor", path, float, defaults.bounded_norm_slope_factor),
-        _get(section, "divergent_norm_slope_factor", path, float, defaults.divergent_norm_slope_factor),
-    )
+        fn's signature is the schema: keys that name no parameter are
+        rejected, a parameter without a default is required, and each value
+        is checked against the parameter's annotation. A missing parameter
+        whose default is a dataclass is built from an empty object.
+        ValueError and OSError from fn are re-raised as ConfigError under
+        `path`. Returns fn's result and the arguments used, defaults included.
+        """
+        where = path or "config"
+        if not isinstance(section, dict):
+            raise ConfigError(f"{where}: expected an object")
+        params = inspect.signature(fn, eval_str=True).parameters
+        unknown = sorted(set(section) - set(params))
+        if unknown:
+            raise ConfigError(f"{where}: unknown key(s) {unknown}")
+        args, echo = {}, {}
+        for name, p in params.items():
+            key = f"{path}.{name}" if path else name
+            if name in section:
+                given = section[name]
+                if name == "seed" and self.seed_override is not None:
+                    given = self.seed_override
+                args[name], echo[name] = self.check(given, p.annotation, key)
+            elif p.default is p.empty:
+                raise ConfigError(f"{key}: required")
+            elif is_dataclass(p.default):
+                args[name], echo[name] = self.check({}, p.annotation, key)
+            else:
+                args[name] = echo[name] = p.default
+        if "path" in args:
+            args["path"] = echo["path"] = os.path.join(self.base_dir, args["path"])
+        try:
+            return fn(**args), echo
+        except (ValueError, OSError) as exc:
+            msg = str(exc)
+            sep = "." if msg.split(":")[0] in params else ": "
+            raise ConfigError(f"{where}{sep}{msg}") from None
 
+    def check(self, value, annotation, path: str):
+        """The Python value of JSON `value` under `annotation`, and its echo.
 
-def _parse_sweep(section, path) -> SweepParams:
-    _check_keys(section, {"e_grid", "energy", "l_checkpoints", "thresholds"}, path)
-    e_grid = None
-    grid_sec = section.get("e_grid")
-    if grid_sec is not None:
-        if isinstance(grid_sec, list):
-            e_grid = tuple(float(v) for v in grid_sec)
-        elif isinstance(grid_sec, dict):
-            _check_keys(grid_sec, {"min", "max", "points"}, f"{path}.e_grid")
-            lo = _get(grid_sec, "min", f"{path}.e_grid", float, required=True)
-            hi = _get(grid_sec, "max", f"{path}.e_grid", float, required=True)
-            n = _get(grid_sec, "points", f"{path}.e_grid", int, required=True)
-            if not (hi > lo and n >= 2):
-                raise ConfigError(f"{path}.e_grid: need max > min and points >= 2")
-            e_grid = tuple(np.linspace(lo, hi, n).tolist())
-        else:
-            raise ConfigError(f"{path}.e_grid: expected a list or min/max/points object")
-    checkpoints = section.get("l_checkpoints")
-    if checkpoints is None:
-        checkpoints = geometric_checkpoints()
-    elif not (
-        isinstance(checkpoints, list)
-        and all(isinstance(c, int) and c >= 1 for c in checkpoints)
-        and sorted(checkpoints) == checkpoints
-    ):
-        raise ConfigError(f"{path}.l_checkpoints: expected an increasing list of integers >= 1")
-    return SweepParams(
-        e_grid=e_grid,
-        energy=_get(section, "energy", path, float),
-        l_checkpoints=tuple(checkpoints),
-        thresholds=_parse_thresholds(section.get("thresholds", {}), f"{path}.thresholds"),
-    )
+        float, int and str take that JSON scalar; a float must be finite and
+        may be given as an integer. tuple[X, ...] takes a list of X, and a
+        Union takes whichever member the JSON kind fits. A dict annotation is
+        a table of constructors (a TYPES table): the object's `type` key picks
+        the one that builds the rest. Any other annotation is the constructor
+        of a nested object.
+        """
+        if isinstance(annotation, dict):
+            return self.typed(annotation, value, path)
+        union = typing.get_origin(annotation) is Union
+        members = typing.get_args(annotation) if union else (annotation,)
+        kind = _KINDS.get(type(value))
+        for m in members:
+            if _kind(m) != kind and not (m is float and kind == "an integer"):
+                continue
+            if m is float:
+                if not abs(value) <= sys.float_info.max:
+                    raise ConfigError(f"{path}: must be finite")
+                return float(value), float(value)
+            if typing.get_origin(m) is tuple:
+                item = typing.get_args(m)[0]
+                pairs = [self.check(v, item, f"{path}[{i}]") for i, v in enumerate(value)]
+                return tuple(v for v, _ in pairs), [e for _, e in pairs]
+            if kind == "an object":
+                return self.build(m, value, path)
+            return value, value
+        raise ConfigError(f"{path}: expected {' or '.join(map(_kind, members))}")
+
+    def typed(self, table: dict, section, path: str):
+        """An object whose `type` key names its constructor in `table`."""
+        if not (isinstance(section, dict) and isinstance(section.get("type"), str)):
+            raise ConfigError(f"{path}: expected an object with a string 'type' key")
+        name = section["type"]
+        if name not in table:
+            raise ConfigError(f"{path}.type: unknown type {name!r}, expected one of {sorted(table)}")
+        rest = {k: v for k, v in section.items() if k != "type"}
+        obj, echo = self.build(table[name], rest, path)
+        return obj, {"type": name, **echo}
 
 
 def parse_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
@@ -213,83 +192,8 @@ def parse_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _check_keys(raw, {"sample", "lead_l", "lead_r", "thermo", "quadrature", "sweep"}, "config")
-    base_dir = os.path.dirname(os.path.abspath(path))
-
-    sample_sec = _get(raw, "sample", "config", dict, required=True)
-    _check_keys(sample_sec, {"length", "potential"}, "sample")
-    length = _get(sample_sec, "length", "sample", int, required=True)
-    if length < 1:
-        raise ConfigError("sample.length: must be >= 1")
-    pot_spec = _parse_potential(
-        _get(sample_sec, "potential", "sample", dict, required=True),
-        "sample.potential", base_dir, seed_override,
-    )
-    try:
-        sample = SampleSpec(length, potentials.generate(pot_spec, length))
     except ValueError as exc:
-        raise ConfigError(str(exc))
-
-    system = SystemConfig(
-        sample=sample,
-        lead_l=_parse_lead(_get(raw, "lead_l", "config", dict, required=True), "lead_l", base_dir),
-        lead_r=_parse_lead(_get(raw, "lead_r", "config", dict, required=True), "lead_r", base_dir),
-        thermo=_parse_thermo(_get(raw, "thermo", "config", dict, required=True), "thermo"),
-        quadrature=_parse_quadrature(raw.get("quadrature", {}), "quadrature"),
-    )
-    sweep = _parse_sweep(raw.get("sweep", {}), "sweep")
-
-    resolved = {
-        "sample": {"length": length, "potential": _spec_dict(pot_spec)},
-        "lead_l": _lead_dict(system.lead_l),
-        "lead_r": _lead_dict(system.lead_r),
-        "thermo": {
-            "beta_l": system.thermo.beta_l, "beta_r": system.thermo.beta_r,
-            "mu_l": system.thermo.mu_l, "mu_r": system.thermo.mu_r,
-        },
-        "quadrature": {
-            "tolerance": system.quadrature.tolerance,
-            "max_evaluations": system.quadrature.max_evaluations,
-            "edge_margin": system.quadrature.edge_margin,
-        },
-        "sweep": {
-            "e_grid": list(sweep.e_grid) if sweep.e_grid is not None else None,
-            "energy": sweep.energy,
-            "l_checkpoints": list(sweep.l_checkpoints),
-            "thresholds": vars(sweep.thresholds).copy(),
-        },
-    }
-    return RunConfig(system, pot_spec, sweep, resolved)
-
-
-def _spec_dict(spec) -> dict:
-    if isinstance(spec, potentials.Zero):
-        return {"type": "zero"}
-    if isinstance(spec, potentials.Constant):
-        return {"type": "constant", "value": spec.value}
-    if isinstance(spec, potentials.Periodic):
-        return {"type": "periodic", "cell": list(spec.cell)}
-    if isinstance(spec, potentials.AndersonRandom):
-        return {"type": "anderson", "amplitude": spec.amplitude, "seed": spec.seed}
-    if isinstance(spec, potentials.AlmostMathieu):
-        return {
-            "type": "almost_mathieu", "coupling": spec.coupling,
-            "frequency": spec.frequency, "phase": spec.phase,
-        }
-    if isinstance(spec, potentials.FromFile):
-        return {"type": "file", "path": spec.path}
-    raise TypeError(f"unknown potential spec {spec!r}")
-
-
-def _lead_dict(lead: LeadModel) -> dict:
-    if isinstance(lead, SemiInfiniteLaplacian):
-        return {"type": "semi_infinite", "hopping": lead.hopping, "coupling": lead.coupling}
-    return {
-        "type": "tabulated",
-        "rows": len(lead.energies),
-        "range": [float(lead.energies[0]), float(lead.energies[-1])],
-    }
+        raise ConfigError(f"config {path} is not valid JSON: {exc}")
+    builder = _Builder(os.path.dirname(os.path.abspath(path)), seed_override)
+    (system, spec, sweep), resolved = builder.build(_run, raw, "")
+    return RunConfig(system, spec, sweep, resolved)

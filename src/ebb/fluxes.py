@@ -36,9 +36,11 @@ class QuadratureParams:
 
     def __post_init__(self):
         if not (self.tolerance > 0):
-            raise DomainError("quadrature.tolerance: must be > 0")
-        if self.edge_margin < 0:
-            raise DomainError("quadrature.edge_margin: must be >= 0")
+            raise DomainError("tolerance: must be > 0")
+        if not (self.max_evaluations >= 15):
+            raise DomainError("max_evaluations: must be >= 15, one GK15 panel")
+        if not (self.edge_margin >= 0):
+            raise DomainError("edge_margin: must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@
 A lead enters the sample physics only through F(E+i0), the boundary value
 of its resolvent matrix element on the coupling vector. F is a Herglotz
 function, so Im F >= 0 on the real axis; the set where Im F > 0 is the
-lead's open band.
+lead's open band. Each lead model gives F through boundary(E) and its band
+through band(); TYPES maps the config `type` names to their constructors.
 """
 
 from __future__ import annotations
@@ -23,14 +24,31 @@ class SemiInfiniteLaplacian:
     """Half-line lead with Hamiltonian -hopping*Laplacian, coupled via
     coupling*delta_0. Band is (-2*hopping, 2*hopping)."""
 
-    hopping: float
-    coupling: float
+    hopping: float = 1.0
+    coupling: float = 1.0
 
     def __post_init__(self):
         if not (self.hopping > 0):
-            raise ConfigError("lead.hopping: must be > 0")
+            raise ConfigError("hopping: must be > 0")
         if self.coupling == 0:
-            raise ConfigError("lead.coupling: must be nonzero")
+            raise ConfigError("coupling: must be nonzero")
+
+    def boundary(self, E: float) -> complex:
+        """Closed form coupling^2 * (-E + sqrt(E^2 - 4k^2)) / (2k^2), with
+        the square-root branch forced by the Herglotz property (Im F >= 0)
+        and the decay F(z) ~ -coupling^2/z at infinity."""
+        k = self.hopping
+        kap2 = self.coupling * self.coupling
+        if abs(E) < 2.0 * k:
+            return kap2 * complex(-E, math.sqrt(4.0 * k * k - E * E)) / (2.0 * k * k)
+        root = math.sqrt(E * E - 4.0 * k * k)
+        if E < 0:
+            root = -root
+        return complex(kap2 * (-E + root) / (2.0 * k * k), 0.0)
+
+    def band(self) -> EnergyWindow:
+        k = self.hopping
+        return EnergyWindow(((-2.0 * k, 2.0 * k),))
 
 
 @dataclass(frozen=True)
@@ -47,6 +65,8 @@ class TabulatedLead:
         im = np.asarray(self.im_f, dtype=float)
         if not (len(e) == len(re) == len(im)) or len(e) < 2:
             raise ConfigError("lead table: need >= 2 rows of equal length columns")
+        if not np.all(np.isfinite((e, re, im))):
+            raise ConfigError("lead table: entries must be finite")
         if not np.all(np.diff(e) > 0):
             raise ConfigError("lead table: energies must be strictly increasing")
         if np.any(im < -1e-12):
@@ -71,8 +91,38 @@ class TabulatedLead:
             raise ConfigError(f"lead table {path}: expected 3 columns")
         return cls(data[:, 0], data[:, 1], data[:, 2])
 
+    def boundary(self, E: float) -> complex:
+        e = self.energies
+        if E < e[0] or E > e[-1]:
+            raise DomainError(f"E={E} outside table range [{e[0]}, {e[-1]}]")
+        re = float(np.interp(E, e, self.re_f))
+        im = max(0.0, float(np.interp(E, e, self.im_f)))
+        return complex(re, im)
+
+    def band(self) -> EnergyWindow:
+        e, im = self.energies, self.im_f
+        intervals = []
+        lo = None
+        for i in range(len(e)):
+            if im[i] > 0 and lo is None:
+                if i == 0:
+                    lo = e[0]
+                else:
+                    # linear zero crossing between grid points
+                    f = im[i] / (im[i] - im[i - 1])
+                    lo = e[i] - f * (e[i] - e[i - 1])
+            elif im[i] <= 0 and lo is not None:
+                f = im[i - 1] / (im[i - 1] - im[i])
+                intervals.append((lo, e[i - 1] + f * (e[i] - e[i - 1])))
+                lo = None
+        if lo is not None:
+            intervals.append((lo, e[-1]))
+        return EnergyWindow(tuple(intervals))
+
 
 LeadModel = Union[SemiInfiniteLaplacian, TabulatedLead]
+
+TYPES = {"semi_infinite": SemiInfiniteLaplacian, "tabulated": TabulatedLead.from_csv}
 
 
 @dataclass(frozen=True)
@@ -98,7 +148,7 @@ class EnergyWindow:
     def contains(self, E: float) -> bool:
         return any(a < E < b for a, b in self.intervals)
 
-    def shrink(self, margin: float) -> "EnergyWindow":
+    def shrink(self, margin: float) -> EnergyWindow:
         """Remove a margin at each endpoint of every interval."""
         return EnergyWindow(
             tuple(
@@ -110,57 +160,13 @@ class EnergyWindow:
 
 
 def weiss_boundary(lead: LeadModel, E: float) -> complex:
-    """F(E+i0) for the given lead.
-
-    For the semi-infinite Laplacian lead the closed form is
-    coupling^2 * (-E + sqrt(E^2 - 4k^2)) / (2k^2) with the square-root
-    branch forced by the Herglotz property (Im F >= 0) and the decay
-    F(z) ~ -coupling^2/z at infinity.
-    """
-    if isinstance(lead, SemiInfiniteLaplacian):
-        k = lead.hopping
-        kap2 = lead.coupling * lead.coupling
-        if abs(E) < 2.0 * k:
-            return kap2 * complex(-E, math.sqrt(4.0 * k * k - E * E)) / (2.0 * k * k)
-        root = math.sqrt(E * E - 4.0 * k * k)
-        if E < 0:
-            root = -root
-        return complex(kap2 * (-E + root) / (2.0 * k * k), 0.0)
-    if isinstance(lead, TabulatedLead):
-        e = lead.energies
-        if E < e[0] or E > e[-1]:
-            raise DomainError(f"E={E} outside table range [{e[0]}, {e[-1]}]")
-        re = float(np.interp(E, e, lead.re_f))
-        im = max(0.0, float(np.interp(E, e, lead.im_f)))
-        return complex(re, im)
-    raise TypeError(f"unknown lead model {lead!r}")
+    """F(E+i0) for the given lead."""
+    return lead.boundary(E)
 
 
 def band_support(lead: LeadModel) -> EnergyWindow:
     """Energies where Im F(E+i0) > 0 (the lead's open channel)."""
-    if isinstance(lead, SemiInfiniteLaplacian):
-        k = lead.hopping
-        return EnergyWindow(((-2.0 * k, 2.0 * k),))
-    if isinstance(lead, TabulatedLead):
-        e, im = lead.energies, lead.im_f
-        intervals = []
-        lo = None
-        for i in range(len(e)):
-            if im[i] > 0 and lo is None:
-                if i == 0:
-                    lo = e[0]
-                else:
-                    # linear zero crossing between grid points
-                    f = im[i] / (im[i] - im[i - 1])
-                    lo = e[i] - f * (e[i] - e[i - 1])
-            elif im[i] <= 0 and lo is not None:
-                f = im[i - 1] / (im[i - 1] - im[i])
-                intervals.append((lo, e[i - 1] + f * (e[i] - e[i - 1])))
-                lo = None
-        if lo is not None:
-            intervals.append((lo, e[-1]))
-        return EnergyWindow(tuple(intervals))
-    raise TypeError(f"unknown lead model {lead!r}")
+    return lead.band()
 
 
 def sigma_intersection(left: LeadModel, right: LeadModel) -> EnergyWindow:

@@ -21,17 +21,17 @@ class ThermoParams:
 
     beta_l: float
     beta_r: float
-    mu_l: float
-    mu_r: float
+    mu_l: float = 0.0
+    mu_r: float = 0.0
 
     def __post_init__(self):
         if not (self.beta_l > 0):
-            raise ConfigError("thermo.beta_l: must be > 0")
+            raise ConfigError("beta_l: must be > 0")
         if not (self.beta_r > 0):
-            raise ConfigError("thermo.beta_r: must be > 0")
+            raise ConfigError("beta_r: must be > 0")
         for name in ("beta_l", "beta_r", "mu_l", "mu_r"):
             if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"thermo.{name}: must be finite")
+                raise ConfigError(f"{name}: must be finite")
 
     @property
     def is_equilibrium(self) -> bool:
@@ -51,15 +51,15 @@ class SampleSpec:
 
     def __post_init__(self):
         if self.length < 1:
-            raise ConfigError("sample.length: must be >= 1")
+            raise ConfigError("length: must be >= 1")
         pot = np.asarray(self.potential, dtype=float)
         if pot.shape != (self.length + 1,):
             raise ConfigError(
-                f"sample.potential: expected {self.length + 1} entries, "
+                f"potential: expected {self.length + 1} entries, "
                 f"got {pot.shape}"
             )
         if not np.all(np.isfinite(pot)):
-            raise ConfigError("sample.potential: entries must be finite")
+            raise ConfigError("potential: entries must be finite")
         object.__setattr__(self, "potential", pot)
 
 

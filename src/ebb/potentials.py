@@ -2,7 +2,8 @@
 
 Every generator is deterministic and prefix-stable: generate(spec, L1)
 is the first L1+1 entries of generate(spec, L2) for L1 <= L2, so growing
-the sample never changes already-generated sites.
+the sample never changes already-generated sites. Each spec's values(n)
+returns v(0..n-1); TYPES maps the config `type` names to the specs.
 """
 
 from __future__ import annotations
@@ -18,23 +19,31 @@ from .errors import ConfigError
 
 @dataclass(frozen=True)
 class Zero:
-    pass
+    def values(self, n: int) -> np.ndarray:
+        return np.zeros(n)
 
 
 @dataclass(frozen=True)
 class Constant:
     value: float
 
+    def values(self, n: int) -> np.ndarray:
+        return np.full(n, float(self.value))
+
 
 @dataclass(frozen=True)
 class Periodic:
-    cell: tuple
+    cell: tuple[float, ...]
 
     def __post_init__(self):
         cell = tuple(float(c) for c in self.cell)
         if len(cell) == 0:
-            raise ConfigError("potential.cell: must be nonempty")
+            raise ConfigError("cell: must be nonempty")
         object.__setattr__(self, "cell", cell)
+
+    def values(self, n: int) -> np.ndarray:
+        reps = -(-n // len(self.cell))
+        return np.tile(np.asarray(self.cell), reps)[:n]
 
 
 @dataclass(frozen=True)
@@ -45,10 +54,16 @@ class AndersonRandom:
     seed: int
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ConfigError("potential.amplitude: must be >= 0")
+        if not 0 <= 2 * self.amplitude < math.inf:
+            raise ConfigError("amplitude: must be >= 0, with 2*amplitude finite")
         if not (0 <= self.seed < 2**64):
-            raise ConfigError("potential.seed: must fit in 64 bits")
+            raise ConfigError("seed: must fit in 64 bits")
+
+    def values(self, n: int) -> np.ndarray:
+        # Philox is counter-based, so a single bulk draw from a freshly
+        # keyed generator is prefix-stable across different L.
+        rng = np.random.Generator(np.random.Philox(key=self.seed))
+        return rng.uniform(-self.amplitude, self.amplitude, size=n)
 
 
 @dataclass(frozen=True)
@@ -59,6 +74,10 @@ class AlmostMathieu:
     frequency: float
     phase: float
 
+    def values(self, n: int) -> np.ndarray:
+        x = np.arange(n)
+        return self.coupling * np.cos(2.0 * math.pi * (self.frequency * x + self.phase))
+
 
 @dataclass(frozen=True)
 class FromFile:
@@ -66,38 +85,34 @@ class FromFile:
 
     path: str
 
+    def __post_init__(self):
+        open(self.path).close()  # an unreadable file fails at configuration time
+
+    def values(self, n: int) -> np.ndarray:
+        values = np.loadtxt(self.path, dtype=float, ndmin=1)
+        if values.ndim != 1:
+            raise ConfigError(f"potential file {self.path}: expected one value per line")
+        if len(values) < n:
+            raise ConfigError(
+                f"potential file {self.path}: has {len(values)} entries, need {n}"
+            )
+        return values[:n].copy()
+
 
 PotentialSpec = Union[Zero, Constant, Periodic, AndersonRandom, AlmostMathieu, FromFile]
+
+TYPES = {
+    "zero": Zero,
+    "constant": Constant,
+    "periodic": Periodic,
+    "anderson": AndersonRandom,
+    "almost_mathieu": AlmostMathieu,
+    "file": FromFile,
+}
 
 
 def generate(spec: PotentialSpec, L: int) -> np.ndarray:
     """Return the potential values v(0..L) for the given generator."""
     if L < 1:
-        raise ConfigError(f"L must be >= 1, got {L}")
-    n = L + 1
-    if isinstance(spec, Zero):
-        return np.zeros(n)
-    if isinstance(spec, Constant):
-        return np.full(n, float(spec.value))
-    if isinstance(spec, Periodic):
-        cell = np.asarray(spec.cell, dtype=float)
-        reps = -(-n // len(cell))
-        return np.tile(cell, reps)[:n]
-    if isinstance(spec, AndersonRandom):
-        # Philox is counter-based, so a single bulk draw from a freshly
-        # keyed generator is prefix-stable across different L.
-        rng = np.random.Generator(np.random.Philox(key=spec.seed))
-        return rng.uniform(-spec.amplitude, spec.amplitude, size=n)
-    if isinstance(spec, AlmostMathieu):
-        x = np.arange(n)
-        return spec.coupling * np.cos(2.0 * math.pi * (spec.frequency * x + spec.phase))
-    if isinstance(spec, FromFile):
-        values = np.loadtxt(spec.path, dtype=float, ndmin=1)
-        if values.ndim != 1:
-            raise ConfigError(f"potential file {spec.path}: expected one value per line")
-        if len(values) < n:
-            raise ConfigError(
-                f"potential file {spec.path}: has {len(values)} entries, need {n}"
-            )
-        return values[:n].copy()
-    raise TypeError(f"unknown potential spec {spec!r}")
+        raise ConfigError(f"length: must be >= 1, got {L}")
+    return spec.values(L + 1)

@@ -256,22 +256,6 @@ def equivalence_rows(
     return rows
 
 
-def summarize_equivalence(rows: Sequence[EquivalenceRow], l_max: int) -> EquivalenceReport:
-    counts = {}
-    for row in rows:
-        counts[row.label] = counts.get(row.label, 0) + 1
-    persistent_sigma = [r.sigma_at_l_max for r in rows if r.label == "persistent"]
-    vanishing_sigma = [r.sigma_at_l_max for r in rows if r.label == "vanishing"]
-    return EquivalenceReport(
-        rows=tuple(rows),
-        l_max=l_max,
-        counts=counts,
-        mean_sigma_persistent=float(np.mean(persistent_sigma)) if persistent_sigma else math.nan,
-        mean_sigma_vanishing=float(np.mean(vanishing_sigma)) if vanishing_sigma else math.nan,
-        contradictions=sum(r.contradiction for r in rows),
-    )
-
-
 def equivalence_report(
     spec: PotentialSpec,
     grid: Sequence[float],
@@ -281,5 +265,18 @@ def equivalence_report(
     thermo: ThermoParams,
     thresholds: ClassificationThresholds = ClassificationThresholds(),
 ) -> EquivalenceReport:
+    """Equivalence rows over the grid, with label counts and mean densities."""
     rows = equivalence_rows(spec, grid, checkpoints, lead_l, lead_r, thermo, thresholds)
-    return summarize_equivalence(rows, int(max(checkpoints)))
+    counts = {}
+    for row in rows:
+        counts[row.label] = counts.get(row.label, 0) + 1
+    persistent_sigma = [r.sigma_at_l_max for r in rows if r.label == "persistent"]
+    vanishing_sigma = [r.sigma_at_l_max for r in rows if r.label == "vanishing"]
+    return EquivalenceReport(
+        rows=tuple(rows),
+        l_max=int(max(checkpoints)),
+        counts=counts,
+        mean_sigma_persistent=float(np.mean(persistent_sigma)) if persistent_sigma else math.nan,
+        mean_sigma_vanishing=float(np.mean(vanishing_sigma)) if vanishing_sigma else math.nan,
+        contradictions=sum(r.contradiction for r in rows),
+    )

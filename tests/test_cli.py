@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ebb.cli import main
 from ebb.config import geometric_checkpoints, parse_config
@@ -31,6 +33,13 @@ def run_cli(tmp_path, command, cfg_path, *extra_args):
     out = tmp_path / "out"
     rc = main([command, "--config", cfg_path, "--out", str(out), *extra_args])
     return rc, out
+
+
+def strict_json(path):
+    """Parse a JSON file, rejecting the non-standard NaN and Infinity."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(path.read_text(), parse_constant=reject)
 
 
 # -- config parsing ----------------------------------------------------------
@@ -104,7 +113,7 @@ def test_parse_config_invalid_json(tmp_path):
 def test_fluxes_command(tmp_path):
     rc, out = run_cli(tmp_path, "fluxes", write_config(tmp_path))
     assert rc == 0
-    payload = json.loads((out / "fluxes.json").read_text())
+    payload = strict_json(out / "fluxes.json")
     for key in (
         "energy_flux_l", "charge_flux_l", "entropy_flux",
         "quadrature_error_estimate", "evaluations", "no_open_channel",
@@ -130,12 +139,17 @@ def test_sweep_e_command_deterministic_csv(tmp_path):
     assert (out2 / "sweep_e.csv").read_text() == body
 
 
-def test_sweep_e_threads_match_serial(tmp_path):
+def test_sweep_e_rows_independent_of_batch(tmp_path):
+    # Each energy's row must not depend on which other energies share its run.
     grid = np.linspace(-1.5, 1.5, 9).tolist()
-    cfg = write_config(tmp_path, extra={"sweep": {"e_grid": grid}})
-    _, out1 = run_cli(tmp_path, "sweep-e", cfg, "--threads", "1")
-    _, out4 = run_cli(tmp_path / "t4", "sweep-e", cfg, "--threads", "4")
-    assert (out1 / "sweep_e.csv").read_text() == (out4 / "sweep_e.csv").read_text()
+    bodies = []
+    for name, part in (("all", grid), ("head", grid[:4]), ("tail", grid[4:])):
+        cfg = write_config(tmp_path, extra={"sweep": {"e_grid": part}}, name=f"{name}.json")
+        rc, out = run_cli(tmp_path / name, "sweep-e", cfg)
+        assert rc == 0
+        bodies.append((out / "sweep_e.csv").read_text().splitlines()[1:])
+    assert len(bodies[0]) == 9
+    assert bodies[0] == bodies[1] + bodies[2]
 
 
 def test_sweep_e_rejects_out_of_window_grid(tmp_path):
@@ -159,7 +173,7 @@ def test_sweep_l_command(tmp_path):
     lines = (out / "sweep_l.csv").read_text().splitlines()
     assert lines[0] == "L,sigma_density,transmission,log_transfer_norm,resonance_flag"
     assert len(lines) == 9
-    payload = json.loads((out / "sweep_l.json").read_text())
+    payload = strict_json(out / "sweep_l.json")
     assert payload["classification"] == "persistent"
     assert payload["l_max"] == 251
 
@@ -185,8 +199,9 @@ def test_equivalence_command(tmp_path):
     )
     rc, out = run_cli(tmp_path, "equivalence", cfg)
     assert rc == 0
-    payload = json.loads((out / "equivalence.json").read_text())
+    payload = strict_json(out / "equivalence.json")
     assert payload["counts"] == {"vanishing": 2}
+    assert payload["mean_sigma_persistent"] is None
     assert payload["contradictions"] == 0
     lines = (out / "equivalence.csv").read_text().splitlines()
     assert lines[0] == "E,label,norm_slope,sigma_slope,sigma_at_l_max,contradiction"
@@ -198,7 +213,7 @@ def test_validate_command(tmp_path, capsys):
     assert rc == 0
     printed = capsys.readouterr().out
     assert "[PASS]" in printed and "[FAIL]" not in printed
-    payload = json.loads((out / "validate.json").read_text())
+    payload = strict_json(out / "validate.json")
     assert payload["all_passed"]
     assert len(payload["checks"]) >= 6
 
@@ -207,3 +222,136 @@ def test_bad_config_exit_code(tmp_path):
     missing = str(tmp_path / "nope.json")
     out = tmp_path / "out"
     assert main(["fluxes", "--config", missing, "--out", str(out)]) == 2
+
+
+# -- robustness: every bad config exits 2 naming its key path ----------------
+
+ANDERSON = {"length": 10, "potential": {"type": "anderson", "amplitude": 1.0, "seed": 7}}
+SWEEP_L = [10, 16, 25, 40, 63, 100, 158, 251]
+
+BAD_CONFIGS = {
+    "nan-edge-margin": ("fluxes", {"quadrature": {"edge_margin": math.nan}}, "quadrature.edge_margin: must be finite"),
+    "nan-amplitude": (
+        "fluxes",
+        {"sample": {"length": 10, "potential": {"type": "anderson", "amplitude": math.nan, "seed": 7}}},
+        "sample.potential.amplitude: must be finite",
+    ),
+    "non-numeric-e-grid": ("sweep-e", {"sweep": {"e_grid": [0.1, "x"]}}, "sweep.e_grid[1]"),
+    "missing-potential-file": (
+        "fluxes", {"sample": {"length": 10, "potential": {"type": "file", "path": "nope.txt"}}},
+        "sample.potential",
+    ),
+    "missing-lead-table": ("fluxes", {"lead_l": {"type": "tabulated", "path": "nope.csv"}}, "lead_l"),
+    "max-evaluations-below-one-panel": (
+        "fluxes", {"quadrature": {"max_evaluations": 14}}, "quadrature.max_evaluations",
+    ),
+    "non-object-sweep": ("fluxes", {"sweep": [1]}, "sweep: expected an object"),
+    "non-object-thresholds": (
+        "fluxes", {"sweep": {"thresholds": 3}}, "sweep.thresholds: expected an object",
+    ),
+    "seed-out-of-range": (
+        "fluxes",
+        {"sample": {"length": 10, "potential": {"type": "anderson", "amplitude": 1.0, "seed": -1}}},
+        "sample.potential.seed",
+    ),
+    "sweep-l-energy-outside-band": (
+        "sweep-l", {"sweep": {"energy": 2.5, "l_checkpoints": SWEEP_L}},
+        "sweep.energy: E=2.5 is outside the open-channel window",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CONFIGS))
+def test_bad_config_exits_2_with_key_path(tmp_path, capsys, case):
+    command, extra, key_path = BAD_CONFIGS[case]
+    rc, _ = run_cli(tmp_path, command, write_config(tmp_path, extra=extra))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert key_path in err
+    assert "Traceback" not in err
+
+
+def test_tabulated_lead_echoes_path_opened(tmp_path):
+    table = tmp_path / "lead.csv"
+    table.write_text("E,re_F,im_F\n-2,0,0\n0,0,1\n2,0,0\n")
+    run = parse_config(write_config(tmp_path, extra={"lead_l": {"type": "tabulated", "path": "lead.csv"}}))
+    assert run.resolved["lead_l"] == {"type": "tabulated", "path": str(table)}
+
+
+# -- fuzz: one mutated leaf or key of a valid config --------------------------
+
+FUZZ_BASES = [
+    {
+        **BASE,
+        "sample": ANDERSON,
+        "quadrature": {"tolerance": 1e-8, "max_evaluations": 1000, "edge_margin": 1e-6},
+        "sweep": {
+            "e_grid": {"min": -1.0, "max": 1.0, "points": 5},
+            "energy": 0.5,
+            "l_checkpoints": SWEEP_L,
+            "thresholds": {"persistent_floor": 0.1, "vanishing_r2": 0.8},
+        },
+    },
+    {
+        **BASE,
+        "sample": {"length": 4, "potential": {"type": "file", "path": "pot.txt"}},
+        "lead_l": {"type": "tabulated", "path": "lead.csv"},
+        "sweep": {"e_grid": [-0.5, 0.0, 0.5]},
+    },
+    {**BASE, "sample": {"length": 6, "potential": {"type": "periodic", "cell": [1.0, 0.0]}}},
+    {
+        **BASE,
+        "sample": {
+            "length": 6,
+            "potential": {"type": "almost_mathieu", "coupling": 0.5, "frequency": 0.6, "phase": 0.0},
+        },
+    },
+    {**BASE, "sample": {"length": 3, "potential": {"type": "constant", "value": 0.5}}},
+]
+
+BAD_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False, "x", None, [], [1.0], {}, {"a": 1}]),
+    st.integers(-10**6, -1),
+    st.floats(-1e6, -1e-6),
+)
+
+
+def _key_paths(node, prefix=()):
+    """Every dict key and list index below node, as a tuple of keys."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _key_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "pot.txt").write_text("0.1\n0.2\n0.3\n0.4\n0.5\n")
+    (root / "lead.csv").write_text("E,re_F,im_F\n-2,0,0\n0,0,1\n2,0,0\n")
+    return root
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_config_fuzz_returns_or_raises_config_error(fuzz_dir, data):
+    cfg = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
+    *parents, key = data.draw(st.sampled_from(list(_key_paths(cfg))))
+    node = cfg
+    for k in parents:
+        node = node[k]
+    if data.draw(st.booleans()):
+        del node[key]
+    else:
+        node[key] = data.draw(BAD_VALUES)
+    path = fuzz_dir / "run.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        parse_config(str(path))
+    except ConfigError:
+        pass

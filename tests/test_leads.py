@@ -106,6 +106,8 @@ def test_tabulated_lead_validation():
         TabulatedLead(np.array([0.0, 0.0]), np.zeros(2), np.zeros(2))
     with pytest.raises(ConfigError, match="Im F"):
         TabulatedLead(np.array([0.0, 1.0]), np.zeros(2), np.array([0.0, -1.0]))
+    with pytest.raises(ConfigError, match="finite"):
+        TabulatedLead(np.array([0.0, 1.0]), np.array([np.nan, 0.0]), np.ones(2))
     # Rounding-level negative entries are clamped, not rejected.
     lead = TabulatedLead(np.array([0.0, 1.0]), np.zeros(2), np.array([-1e-13, 1.0]))
     assert lead.im_f[0] == 0.0
