@@ -79,8 +79,8 @@ def cmd_fluxes(run: RunConfig, args) -> int:
         "quadrature_error_estimate": result.quadrature_error_estimate,
         "evaluations": result.evaluations,
         "no_open_channel": result.no_open_channel,
-        "energy_flux_r": result.energy_flux_r,
-        "charge_flux_r": result.charge_flux_r,
+        "energy_flux_r": -result.energy_flux_l,
+        "charge_flux_r": -result.charge_flux_l,
         "converged": result.converged,
         "manifest": _manifest("fluxes", run, args, result.max_unitarity_residual),
     }
@@ -135,7 +135,7 @@ def cmd_sweep_l(run: RunConfig, args) -> int:
             "sigma_r2": cls.sigma_r2,
             "l_max": cls.l_max,
             "sigma_underflowed": cls.underflowed,
-            "manifest": _manifest("sweep-l", run, args, 0.0),
+            "manifest": _manifest("sweep-l", run, args, max(p.unitarity_residual for p in points)),
         },
     )
     return 0
@@ -160,7 +160,10 @@ def cmd_equivalence(run: RunConfig, args) -> int:
             "mean_sigma_persistent": report.mean_sigma_persistent,
             "mean_sigma_vanishing": report.mean_sigma_vanishing,
             "l_max": report.l_max,
-            "manifest": _manifest("equivalence", run, args, 0.0),
+            "manifest": _manifest(
+                "equivalence", run, args,
+                max((r.max_unitarity_residual for r in report.rows), default=0.0),
+            ),
         },
     )
     return 0
@@ -170,6 +173,7 @@ def cmd_validate(run: RunConfig, args) -> int:
     from .validate import run_all
 
     results = run_all()
+    (unitarity,) = [r for r in results if r.name == "unitarity"]
     all_ok = True
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -182,7 +186,7 @@ def cmd_validate(run: RunConfig, args) -> int:
                 {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
             ],
             "all_passed": all_ok,
-            "manifest": _manifest("validate", run, args, 0.0),
+            "manifest": _manifest("validate", run, args, unitarity.value),
         },
     )
     return 0 if all_ok else 1

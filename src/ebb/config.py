@@ -25,7 +25,7 @@ from . import leads, potentials
 from .errors import ConfigError
 from .fluxes import QuadratureParams, SystemConfig
 from .model import SampleSpec, ThermoParams
-from .scan import ClassificationThresholds
+from .scan import ClassificationThresholds, check_checkpoints
 
 
 def geometric_checkpoints(lo: int = 10, hi: int = 2000, n: int = 13) -> list:
@@ -48,9 +48,7 @@ class SweepParams:
     thresholds: ClassificationThresholds = ClassificationThresholds()
 
     def __post_init__(self):
-        cps = list(self.l_checkpoints)
-        if not (cps and cps == sorted(cps) and cps[0] >= 1):
-            raise ConfigError("l_checkpoints: expected a nonempty increasing list of integers >= 1")
+        check_checkpoints(self.l_checkpoints)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,9 @@ The pointwise densities at energy E are
     phi_l = T(E) * (rho_l - rho_r) * E        (energy current)
     j_l   = T(E) * (rho_l - rho_r)            (charge current)
     sigma = T(E) * (xi_r - xi_l) * (rho_l - rho_r)   (entropy production)
-with the right densities the exact negations of the left ones. The fluxes
-are their integrals over the open-channel window with the 1/(2*pi)
-prefactor.
+The right-lead densities and fluxes are the exact negations of the left
+ones, so only the left ones are kept. The fluxes are the integrals of the
+densities over the open-channel window with the 1/(2*pi) prefactor.
 """
 
 from __future__ import annotations
@@ -55,18 +55,14 @@ class SystemConfig:
 @dataclass(frozen=True)
 class SpectralDensities:
     phi_l: float
-    phi_r: float
     j_l: float
-    j_r: float
     sigma: float
 
 
 @dataclass(frozen=True)
 class FluxResult:
     energy_flux_l: float
-    energy_flux_r: float
     charge_flux_l: float
-    charge_flux_r: float
     entropy_flux: float
     quadrature_error_estimate: float
     evaluations: int
@@ -101,7 +97,7 @@ def spectral_densities(E, T_of_E, thermo: ThermoParams) -> SpectralDensities:
         if sigma < _SIGMA_ROUNDING_FLOOR:
             raise DomainError(f"entropy density {sigma} is negative beyond rounding")
         sigma = 0.0
-    return SpectralDensities(phi_l, -phi_l, j_l, -j_l, sigma)
+    return SpectralDensities(phi_l, j_l, sigma)
 
 
 def evaluate_point(sample: SampleSpec, lead_l, lead_r, E) -> PointResult:
@@ -131,7 +127,7 @@ def integrate_fluxes(config: SystemConfig) -> FluxResult:
     """
     window = integration_window(config)
     if window.is_empty:
-        return FluxResult(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, True, True, 0.0)
+        return FluxResult(0.0, 0.0, 0.0, 0.0, 0, True, True, 0.0)
 
     sample = config.sample
     thermo = config.thermo
@@ -157,9 +153,7 @@ def integrate_fluxes(config: SystemConfig) -> FluxResult:
     err = float(res.error.max()) * pref
     return FluxResult(
         energy_flux_l=phi,
-        energy_flux_r=-phi,
         charge_flux_l=j,
-        charge_flux_r=-j,
         entropy_flux=sig,
         quadrature_error_estimate=err,
         evaluations=res.evaluations,

@@ -38,6 +38,18 @@ class SelfEnergyPair:
             raise DomainError("self-energies must have Im >= 0")
 
 
+def is_resonant(T: ScaledMatrix2) -> bool:
+    """Whether T11 vanishes relative to ||T||: the energy is numerically a
+    Dirichlet eigenvalue of the decoupled sample."""
+    m = T.m
+    return abs(m[0, 0]) < RESONANCE_RELATIVE_CUTOFF * _smax(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+
+
+def _inv_scale(T: ScaledMatrix2) -> float:
+    """exp(-log_scale), flushed to 0 where it would underflow."""
+    return math.exp(-T.log_scale) if T.log_scale < 745.0 else 0.0
+
+
 def sample_green_via_transfer(T: ScaledMatrix2) -> np.ndarray:
     """Decoupled Green matrix G0_L(E) from the transfer matrix.
 
@@ -46,15 +58,12 @@ def sample_green_via_transfer(T: ScaledMatrix2) -> np.ndarray:
     diagonal entries; the off-diagonal one may legitimately underflow to 0
     for exponentially large T.
     """
-    a, b = T.m[0, 0], T.m[0, 1]
-    c = T.m[1, 0]
-    smax = _smax(a, b, c, T.m[1, 1])
-    if abs(a) < RESONANCE_RELATIVE_CUTOFF * smax:
+    if is_resonant(T):
         raise ResonanceError(
             "T11 vanishes: energy is numerically a Dirichlet eigenvalue"
         )
-    inv_scale = math.exp(-T.log_scale) if T.log_scale < 745.0 else 0.0
-    g_lr = inv_scale / a
+    a, b, c = T.m[0, 0], T.m[0, 1], T.m[1, 0]
+    g_lr = _inv_scale(T) / a
     return np.array([[-b / a, g_lr], [g_lr, c / a]])
 
 
@@ -159,7 +168,7 @@ def graph_map_check(G: np.ndarray, T: ScaledMatrix2, se: SelfEnergyPair) -> floa
     """
     G = np.asarray(G, dtype=complex)
     smax = _smax(T.m[0, 0], T.m[0, 1], T.m[1, 0], T.m[1, 1])
-    inv_scale = math.exp(-T.log_scale) if T.log_scale < 745.0 else 0.0
+    inv_scale = _inv_scale(T)
     worst = 0.0
     for x, y in ((1.0, 0.0), (0.0, 1.0)):
         u = G[0, 0] * x + G[0, 1] * y

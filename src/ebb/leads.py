@@ -28,10 +28,12 @@ class SemiInfiniteLaplacian:
     coupling: float = 1.0
 
     def __post_init__(self):
-        if not (self.hopping > 0):
-            raise ConfigError("hopping: must be > 0")
-        if self.coupling == 0:
-            raise ConfigError("coupling: must be nonzero")
+        # boundary(E) divides by 2*hopping**2 and scales by coupling**2.
+        k2 = self.hopping * self.hopping
+        if not (self.hopping > 0 and 0 < 4 * k2 < math.inf):
+            raise ConfigError("hopping: must be > 0, with 4*hopping**2 finite and nonzero")
+        if not (self.coupling != 0 and self.coupling * self.coupling / k2 < math.inf):
+            raise ConfigError("coupling: must be nonzero, with coupling**2/hopping**2 finite")
 
     def boundary(self, E: float) -> complex:
         """Closed form coupling^2 * (-E + sqrt(E^2 - 4k^2)) / (2k^2), with

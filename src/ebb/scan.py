@@ -19,11 +19,11 @@ from scipy.stats import linregress
 
 from .errors import DomainError, NumericalFailure
 from .fluxes import evaluate_point, spectral_densities
-from .green import RESONANCE_RELATIVE_CUTOFF
+from .green import is_resonant
 from .leads import LeadModel, sigma_intersection
 from .model import SampleSpec, ThermoParams
 from .potentials import PotentialSpec, generate
-from .transfer import _smax, checkpoint_products, log_spectral_norm
+from .transfer import checkpoint_products, log_spectral_norm
 
 # Below this the density has decayed hundreds of decades: its logarithm is
 # no longer fit-worthy and the point is decisive evidence of vanishing.
@@ -37,6 +37,7 @@ class LSweepPoint:
     transmission: float
     log_transfer_norm: float
     resonance_flag: bool
+    unitarity_residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,7 @@ class EquivalenceRow:
     sigma_slope: float
     sigma_at_l_max: float
     contradiction: bool
+    max_unitarity_residual: float
 
 
 @dataclass(frozen=True)
@@ -99,6 +101,20 @@ def _sigma_envelope(E, T_of_E, thermo: ThermoParams) -> float:
     return 4.0 * T_of_E * bmax * (abs(E) + abs(thermo.mu_l) + abs(thermo.mu_r) + 2.0 / bmin)
 
 
+def check_checkpoints(checkpoints: Sequence[int]) -> list:
+    """The checkpoint rule of an L-sweep that gets classified: a nonempty
+    increasing sequence of integers >= 1, at least 8 long and spanning a
+    factor 10 in L. Returns the checkpoints as a list of ints."""
+    cps = [int(c) for c in checkpoints]
+    if not (cps and cps[0] >= 1 and all(a < b for a, b in zip(cps, cps[1:]))):
+        raise DomainError("l_checkpoints: expected a nonempty increasing list of integers >= 1")
+    if len(cps) < 8:
+        raise DomainError("l_checkpoints: need at least 8 checkpoints to classify")
+    if cps[-1] < 10 * cps[0]:
+        raise DomainError("l_checkpoints: must span at least a factor 10 in L")
+    return cps
+
+
 def l_sweep(
     spec: PotentialSpec,
     E: float,
@@ -113,22 +129,14 @@ def l_sweep(
     stability) and the transfer norms come from a single scaled product
     pass; the Green-function pipeline runs independently per checkpoint.
     """
-    cps = sorted(set(int(c) for c in checkpoints))
-    if not cps or cps[0] < 1:
-        raise DomainError("checkpoints must be increasing integers >= 1")
+    cps = check_checkpoints(checkpoints)
     if not sigma_intersection(lead_l, lead_r).contains(E):
         raise DomainError(
             f"E={E} is outside the band intersection; sigma vanishes trivially"
         )
     pot = generate(spec, cps[-1])
-    snapshots = checkpoint_products(pot, E, cps)
     points = []
-    for (L, T), Lc in zip(snapshots, cps):
-        assert L == Lc
-        m = T.m
-        resonance = abs(m[0, 0]) < RESONANCE_RELATIVE_CUTOFF * _smax(
-            m[0, 0], m[0, 1], m[1, 0], m[1, 1]
-        )
+    for L, T in checkpoint_products(pot, E, cps):
         sample = SampleSpec(L, pot[: L + 1])
         point = evaluate_point(sample, lead_l, lead_r, E)
         d = spectral_densities(E, point.transmission, thermo)
@@ -137,7 +145,10 @@ def l_sweep(
                 f"entropy density {d.sigma} exceeds its explicit envelope at L={L}"
             )
         points.append(
-            LSweepPoint(L, d.sigma, point.transmission, log_spectral_norm(T), resonance)
+            LSweepPoint(
+                L, d.sigma, point.transmission, log_spectral_norm(T), is_resonant(T),
+                point.unitarity_residual,
+            )
         )
     return points
 
@@ -155,11 +166,7 @@ def classify_transport(
     thresholds: ClassificationThresholds = ClassificationThresholds(),
 ) -> TransportClassification:
     """Label an L-sweep as persistent, vanishing, or indeterminate."""
-    if len(sweep) < 8:
-        raise DomainError("need at least 8 checkpoints to classify")
-    Ls = np.array([p.L for p in sweep], dtype=float)
-    if Ls.max() < 10 * Ls.min():
-        raise DomainError("checkpoints must span at least a factor 10 in L")
+    Ls = np.array(check_checkpoints([p.L for p in sweep]), dtype=float)
     l_max = int(Ls.max())
     sigmas = np.array([p.sigma_density for p in sweep])
     norms = np.array([p.log_transfer_norm for p in sweep])
@@ -250,7 +257,8 @@ def equivalence_rows(
             contradiction = False
         rows.append(
             EquivalenceRow(
-                E, cls.label, cls.norm_slope, cls.sigma_slope, sigma_last, contradiction
+                E, cls.label, cls.norm_slope, cls.sigma_slope, sigma_last, contradiction,
+                max(p.unitarity_residual for p in sweep),
             )
         )
     return rows

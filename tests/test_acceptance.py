@@ -2,31 +2,15 @@
 
 Twelve numbered criteria, each an independent test printing one
 `[acceptance NN] PASS ...` or `[acceptance NN] FAIL ...` line (run pytest
-with -s to see them even on success).
+with -s to see them even on success). Criteria 01-07 are the checks of
+`ebb.validate` called with acceptance sizes.
 """
 
-import math
-
 import numpy as np
-import pytest
 
-from ebb.fluxes import (
-    QuadratureParams,
-    SystemConfig,
-    evaluate_point,
-    integrate_fluxes,
-    spectral_densities,
-)
-from ebb.green import (
-    SelfEnergyPair,
-    condition_estimate,
-    coupled_green,
-    coupled_green_direct,
-    graph_map_check,
-    sample_green_direct,
-    sample_green_via_transfer,
-)
-from ebb.leads import SemiInfiniteLaplacian, weiss_boundary
+from ebb import validate
+from ebb.fluxes import QuadratureParams, SystemConfig, integrate_fluxes
+from ebb.leads import weiss_boundary
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AndersonRandom, Periodic, Zero, generate
 from ebb.scan import (
@@ -35,19 +19,14 @@ from ebb.scan import (
     equivalence_report,
     l_sweep,
 )
-from ebb.scattering import t_matrix, transmission, unitarity_residual
 from ebb.transfer import log_spectral_norm, one_step, product
+from ebb.validate import LEAD, NONEQ, POTENTIALS
 
 from conftest import truncated_weiss
 
-LEAD = SemiInfiniteLaplacian(1.0, 1.0)
-POTENTIALS = {
-    "zero": Zero(),
-    "periodic": Periodic((1.0, 0.0)),
-    "anderson": AndersonRandom(1.0, 42),
-}
-NONEQ = ThermoParams(1.0, 2.0, 0.5, -0.5)
 CHECKPOINTS = [10, 16, 25, 40, 63, 100, 158, 251, 398, 631, 1000, 1585, 2000]
+# The random points of criteria 02 and 03: 300 in all, more than 200 kept.
+GREEN_POINTS = dict(seed=2024, per_potential=100, max_length=200, min_kept=201)
 
 
 def report(num, ok, detail):
@@ -55,138 +34,42 @@ def report(num, ok, detail):
     assert ok, detail
 
 
-def _se(E, lead=LEAD):
-    F = weiss_boundary(lead, E)
-    return SelfEnergyPair(F, F)
-
-
-def _pipeline(pot, E, L):
-    se = _se(E)
-    G = coupled_green_direct(pot, E, L, se)
-    return G, t_matrix(G, se), se
+def report_check(num, result):
+    report(num, result.passed, f"{result.name}: {result.detail}")
 
 
 def test_01_unitarity():
-    grid = np.linspace(-2 + 1e-6, 2 - 1e-6, 500)
-    worst = 0.0
-    for spec in POTENTIALS.values():
-        pot = generate(spec, 1000)
-        for L in (10, 50, 200, 1000):
-            for E in grid:
-                _, t, _ = _pipeline(pot, E, L)
-                worst = max(worst, unitarity_residual(t))
-    report(1, worst < 1e-10, f"max unitarity residual {worst:.3e} (< 1e-10)")
-
-
-def _random_test_points():
-    rng = np.random.default_rng(2024)
-    points = []
-    for spec in POTENTIALS.values():
-        pot = generate(spec, 200)
-        for _ in range(100):
-            E = rng.uniform(-1.95, 1.95)
-            L = int(rng.integers(1, 201))
-            points.append((pot, E, L))
-    return points
+    report_check(1, validate.check_unitarity(n_energies=500, lengths=(10, 50, 200, 1000)))
 
 
 def test_02_decoupled_green_routes_agree():
-    worst = 0.0
-    kept = 0
-    for pot, E, L in _random_test_points():
-        if condition_estimate(pot, E, L) > 1e8:
-            continue
-        direct = sample_green_direct(pot, E, L)
-        T, _ = product(pot, E, L)
-        via = sample_green_via_transfer(T)
-        scale = max(1.0, float(np.max(np.abs(direct))))
-        worst = max(worst, float(np.max(np.abs(via - direct))) / scale)
-        kept += 1
-    ok = worst < 1e-9 and kept > 200
-    report(2, ok, f"max relative mismatch {worst:.3e} over {kept} points (< 1e-9)")
+    report_check(2, validate.check_decoupled_green_equivalence(**GREEN_POINTS))
 
 
 def test_03_coupled_green_routes_agree():
-    worst = 0.0
-    kept = 0
-    for pot, E, L in _random_test_points():
-        if condition_estimate(pot, E, L) > 1e8:
-            continue
-        se = _se(E)
-        via = coupled_green(sample_green_direct(pot, E, L), se)
-        direct = coupled_green_direct(pot, E, L, se)
-        scale = max(1.0, float(np.max(np.abs(direct))))
-        worst = max(worst, float(np.max(np.abs(via - direct))) / scale)
-        kept += 1
-    ok = worst < 1e-8 and kept > 200
-    report(3, ok, f"max relative mismatch {worst:.3e} over {kept} points (< 1e-8)")
+    report_check(3, validate.check_coupled_green_equivalence(**GREEN_POINTS))
 
 
 def test_04_graph_map_residual():
-    cases = [(spec, E, L) for spec in POTENTIALS.values()
-             for E in (-1.3, 0.5, 1.7) for L in (10, 100)]
+    cases = [(spec, E, L) for spec in POTENTIALS for E in (-1.3, 0.5, 1.7) for L in (10, 100)]
     cases.append((AndersonRandom(2.0, 7), 0.5, 500))
-    worst = 0.0
-    for spec, E, L in cases:
-        pot = generate(spec, L)
-        G, _, se = _pipeline(pot, E, L)
-        T, _ = product(pot, E, L)
-        worst = max(worst, graph_map_check(G, T, se))
-    report(4, worst < 1e-8, f"max graph-correspondence residual {worst:.3e} (< 1e-8)")
+    report_check(4, validate.check_graph_map(cases))
 
 
 def test_05_worked_closed_form_point():
-    se = SelfEnergyPair(1j, 1j)
-    G = coupled_green_direct(np.zeros(2), 0.0, 1, se)
-    t = t_matrix(G, se)
-    s = np.eye(2) + t
-    errs = [
-        float(np.max(np.abs(G - np.array([[1j, -1.0], [-1.0, 1j]]) / 2))),
-        abs(transmission(t) - 1.0),
-        float(np.max(np.abs(s - np.array([[0.0, -1j], [-1j, 0.0]])))),
-    ]
-    worst = max(errs)
-    report(5, worst < 1e-12, f"worked-point max deviation {worst:.3e} (< 1e-12)")
+    report_check(5, validate.check_worked_point())
 
 
 def test_06_conservation_and_second_law():
     rng = np.random.default_rng(11)
-    pot = generate(AndersonRandom(1.0, 42), 20)
-    sample = SampleSpec(20, pot)
-    worst_cons = 0.0
-    min_sigma = math.inf
-    min_margin = math.inf
-    for _ in range(10):
-        thermo = ThermoParams(
-            rng.uniform(0.2, 5.0), rng.uniform(0.2, 5.0),
-            rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5),
-        )
-        for E in np.linspace(-1.9, 1.9, 40):
-            point = evaluate_point(sample, LEAD, LEAD, E)
-            d = spectral_densities(E, point.transmission, thermo)
-            worst_cons = max(worst_cons, abs(d.phi_l + d.phi_r), abs(d.j_l + d.j_r))
-            min_sigma = min(min_sigma, d.sigma)
-        res = integrate_fluxes(SystemConfig(sample, LEAD, LEAD, thermo))
-        min_margin = min(min_margin, res.entropy_flux + res.quadrature_error_estimate)
-    ok = worst_cons == 0.0 and min_sigma >= 0.0 and min_margin >= 0.0
-    report(
-        6, ok,
-        f"conservation defect {worst_cons:.1e}, min sigma {min_sigma:.1e}, "
-        f"min entropy-flux margin {min_margin:.3e}",
-    )
+    # beta_l, beta_r in (0.2, 5) and mu_l, mu_r in (-1.5, 1.5).
+    thermos = [ThermoParams(*rng.uniform([0.2, 0.2, -1.5, -1.5], [5, 5, 1.5, 1.5])) for _ in range(10)]
+    report_check(6, validate.check_density_identities(L=20, n_energies=40, thermos=thermos))
 
 
 def test_07_equilibrium_null():
-    worst = 0.0
-    for L in (10, 100):
-        sample = SampleSpec(L, generate(AndersonRandom(1.0, 42), L))
-        res = integrate_fluxes(
-            SystemConfig(sample, LEAD, LEAD, ThermoParams(1.3, 1.3, 0.4, 0.4))
-        )
-        worst = max(
-            worst, abs(res.energy_flux_l), abs(res.charge_flux_l), abs(res.entropy_flux)
-        )
-    report(7, worst < 1e-12, f"max equilibrium flux magnitude {worst:.3e} (< 1e-12)")
+    cases = [(AndersonRandom(1.0, 42), L, ThermoParams(1.3, 1.3, 0.4, 0.4)) for L in (10, 100)]
+    report_check(7, validate.check_equilibrium_null(cases))
 
 
 def test_08_weiss_vs_truncated_lead():

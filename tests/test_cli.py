@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from ebb.cli import main
 from ebb.config import geometric_checkpoints, parse_config
 from ebb.errors import ConfigError
-from ebb.potentials import AndersonRandom, Periodic
+from ebb.potentials import AndersonRandom, Periodic, Zero
+from ebb.scan import l_sweep
 
 BASE = {
     "sample": {"length": 10, "potential": {"type": "zero"}},
@@ -17,6 +18,8 @@ BASE = {
     "lead_r": {"type": "semi_infinite", "hopping": 1.0, "coupling": 1.0},
     "thermo": {"beta_l": 1.0, "beta_r": 2.0, "mu_l": 0.5, "mu_r": -0.5},
 }
+ANDERSON = {"length": 10, "potential": {"type": "anderson", "amplitude": 1.0, "seed": 7}}
+SWEEP_L = [10, 16, 25, 40, 63, 100, 158, 251]
 
 
 def write_config(tmp_path, extra=None, name="run.json", **overrides):
@@ -159,15 +162,7 @@ def test_sweep_e_rejects_out_of_window_grid(tmp_path):
 
 
 def test_sweep_l_command(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        extra={
-            "sweep": {
-                "energy": 0.5,
-                "l_checkpoints": [10, 16, 25, 40, 63, 100, 158, 251],
-            }
-        },
-    )
+    cfg = write_config(tmp_path, extra={"sweep": {"energy": 0.5, "l_checkpoints": SWEEP_L}})
     rc, out = run_cli(tmp_path, "sweep-l", cfg)
     assert rc == 0
     lines = (out / "sweep_l.csv").read_text().splitlines()
@@ -176,6 +171,10 @@ def test_sweep_l_command(tmp_path):
     payload = strict_json(out / "sweep_l.json")
     assert payload["classification"] == "persistent"
     assert payload["l_max"] == 251
+    system = parse_config(cfg).system
+    points = l_sweep(Zero(), 0.5, system.lead_l, system.lead_r, system.thermo, SWEEP_L)
+    residual = max(p.unitarity_residual for p in points)
+    assert payload["manifest"]["max_unitarity_residual"] == residual > 0.0
 
 
 def test_sweep_l_requires_energy(tmp_path):
@@ -193,7 +192,7 @@ def test_equivalence_command(tmp_path):
         extra={
             "sweep": {
                 "e_grid": [-0.5, 0.5],
-                "l_checkpoints": [10, 16, 25, 40, 63, 100, 158, 251],
+                "l_checkpoints": SWEEP_L,
             }
         },
     )
@@ -215,7 +214,8 @@ def test_validate_command(tmp_path, capsys):
     assert "[PASS]" in printed and "[FAIL]" not in printed
     payload = strict_json(out / "validate.json")
     assert payload["all_passed"]
-    assert len(payload["checks"]) >= 6
+    assert len(payload["checks"]) == 7
+    assert payload["manifest"]["max_unitarity_residual"] > 0.0
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -225,9 +225,6 @@ def test_bad_config_exit_code(tmp_path):
 
 
 # -- robustness: every bad config exits 2 naming its key path ----------------
-
-ANDERSON = {"length": 10, "potential": {"type": "anderson", "amplitude": 1.0, "seed": 7}}
-SWEEP_L = [10, 16, 25, 40, 63, 100, 158, 251]
 
 BAD_CONFIGS = {
     "nan-edge-margin": ("fluxes", {"quadrature": {"edge_margin": math.nan}}, "quadrature.edge_margin: must be finite"),
@@ -257,6 +254,21 @@ BAD_CONFIGS = {
     "sweep-l-energy-outside-band": (
         "sweep-l", {"sweep": {"energy": 2.5, "l_checkpoints": SWEEP_L}},
         "sweep.energy: E=2.5 is outside the open-channel window",
+    ),
+    "too-few-l-checkpoints": (
+        "equivalence", {"sweep": {"e_grid": [0.5], "l_checkpoints": [10, 20]}},
+        "sweep.l_checkpoints: need at least 8 checkpoints",
+    ),
+    "huge-lead-coupling": (
+        "fluxes", {"lead_l": {"type": "semi_infinite", "coupling": 1e300}}, "lead_l.coupling",
+    ),
+    "huge-lead-hopping": (
+        "sweep-e", {"lead_l": {"type": "semi_infinite", "hopping": 1e200}, "sweep": {"e_grid": [0.5]}},
+        "lead_l.hopping",
+    ),
+    "tiny-lead-hopping": (
+        "fluxes", {"lead_l": {"type": "semi_infinite", "hopping": 1e-200}, "quadrature": {"edge_margin": 0}},
+        "lead_l.hopping",
     ),
 }
 

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -16,6 +14,7 @@ from ebb.green import (
 from ebb.leads import weiss_boundary
 from ebb.potentials import AndersonRandom, generate
 from ebb.transfer import product
+from ebb.validate import check_graph_map
 
 from conftest import dense_green
 
@@ -119,13 +118,11 @@ def test_coupled_green_singular_junction_rejected():
         coupled_green(G0, SelfEnergyPair(1.0 + 0j, 1.0 + 0j))
 
 
-def test_graph_map_residual_small(lead11):
-    for seed, L, E in ((7, 500, 0.5), (1, 50, -1.1), (2, 2000, 0.2)):
-        pot = generate(AndersonRandom(2.0, seed), L)
-        se = _se(lead11, E)
-        G = coupled_green_direct(pot, E, L, se)
-        T, _ = product(pot, E, L)
-        assert graph_map_check(G, T, se) < 1e-8
+def test_graph_map_residual_small():
+    cases = [(AndersonRandom(2.0, seed), E, L)
+             for seed, L, E in ((7, 500, 0.5), (1, 50, -1.1), (2, 2000, 0.2))]
+    result = check_graph_map(cases)
+    assert result.passed, result.detail
 
 
 def test_graph_map_detects_wrong_green(lead11):
