@@ -103,7 +103,7 @@ def spectral_densities(E, T_of_E, thermo: ThermoParams) -> SpectralDensities:
 def evaluate_point(sample: SampleSpec, lead_l, lead_r, E) -> PointResult:
     """Self-energies -> coupled Green matrix -> t-matrix -> transmission."""
     se = SelfEnergyPair(weiss_boundary(lead_l, E), weiss_boundary(lead_r, E))
-    if se.F_l.imag <= 0 and se.F_r.imag <= 0:
+    if not se.open_channel:
         # Both channels closed: no scattering at this energy.
         zero = np.zeros((2, 2), dtype=complex)
         return PointResult(E, 0.0, 0.0, zero, zero, se)

@@ -37,12 +37,16 @@ class SelfEnergyPair:
         if self.F_l.imag < 0 or self.F_r.imag < 0:
             raise DomainError("self-energies must have Im >= 0")
 
+    @property
+    def open_channel(self) -> bool:
+        """Whether Im F > 0 on at least one lead, so a channel is open."""
+        return self.F_l.imag > 0 or self.F_r.imag > 0
+
 
 def is_resonant(T: ScaledMatrix2) -> bool:
     """Whether T11 vanishes relative to ||T||: the energy is numerically a
     Dirichlet eigenvalue of the decoupled sample."""
-    m = T.m
-    return abs(m[0, 0]) < RESONANCE_RELATIVE_CUTOFF * _smax(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
+    return abs(T.m[0, 0]) < RESONANCE_RELATIVE_CUTOFF * _smax(*T.m.flat)
 
 
 def _inv_scale(T: ScaledMatrix2) -> float:
@@ -67,9 +71,9 @@ def sample_green_via_transfer(T: ScaledMatrix2) -> np.ndarray:
     return np.array([[-b / a, g_lr], [g_lr, c / a]])
 
 
-def _tridiag_solve_boundary(diag, rhs_sites, L):
-    """Solve (tridiag with given diagonal, off-diagonals -1) u = delta_site
-    for each site in rhs_sites; returns solution columns and a condition
+def _tridiag_solve_boundary(diag):
+    """The 2x2 block of sites 0 and L of A^(-1), A the tridiagonal matrix
+    with this diagonal on sites 0..L and off-diagonals -1, and a condition
     estimate.
 
     Uses LAPACK gtsv (Gaussian elimination with partial pivoting). The
@@ -77,26 +81,30 @@ def _tridiag_solve_boundary(diag, rhs_sites, L):
     solution columns, a lower bound on the true condition number that
     blows up exactly at near-resonances.
     """
-    n = L + 1
-    dl = np.full(n - 1, -1.0, dtype=diag.dtype)
-    du = dl.copy()
-    b = np.zeros((n, len(rhs_sites)), dtype=diag.dtype)
-    for j, site in enumerate(rhs_sites):
-        b[site, j] = 1.0
+    off = np.full(len(diag) - 1, -1.0, dtype=diag.dtype)
+    b = np.zeros((len(diag), 2), dtype=diag.dtype)
+    b[0, 0] = b[-1, 1] = 1.0
     solver = lapack.zgtsv if np.iscomplexobj(diag) else lapack.dgtsv
-    _, _, _, x, info = solver(dl, diag.copy(), du, b)
+    _, _, _, x, info = solver(off, diag, off, b)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve failed (info={info})")
     anorm = np.max(np.abs(diag)) + 2.0
     cond = anorm * max(1.0, float(np.max(np.abs(x))))
-    return x, cond
+    return x[[0, -1]], cond
+
+
+def _sample_diag(pot, E: float, L: int) -> np.ndarray:
+    """The diagonal of h_{S,L} - E, sites 0..L."""
+    if len(pot) < L + 1:
+        raise ValueError(f"potential has {len(pot)} entries, need {L + 1}")
+    return np.asarray(pot, dtype=float)[: L + 1] - E
 
 
 def condition_estimate(pot, E: float, L: int) -> float:
     """Condition estimate of h_{S,L} - E used for resonance screening."""
-    diag = np.asarray(pot, dtype=float)[: L + 1] - E
+    diag = _sample_diag(pot, E, L)
     try:
-        _, cond = _tridiag_solve_boundary(diag, (0, L), L)
+        _, cond = _tridiag_solve_boundary(diag)
     except NumericalFailure:
         return math.inf
     return cond
@@ -104,9 +112,9 @@ def condition_estimate(pot, E: float, L: int) -> float:
 
 def sample_green_direct(pot, E: float, L: int) -> np.ndarray:
     """Decoupled Green matrix G0_L(E) by a pivoted tridiagonal solve."""
-    diag = np.asarray(pot, dtype=float)[: L + 1] - E
+    diag = _sample_diag(pot, E, L)
     try:
-        x, cond = _tridiag_solve_boundary(diag, (0, L), L)
+        G0, cond = _tridiag_solve_boundary(diag)
     except NumericalFailure as exc:
         # An exactly singular decoupled system is a Dirichlet eigenvalue.
         raise ResonanceError(str(exc))
@@ -114,7 +122,7 @@ def sample_green_direct(pot, E: float, L: int) -> np.ndarray:
         raise ResonanceError(
             f"(h - E) is numerically singular (condition estimate {cond:.2e})"
         )
-    return np.array([[x[0, 0], x[0, 1]], [x[L, 0], x[L, 1]]])
+    return G0
 
 
 def coupled_green(G0: np.ndarray, se: SelfEnergyPair) -> np.ndarray:
@@ -144,17 +152,17 @@ def coupled_green_direct(pot, E: float, L: int, se: SelfEnergyPair) -> np.ndarra
     (any kernel vector vanishes at the coupling sites, then everywhere by
     the three-term recurrence).
     """
-    if se.F_l.imag <= 0 and se.F_r.imag <= 0:
+    if not se.open_channel:
         raise DomainError("coupled_green_direct needs Im F > 0 on at least one lead")
-    diag = (np.asarray(pot, dtype=float)[: L + 1] - E).astype(complex)
+    diag = _sample_diag(pot, E, L).astype(complex)
     diag[0] -= se.F_l
     diag[L] -= se.F_r
-    x, cond = _tridiag_solve_boundary(diag, (0, L), L)
+    G, cond = _tridiag_solve_boundary(diag)
     if cond > CONDITION_LIMIT:
         raise NumericalFailure(
             f"coupled system ill-conditioned (condition estimate {cond:.2e})"
         )
-    return np.array([[x[0, 0], x[0, 1]], [x[L, 0], x[L, 1]]])
+    return G
 
 
 def graph_map_check(G: np.ndarray, T: ScaledMatrix2, se: SelfEnergyPair) -> float:
@@ -167,14 +175,9 @@ def graph_map_check(G: np.ndarray, T: ScaledMatrix2, se: SelfEnergyPair) -> floa
     exponentially large.
     """
     G = np.asarray(G, dtype=complex)
-    smax = _smax(T.m[0, 0], T.m[0, 1], T.m[1, 0], T.m[1, 1])
-    inv_scale = _inv_scale(T)
-    worst = 0.0
-    for x, y in ((1.0, 0.0), (0.0, 1.0)):
-        u = G[0, 0] * x + G[0, 1] * y
-        v = G[1, 0] * x + G[1, 1] * y
-        w = np.array([u, x + se.F_l * u])
-        target = np.array([y + se.F_r * v, v])
-        resid = np.linalg.norm(T.m @ w - inv_scale * target) / smax
-        worst = max(worst, float(resid))
-    return worst
+    # Column j of w and of target belongs to the basis input (x, y) = e_j.
+    e = np.eye(2)
+    w = np.array([G[0], e[0] + se.F_l * G[0]])
+    target = np.array([e[1] + se.F_r * G[1], G[1]])
+    resid = np.linalg.norm(T.m @ w - _inv_scale(T) * target, axis=0)
+    return float(resid.max() / _smax(*T.m.flat))

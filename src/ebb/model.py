@@ -38,6 +38,18 @@ class ThermoParams:
         return self.beta_l == self.beta_r and self.mu_l == self.mu_r
 
 
+# The longest sample: its potential alone takes 8 bytes per site, and the
+# Green solve several complex arrays of that length.
+MAX_LENGTH = 10**7
+
+
+def check_length(L: int, key: str = "length") -> None:
+    """The sample-length rule, 1 <= L <= MAX_LENGTH, checked before any
+    array of that length is allocated."""
+    if not 1 <= L <= MAX_LENGTH:
+        raise ConfigError(f"{key}: must be in [1, {MAX_LENGTH}], got {L}")
+
+
 @dataclass(frozen=True)
 class SampleSpec:
     """A finite sample on sites 0..L with on-site potential values.
@@ -50,8 +62,7 @@ class SampleSpec:
     potential: np.ndarray
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ConfigError("length: must be >= 1")
+        check_length(self.length)
         pot = np.asarray(self.potential, dtype=float)
         if pot.shape != (self.length + 1,):
             raise ConfigError(

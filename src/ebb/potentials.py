@@ -15,6 +15,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ConfigError
+from .model import check_length
 
 
 @dataclass(frozen=True)
@@ -113,6 +114,5 @@ TYPES = {
 
 def generate(spec: PotentialSpec, L: int) -> np.ndarray:
     """Return the potential values v(0..L) for the given generator."""
-    if L < 1:
-        raise ConfigError(f"length: must be >= 1, got {L}")
+    check_length(L)
     return spec.values(L + 1)

@@ -15,13 +15,12 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import linregress
 
 from .errors import DomainError, NumericalFailure
 from .fluxes import evaluate_point, spectral_densities
 from .green import is_resonant
 from .leads import LeadModel, sigma_intersection
-from .model import SampleSpec, ThermoParams
+from .model import SampleSpec, ThermoParams, check_length
 from .potentials import PotentialSpec, generate
 from .transfer import checkpoint_products, log_spectral_norm
 
@@ -104,10 +103,12 @@ def _sigma_envelope(E, T_of_E, thermo: ThermoParams) -> float:
 def check_checkpoints(checkpoints: Sequence[int]) -> list:
     """The checkpoint rule of an L-sweep that gets classified: a nonempty
     increasing sequence of integers >= 1, at least 8 long and spanning a
-    factor 10 in L. Returns the checkpoints as a list of ints."""
+    factor 10 in L, whose last entry is a valid sample length (see
+    `check_length`). Returns the checkpoints as a list of ints."""
     cps = [int(c) for c in checkpoints]
     if not (cps and cps[0] >= 1 and all(a < b for a, b in zip(cps, cps[1:]))):
         raise DomainError("l_checkpoints: expected a nonempty increasing list of integers >= 1")
+    check_length(cps[-1], "l_checkpoints")
     if len(cps) < 8:
         raise DomainError("l_checkpoints: need at least 8 checkpoints to classify")
     if cps[-1] < 10 * cps[0]:
@@ -154,11 +155,14 @@ def l_sweep(
 
 
 def _fit(xs, ys):
+    """Least-squares slope of ys against xs and its r^2, computed as
+    scipy.stats.linregress computes them."""
     if len(xs) < 2 or np.ptp(ys) == 0.0:
         # Degenerate fit; a flat series has slope 0 and perfect quality.
         return 0.0, 1.0
-    res = linregress(xs, ys)
-    return float(res.slope), float(res.rvalue**2)
+    ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
+    r = min(1.0, max(-1.0, ssxym / np.sqrt(ssxm * ssym)))
+    return float(ssxym / ssxm), float(r**2)
 
 
 def classify_transport(

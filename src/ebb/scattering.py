@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import UnitarityError
 from .green import SelfEnergyPair
+from .transfer import _smax
 
 TRANSMISSION_OVERSHOOT = 1e-10
 
@@ -18,7 +19,7 @@ def t_matrix(G: np.ndarray, se: SelfEnergyPair) -> np.ndarray:
     A lead with Im F = 0 has no open channel; its row and column of t are
     structurally zero and it carries no flux.
     """
-    sq = np.array([math.sqrt(max(0.0, se.F_l.imag)), math.sqrt(max(0.0, se.F_r.imag))])
+    sq = np.array([math.sqrt(se.F_l.imag), math.sqrt(se.F_r.imag)])
     return 2j * (sq[:, None] * np.asarray(G, dtype=complex) * sq[None, :])
 
 
@@ -29,7 +30,7 @@ def unitarity_residual(t: np.ndarray) -> float:
     health signal of the pipeline.
     """
     th = t.conj().T
-    return float(np.linalg.norm(th @ t + t + th, 2))
+    return _smax(*(th @ t + t + th).ravel().tolist())
 
 
 def transmission(t: np.ndarray) -> float:

@@ -1,4 +1,4 @@
-"""Overflow-safe transfer-matrix products and norm diagnostics.
+"""Overflow-safe transfer-matrix products and the 2x2 spectral norm.
 
 The running product of one-step factors [[v(x)-E, -1], [1, 0]] grows like
 exp(gamma*L) for localized potentials, far beyond float range for large L.
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,24 +24,16 @@ class ScaledMatrix2:
     unimodular, so the represented determinant det(m)*exp(2*log_scale)
     stays equal to 1 up to accumulated rounding.
 
-    log_det carries the determinant bookkeeping of the product that built
-    this matrix. It cannot be recovered from m once the product's
-    condition number passes 1/eps (the small singular value drowns in
-    rounding noise), so the product loop accumulates it from short,
-    well-conditioned segments whose determinants are computable at full
-    precision.
+    log_det is log|det| of the represented matrix, 0 for an exact product.
+    It cannot be recovered from m once the product's condition number
+    passes 1/eps (the small singular value drowns in rounding noise), so
+    the product loop accumulates it from short, well-conditioned segments
+    whose determinants are computable at full precision.
     """
 
     m: np.ndarray
     log_scale: float
-    log_det: float = None
-
-    def represented_log_det(self) -> float:
-        """log|det| of the represented matrix; 0 for an exact product."""
-        if self.log_det is not None:
-            return self.log_det
-        det = self.m[0, 0] * self.m[1, 1] - self.m[0, 1] * self.m[1, 0]
-        return math.log(abs(det)) + 2.0 * self.log_scale
+    log_det: float
 
 
 def one_step(v_x: float, E: float) -> np.ndarray:
@@ -49,10 +41,14 @@ def one_step(v_x: float, E: float) -> np.ndarray:
     return np.array([[v_x - E, -1.0], [1.0, 0.0]])
 
 
-def _smax(a: float, b: float, c: float, d: float) -> float:
-    """Largest singular value of [[a,b],[c,d]], closed form."""
-    f = a * a + b * b + c * c + d * d
-    det = a * d - b * c
+def _smax(a, b, c, d) -> float:
+    """Spectral norm of [[a,b],[c,d]], real or complex, in closed form.
+
+    The singular values s1 >= s2 satisfy s1^2 + s2^2 = f (the squared
+    Frobenius norm) and s1*s2 = |det|.
+    """
+    f = abs(a) * abs(a) + abs(b) * abs(b) + abs(c) * abs(c) + abs(d) * abs(d)
+    det = abs(a * d - b * c)
     disc = f * f - 4.0 * det * det
     if disc < 0.0:
         disc = 0.0
@@ -65,24 +61,22 @@ def log_spectral_norm(M: ScaledMatrix2) -> float:
     Clamped at 0: a real unimodular 2x2 matrix has norm >= 1, so any
     negative value is pure rounding.
     """
-    a, b = M.m[0, 0], M.m[0, 1]
-    c, d = M.m[1, 0], M.m[1, 1]
-    val = M.log_scale + math.log(_smax(a, b, c, d))
+    val = M.log_scale + math.log(_smax(*M.m.flat))
     return val if val > 0.0 else 0.0
 
 
-def _scan(pot, E: float, L: int, checkpoints: Sequence[int]):
-    """Core product loop; returns the final scaled entries and snapshots.
+def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
+    """Scaled transfer matrices T_x(E) at each checkpoint x, from one pass.
 
-    Snapshots are (x, a, b, c, d, log_scale) at each requested checkpoint,
-    taken after the factor for site x has been applied.
+    T_x(E) is the product of the factors of sites 0..x. The checkpoints
+    must increase strictly within [0, len(pot) - 1]. Returns
+    (x, ScaledMatrix2) pairs in checkpoint order; bit-reproducible for
+    fixed inputs.
     """
-    cps = sorted(set(int(c) for c in checkpoints))
-    if cps and (cps[0] < 0 or cps[-1] > L):
-        raise ValueError(f"checkpoints must lie in [0, {L}]")
-    if len(pot) < L + 1:
-        raise ValueError(f"potential has {len(pot)} entries, need {L + 1}")
-    pot = np.asarray(pot, dtype=float)
+    cps = [int(c) for c in checkpoints]
+    if not (cps and 0 <= cps[0] and cps[-1] < len(pot)
+            and all(x < y for x, y in zip(cps, cps[1:]))):
+        raise ValueError(f"checkpoints must increase strictly within [0, {len(pot) - 1}]")
 
     a, b, c, d = 1.0, 0.0, 0.0, 1.0
     ls = 0.0
@@ -92,56 +86,22 @@ def _scan(pot, E: float, L: int, checkpoints: Sequence[int]):
     # represented log-det of the full product.
     sa, sb, sc, sd = 1.0, 0.0, 0.0, 1.0
     log_det = 0.0
-    snapshots = []
+    out = []
     ci = 0
-    ncp = len(cps)
-    vals = pot[: L + 1].tolist()
-    for x in range(L + 1):
-        t = vals[x] - E
+    vals = np.asarray(pot, dtype=float)[: cps[-1] + 1].tolist()
+    for x, v in enumerate(vals):
+        t = v - E
         a, b, c, d = t * a - c, t * b - d, a, b
-        mx = abs(a)
-        for e in (b, c, d):
-            ae = abs(e)
-            if ae > mx:
-                mx = ae
+        mx = max(abs(a), abs(b), abs(c), abs(d))
         if mx > 2.0 or mx < 0.5:
-            a /= mx
-            b /= mx
-            c /= mx
-            d /= mx
+            a, b, c, d = a / mx, b / mx, c / mx, d / mx
             ls += math.log(mx)
         sa, sb, sc, sd = t * sa - sc, t * sb - sd, sa, sb
         if max(abs(sa), abs(sb), abs(sc), abs(sd)) > 32.0:
             log_det += math.log(abs(sa * sd - sb * sc))
             sa, sb, sc, sd = 1.0, 0.0, 0.0, 1.0
-        if ci < ncp and cps[ci] == x:
-            snapshots.append((x, a, b, c, d, ls, log_det + math.log(abs(sa * sd - sb * sc))))
+        if cps[ci] == x:
+            seg = math.log(abs(sa * sd - sb * sc))
+            out.append((x, ScaledMatrix2(np.array([[a, b], [c, d]]), ls, log_det + seg)))
             ci += 1
-    log_det += math.log(abs(sa * sd - sb * sc))
-    return (a, b, c, d, ls, log_det), snapshots
-
-
-def product(pot, E: float, L: int, checkpoints: Iterable[int] = ()):
-    """Transfer matrix T_L(E) in scaled form, plus checkpoint log-norms.
-
-    Returns (ScaledMatrix2, trace) where trace is a list of
-    (checkpoint L, log spectral norm of T at that L), in increasing L.
-    Bit-reproducible for fixed inputs.
-    """
-    (a, b, c, d, ls, log_det), snaps = _scan(pot, E, L, list(checkpoints))
-    trace = [
-        (x, max(0.0, sls + math.log(_smax(sa, sb, sc, sd))))
-        for (x, sa, sb, sc, sd, sls, _) in snaps
-    ]
-    final = ScaledMatrix2(np.array([[a, b], [c, d]]), ls, log_det)
-    return final, trace
-
-
-def checkpoint_products(pot, E: float, checkpoints: Sequence[int]):
-    """Scaled transfer matrices at each checkpoint, from a single pass."""
-    cps = sorted(set(int(c) for c in checkpoints))
-    _, snaps = _scan(pot, E, cps[-1], cps)
-    return [
-        (x, ScaledMatrix2(np.array([[a, b], [c, d]]), ls, ld))
-        for (x, a, b, c, d, ls, ld) in snaps
-    ]
+    return out

@@ -30,7 +30,7 @@ from .green import (
 from .leads import SemiInfiniteLaplacian, weiss_boundary
 from .model import SampleSpec, ThermoParams
 from .potentials import AndersonRandom, Periodic, Zero, generate
-from .transfer import product
+from .transfer import checkpoint_products
 
 POTENTIALS = (Zero(), Periodic((1.0, 0.0)), AndersonRandom(1.0, 42))
 LEAD = SemiInfiniteLaplacian(1.0, 1.0)
@@ -110,7 +110,7 @@ def check_decoupled_green_equivalence(
     tridiagonal solve (bound 1e-9)."""
     return _compare_routes(
         "decoupled-green-equivalence", 1e-9,
-        lambda pot, E, L: sample_green_via_transfer(product(pot, E, L)[0]),
+        lambda pot, E, L: sample_green_via_transfer(checkpoint_products(pot, E, [L])[0][1]),
         sample_green_direct, seed, per_potential, max_length, min_kept,
     )
 
@@ -136,7 +136,7 @@ def check_graph_map(cases=((AndersonRandom(2.0, 7), 0.5, 500),)) -> CheckResult:
         pot = generate(spec, L)
         se = _se(E)
         G = coupled_green_direct(pot, E, L, se)
-        worst = max(worst, graph_map_check(G, product(pot, E, L)[0], se))
+        worst = max(worst, graph_map_check(G, checkpoint_products(pot, E, [L])[0][1], se))
     return CheckResult("graph-map-residual", worst < 1e-8, f"max residual {worst:.3e} (< 1e-8)", worst)
 
 

@@ -19,7 +19,7 @@ from ebb.scan import (
     equivalence_report,
     l_sweep,
 )
-from ebb.transfer import log_spectral_norm, one_step, product
+from ebb.transfer import checkpoint_products, log_spectral_norm, one_step
 from ebb.validate import LEAD, NONEQ, POTENTIALS
 
 from conftest import truncated_weiss
@@ -140,11 +140,11 @@ def test_10_periodic_band_gap_split():
 
 def test_11_transfer_engine_invariants():
     pot = generate(AndersonRandom(2.0, 7), 1_000_000)
-    T, _ = product(pot, 0.5, 1_000_000)
-    det_defect = abs(T.represented_log_det())
-    free = np.zeros(2001)
+    ((_, T),) = checkpoint_products(pot, 0.5, [1_000_000])
+    det_defect = abs(T.log_det)
     norm_defect = max(
-        log_spectral_norm(product(free, 0.0, L)[0]) for L in (3, 7, 999, 1999)
+        log_spectral_norm(M)
+        for _, M in checkpoint_products(np.zeros(2001), 0.0, [3, 7, 999, 1999])
     )
     ok = det_defect < 1e-10 and norm_defect < 1e-12
     report(

@@ -266,6 +266,14 @@ BAD_CONFIGS = {
         "sweep-e", {"lead_l": {"type": "semi_infinite", "hopping": 1e200}, "sweep": {"e_grid": [0.5]}},
         "lead_l.hopping",
     ),
+    "huge-sample-length": (
+        "fluxes", {"sample": {"length": 10**30, "potential": {"type": "zero"}}},
+        "sample.length: must be in [1, 10000000]",
+    ),
+    "huge-l-checkpoint": (
+        "sweep-l", {"sweep": {"energy": 0.5, "l_checkpoints": SWEEP_L[:-1] + [10**30]}},
+        "sweep.l_checkpoints: must be in [1, 10000000]",
+    ),
     "tiny-lead-hopping": (
         "fluxes", {"lead_l": {"type": "semi_infinite", "hopping": 1e-200}, "quadrature": {"edge_margin": 0}},
         "lead_l.hopping",
@@ -349,9 +357,9 @@ def fuzz_dir(tmp_path_factory):
     return root
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(data=st.data())
-def test_parse_config_fuzz_returns_or_raises_config_error(fuzz_dir, data):
+def _write_mutated(fuzz_dir, data) -> str:
+    """A FUZZ_BASES config with one leaf replaced by a BAD_VALUES value or
+    one key deleted, written to fuzz_dir; returns its path."""
     cfg = json.loads(json.dumps(data.draw(st.sampled_from(FUZZ_BASES))))
     *parents, key = data.draw(st.sampled_from(list(_key_paths(cfg))))
     node = cfg
@@ -363,7 +371,24 @@ def test_parse_config_fuzz_returns_or_raises_config_error(fuzz_dir, data):
         node[key] = data.draw(BAD_VALUES)
     path = fuzz_dir / "run.json"
     path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_parse_config_fuzz_returns_or_raises_config_error(fuzz_dir, data):
+    path = _write_mutated(fuzz_dir, data)
     try:
-        parse_config(str(path))
+        parse_config(path)
     except ConfigError:
         pass
+
+
+# `validate` is left out: it takes seconds and reads nothing of the config
+# beyond parsing it, which the other commands do too.
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):
+    command = data.draw(st.sampled_from(["fluxes", "sweep-e", "sweep-l", "equivalence"]))
+    path = _write_mutated(fuzz_dir, data)
+    assert main([command, "--config", path, "--out", str(fuzz_dir / "out")]) in (0, 1, 2)

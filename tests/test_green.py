@@ -13,14 +13,15 @@ from ebb.green import (
 )
 from ebb.leads import weiss_boundary
 from ebb.potentials import AndersonRandom, generate
-from ebb.transfer import product
+from ebb.transfer import checkpoint_products
 from ebb.validate import check_graph_map
 
 from conftest import dense_green
 
 
 def test_self_energy_pair_sign_check():
-    SelfEnergyPair(1j, 0.5 + 0.0j)
+    assert SelfEnergyPair(1j, 0.5 + 0.0j).open_channel
+    assert not SelfEnergyPair(0.5 + 0j, -0.0j).open_channel
     with pytest.raises(DomainError):
         SelfEnergyPair(-1e-6j, 1j)
 
@@ -29,7 +30,7 @@ def test_decoupled_worked_example():
     # L = 1, v = 0, E = 0: h - E = [[0, -1], [-1, 0]], G0 = [[0, -1], [-1, 0]].
     G0 = sample_green_direct(np.zeros(2), 0.0, 1)
     np.testing.assert_allclose(G0, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-15)
-    T, _ = product(np.zeros(2), 0.0, 1)
+    ((_, T),) = checkpoint_products(np.zeros(2), 0.0, [1])
     np.testing.assert_allclose(sample_green_via_transfer(T), G0, atol=1e-15)
 
 
@@ -39,7 +40,7 @@ def test_decoupled_routes_agree_and_match_dense_oracle():
         pot = rng.uniform(-1.2, 1.2, L + 1)
         E = 0.37
         direct = sample_green_direct(pot, E, L)
-        T, _ = product(pot, E, L)
+        ((_, T),) = checkpoint_products(pot, E, [L])
         via = sample_green_via_transfer(T)
         np.testing.assert_allclose(via, direct, atol=1e-10)
         ref = dense_green(pot, E, L).real
@@ -56,9 +57,18 @@ def test_resonance_detection_both_routes():
     # v = 0, L = 1, E = 1 is an exact Dirichlet eigenvalue.
     with pytest.raises(ResonanceError):
         sample_green_direct(np.zeros(2), 1.0, 1)
-    T, _ = product(np.zeros(2), 1.0, 1)
+    ((_, T),) = checkpoint_products(np.zeros(2), 1.0, [1])
     with pytest.raises(ResonanceError):
         sample_green_via_transfer(T)
+
+
+def test_short_potential_rejected():
+    with pytest.raises(ValueError, match="need 11"):
+        condition_estimate(np.zeros(3), 0.3, 10)
+    with pytest.raises(ValueError, match="need 11"):
+        sample_green_direct(np.zeros(3), 0.3, 10)
+    with pytest.raises(ValueError, match="need 11"):
+        coupled_green_direct(np.zeros(3), 0.3, 10, SelfEnergyPair(1j, 1j))
 
 
 def test_condition_estimate_blows_up_at_resonance():
@@ -71,7 +81,7 @@ def test_condition_estimate_blows_up_at_resonance():
 def test_offdiagonal_underflow_for_long_localized_sample():
     # ||T|| ~ exp(gamma*L) >> float range: g_lr underflows cleanly to 0.
     pot = generate(AndersonRandom(2.0, 4), 5000)
-    T, _ = product(pot, 0.0, 5000)
+    ((_, T),) = checkpoint_products(pot, 0.0, [5000])
     G0 = sample_green_via_transfer(T)
     assert G0[0, 1] == 0.0
     assert np.all(np.isfinite(G0))
@@ -129,5 +139,5 @@ def test_graph_map_detects_wrong_green(lead11):
     pot = generate(AndersonRandom(1.0, 8), 30)
     se = _se(lead11, 0.5)
     G = coupled_green_direct(pot, 0.5, 30, se)
-    T, _ = product(pot, 0.5, 30)
+    ((_, T),) = checkpoint_products(pot, 0.5, [30])
     assert graph_map_check(G + 0.01, T, se) > 1e-4

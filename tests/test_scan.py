@@ -1,14 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
+import ebb
 from ebb.errors import DomainError
 from ebb.model import ThermoParams
 from ebb.potentials import AndersonRandom, Periodic, Zero
 from ebb.scan import (
     ClassificationThresholds,
     LSweepPoint,
+    _fit,
     classify_transport,
     energy_sweep,
     equivalence_report,
@@ -129,3 +135,21 @@ def test_periodic_band_energy_is_persistent(lead11):
         Periodic((3.0, 0.0)), [-0.5], CHECKPOINTS, lead11, lead11, THERMO, loose
     )
     assert rep.rows[0].label == "persistent"
+
+
+def test_fit_matches_linregress():
+    rng = np.random.default_rng(4)
+    xs = np.array(CHECKPOINTS, dtype=float)
+    for ys in (0.01 * xs + rng.normal(0, 0.1, xs.size), -3.0 * xs, rng.normal(0, 1, xs.size),
+               np.log(np.exp(-0.02 * xs) + 1e-3)):
+        ref = linregress(xs, ys)
+        assert _fit(xs, ys) == (ref.slope, ref.rvalue**2)
+    assert _fit(xs, np.full(xs.size, 0.3)) == (0.0, 1.0)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    code = "import sys, ebb.cli; print('scipy.stats' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(ebb.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

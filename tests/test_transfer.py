@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebb.potentials import AndersonRandom, Zero, generate
+from ebb.potentials import AndersonRandom, generate
 from ebb.transfer import (
     ScaledMatrix2,
+    _smax,
     checkpoint_products,
     log_spectral_norm,
     one_step,
-    product,
 )
 
 
@@ -18,6 +18,11 @@ def naive_product(pot, E, L):
     M = np.eye(2)
     for x in range(L + 1):
         M = one_step(pot[x], E) @ M
+    return M
+
+
+def transfer(pot, E, L):
+    ((_, M),) = checkpoint_products(pot, E, [L])
     return M
 
 
@@ -29,8 +34,7 @@ def test_one_step_layout_and_det():
 
 @given(v=st.floats(-10, 10), E=st.floats(-10, 10))
 def test_one_step_unimodular(v, E):
-    a, b = v - E, -1.0
-    c, d = 1.0, 0.0
+    (a, b), (c, d) = one_step(v, E)
     assert a * d - b * c == 1.0
 
 
@@ -38,83 +42,92 @@ def test_product_matches_naive_small():
     rng = np.random.default_rng(0)
     pot = rng.uniform(-1, 1, 21)
     for L in (1, 5, 20):
-        M, _ = product(pot, 0.3, L)
+        M = transfer(pot, 0.3, L)
         ref = naive_product(pot, 0.3, L)
         np.testing.assert_allclose(M.m * math.exp(M.log_scale), ref, rtol=1e-12)
 
 
 def test_scaled_entries_stay_bounded():
     pot = generate(AndersonRandom(2.0, 5), 20000)
-    M, _ = product(pot, 0.5, 20000)
+    M = transfer(pot, 0.5, 20000)
     assert np.max(np.abs(M.m)) <= 2.0
     assert math.isfinite(M.log_scale)
     assert M.log_scale > 100.0  # genuinely exponential growth
 
 
 def test_log_spectral_norm_identity_and_clamp():
-    I = ScaledMatrix2(np.eye(2), 0.0)
+    I = ScaledMatrix2(np.eye(2), 0.0, 0.0)
     assert log_spectral_norm(I) == 0.0
-    tiny = ScaledMatrix2(np.eye(2), -5.0)
+    tiny = ScaledMatrix2(np.eye(2), -5.0, -10.0)
     assert log_spectral_norm(tiny) == 0.0
 
 
 def test_log_spectral_norm_against_numpy():
     rng = np.random.default_rng(1)
     pot = rng.uniform(-2, 2, 41)
-    M, _ = product(pot, -0.4, 40)
+    M = transfer(pot, -0.4, 40)
     ref = math.log(np.linalg.norm(M.m * math.exp(M.log_scale), 2))
     assert log_spectral_norm(M) == pytest.approx(ref, abs=1e-12)
 
 
-def test_trace_checkpoints_match_individual_products():
-    pot = generate(AndersonRandom(1.0, 9), 500)
-    cps = [10, 50, 200, 500]
-    _, trace = product(pot, 0.2, 500, cps)
-    assert [x for x, _ in trace] == cps
-    for x, ln in trace:
-        M, _ = product(pot, 0.2, x)
-        assert ln == pytest.approx(log_spectral_norm(M), abs=1e-12)
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_closed_form_norm_against_svd(dtype):
+    # Entries of magnitude 1e-60..1e60 with random signs or phases, and
+    # matrices whose entries span that whole range at once.
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for _ in range(2000):
+        mags = 10.0 ** rng.uniform(-60, 60, 4) if rng.random() < 0.5 else (
+            10.0 ** rng.uniform(-60, 60) * rng.uniform(0.1, 1.0, 4))
+        if dtype is complex:
+            entries = mags * np.exp(2j * np.pi * rng.random(4))
+        else:
+            entries = mags * rng.choice([-1.0, 1.0], 4)
+        ref = np.linalg.norm(entries.reshape(2, 2), 2)
+        worst = max(worst, abs(_smax(*entries.tolist()) - ref) / ref)
+    assert worst < 1e-10
+    assert _smax(*np.zeros(4, dtype=dtype).tolist()) == 0.0
 
 
 def test_checkpoint_products_match_full_products():
-    pot = generate(AndersonRandom(1.5, 3), 300)
-    out = checkpoint_products(pot, 0.1, [20, 100, 300])
+    # One pass over all checkpoints gives the same matrices, bit for bit,
+    # as a separate pass to each checkpoint.
+    pot = generate(AndersonRandom(1.5, 3), 500)
+    cps = [0, 10, 20, 100, 300, 500]
+    out = checkpoint_products(pot, 0.1, cps)
+    assert [x for x, _ in out] == cps
     for x, M in out:
-        ref, _ = product(pot, 0.1, x)
-        np.testing.assert_allclose(M.m, ref.m, rtol=1e-14)
-        assert M.log_scale == pytest.approx(ref.log_scale, abs=1e-12)
-        assert M.represented_log_det() == pytest.approx(
-            ref.represented_log_det(), abs=1e-12
-        )
+        ref = transfer(pot, 0.1, x)
+        np.testing.assert_array_equal(M.m, ref.m)
+        assert (M.log_scale, M.log_det) == (ref.log_scale, ref.log_det)
+        assert log_spectral_norm(M) == log_spectral_norm(ref)
 
 
 def test_represented_log_det_stays_near_zero_in_hostile_regime():
     # The product condition number here vastly exceeds 1/eps, so the
     # determinant must come from the segment bookkeeping, not from m.
     pot = generate(AndersonRandom(2.0, 11), 100_000)
-    M, _ = product(pot, 0.0, 100_000)
-    assert abs(M.represented_log_det()) < 1e-10 * 100_000 ** 0.5
+    M = transfer(pot, 0.0, 100_000)
+    assert abs(M.log_det) < 1e-10 * 100_000 ** 0.5
 
 
 def test_free_cocycle_period_four():
     # At E = 0 with v = 0 the one-step factor is a quarter rotation, so
     # the product over sites 0..L is orthogonal whenever L+1 % 4 == 0.
-    pot = np.zeros(2001)
-    for L in (3, 7, 999, 1999):
-        M, _ = product(pot, 0.0, L)
+    for _, M in checkpoint_products(np.zeros(2001), 0.0, [3, 7, 999, 1999]):
         assert log_spectral_norm(M) < 1e-12
 
 
 def test_bad_checkpoints_rejected():
-    with pytest.raises(ValueError):
-        product(np.zeros(11), 0.0, 10, [11])
-    with pytest.raises(ValueError):
-        product(np.zeros(11), 0.0, 10, [-1])
+    # Outside [0, len(pot) - 1], empty, or not strictly increasing.
+    for cps in ([11], [-1], [], [5, 3], [3, 3]):
+        with pytest.raises(ValueError):
+            checkpoint_products(np.zeros(11), 0.0, cps)
 
 
 def test_short_potential_rejected():
     with pytest.raises(ValueError):
-        product(np.zeros(5), 0.0, 10)
+        checkpoint_products(np.zeros(5), 0.0, [10])
 
 
 @settings(max_examples=25, deadline=None)
@@ -125,5 +138,4 @@ def test_short_potential_rejected():
 )
 def test_product_unimodular_property(seed, E, L):
     pot = generate(AndersonRandom(1.0, seed), L)
-    M, _ = product(pot, E, L)
-    assert abs(M.represented_log_det()) < 1e-10
+    assert abs(transfer(pot, E, L).log_det) < 1e-10
