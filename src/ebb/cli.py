@@ -1,9 +1,10 @@
-"""Command-line interface: ebb <command> --config <file> --out <dir>.
+"""Command-line interface: ebb <command> [--config <file>] --out <dir>.
 
-Commands: fluxes, sweep-e, sweep-l, equivalence, validate. Each run
-writes CSV data files plus a JSON summary embedding the run manifest.
-CSV bodies are byte-identical across runs of the same configuration; the
-manifest timestamp is the only varying field, and it lives in the JSON.
+Commands: fluxes, sweep-e, sweep-l, equivalence, validate. Every command
+but validate reads its run configuration from --config. Each run writes
+CSV data files plus a JSON summary embedding the run manifest. CSV bodies
+are byte-identical across runs of the same configuration; the manifest
+timestamp is the only varying field, and it lives in the JSON.
 
 Exit codes: 0 success, 1 numerical-invariant failure, 2 configuration
 error.
@@ -17,6 +18,7 @@ import json
 import math
 import os
 import sys
+from typing import Optional
 
 import numpy as np
 
@@ -24,6 +26,7 @@ from . import __version__, scan
 from .config import RunConfig, parse_config
 from .errors import ConfigError, NumericalFailure
 from .fluxes import integrate_fluxes, integration_window
+from .potentials import generate
 
 
 def _fmt(x) -> str:
@@ -41,15 +44,16 @@ def _write_csv(path, header, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _manifest(command: str, run: RunConfig, args, max_residual: float) -> dict:
+def _manifest(command: str, run: Optional[RunConfig], args, max_residual: float) -> dict:
+    """The run manifest; run is None for a command that reads no config."""
     seeds = {}
-    pot = run.resolved["sample"]["potential"]
+    pot = run.resolved["sample"]["potential"] if run else {}
     if pot.get("type") == "anderson":
         seeds["anderson"] = pot["seed"]
     return {
         "tool_version": __version__,
         "command": command,
-        "config": run.resolved,
+        "config": run.resolved if run else None,
         "seeds": seeds,
         "seed_override": args.seed_override,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -63,7 +67,7 @@ def _energies(run: RunConfig, key: str) -> list:
     if value is None:
         raise ConfigError(f"sweep.{key}: required for this command")
     energies = list(value) if isinstance(value, tuple) else [value]
-    window = integration_window(run.system)
+    window = integration_window(run.lead_l, run.lead_r, run.quadrature.edge_margin)
     for E in energies:
         if not window.contains(E):
             raise ConfigError(f"sweep.{key}: E={E} is outside the open-channel window")
@@ -71,7 +75,7 @@ def _energies(run: RunConfig, key: str) -> list:
 
 
 def cmd_fluxes(run: RunConfig, args) -> int:
-    result = integrate_fluxes(run.system)
+    result = integrate_fluxes(run.sample, run.lead_l, run.lead_r, run.thermo, run.quadrature)
     summary = {
         "energy_flux_l": result.energy_flux_l,
         "charge_flux_l": result.charge_flux_l,
@@ -89,10 +93,8 @@ def cmd_fluxes(run: RunConfig, args) -> int:
 
 
 def cmd_sweep_e(run: RunConfig, args) -> int:
-    system = run.system
     points = scan.energy_sweep(
-        run.potential_spec, system.sample.length, system.lead_l,
-        system.lead_r, system.thermo, _energies(run, "e_grid"),
+        run.sample, run.lead_l, run.lead_r, run.thermo, _energies(run, "e_grid")
     )
     _write_csv(
         os.path.join(args.out, "sweep_e.csv"),
@@ -114,10 +116,9 @@ def cmd_sweep_e(run: RunConfig, args) -> int:
 
 def cmd_sweep_l(run: RunConfig, args) -> int:
     (energy,) = _energies(run, "energy")
-    system = run.system
+    cps = run.sweep.l_checkpoints
     points = scan.l_sweep(
-        run.potential_spec, energy, system.lead_l, system.lead_r,
-        system.thermo, run.sweep.l_checkpoints,
+        generate(run.potential_spec, cps[-1]), energy, run.lead_l, run.lead_r, run.thermo, cps
     )
     cls = scan.classify_transport(points, run.sweep.thresholds)
     _write_csv(
@@ -142,10 +143,11 @@ def cmd_sweep_l(run: RunConfig, args) -> int:
 
 
 def cmd_equivalence(run: RunConfig, args) -> int:
-    system = run.system
+    energies = _energies(run, "e_grid")
+    cps = run.sweep.l_checkpoints
     report = scan.equivalence_report(
-        run.potential_spec, _energies(run, "e_grid"), run.sweep.l_checkpoints,
-        system.lead_l, system.lead_r, system.thermo, run.sweep.thresholds,
+        generate(run.potential_spec, cps[-1]), energies, cps,
+        run.lead_l, run.lead_r, run.thermo, run.sweep.thresholds,
     )
     _write_csv(
         os.path.join(args.out, "equivalence.csv"),
@@ -169,7 +171,7 @@ def cmd_equivalence(run: RunConfig, args) -> int:
     return 0
 
 
-def cmd_validate(run: RunConfig, args) -> int:
+def cmd_validate(run: None, args) -> int:
     from .validate import run_all
 
     results = run_all()
@@ -228,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         "between two thermal reservoirs.",
     )
     parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", required=True, help="run configuration JSON")
+    parser.add_argument("--config", help="run configuration JSON (every command but validate)")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument(
         "--seed-override", type=int, default=None,
@@ -238,9 +240,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    reads_config = args.command != "validate"
+    if reads_config and args.config is None:
+        parser.error(f"{args.command} requires --config")
     try:
-        run = parse_config(args.config, seed_override=args.seed_override)
+        run = parse_config(args.config, seed_override=args.seed_override) if reads_config else None
         os.makedirs(args.out, exist_ok=True)
         return _COMMANDS[args.command](run, args)
     except ConfigError as exc:

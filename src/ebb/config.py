@@ -23,7 +23,7 @@ import numpy as np
 
 from . import leads, potentials
 from .errors import ConfigError
-from .fluxes import QuadratureParams, SystemConfig
+from .fluxes import QuadratureParams
 from .model import SampleSpec, ThermoParams
 from .scan import ClassificationThresholds, check_checkpoints
 
@@ -53,8 +53,12 @@ class SweepParams:
 
 @dataclass(frozen=True)
 class RunConfig:
-    system: SystemConfig
+    sample: SampleSpec
     potential_spec: potentials.PotentialSpec
+    lead_l: leads.LeadModel
+    lead_r: leads.LeadModel
+    thermo: ThermoParams
+    quadrature: QuadratureParams
     sweep: SweepParams
     resolved: dict
 
@@ -72,9 +76,9 @@ def _run(
     quadrature: QuadratureParams = QuadratureParams(),
     sweep: SweepParams = SweepParams(),
 ):
-    """The config root: the sections of a run configuration."""
-    spec_sample, spec = sample
-    return SystemConfig(spec_sample, lead_l, lead_r, thermo, quadrature), spec, sweep
+    """The config root: the sections of a run configuration, in the field
+    order of RunConfig."""
+    return (*sample, lead_l, lead_r, thermo, quadrature, sweep)
 
 
 # JSON value kinds, by Python type (of a parsed value or of an annotation).
@@ -193,5 +197,5 @@ def parse_config(path: str, seed_override: Optional[int] = None) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
     builder = _Builder(os.path.dirname(os.path.abspath(path)), seed_override)
-    (system, spec, sweep), resolved = builder.build(_run, raw, "")
-    return RunConfig(system, spec, sweep, resolved)
+    fields, resolved = builder.build(_run, raw, "")
+    return RunConfig(*fields, resolved)

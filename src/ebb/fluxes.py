@@ -44,15 +44,6 @@ class QuadratureParams:
 
 
 @dataclass(frozen=True)
-class SystemConfig:
-    sample: SampleSpec
-    lead_l: LeadModel
-    lead_r: LeadModel
-    thermo: ThermoParams
-    quadrature: QuadratureParams = QuadratureParams()
-
-
-@dataclass(frozen=True)
 class SpectralDensities:
     phi_l: float
     j_l: float
@@ -112,41 +103,43 @@ def evaluate_point(sample: SampleSpec, lead_l, lead_r, E) -> PointResult:
     return PointResult(E, transmission(t), unitarity_residual(t), G, t, se)
 
 
-def integration_window(config: SystemConfig) -> leads_mod.EnergyWindow:
+def integration_window(lead_l: LeadModel, lead_r: LeadModel, edge_margin: float) -> leads_mod.EnergyWindow:
     """Open-channel window minus the band-edge margins."""
-    window = sigma_intersection(config.lead_l, config.lead_r)
-    return window.shrink(config.quadrature.edge_margin)
+    return sigma_intersection(lead_l, lead_r).shrink(edge_margin)
 
 
-def integrate_fluxes(config: SystemConfig) -> FluxResult:
+def integrate_fluxes(
+    sample: SampleSpec,
+    lead_l: LeadModel,
+    lead_r: LeadModel,
+    thermo: ThermoParams,
+    quadrature: QuadratureParams = QuadratureParams(),
+) -> FluxResult:
     """Adaptive quadrature of the densities over the open-channel window.
 
     At every node the full pipeline runs through the direct self-energy
     solve. The initial panel width is capped at pi/(L+1) so the rule
     resolves each of the ~L transmission resonances across the band.
     """
-    window = integration_window(config)
+    window = integration_window(lead_l, lead_r, quadrature.edge_margin)
     if window.is_empty:
         return FluxResult(0.0, 0.0, 0.0, 0.0, 0, True, True, 0.0)
 
-    sample = config.sample
-    thermo = config.thermo
     max_residual = [0.0]
 
     def integrand(E):
-        point = evaluate_point(sample, config.lead_l, config.lead_r, E)
+        point = evaluate_point(sample, lead_l, lead_r, E)
         if point.unitarity_residual > max_residual[0]:
             max_residual[0] = point.unitarity_residual
         d = spectral_densities(E, point.transmission, thermo)
         return np.array([d.phi_l, d.j_l, d.sigma])
 
-    cap = min(window.total_length(), math.pi / (sample.length + 1))
     res = adaptive_gk15(
         integrand,
         window.intervals,
-        tol=config.quadrature.tolerance,
-        max_evaluations=config.quadrature.max_evaluations,
-        max_initial_width=cap,
+        tol=quadrature.tolerance,
+        max_evaluations=quadrature.max_evaluations,
+        max_initial_width=math.pi / (sample.length + 1),
     )
     pref = 1.0 / (2.0 * math.pi)
     phi, j, sig = (res.integral * pref).tolist()

@@ -144,9 +144,6 @@ class EnergyWindow:
     def is_empty(self) -> bool:
         return len(self.intervals) == 0
 
-    def total_length(self) -> float:
-        return sum(b - a for a, b in self.intervals)
-
     def contains(self, E: float) -> bool:
         return any(a < E < b for a, b in self.intervals)
 

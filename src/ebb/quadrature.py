@@ -1,9 +1,9 @@
 """Adaptive Gauss-Kronrod quadrature for vector-valued integrands.
 
 A 15-point Kronrod rule with embedded 7-point Gauss rule per panel; the
-panel with the worst error is split until every component of the summed
-error estimate meets the absolute tolerance or the evaluation budget runs
-out. Subdivision order is deterministic (heap keyed on error, then panel
+panel with the worst error is split until the summed error estimate meets
+the stopping rule `_converged` or the evaluation budget runs out.
+Subdivision order is deterministic (heap keyed on error, then panel
 position), so results are bit-reproducible.
 """
 
@@ -72,6 +72,12 @@ class QuadratureResult:
     converged: bool
 
 
+def _converged(integral, error, tol) -> bool:
+    """The stopping rule: err_k <= tol * max(1, |I_k|) for every component,
+    QUADPACK's epsabs and epsrel both set to tol."""
+    return bool(np.all(error <= tol * np.maximum(1.0, np.abs(integral))))
+
+
 def _gk15_panel(f, lo, hi):
     """Kronrod estimate, per-component |K15 - G7| error, on one panel."""
     c = 0.5 * (lo + hi)
@@ -85,10 +91,10 @@ def _gk15_panel(f, lo, hi):
 def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
     """Integrate the vector-valued f over a union of intervals.
 
-    intervals: sequence of (lo, hi) pairs. max_initial_width caps the
-    initial panel size so that integrands oscillating on a known scale
-    (one transmission resonance per pi/(L+1) of energy) are seen by the
-    base rule before any subdivision.
+    intervals: sequence of (lo, hi) pairs; tol: see `_converged`.
+    max_initial_width caps the initial panel size so that integrands
+    oscillating on a known scale (one transmission resonance per pi/(L+1)
+    of energy) are seen by the base rule before any subdivision.
     """
     panels = []
     for lo, hi in intervals:
@@ -121,7 +127,7 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
             total_err += err
         heapq.heappush(heap, (-float(err.max()), lo, hi, integral, err))
 
-    while float(total_err.max()) > tol and heap:
+    while not _converged(total, total_err, tol) and heap:
         if evals + 30 > max_evaluations:
             break
         neg_err, lo, hi, integral, err = heapq.heappop(heap)
@@ -144,6 +150,4 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
     )
     total = np.sum([p[2] for p in pieces], axis=0)
     total_err = np.sum([p[3] for p in pieces], axis=0)
-    return QuadratureResult(
-        total, total_err, evals, bool(float(total_err.max()) <= tol)
-    )
+    return QuadratureResult(total, total_err, evals, _converged(total, total_err, tol))

@@ -21,7 +21,6 @@ from .fluxes import evaluate_point, spectral_densities
 from .green import is_resonant
 from .leads import LeadModel, sigma_intersection
 from .model import SampleSpec, ThermoParams, check_length
-from .potentials import PotentialSpec, generate
 from .transfer import checkpoint_products, log_spectral_norm
 
 # Below this the density has decayed hundreds of decades: its logarithm is
@@ -58,7 +57,9 @@ class TransportClassification:
     sigma_slope: float
     sigma_r2: float
     l_max: int
-    underflowed: bool = False
+    underflowed: bool
+    # Finite-L evidence against the norm/transport equivalence.
+    contradiction: bool
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def check_checkpoints(checkpoints: Sequence[int]) -> list:
 
 
 def l_sweep(
-    spec: PotentialSpec,
+    pot: np.ndarray,
     E: float,
     lead_l: LeadModel,
     lead_r: LeadModel,
@@ -126,16 +127,16 @@ def l_sweep(
 ) -> list:
     """Entropy density, transmission, and transfer norm at each checkpoint.
 
-    The potential is generated once at the largest checkpoint (prefix
-    stability) and the transfer norms come from a single scaled product
-    pass; the Green-function pipeline runs independently per checkpoint.
+    pot holds the potential on at least checkpoints[-1] + 1 sites; the
+    sample at checkpoint L is its first L + 1 entries (prefix stability).
+    The transfer norms come from a single scaled product pass; the
+    Green-function pipeline runs independently per checkpoint.
     """
     cps = check_checkpoints(checkpoints)
     if not sigma_intersection(lead_l, lead_r).contains(E):
         raise DomainError(
             f"E={E} is outside the band intersection; sigma vanishes trivially"
         )
-    pot = generate(spec, cps[-1])
     points = []
     for L, T in checkpoint_products(pot, E, cps):
         sample = SampleSpec(L, pot[: L + 1])
@@ -169,13 +170,15 @@ def classify_transport(
     sweep: Sequence[LSweepPoint],
     thresholds: ClassificationThresholds = ClassificationThresholds(),
 ) -> TransportClassification:
-    """Label an L-sweep as persistent, vanishing, or indeterminate."""
+    """Label an L-sweep as persistent, vanishing, or indeterminate, and say
+    whether the label contradicts the transfer norms."""
     Ls = np.array(check_checkpoints([p.L for p in sweep]), dtype=float)
     l_max = int(Ls.max())
     sigmas = np.array([p.sigma_density for p in sweep])
     norms = np.array([p.log_transfer_norm for p in sweep])
 
     norm_slope, norm_r2 = _fit(Ls, norms)
+    bounded = norm_slope < thresholds.bounded_norm_slope_factor / l_max
     alive = sigmas > SIGMA_UNDERFLOW_FLOOR
     underflowed = bool(np.any(~alive))
     if np.any(alive):
@@ -190,30 +193,30 @@ def classify_transport(
     persistent = (
         not underflowed
         and float(sigmas.min()) > thresholds.persistent_floor * float(np.median(sigmas))
-        and norm_slope < thresholds.bounded_norm_slope_factor / l_max
+        and bounded
     )
+    # A contradiction is a vanishing label with bounded norms, or a
+    # persistent label with clearly growing norms.
     if vanishing:
-        label = "vanishing"
+        label, contradiction = "vanishing", bounded
     elif persistent:
         label = "persistent"
+        contradiction = norm_slope > thresholds.divergent_norm_slope_factor / l_max
     else:
-        label = "indeterminate"
+        label, contradiction = "indeterminate", False
     return TransportClassification(
-        label, norm_slope, norm_r2, sigma_slope, sigma_r2, l_max, underflowed
+        label, norm_slope, norm_r2, sigma_slope, sigma_r2, l_max, underflowed, contradiction
     )
 
 
 def energy_sweep(
-    spec: PotentialSpec,
-    L: int,
+    sample: SampleSpec,
     lead_l: LeadModel,
     lead_r: LeadModel,
     thermo: ThermoParams,
     grid: Sequence[float],
 ) -> list:
     """Full pipeline at each grid energy; failures are recorded per point."""
-    pot = generate(spec, L)
-    sample = SampleSpec(L, pot)
     out = []
     for E in grid:
         try:
@@ -233,7 +236,7 @@ def energy_sweep(
 
 
 def equivalence_rows(
-    spec: PotentialSpec,
+    pot: np.ndarray,
     grid: Sequence[float],
     checkpoints: Sequence[int],
     lead_l: LeadModel,
@@ -241,35 +244,23 @@ def equivalence_rows(
     thermo: ThermoParams,
     thresholds: ClassificationThresholds = ClassificationThresholds(),
 ) -> list:
-    """Classification rows for each grid energy.
-
-    A contradiction is finite-L evidence against the norm/transport
-    equivalence: a vanishing label with bounded norms, or a persistent
-    label with clearly growing norms.
-    """
+    """Classification rows for each grid energy, on the potential pot of
+    at least checkpoints[-1] + 1 sites (see `l_sweep`)."""
     rows = []
-    l_max = int(max(checkpoints))
     for E in grid:
-        sweep = l_sweep(spec, E, lead_l, lead_r, thermo, checkpoints)
+        sweep = l_sweep(pot, E, lead_l, lead_r, thermo, checkpoints)
         cls = classify_transport(sweep, thresholds)
-        sigma_last = sweep[-1].sigma_density
-        if cls.label == "vanishing":
-            contradiction = cls.norm_slope < thresholds.bounded_norm_slope_factor / l_max
-        elif cls.label == "persistent":
-            contradiction = cls.norm_slope > thresholds.divergent_norm_slope_factor / l_max
-        else:
-            contradiction = False
         rows.append(
             EquivalenceRow(
-                E, cls.label, cls.norm_slope, cls.sigma_slope, sigma_last, contradiction,
-                max(p.unitarity_residual for p in sweep),
+                E, cls.label, cls.norm_slope, cls.sigma_slope, sweep[-1].sigma_density,
+                cls.contradiction, max(p.unitarity_residual for p in sweep),
             )
         )
     return rows
 
 
 def equivalence_report(
-    spec: PotentialSpec,
+    pot: np.ndarray,
     grid: Sequence[float],
     checkpoints: Sequence[int],
     lead_l: LeadModel,
@@ -278,7 +269,7 @@ def equivalence_report(
     thresholds: ClassificationThresholds = ClassificationThresholds(),
 ) -> EquivalenceReport:
     """Equivalence rows over the grid, with label counts and mean densities."""
-    rows = equivalence_rows(spec, grid, checkpoints, lead_l, lead_r, thermo, thresholds)
+    rows = equivalence_rows(pot, grid, checkpoints, lead_l, lead_r, thermo, thresholds)
     counts = {}
     for row in rows:
         counts[row.label] = counts.get(row.label, 0) + 1

@@ -9,7 +9,7 @@ with -s to see them even on success). Criteria 01-07 are the checks of
 import numpy as np
 
 from ebb import validate
-from ebb.fluxes import QuadratureParams, SystemConfig, integrate_fluxes
+from ebb.fluxes import QuadratureParams, integrate_fluxes
 from ebb.leads import weiss_boundary
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AndersonRandom, Periodic, Zero, generate
@@ -80,7 +80,7 @@ def test_08_weiss_vs_truncated_lead():
 
 
 def test_09a_dichotomy_persistent_free():
-    points = l_sweep(Zero(), 0.5, LEAD, LEAD, NONEQ, CHECKPOINTS)
+    points = l_sweep(generate(Zero(), CHECKPOINTS[-1]), 0.5, LEAD, LEAD, NONEQ, CHECKPOINTS)
     sigmas = np.array([p.sigma_density for p in points])
     norms = [p.log_transfer_norm for p in points]
     cls = classify_transport(points)
@@ -94,7 +94,8 @@ def test_09a_dichotomy_persistent_free():
 
 
 def test_09b_dichotomy_vanishing_disordered():
-    points = l_sweep(AndersonRandom(2.0, 7), 0.5, LEAD, LEAD, NONEQ, CHECKPOINTS)
+    pot = generate(AndersonRandom(2.0, 7), CHECKPOINTS[-1])
+    points = l_sweep(pot, 0.5, LEAD, LEAD, NONEQ, CHECKPOINTS)
     cls = classify_transport(points)
     sigma_decays = cls.underflowed or cls.sigma_slope < 0.0
     ok = (
@@ -113,14 +114,15 @@ def test_09c_dichotomy_equivalence_reports():
     grid = np.linspace(-1.9, 1.9, 100)
     total = 0
     for spec in (Zero(), AndersonRandom(2.0, 7)):
-        rep = equivalence_report(spec, grid, CHECKPOINTS, LEAD, LEAD, NONEQ)
+        pot = generate(spec, CHECKPOINTS[-1])
+        rep = equivalence_report(pot, grid, CHECKPOINTS, LEAD, LEAD, NONEQ)
         total += rep.contradictions
     report(9, total == 0, f"(c) contradictions over 2x100 energies: {total}")
 
 
 def test_10_periodic_band_gap_split():
     # Trace of the transfer matrix across one period of the [3, 0] cell.
-    spec = Periodic((3.0, 0.0))
+    pot = generate(Periodic((3.0, 0.0)), CHECKPOINTS[-1])
     thresholds = ClassificationThresholds(persistent_floor=0.1)
     mismatches = []
     checked = 0
@@ -130,7 +132,7 @@ def test_10_periodic_band_gap_split():
         if 2.0 <= tr <= 2.2:
             continue  # boundary band excluded
         expected = "persistent" if tr < 2.0 else "vanishing"
-        rep = equivalence_report(spec, [E], CHECKPOINTS, LEAD, LEAD, NONEQ, thresholds)
+        rep = equivalence_report(pot, [E], CHECKPOINTS, LEAD, LEAD, NONEQ, thresholds)
         checked += 1
         if rep.rows[0].label != expected:
             mismatches.append((E, tr, rep.rows[0].label, expected))
@@ -158,12 +160,8 @@ def test_12_quadrature_refinement():
     worst_ratio = 0.0
     for L in (10, 100):
         sample = SampleSpec(L, np.zeros(L + 1))
-        base = integrate_fluxes(
-            SystemConfig(sample, LEAD, LEAD, NONEQ, QuadratureParams(tolerance=1e-8))
-        )
-        fine = integrate_fluxes(
-            SystemConfig(sample, LEAD, LEAD, NONEQ, QuadratureParams(tolerance=5e-9))
-        )
+        base = integrate_fluxes(sample, LEAD, LEAD, NONEQ, QuadratureParams(tolerance=1e-8))
+        fine = integrate_fluxes(sample, LEAD, LEAD, NONEQ, QuadratureParams(tolerance=5e-9))
         err = max(base.quadrature_error_estimate, 1e-15)
         for a, b in (
             (base.energy_flux_l, fine.energy_flux_l),

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from ebb.cli import main
 from ebb.config import geometric_checkpoints, parse_config
 from ebb.errors import ConfigError
-from ebb.potentials import AndersonRandom, Periodic, Zero
+from ebb.potentials import AndersonRandom, Periodic, Zero, generate
 from ebb.scan import l_sweep
 
 BASE = {
@@ -50,8 +50,8 @@ def strict_json(path):
 
 def test_parse_config_defaults(tmp_path):
     run = parse_config(write_config(tmp_path))
-    assert run.system.sample.length == 10
-    assert run.system.quadrature.tolerance == 1e-8
+    assert run.sample.length == 10
+    assert run.quadrature.tolerance == 1e-8
     assert run.sweep.l_checkpoints == tuple(geometric_checkpoints())
     assert run.resolved["thermo"]["beta_r"] == 2.0
 
@@ -78,7 +78,7 @@ def test_parse_config_potential_types(tmp_path):
     )
     run = parse_config(path)
     assert run.potential_spec == Periodic((3.0, 0.0))
-    np.testing.assert_array_equal(run.system.sample.potential[:2], [3.0, 0.0])
+    np.testing.assert_array_equal(run.sample.potential[:2], [3.0, 0.0])
 
 
 def test_parse_config_seed_override(tmp_path):
@@ -130,6 +130,25 @@ def test_fluxes_command(tmp_path):
     assert "timestamp" in manifest
 
 
+def test_fluxes_tolerance_is_relative_for_large_fluxes(tmp_path):
+    # The entropy flux here is about 2e49: an absolute tolerance of 1e-8
+    # cannot be met, the relative one is met after a few thousand nodes.
+    potential = {"type": "almost_mathieu", "coupling": 0.5,
+                 "frequency": (math.sqrt(5.0) - 1.0) / 2.0, "phase": 0.0}
+    cfg = write_config(
+        tmp_path,
+        sample={"length": 50, "potential": potential},
+        thermo={**BASE["thermo"], "mu_l": -1e50},
+        quadrature={"tolerance": 1e-8, "max_evaluations": 30000},
+    )
+    rc, out = run_cli(tmp_path, "fluxes", cfg)
+    assert rc == 0
+    payload = strict_json(out / "fluxes.json")
+    assert payload["converged"] is True
+    assert payload["evaluations"] < 5000
+    assert payload["entropy_flux"] > 1e49
+
+
 def test_sweep_e_command_deterministic_csv(tmp_path):
     cfg = write_config(tmp_path, extra={"sweep": {"e_grid": [-1.0, 0.0, 1.0]}})
     rc, out = run_cli(tmp_path, "sweep-e", cfg)
@@ -171,8 +190,8 @@ def test_sweep_l_command(tmp_path):
     payload = strict_json(out / "sweep_l.json")
     assert payload["classification"] == "persistent"
     assert payload["l_max"] == 251
-    system = parse_config(cfg).system
-    points = l_sweep(Zero(), 0.5, system.lead_l, system.lead_r, system.thermo, SWEEP_L)
+    run = parse_config(cfg)
+    points = l_sweep(generate(Zero(), SWEEP_L[-1]), 0.5, run.lead_l, run.lead_r, run.thermo, SWEEP_L)
     residual = max(p.unitarity_residual for p in points)
     assert payload["manifest"]["max_unitarity_residual"] == residual > 0.0
 
@@ -207,8 +226,31 @@ def test_equivalence_command(tmp_path):
     assert len(lines) == 3
 
 
+def test_equivalence_generates_potential_once(tmp_path, monkeypatch):
+    # One file read for the sample at sample.length, one for the sweep's
+    # longest checkpoint, however many energies there are.
+    (tmp_path / "pot.txt").write_text("\n".join(["0.3", "-0.2", "0.1"] * 100))
+    reads, loadtxt = [], np.loadtxt
+
+    def counting_loadtxt(*args, **kwargs):
+        reads.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting_loadtxt)
+    cfg = write_config(
+        tmp_path,
+        sample={"length": 10, "potential": {"type": "file", "path": "pot.txt"}},
+        extra={"sweep": {"e_grid": [-1.0, -0.5, 0.0, 0.5, 1.0], "l_checkpoints": SWEEP_L}},
+    )
+    rc, out = run_cli(tmp_path, "equivalence", cfg)
+    assert rc == 0
+    assert len((out / "equivalence.csv").read_text().splitlines()) == 6
+    assert len(reads) <= 2
+
+
 def test_validate_command(tmp_path, capsys):
-    rc, out = run_cli(tmp_path, "validate", write_config(tmp_path))
+    out = tmp_path / "out"
+    rc = main(["validate", "--out", str(out)])
     assert rc == 0
     printed = capsys.readouterr().out
     assert "[PASS]" in printed and "[FAIL]" not in printed
@@ -216,6 +258,13 @@ def test_validate_command(tmp_path, capsys):
     assert payload["all_passed"]
     assert len(payload["checks"]) == 7
     assert payload["manifest"]["max_unitarity_residual"] > 0.0
+    assert payload["manifest"]["config"] is None
+
+
+def test_config_required_except_for_validate(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["fluxes", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -384,8 +433,7 @@ def test_parse_config_fuzz_returns_or_raises_config_error(fuzz_dir, data):
         pass
 
 
-# `validate` is left out: it takes seconds and reads nothing of the config
-# beyond parsing it, which the other commands do too.
+# `validate` is left out: it reads no config.
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(data=st.data())
 def test_cli_fuzz_exits_0_1_or_2(fuzz_dir, data):

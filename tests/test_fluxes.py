@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from ebb.errors import DomainError
 from ebb.fluxes import (
     QuadratureParams,
-    SystemConfig,
     evaluate_point,
     integrate_fluxes,
     integration_window,
@@ -20,12 +19,12 @@ from ebb.potentials import Zero, generate
 # Frozen by hand from the closed forms with T = 1, beta_l = 1, mu_l = 1,
 # beta_r = 2, mu_r = 0, E = 0: rho_l = 1/(1+e^-1), rho_r = 1/2.
 DRHO_REF = 0.2310585786300049
+LEAD = SemiInfiniteLaplacian(1.0, 1.0)
 
 
-def _config(L, thermo, tol=1e-8):
+def _fluxes(L, thermo, tol=1e-8):
     sample = SampleSpec(L, generate(Zero(), L))
-    lead = SemiInfiniteLaplacian(1.0, 1.0)
-    return SystemConfig(sample, lead, lead, thermo, QuadratureParams(tolerance=tol))
+    return integrate_fluxes(sample, LEAD, LEAD, thermo, QuadratureParams(tolerance=tol))
 
 
 def test_density_worked_example():
@@ -80,14 +79,13 @@ def test_evaluate_point_closed_channel(lead11):
 
 
 def test_integration_window_margin():
-    cfg = _config(5, ThermoParams(1.0, 1.0, 0.0, 0.0))
-    (lo, hi), = integration_window(cfg).intervals
+    (lo, hi), = integration_window(LEAD, LEAD, QuadratureParams().edge_margin).intervals
     assert lo == pytest.approx(-2.0 + 1e-6)
     assert hi == pytest.approx(2.0 - 1e-6)
 
 
 def test_equilibrium_fluxes_vanish():
-    res = integrate_fluxes(_config(10, ThermoParams(1.0, 1.0, 0.3, 0.3)))
+    res = _fluxes(10, ThermoParams(1.0, 1.0, 0.3, 0.3))
     assert res.converged
     assert abs(res.energy_flux_l) < 1e-12
     assert abs(res.charge_flux_l) < 1e-12
@@ -96,8 +94,8 @@ def test_equilibrium_fluxes_vanish():
 
 def test_nonequilibrium_fluxes_against_trapezoid_oracle():
     thermo = ThermoParams(1.0, 2.0, 0.5, -0.5)
-    cfg = _config(10, thermo)
-    res = integrate_fluxes(cfg)
+    sample = SampleSpec(10, generate(Zero(), 10))
+    res = integrate_fluxes(sample, LEAD, LEAD, thermo)
     assert res.converged
     assert res.entropy_flux > 0.0
 
@@ -105,7 +103,7 @@ def test_nonequilibrium_fluxes_against_trapezoid_oracle():
     E = np.linspace(-2 + 1e-6, 2 - 1e-6, 10_001)
     vals = np.empty((len(E), 3))
     for i, e in enumerate(E):
-        p = evaluate_point(cfg.sample, cfg.lead_l, cfg.lead_r, e)
+        p = evaluate_point(sample, LEAD, LEAD, e)
         d = spectral_densities(e, p.transmission, thermo)
         vals[i] = (d.phi_l, d.j_l, d.sigma)
     ref = np.trapezoid(vals, E, axis=0) / (2 * math.pi)
@@ -116,8 +114,8 @@ def test_nonequilibrium_fluxes_against_trapezoid_oracle():
 
 def test_tolerance_refinement_consistent():
     thermo = ThermoParams(0.8, 3.0, 0.7, -0.2)
-    coarse = integrate_fluxes(_config(20, thermo, tol=1e-7))
-    fine = integrate_fluxes(_config(20, thermo, tol=5e-8))
+    coarse = _fluxes(20, thermo, tol=1e-7)
+    fine = _fluxes(20, thermo, tol=5e-8)
     assert abs(fine.entropy_flux - coarse.entropy_flux) <= max(
         coarse.quadrature_error_estimate, 1e-12
     )
@@ -126,13 +124,7 @@ def test_tolerance_refinement_consistent():
 def test_no_open_channel_result():
     e = np.array([5.0, 6.0])
     right = TabulatedLead(e, np.zeros(2), np.ones(2))
-    cfg = SystemConfig(
-        SampleSpec(3, np.zeros(4)),
-        SemiInfiniteLaplacian(1.0, 1.0),
-        right,
-        ThermoParams(1.0, 2.0, 0.0, 0.0),
-    )
-    res = integrate_fluxes(cfg)
+    res = integrate_fluxes(SampleSpec(3, np.zeros(4)), LEAD, right, ThermoParams(1.0, 2.0, 0.0, 0.0))
     assert res.no_open_channel
     assert res.entropy_flux == 0.0
     assert res.evaluations == 0

@@ -1,20 +1,23 @@
+"""The production coupled solve of ebb.green, and the independent routes
+of ebb.validate it is checked against."""
+
+import math
+
 import numpy as np
 import pytest
 
 from ebb.errors import DomainError, NumericalFailure, ResonanceError
-from ebb.green import (
-    SelfEnergyPair,
-    condition_estimate,
+from ebb.green import SelfEnergyPair, coupled_green_direct
+from ebb.leads import weiss_boundary
+from ebb.potentials import AndersonRandom, generate
+from ebb.transfer import checkpoint_products
+from ebb.validate import (
+    check_graph_map,
     coupled_green,
-    coupled_green_direct,
     graph_map_check,
     sample_green_direct,
     sample_green_via_transfer,
 )
-from ebb.leads import weiss_boundary
-from ebb.potentials import AndersonRandom, generate
-from ebb.transfer import checkpoint_products
-from ebb.validate import check_graph_map
 
 from conftest import dense_green
 
@@ -28,7 +31,7 @@ def test_self_energy_pair_sign_check():
 
 def test_decoupled_worked_example():
     # L = 1, v = 0, E = 0: h - E = [[0, -1], [-1, 0]], G0 = [[0, -1], [-1, 0]].
-    G0 = sample_green_direct(np.zeros(2), 0.0, 1)
+    G0, _ = sample_green_direct(np.zeros(2), 0.0, 1)
     np.testing.assert_allclose(G0, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-15)
     ((_, T),) = checkpoint_products(np.zeros(2), 0.0, [1])
     np.testing.assert_allclose(sample_green_via_transfer(T), G0, atol=1e-15)
@@ -39,7 +42,7 @@ def test_decoupled_routes_agree_and_match_dense_oracle():
     for L in (1, 7, 40):
         pot = rng.uniform(-1.2, 1.2, L + 1)
         E = 0.37
-        direct = sample_green_direct(pot, E, L)
+        direct, _ = sample_green_direct(pot, E, L)
         ((_, T),) = checkpoint_products(pot, E, [L])
         via = sample_green_via_transfer(T)
         np.testing.assert_allclose(via, direct, atol=1e-10)
@@ -49,22 +52,20 @@ def test_decoupled_routes_agree_and_match_dense_oracle():
 
 def test_decoupled_symmetry():
     pot = generate(AndersonRandom(1.0, 21), 60)
-    G0 = sample_green_direct(pot, -0.4, 60)
+    G0, _ = sample_green_direct(pot, -0.4, 60)
     assert G0[0, 1] == pytest.approx(G0[1, 0], abs=1e-14)
 
 
 def test_resonance_detection_both_routes():
-    # v = 0, L = 1, E = 1 is an exact Dirichlet eigenvalue.
-    with pytest.raises(ResonanceError):
-        sample_green_direct(np.zeros(2), 1.0, 1)
+    # v = 0, L = 1, E = 1 is an exact Dirichlet eigenvalue: the direct
+    # route reports an infinite condition estimate, the transfer route raises.
+    assert sample_green_direct(np.zeros(2), 1.0, 1) == (None, math.inf)
     ((_, T),) = checkpoint_products(np.zeros(2), 1.0, [1])
     with pytest.raises(ResonanceError):
         sample_green_via_transfer(T)
 
 
 def test_short_potential_rejected():
-    with pytest.raises(ValueError, match="need 11"):
-        condition_estimate(np.zeros(3), 0.3, 10)
     with pytest.raises(ValueError, match="need 11"):
         sample_green_direct(np.zeros(3), 0.3, 10)
     with pytest.raises(ValueError, match="need 11"):
@@ -73,8 +74,8 @@ def test_short_potential_rejected():
 
 def test_condition_estimate_blows_up_at_resonance():
     pot = np.zeros(2)
-    near = condition_estimate(pot, 1.0 + 1e-9, 1)
-    far = condition_estimate(pot, 0.3, 1)
+    _, near = sample_green_direct(pot, 1.0 + 1e-9, 1)
+    _, far = sample_green_direct(pot, 0.3, 1)
     assert near > 1e7 * far
 
 
@@ -99,7 +100,7 @@ def test_coupled_routes_agree_and_match_dense_oracle(lead11):
         E = -0.6
         se = _se(lead11, E)
         direct = coupled_green_direct(pot, E, L, se)
-        via = coupled_green(sample_green_direct(pot, E, L), se)
+        via = coupled_green(sample_green_direct(pot, E, L)[0], se)
         np.testing.assert_allclose(via, direct, atol=1e-10)
         ref = dense_green(pot, E, L, se.F_l, se.F_r)
         np.testing.assert_allclose(direct, ref, atol=1e-10)

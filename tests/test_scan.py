@@ -10,7 +10,8 @@ from scipy.stats import linregress
 import ebb
 from ebb.errors import DomainError
 from ebb.model import ThermoParams
-from ebb.potentials import AndersonRandom, Periodic, Zero
+from ebb.model import SampleSpec
+from ebb.potentials import AndersonRandom, Periodic, Zero, generate
 from ebb.scan import (
     ClassificationThresholds,
     LSweepPoint,
@@ -23,10 +24,12 @@ from ebb.scan import (
 
 THERMO = ThermoParams(1.0, 2.0, 0.5, -0.5)
 CHECKPOINTS = [10, 16, 25, 40, 63, 100, 158, 251, 398, 631, 1000]
+FREE = generate(Zero(), CHECKPOINTS[-1])
+DISORDERED = generate(AndersonRandom(2.0, 7), CHECKPOINTS[-1])
 
 
 def test_l_sweep_free_sample(lead11):
-    points = l_sweep(Zero(), 0.5, lead11, lead11, THERMO, CHECKPOINTS)
+    points = l_sweep(FREE, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
     assert [p.L for p in points] == CHECKPOINTS
     for p in points:
         assert 0.0 < p.transmission <= 1.0
@@ -38,13 +41,13 @@ def test_l_sweep_free_sample(lead11):
 
 def test_l_sweep_rejects_out_of_band_energy(lead11):
     with pytest.raises(DomainError, match="band"):
-        l_sweep(Zero(), 3.0, lead11, lead11, THERMO, CHECKPOINTS)
+        l_sweep(FREE, 3.0, lead11, lead11, THERMO, CHECKPOINTS)
     with pytest.raises(DomainError, match="checkpoints"):
-        l_sweep(Zero(), 0.5, lead11, lead11, THERMO, [0, 10])
+        l_sweep(FREE, 0.5, lead11, lead11, THERMO, [0, 10])
 
 
 def test_classify_persistent_free(lead11):
-    points = l_sweep(Zero(), 0.5, lead11, lead11, THERMO, CHECKPOINTS)
+    points = l_sweep(FREE, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
     cls = classify_transport(points)
     assert cls.label == "persistent"
     assert cls.l_max == 1000
@@ -53,7 +56,7 @@ def test_classify_persistent_free(lead11):
 
 
 def test_classify_vanishing_strong_disorder(lead11):
-    points = l_sweep(AndersonRandom(2.0, 7), 0.5, lead11, lead11, THERMO, CHECKPOINTS)
+    points = l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
     cls = classify_transport(points)
     assert cls.label == "vanishing"
     assert cls.norm_slope > 0.0
@@ -79,6 +82,17 @@ def test_classify_synthetic_underflow_is_vanishing():
     assert cls.underflowed
 
 
+def test_classify_flags_contradiction():
+    # Underflowed sigma with flat norms: a vanishing label the bounded norms
+    # contradict. With growing norms the same label is consistent.
+    Ls = [10, 20, 40, 80, 160, 320, 640, 1280]
+    flat = [LSweepPoint(L, 0.0, 0.0, 0.0, False) for L in Ls]
+    growing = [LSweepPoint(L, 0.0, 0.0, 0.1 * L, False) for L in Ls]
+    assert classify_transport(flat).label == "vanishing"
+    assert classify_transport(flat).contradiction
+    assert not classify_transport(growing).contradiction
+
+
 def test_classify_indeterminate_between_regimes():
     # Flat norms but strongly fluctuating sigma: neither test should fire
     # with the default thresholds.
@@ -101,7 +115,7 @@ def test_thresholds_are_tunable():
 def test_energy_sweep_records_errors_per_point(lead11):
     # E = 3 is out of band: a closed-channel zero, not an error.
     grid = [0.5, 1.0, 3.0]
-    out = energy_sweep(Zero(), 10, lead11, lead11, THERMO, grid)
+    out = energy_sweep(SampleSpec(10, np.zeros(11)), lead11, lead11, THERMO, grid)
     assert len(out) == 3
     assert out[0].error is None
     assert out[0].transmission > 0.0
@@ -113,16 +127,14 @@ def test_equivalence_report_clean_split(lead11):
     # Grid avoids E = -1.5, where the two Fermi factors of THERMO cross
     # and the entropy density vanishes identically for any potential.
     grid = np.linspace(-1.2, 1.5, 8)
-    free = equivalence_report(Zero(), grid, CHECKPOINTS, lead11, lead11, THERMO)
+    free = equivalence_report(FREE, grid, CHECKPOINTS, lead11, lead11, THERMO)
     assert free.counts.get("persistent", 0) == len(grid)
     assert free.contradictions == 0
     assert free.l_max == 1000
     assert free.mean_sigma_persistent > 0.0
     assert math.isnan(free.mean_sigma_vanishing)
 
-    disordered = equivalence_report(
-        AndersonRandom(2.0, 7), grid, CHECKPOINTS, lead11, lead11, THERMO
-    )
+    disordered = equivalence_report(DISORDERED, grid, CHECKPOINTS, lead11, lead11, THERMO)
     assert disordered.counts.get("vanishing", 0) == len(grid)
     assert disordered.contradictions == 0
 
@@ -132,7 +144,8 @@ def test_periodic_band_energy_is_persistent(lead11):
     # lies inside (-2, 2): a band energy of the period-2 potential.
     loose = ClassificationThresholds(persistent_floor=0.1)
     rep = equivalence_report(
-        Periodic((3.0, 0.0)), [-0.5], CHECKPOINTS, lead11, lead11, THERMO, loose
+        generate(Periodic((3.0, 0.0)), CHECKPOINTS[-1]), [-0.5], CHECKPOINTS,
+        lead11, lead11, THERMO, loose,
     )
     assert rep.rows[0].label == "persistent"
 
