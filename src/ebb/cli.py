@@ -6,8 +6,9 @@ CSV data files plus a JSON summary embedding the run manifest. CSV bodies
 are byte-identical across runs of the same configuration; the manifest
 timestamp is the only varying field, and it lives in the JSON.
 
-Exit codes: 0 success, 1 numerical-invariant failure, 2 configuration
-error.
+Exit codes: 0 success, 1 numerical-invariant failure (for `fluxes`, also a
+quadrature that did not converge; fluxes.json is still written), 2
+configuration error.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from . import __version__, scan
 from .config import RunConfig, parse_config
 from .errors import ConfigError, NumericalFailure
 from .fluxes import integrate_fluxes, integration_window
+from .model import SampleSpec
 from .potentials import generate
 
 
@@ -74,8 +76,20 @@ def _energies(run: RunConfig, key: str) -> list:
     return energies
 
 
+def _sample(run: RunConfig, L: int) -> SampleSpec:
+    """The configured potential on sites 0..L, generated once per command.
+    A potential that cannot supply it (a file unreadable, unparsable or too
+    short, a non-finite value) is a configuration error under `sample`."""
+    try:
+        return SampleSpec(L, generate(run.potential_spec, L))
+    except (ValueError, OSError) as exc:
+        raise ConfigError(f"sample: {exc}") from None
+
+
 def cmd_fluxes(run: RunConfig, args) -> int:
-    result = integrate_fluxes(run.sample, run.lead_l, run.lead_r, run.thermo, run.quadrature)
+    result = integrate_fluxes(
+        _sample(run, run.sample_length), run.lead_l, run.lead_r, run.thermo, run.quadrature
+    )
     summary = {
         "energy_flux_l": result.energy_flux_l,
         "charge_flux_l": result.charge_flux_l,
@@ -89,12 +103,19 @@ def cmd_fluxes(run: RunConfig, args) -> int:
         "manifest": _manifest("fluxes", run, args, result.max_unitarity_residual),
     }
     _dump_json(os.path.join(args.out, "fluxes.json"), summary)
+    if not result.converged:
+        raise NumericalFailure(
+            f"quadrature did not converge: error estimate {result.quadrature_error_estimate:.3e} "
+            f"after {result.evaluations} evaluations (max_evaluations "
+            f"{run.quadrature.max_evaluations}); fluxes.json holds the partial result"
+        )
     return 0
 
 
 def cmd_sweep_e(run: RunConfig, args) -> int:
     points = scan.energy_sweep(
-        run.sample, run.lead_l, run.lead_r, run.thermo, _energies(run, "e_grid")
+        _sample(run, run.sample_length), run.lead_l, run.lead_r, run.thermo,
+        _energies(run, "e_grid"),
     )
     _write_csv(
         os.path.join(args.out, "sweep_e.csv"),
@@ -118,7 +139,7 @@ def cmd_sweep_l(run: RunConfig, args) -> int:
     (energy,) = _energies(run, "energy")
     cps = run.sweep.l_checkpoints
     points = scan.l_sweep(
-        generate(run.potential_spec, cps[-1]), energy, run.lead_l, run.lead_r, run.thermo, cps
+        _sample(run, cps[-1]).potential, energy, run.lead_l, run.lead_r, run.thermo, cps
     )
     cls = scan.classify_transport(points, run.sweep.thresholds)
     _write_csv(
@@ -146,7 +167,7 @@ def cmd_equivalence(run: RunConfig, args) -> int:
     energies = _energies(run, "e_grid")
     cps = run.sweep.l_checkpoints
     report = scan.equivalence_report(
-        generate(run.potential_spec, cps[-1]), energies, cps,
+        _sample(run, cps[-1]).potential, energies, cps,
         run.lead_l, run.lead_r, run.thermo, run.sweep.thresholds,
     )
     _write_csv(

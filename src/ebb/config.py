@@ -24,7 +24,7 @@ import numpy as np
 from . import leads, potentials
 from .errors import ConfigError
 from .fluxes import QuadratureParams
-from .model import SampleSpec, ThermoParams
+from .model import ThermoParams, check_length
 from .scan import ClassificationThresholds, check_checkpoints
 
 
@@ -53,7 +53,7 @@ class SweepParams:
 
 @dataclass(frozen=True)
 class RunConfig:
-    sample: SampleSpec
+    sample_length: int
     potential_spec: potentials.PotentialSpec
     lead_l: leads.LeadModel
     lead_r: leads.LeadModel
@@ -64,8 +64,10 @@ class RunConfig:
 
 
 def _sample(length: int, potential: potentials.TYPES):
-    """The sample section: the sample it describes, and its potential spec."""
-    return SampleSpec(length, potentials.generate(potential, length)), potential
+    """The sample section: its length and potential spec. The potential is
+    generated by the command, at the length it needs."""
+    check_length(length)
+    return length, potential
 
 
 def _run(

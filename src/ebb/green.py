@@ -60,8 +60,10 @@ def _tridiag_solve_boundary(diag):
     _, _, _, x, info = lapack.zgtsv(off, diag, off, b)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve failed (info={info})")
-    anorm = np.max(np.abs(diag)) + 2.0
-    cond = anorm * max(1.0, float(np.max(np.abs(x))))
+    # ndarray.max, not np.max: at L = 500 np.max's dispatch costs more than
+    # the complex abs it reduces.
+    anorm = float(np.abs(diag).max()) + 2.0
+    cond = anorm * max(1.0, float(np.abs(x).max()))
     return x[[0, -1]], cond
 
 

@@ -2,18 +2,40 @@
 
 The running product of one-step factors [[v(x)-E, -1], [1, 0]] grows like
 exp(gamma*L) for localized potentials, far beyond float range for large L.
-The product is therefore kept as a ScaledMatrix2: a well-conditioned 2x2
-matrix times exp(log_scale), renormalized by its max entry whenever that
-entry leaves [1/2, 2].
+The product is therefore kept as a ScaledMatrix2: a 2x2 matrix with entries
+at most 2, times exp(log_scale).
+
+`checkpoint_products` computes it in one block-lane pass. Sites
+0..checkpoints[-1] are cut into BLOCK-site blocks laid out from site 0, and
+numpy advances the products of all blocks at once, one site of every block
+per step. The lanes are rescaled by exact powers of two, often enough that
+no finite potential can overflow them. The block products are then folded
+in order by scalar 2x2 products, and each checkpoint finishes its partial
+last block with scalar steps. Scaling by a power of two is exact, so where
+the rescaling happens does not change the product's mantissas, and a
+block's product is the same whichever checkpoints are asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
+
+# Sites per lane of the block-lane pass.
+BLOCK = 16
+# Lane entries are rescaled before they can grow past 2**_SCALE_BITS, and a
+# determinant segment is closed before its entries can pass _SEGMENT_MAX.
+_SCALE_BITS = 500
+_SEGMENT_MAX = 32.0
+# The fold of the block products rescales once the squared Frobenius norm
+# leaves this interval.
+_FOLD_LO, _FOLD_HI = 2.0**-128, 2.0**128
+_LN2 = math.log(2.0)
+_EYE = np.eye(2)[:, :, None]
 
 
 @dataclass
@@ -22,13 +44,14 @@ class ScaledMatrix2:
 
     Represents the matrix exp(log_scale) * m. Each transfer factor is
     unimodular, so the represented determinant det(m)*exp(2*log_scale)
-    stays equal to 1 up to accumulated rounding.
+    equals 1 up to accumulated rounding.
 
-    log_det is log|det| of the represented matrix, 0 for an exact product.
-    It cannot be recovered from m once the product's condition number
-    passes 1/eps (the small singular value drowns in rounding noise), so
-    the product loop accumulates it from short, well-conditioned segments
-    whose determinants are computable at full precision.
+    That determinant cannot be recovered from m once the product's condition
+    number passes 1/eps (the small singular value drowns in rounding noise).
+    log_det is instead the sum of log|det| over short segment products,
+    computed unscaled alongside the product and closed while their entries
+    are at most 32, so each determinant is exact to rounding. It is 0 for
+    exact arithmetic and measures the rounding of the factor products.
     """
 
     m: np.ndarray
@@ -65,43 +88,135 @@ def log_spectral_norm(M: ScaledMatrix2) -> float:
     return val if val > 0.0 else 0.0
 
 
+def _steps_within(log_bound: float, log_growth: float) -> int:
+    """The most steps, from 1 to BLOCK, over which entries growing by at
+    most a factor exp(log_growth) per step grow by at most exp(log_bound)."""
+    if not log_growth > 0.0:  # no growth (or a NaN potential)
+        return BLOCK
+    return max(1, int(min(BLOCK, log_bound / log_growth)))
+
+
+def _block_lanes(t: np.ndarray, r_scale: int, r_det: int):
+    """The product of each block's factors, all blocks at once.
+
+    t[j, k] is v - E at site k*BLOCK + j. The lanes are rescaled every
+    r_scale steps and at the end, and their determinant segments close every
+    r_det steps and at the end. Returns, per block, the entries a, b, c, d
+    (largest in [1/2, 1)), the binary exponent of the scale and the summed
+    segment log|det|, each as an array over blocks.
+    """
+    blocks = t.shape[1]
+    # A one-site segment [[t, -1], [1, 0]] has determinant exactly 1, so
+    # segments are carried only when they are longer.
+    rows = 4 if r_det > 1 else 2
+    # Rows 0 and 1 of each lane's product, (a, b) and (c, d), and in columns
+    # 2-3 of its open determinant segment: s[p] holds row 0, s[1 - p] row 1.
+    # A step is row0' = t*row0 - row1, row1' = row0, so writing row0' over
+    # row 1 and flipping p advances every lane in two numpy operations.
+    s = np.zeros((2, rows, blocks))
+    s[0, 0::2] = s[1, 1::2] = 1.0
+    row = (s[0], s[1])
+    main, seg = s[:, :2], s[:, 2:]
+    if rows == 4:
+        sa, sb, sc, sd = seg[0, 0], seg[0, 1], seg[1, 0], seg[1, 1]
+    tmp, seg_det = np.empty((rows, blocks)), np.empty(blocks)
+    exps = np.zeros(blocks, dtype=np.int64)
+    det = np.ones(blocks)
+    p = 0
+    for j, tj in enumerate(t, 1):
+        np.multiply(row[p], tj, out=tmp)
+        np.subtract(tmp, row[1 - p], out=row[1 - p])
+        p = 1 - p
+        if j % r_scale == 0 or j == BLOCK:
+            _, e = np.frexp(np.abs(main).max(axis=(0, 1)))
+            np.ldexp(main, -e, out=main)
+            exps += e
+        if rows == 4 and (j % r_det == 0 or j == BLOCK):
+            # Reset to the identity laid out for p = 0; at p = 1 the new
+            # segment starts from the row swap instead. Either way it is a
+            # permutation, so the segment's |det| and entry bound are those
+            # of its factors, and the determinant's sign, which depends on
+            # p, is dropped.
+            np.multiply(sa, sd, out=seg_det)
+            seg_det -= sb * sc
+            det *= seg_det
+            seg[...] = _EYE
+    a, b = row[p][:2]
+    c, d = row[1 - p][:2]
+    return a, b, c, d, exps, np.log(np.abs(det))
+
+
+def _rescaled(a, b, c, d, e: int) -> tuple:
+    """(a, b, c, d) times 2**-k and the binary exponent e + k, for the k
+    that brings the largest |entry| into [1/2, 1)."""
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    return math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(d, -k), e + k
+
+
+def _finish(state: tuple, log_det: float, tail: list, r_scale: int, r_det: int):
+    """The product `state` continued, scalar, over sites whose v - E are
+    the values of `tail`, under the rescaling and segment rules of the
+    lanes.
+
+    state is (a, b, c, d, binary exponent) with the largest |entry| in
+    [1/2, 1). The entries are rescaled every r_scale steps and at the end.
+    Returns the ScaledMatrix2.
+    """
+    a, b, c, d, e = state
+    sa, sb, sc, sd = 1.0, 0.0, 0.0, 1.0
+    for i, t in enumerate(tail, 1):
+        a, b, c, d = t * a - c, t * b - d, a, b
+        if i % r_scale == 0:
+            a, b, c, d, e = _rescaled(a, b, c, d, e)
+        sa, sb, sc, sd = t * sa - sc, t * sb - sd, sa, sb
+        if i % r_det == 0 or i == len(tail):
+            log_det += math.log(abs(sa * sd - sb * sc))
+            sa, sb, sc, sd = 1.0, 0.0, 0.0, 1.0
+    a, b, c, d, e = _rescaled(a, b, c, d, e)
+    return ScaledMatrix2(np.array([[a, b], [c, d]]), e * _LN2, log_det)
+
+
 def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
     """Scaled transfer matrices T_x(E) at each checkpoint x, from one pass.
 
     T_x(E) is the product of the factors of sites 0..x. The checkpoints
     must increase strictly within [0, len(pot) - 1]. Returns
     (x, ScaledMatrix2) pairs in checkpoint order; bit-reproducible for
-    fixed inputs.
+    fixed inputs. The rescaling and segment lengths follow from
+    max|v - E| over all of pot, so T_x does not depend on which other
+    checkpoints are asked for.
     """
     cps = [int(c) for c in checkpoints]
     if not (cps and 0 <= cps[0] and cps[-1] < len(pot)
             and all(x < y for x, y in zip(cps, cps[1:]))):
         raise ValueError(f"checkpoints must increase strictly within [0, {len(pot) - 1}]")
 
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    ls = 0.0
-    # Determinant bookkeeping: an independent unscaled segment product,
-    # closed while still well-conditioned (entries <= 32) so its
-    # determinant is exact to rounding. Segment log-dets sum to the
-    # represented log-det of the full product.
-    sa, sb, sc, sd = 1.0, 0.0, 0.0, 1.0
-    log_det = 0.0
+    t = np.asarray(pot, dtype=float) - E
+    # Entries grow by at most a factor 1 + max|v - E| per site.
+    log_growth = math.log1p(float(np.abs(t).max()))
+    r_scale = _steps_within(_SCALE_BITS * _LN2, log_growth)
+    r_det = _steps_within(math.log(_SEGMENT_MAX), log_growth)
+
+    n_blocks = (cps[-1] + 1) // BLOCK
+    lanes = _block_lanes(
+        np.ascontiguousarray(t[: n_blocks * BLOCK].reshape(n_blocks, BLOCK).T), r_scale, r_det
+    )
+    blocks = zip(*(lane.tolist() for lane in lanes))
+    a, b, c, d, e, log_det = 1.0, 0.0, 0.0, 1.0, 0, 0.0
+    done = 0
     out = []
-    ci = 0
-    vals = np.asarray(pot, dtype=float)[: cps[-1] + 1].tolist()
-    for x, v in enumerate(vals):
-        t = v - E
-        a, b, c, d = t * a - c, t * b - d, a, b
-        mx = max(abs(a), abs(b), abs(c), abs(d))
-        if mx > 2.0 or mx < 0.5:
-            a, b, c, d = a / mx, b / mx, c / mx, d / mx
-            ls += math.log(mx)
-        sa, sb, sc, sd = t * sa - sc, t * sb - sd, sa, sb
-        if max(abs(sa), abs(sb), abs(sc), abs(sd)) > 32.0:
-            log_det += math.log(abs(sa * sd - sb * sc))
-            sa, sb, sc, sd = 1.0, 0.0, 0.0, 1.0
-        if cps[ci] == x:
-            seg = math.log(abs(sa * sd - sb * sc))
-            out.append((x, ScaledMatrix2(np.array([[a, b], [c, d]]), ls, log_det + seg)))
-            ci += 1
+    for x in cps:
+        q = (x + 1) // BLOCK
+        for ka, kb, kc, kd, ke, kdet in islice(blocks, q - done):
+            a, b, c, d = ka * a + kb * c, ka * b + kb * d, kc * a + kd * c, kc * b + kd * d
+            e += ke
+            log_det += kdet
+            # A block's entries are below 1, so a fold at most doubles the
+            # largest entry; rescale once the Frobenius norm leaves
+            # (2**-64, 2**64).
+            if not _FOLD_LO < a * a + b * b + c * c + d * d < _FOLD_HI:
+                a, b, c, d, e = _rescaled(a, b, c, d, e)
+        done = q
+        tail = t[q * BLOCK: x + 1].tolist()
+        out.append((x, _finish(_rescaled(a, b, c, d, e), log_det, tail, r_scale, r_det)))
     return out

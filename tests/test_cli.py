@@ -50,7 +50,7 @@ def strict_json(path):
 
 def test_parse_config_defaults(tmp_path):
     run = parse_config(write_config(tmp_path))
-    assert run.sample.length == 10
+    assert run.sample_length == 10
     assert run.quadrature.tolerance == 1e-8
     assert run.sweep.l_checkpoints == tuple(geometric_checkpoints())
     assert run.resolved["thermo"]["beta_r"] == 2.0
@@ -78,7 +78,7 @@ def test_parse_config_potential_types(tmp_path):
     )
     run = parse_config(path)
     assert run.potential_spec == Periodic((3.0, 0.0))
-    np.testing.assert_array_equal(run.sample.potential[:2], [3.0, 0.0])
+    assert run.sample_length == 6
 
 
 def test_parse_config_seed_override(tmp_path):
@@ -147,6 +147,26 @@ def test_fluxes_tolerance_is_relative_for_large_fluxes(tmp_path):
     assert payload["converged"] is True
     assert payload["evaluations"] < 5000
     assert payload["entropy_flux"] > 1e49
+
+
+def test_fluxes_exits_1_when_not_converged(tmp_path, capsys):
+    # Resolving the ~L resonances of this sample to the default tolerance
+    # takes about 2800 evaluations; the budget stops the quadrature short.
+    potential = {"type": "almost_mathieu", "coupling": 0.5,
+                 "frequency": (math.sqrt(5.0) - 1.0) / 2.0, "phase": 0.0}
+    cfg = write_config(
+        tmp_path,
+        sample={"length": 50, "potential": potential},
+        quadrature={"max_evaluations": 2000},
+    )
+    rc, out = run_cli(tmp_path, "fluxes", cfg)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "did not converge" in err and "Traceback" not in err
+    payload = strict_json(out / "fluxes.json")
+    assert payload["converged"] is False
+    assert payload["evaluations"] <= 2000
+    assert payload["entropy_flux"] > 0.0
 
 
 def test_sweep_e_command_deterministic_csv(tmp_path):
@@ -227,8 +247,8 @@ def test_equivalence_command(tmp_path):
 
 
 def test_equivalence_generates_potential_once(tmp_path, monkeypatch):
-    # One file read for the sample at sample.length, one for the sweep's
-    # longest checkpoint, however many energies there are.
+    # One file read, at the sweep's longest checkpoint, however many
+    # energies there are; the config reads no potential values.
     (tmp_path / "pot.txt").write_text("\n".join(["0.3", "-0.2", "0.1"] * 100))
     reads, loadtxt = [], np.loadtxt
 
@@ -245,7 +265,7 @@ def test_equivalence_generates_potential_once(tmp_path, monkeypatch):
     rc, out = run_cli(tmp_path, "equivalence", cfg)
     assert rc == 0
     assert len((out / "equivalence.csv").read_text().splitlines()) == 6
-    assert len(reads) <= 2
+    assert len(reads) == 1
 
 
 def test_validate_command(tmp_path, capsys):
@@ -315,6 +335,10 @@ BAD_CONFIGS = {
         "sweep-e", {"lead_l": {"type": "semi_infinite", "hopping": 1e200}, "sweep": {"e_grid": [0.5]}},
         "lead_l.hopping",
     ),
+    "non-numeric-potential-file": (
+        "fluxes", {"sample": {"length": 10, "potential": {"type": "file", "path": "run.json"}}},
+        "sample: could not convert",
+    ),
     "huge-sample-length": (
         "fluxes", {"sample": {"length": 10**30, "potential": {"type": "zero"}}},
         "sample.length: must be in [1, 10000000]",
@@ -338,6 +362,21 @@ def test_bad_config_exits_2_with_key_path(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert key_path in err
     assert "Traceback" not in err
+
+
+def test_potential_file_too_short_for_sweep_exits_2(tmp_path, capsys):
+    # Long enough for sample.length, too short for the last checkpoint: the
+    # command reads the file at the length it needs.
+    (tmp_path / "pot.txt").write_text("0.1\n0.2\n0.3\n")
+    cfg = write_config(
+        tmp_path,
+        sample={"length": 2, "potential": {"type": "file", "path": "pot.txt"}},
+        extra={"sweep": {"energy": 0.5, "l_checkpoints": SWEEP_L}},
+    )
+    rc, _ = run_cli(tmp_path, "sweep-l", cfg)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "sample: potential file" in err and "Traceback" not in err
 
 
 def test_tabulated_lead_echoes_path_opened(tmp_path):

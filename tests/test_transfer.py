@@ -6,19 +6,26 @@ from hypothesis import given, settings, strategies as st
 
 from ebb.potentials import AndersonRandom, generate
 from ebb.transfer import (
+    BLOCK,
     ScaledMatrix2,
+    _SEGMENT_MAX,
     _smax,
+    _steps_within,
     checkpoint_products,
     log_spectral_norm,
     one_step,
 )
 
 
-def naive_product(pot, E, L):
-    M = np.eye(2)
+def naive_log_product(pot, E, L):
+    """The one_step product over sites 0..L, divided by its largest |entry|
+    after every step: (that matrix, the log of the divisors' product)."""
+    M, log_scale = np.eye(2), 0.0
     for x in range(L + 1):
         M = one_step(pot[x], E) @ M
-    return M
+        s = np.abs(M).max()
+        M, log_scale = M / s, log_scale + math.log(s)
+    return M, log_scale
 
 
 def transfer(pot, E, L):
@@ -43,8 +50,10 @@ def test_product_matches_naive_small():
     pot = rng.uniform(-1, 1, 21)
     for L in (1, 5, 20):
         M = transfer(pot, 0.3, L)
-        ref = naive_product(pot, 0.3, L)
-        np.testing.assert_allclose(M.m * math.exp(M.log_scale), ref, rtol=1e-12)
+        ref, ref_log = naive_log_product(pot, 0.3, L)
+        np.testing.assert_allclose(
+            M.m * math.exp(M.log_scale), ref * math.exp(ref_log), rtol=1e-12
+        )
 
 
 def test_scaled_entries_stay_bounded():
@@ -111,6 +120,42 @@ def test_represented_log_det_stays_near_zero_in_hostile_regime():
     assert abs(M.log_det) < 1e-10 * 100_000 ** 0.5
 
 
+def segment_log_det(pot, E, L):
+    """log_det by its definition, scalar: the sum of log|det| over unscaled
+    segment products of the one-step recurrence. Segments start at every
+    block start and run r_det sites at most, within a block or the last,
+    partial block."""
+    t = (np.asarray(pot, dtype=float) - E).tolist()
+    r_det = _steps_within(math.log(_SEGMENT_MAX), math.log1p(max(map(abs, t))))
+
+    def block_det(sites):
+        det = 1.0
+        sa, sb, sc, sd = 1.0, 0.0, 0.0, 1.0
+        for i, x in enumerate(sites, 1):
+            sa, sb, sc, sd = x * sa - sc, x * sb - sd, sa, sb
+            if i % r_det == 0 or i == len(sites):
+                det *= sa * sd - sb * sc
+                sa, sb, sc, sd = 1.0, 0.0, 0.0, 1.0
+        return det
+
+    full = (L + 1) // BLOCK * BLOCK
+    log_det = 0.0
+    for k in range(0, full, BLOCK):
+        log_det += math.log(abs(block_det(t[k: k + BLOCK])))
+    tail = t[full: L + 1]
+    for k in range(0, len(tail), r_det):
+        log_det += math.log(abs(block_det(tail[k: k + r_det])))
+    return log_det, r_det
+
+
+@pytest.mark.parametrize("L", [2000, 2014])
+def test_log_det_sums_segment_determinants(L):
+    pot = generate(AndersonRandom(0.5, 2), L)
+    expected, r_det = segment_log_det(pot, 0.4, L)
+    assert 1 < r_det < BLOCK and expected != 0.0
+    assert transfer(pot, 0.4, L).log_det == pytest.approx(expected, rel=1e-9, abs=1e-30)
+
+
 def test_free_cocycle_period_four():
     # At E = 0 with v = 0 the one-step factor is a quarter rotation, so
     # the product over sites 0..L is orthogonal whenever L+1 % 4 == 0.
@@ -139,3 +184,56 @@ def test_short_potential_rejected():
 def test_product_unimodular_property(seed, E, L):
     pot = generate(AndersonRandom(1.0, seed), L)
     assert abs(transfer(pot, E, L).log_det) < 1e-10
+
+
+# Checkpoints whose partial last block is full (x + 1 a multiple of BLOCK),
+# one site short of that, or one site into the next block.
+BOUNDARY_SITES = sorted({k * BLOCK - 1 + d for k in range(1, 7) for d in (-1, 0, 1)})
+
+
+@st.composite
+def checkpoint_sets(draw):
+    L = draw(st.integers(1, 6 * BLOCK + 2))
+    near = draw(st.lists(st.sampled_from([0] + [x for x in BOUNDARY_SITES if x < L])))
+    other = draw(st.lists(st.integers(0, L - 1), max_size=3))
+    return sorted({*near, *other, L})
+
+
+def check_against_naive(pot, E, cps):
+    """Every checkpoint's product against the one_step oracle, in log space:
+    the log-norms, and the matrices divided by their norms."""
+    for x, M in checkpoint_products(pot, E, cps):
+        assert np.all(np.isfinite(M.m)) and math.isfinite(M.log_scale)
+        assert np.max(np.abs(M.m)) <= 2.0
+        assert abs(M.log_det) < 1e-10
+        ref, ref_log = naive_log_product(pot, E, x)
+        ref_norm = ref_log + math.log(np.linalg.norm(ref, 2))
+        assert log_spectral_norm(M) == pytest.approx(max(ref_norm, 0.0), rel=1e-10, abs=1e-10)
+        np.testing.assert_allclose(
+            M.m / np.linalg.norm(M.m, 2), ref / np.linalg.norm(ref, 2), rtol=0, atol=1e-9
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cps=checkpoint_sets(),
+    amplitude=st.sampled_from([0.0, 0.5, 2.0, 10.0]),
+    seed=st.integers(0, 1000),
+    E=st.floats(-2.5, 2.5),
+)
+def test_block_lanes_match_naive_product(cps, amplitude, seed, E):
+    check_against_naive(generate(AndersonRandom(amplitude, seed), cps[-1]), E, cps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    L=st.integers(1, 50),
+    amplitude=st.sampled_from([1e150, 1e300]),
+    seed=st.integers(0, 1000),
+    E=st.floats(-2.5, 2.5),
+)
+def test_block_lanes_huge_amplitudes_stay_finite(L, amplitude, seed, E):
+    # One factor grows entries by up to 1e300 here, so the lanes rescale
+    # after every site and no product may overflow.
+    cps = sorted({x for x in BOUNDARY_SITES if x < L} | {L})
+    check_against_naive(generate(AndersonRandom(amplitude, seed), L), E, cps)
