@@ -106,20 +106,16 @@ def _block_lanes(t: np.ndarray, r_scale: int, r_det: int):
     segment log|det|, each as an array over blocks.
     """
     blocks = t.shape[1]
-    # A one-site segment [[t, -1], [1, 0]] has determinant exactly 1, so
-    # segments are carried only when they are longer.
-    rows = 4 if r_det > 1 else 2
     # Rows 0 and 1 of each lane's product, (a, b) and (c, d), and in columns
     # 2-3 of its open determinant segment: s[p] holds row 0, s[1 - p] row 1.
     # A step is row0' = t*row0 - row1, row1' = row0, so writing row0' over
     # row 1 and flipping p advances every lane in two numpy operations.
-    s = np.zeros((2, rows, blocks))
+    s = np.zeros((2, 4, blocks))
     s[0, 0::2] = s[1, 1::2] = 1.0
     row = (s[0], s[1])
     main, seg = s[:, :2], s[:, 2:]
-    if rows == 4:
-        sa, sb, sc, sd = seg[0, 0], seg[0, 1], seg[1, 0], seg[1, 1]
-    tmp, seg_det = np.empty((rows, blocks)), np.empty(blocks)
+    sa, sb, sc, sd = seg[0, 0], seg[0, 1], seg[1, 0], seg[1, 1]
+    tmp, seg_det = np.empty((4, blocks)), np.empty(blocks)
     exps = np.zeros(blocks, dtype=np.int64)
     det = np.ones(blocks)
     p = 0
@@ -131,7 +127,7 @@ def _block_lanes(t: np.ndarray, r_scale: int, r_det: int):
             _, e = np.frexp(np.abs(main).max(axis=(0, 1)))
             np.ldexp(main, -e, out=main)
             exps += e
-        if rows == 4 and (j % r_det == 0 or j == BLOCK):
+        if j % r_det == 0 or j == BLOCK:
             # Reset to the identity laid out for p = 0; at p = 1 the new
             # segment starts from the row swap instead. Either way it is a
             # permutation, so the segment's |det| and entry bound are those
