@@ -17,6 +17,7 @@ import argparse
 import datetime
 import json
 import math
+import operator
 import os
 import sys
 from typing import Optional
@@ -25,7 +26,7 @@ import numpy as np
 
 from . import __version__, scan
 from .config import RunConfig, parse_config
-from .errors import ConfigError, NumericalFailure
+from .errors import BudgetError, ConfigError, NumericalFailure
 from .fluxes import integrate_fluxes, integration_window
 from .model import SampleSpec
 from .potentials import generate
@@ -37,13 +38,6 @@ def _fmt(x) -> str:
     if isinstance(x, (int, str)):
         return str(x)
     return format(x, ".17g")
-
-
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _manifest(command: str, run: Optional[RunConfig], args, max_residual: float) -> dict:
@@ -86,10 +80,18 @@ def _sample(run: RunConfig, L: int) -> SampleSpec:
         raise ConfigError(f"sample: {exc}") from None
 
 
-def cmd_fluxes(run: RunConfig, args) -> int:
-    result = integrate_fluxes(
-        _sample(run, run.sample_length), run.lead_l, run.lead_r, run.thermo, run.quadrature
-    )
+# Each command returns (summary, rows, max unitarity residual, failure): the
+# JSON summary without its manifest, the CSV rows, the residual the manifest
+# reports, and None or a message that makes the run exit 1 once its files
+# are written.
+
+
+def cmd_fluxes(run: RunConfig):
+    sample = _sample(run, run.sample_length)
+    try:
+        result = integrate_fluxes(sample, run.lead_l, run.lead_r, run.thermo, run.quadrature)
+    except BudgetError as exc:
+        raise ConfigError(f"quadrature.{exc}") from None
     summary = {
         "energy_flux_l": result.energy_flux_l,
         "charge_flux_l": result.charge_flux_l,
@@ -100,119 +102,70 @@ def cmd_fluxes(run: RunConfig, args) -> int:
         "energy_flux_r": -result.energy_flux_l,
         "charge_flux_r": -result.charge_flux_l,
         "converged": result.converged,
-        "manifest": _manifest("fluxes", run, args, result.max_unitarity_residual),
     }
-    _dump_json(os.path.join(args.out, "fluxes.json"), summary)
-    if not result.converged:
-        raise NumericalFailure(
-            f"quadrature did not converge: error estimate {result.quadrature_error_estimate:.3e} "
-            f"after {result.evaluations} evaluations (max_evaluations "
-            f"{run.quadrature.max_evaluations}); fluxes.json holds the partial result"
-        )
-    return 0
+    failure = None if result.converged else (
+        f"quadrature did not converge: error estimate {result.quadrature_error_estimate:.3e} "
+        f"after {result.evaluations} evaluations (max_evaluations "
+        f"{run.quadrature.max_evaluations}); fluxes.json holds the partial result"
+    )
+    return summary, [], result.max_unitarity_residual, failure
 
 
-def cmd_sweep_e(run: RunConfig, args) -> int:
+def cmd_sweep_e(run: RunConfig):
     points = scan.energy_sweep(
         _sample(run, run.sample_length), run.lead_l, run.lead_r, run.thermo,
         _energies(run, "e_grid"),
     )
-    _write_csv(
-        os.path.join(args.out, "sweep_e.csv"),
-        "E,transmission,phi_l,j_l,sigma,unitarity_residual",
-        [(p.E, p.transmission, p.phi_l, p.j_l, p.sigma, p.unitarity_residual) for p in points],
-    )
+    summary = {"points": len(points), "failed_points": [p.E for p in points if p.error is not None]}
     max_residual = max((p.unitarity_residual for p in points if p.error is None), default=0.0)
-    failures = [p.E for p in points if p.error is not None]
-    _dump_json(
-        os.path.join(args.out, "sweep_e.json"),
-        {
-            "points": len(points),
-            "failed_points": failures,
-            "manifest": _manifest("sweep-e", run, args, max_residual),
-        },
-    )
-    return 0
+    return summary, points, max_residual, None
 
 
-def cmd_sweep_l(run: RunConfig, args) -> int:
+def cmd_sweep_l(run: RunConfig):
     (energy,) = _energies(run, "energy")
     cps = run.sweep.l_checkpoints
     points = scan.l_sweep(
         _sample(run, cps[-1]).potential, energy, run.lead_l, run.lead_r, run.thermo, cps
     )
     cls = scan.classify_transport(points, run.sweep.thresholds)
-    _write_csv(
-        os.path.join(args.out, "sweep_l.csv"),
-        "L,sigma_density,transmission,log_transfer_norm,resonance_flag",
-        [(p.L, p.sigma_density, p.transmission, p.log_transfer_norm, p.resonance_flag) for p in points],
-    )
-    _dump_json(
-        os.path.join(args.out, "sweep_l.json"),
-        {
-            "classification": cls.label,
-            "norm_slope": cls.norm_slope,
-            "norm_r2": cls.norm_r2,
-            "sigma_slope": cls.sigma_slope,
-            "sigma_r2": cls.sigma_r2,
-            "l_max": cls.l_max,
-            "sigma_underflowed": cls.underflowed,
-            "manifest": _manifest("sweep-l", run, args, max(p.unitarity_residual for p in points)),
-        },
-    )
-    return 0
+    summary = {
+        "classification": cls.label,
+        "norm_slope": cls.norm_slope,
+        "norm_r2": cls.norm_r2,
+        "sigma_slope": cls.sigma_slope,
+        "sigma_r2": cls.sigma_r2,
+        "l_max": cls.l_max,
+        "sigma_underflowed": cls.underflowed,
+    }
+    return summary, points, max(p.unitarity_residual for p in points), None
 
 
-def cmd_equivalence(run: RunConfig, args) -> int:
+def cmd_equivalence(run: RunConfig):
     energies = _energies(run, "e_grid")
     cps = run.sweep.l_checkpoints
     report = scan.equivalence_report(
         _sample(run, cps[-1]).potential, energies, cps,
         run.lead_l, run.lead_r, run.thermo, run.sweep.thresholds,
     )
-    _write_csv(
-        os.path.join(args.out, "equivalence.csv"),
-        "E,label,norm_slope,sigma_slope,sigma_at_l_max,contradiction",
-        [(r.E, r.label, r.norm_slope, r.sigma_slope, r.sigma_at_l_max, r.contradiction) for r in report.rows],
-    )
-    _dump_json(
-        os.path.join(args.out, "equivalence.json"),
-        {
-            "counts": report.counts,
-            "contradictions": report.contradictions,
-            "mean_sigma_persistent": report.mean_sigma_persistent,
-            "mean_sigma_vanishing": report.mean_sigma_vanishing,
-            "l_max": report.l_max,
-            "manifest": _manifest(
-                "equivalence", run, args,
-                max((r.max_unitarity_residual for r in report.rows), default=0.0),
-            ),
-        },
-    )
-    return 0
+    names = ("counts", "contradictions", "mean_sigma_persistent", "mean_sigma_vanishing", "l_max")
+    summary = {k: getattr(report, k) for k in names}
+    max_residual = max((r.max_unitarity_residual for r in report.rows), default=0.0)
+    return summary, report.rows, max_residual, None
 
 
-def cmd_validate(run: None, args) -> int:
+def cmd_validate(run: None):
     from .validate import run_all
 
     results = run_all()
-    (unitarity,) = [r for r in results if r.name == "unitarity"]
-    all_ok = True
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        print(f"[{status}] {res.name}: {res.detail}")
-        all_ok = all_ok and res.passed
-    _dump_json(
-        os.path.join(args.out, "validate.json"),
-        {
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-            ],
-            "all_passed": all_ok,
-            "manifest": _manifest("validate", run, args, unitarity.value),
-        },
-    )
-    return 0 if all_ok else 1
+        print(f"[{'PASS' if res.passed else 'FAIL'}] {res.name}: {res.detail}")
+    failed = [r.name for r in results if not r.passed]
+    summary = {
+        "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
+        "all_passed": not failed,
+    }
+    (unitarity,) = [r for r in results if r.name == "unitarity"]
+    return summary, [], unitarity.value, f"checks failed: {', '.join(failed)}" if failed else None
 
 
 def _strict(o):
@@ -228,10 +181,28 @@ def _strict(o):
     return o
 
 
-def _dump_json(path, payload):
-    """Strict JSON: a non-finite float is written as null."""
-    with open(path, "w") as fh:
-        json.dump(_strict(payload), fh, indent=2, allow_nan=False)
+# The row attributes each command writes to its CSV, in column order.
+_CSV_COLUMNS = {
+    "sweep-e": ("E", "transmission", "phi_l", "j_l", "sigma", "unitarity_residual"),
+    "sweep-l": ("L", "sigma_density", "transmission", "log_transfer_norm", "resonance_flag"),
+    "equivalence": ("E", "label", "norm_slope", "sigma_slope", "sigma_at_l_max", "contradiction"),
+}
+
+
+def _write_outputs(command: str, run: Optional[RunConfig], args, summary, rows, max_residual):
+    """<stem>.csv from the command's rows, if it has columns, and <stem>.json:
+    the summary with the manifest last, strict JSON (non-finite as null)."""
+    stem = os.path.join(args.out, command.replace("-", "_"))
+    columns = _CSV_COLUMNS.get(command)
+    if columns:
+        values = operator.attrgetter(*columns)
+        with open(stem + ".csv", "w", newline="") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(map(_fmt, values(row))) + "\n")
+    summary["manifest"] = _manifest(command, run, args, max_residual)
+    with open(stem + ".json", "w") as fh:
+        json.dump(_strict(summary), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -269,7 +240,11 @@ def main(argv=None) -> int:
     try:
         run = parse_config(args.config, seed_override=args.seed_override) if reads_config else None
         os.makedirs(args.out, exist_ok=True)
-        return _COMMANDS[args.command](run, args)
+        summary, rows, max_residual, failure = _COMMANDS[args.command](run)
+        _write_outputs(args.command, run, args, summary, rows, max_residual)
+        if failure:
+            raise NumericalFailure(failure)
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

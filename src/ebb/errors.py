@@ -9,6 +9,10 @@ class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 
 
+class BudgetError(DomainError):
+    """An evaluation budget below what the work needs before it can start."""
+
+
 class ResonanceError(RuntimeError):
     """Energy is numerically a Dirichlet eigenvalue of the decoupled sample."""
 

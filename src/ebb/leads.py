@@ -163,16 +163,11 @@ def weiss_boundary(lead: LeadModel, E: float) -> complex:
     return lead.boundary(E)
 
 
-def band_support(lead: LeadModel) -> EnergyWindow:
-    """Energies where Im F(E+i0) > 0 (the lead's open channel)."""
-    return lead.band()
-
-
 def sigma_intersection(left: LeadModel, right: LeadModel) -> EnergyWindow:
     """Intersection of the two band supports; empty means no open channel."""
     out = []
-    for a1, b1 in band_support(left).intervals:
-        for a2, b2 in band_support(right).intervals:
+    for a1, b1 in left.band().intervals:
+        for a2, b2 in right.band().intervals:
             lo, hi = max(a1, a2), min(b1, b2)
             if hi > lo:
                 out.append((lo, hi))

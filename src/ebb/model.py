@@ -33,10 +33,6 @@ class ThermoParams:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name}: must be finite")
 
-    @property
-    def is_equilibrium(self) -> bool:
-        return self.beta_l == self.beta_r and self.mu_l == self.mu_r
-
 
 # The longest sample: its potential alone takes 8 bytes per site, and the
 # Green solve several complex arrays of that length.

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BudgetError
+
 # Kronrod-15 abscissae on [-1, 1] and weights; embedded Gauss-7 weights
 # apply to the odd-index abscissae. Standard QUADPACK constants.
 _XGK = np.array([
@@ -95,6 +97,8 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
     max_initial_width caps the initial panel size so that integrands
     oscillating on a known scale (one transmission resonance per pi/(L+1)
     of energy) are seen by the base rule before any subdivision.
+    max_evaluations caps every evaluation, the initial panels' included:
+    if those alone need more, f is never called and BudgetError is raised.
     """
     panels = []
     for lo, hi in intervals:
@@ -110,6 +114,11 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
     if not panels:
         zero = np.zeros(1)
         return QuadratureResult(zero, zero.copy(), 0, True)
+    if 15 * len(panels) > max_evaluations:
+        raise BudgetError(
+            f"max_evaluations: the initial panels need {15 * len(panels)} evaluations, "
+            f"more than {max_evaluations}"
+        )
 
     heap = []
     finished = []  # panels too narrow to split further

@@ -14,6 +14,9 @@ in order by scalar 2x2 products, and each checkpoint finishes its partial
 last block with scalar steps. Scaling by a power of two is exact, so where
 the rescaling happens does not change the product's mantissas, and a
 block's product is the same whichever checkpoints are asked for.
+
+The run path reads two things from a product, its spectral norm and the
+resonance test on its (1,1) entry; no determinant is kept alongside it.
 """
 
 from __future__ import annotations
@@ -27,15 +30,12 @@ import numpy as np
 
 # Sites per lane of the block-lane pass.
 BLOCK = 16
-# Lane entries are rescaled before they can grow past 2**_SCALE_BITS, and a
-# determinant segment is closed before its entries can pass _SEGMENT_MAX.
+# Lane entries are rescaled before they can grow past 2**_SCALE_BITS.
 _SCALE_BITS = 500
-_SEGMENT_MAX = 32.0
 # The fold of the block products rescales once the squared Frobenius norm
 # leaves this interval.
 _FOLD_LO, _FOLD_HI = 2.0**-128, 2.0**128
 _LN2 = math.log(2.0)
-_EYE = np.eye(2)[:, :, None]
 
 
 @dataclass
@@ -43,20 +43,13 @@ class ScaledMatrix2:
     """A 2x2 real matrix with separated logarithmic scale.
 
     Represents the matrix exp(log_scale) * m. Each transfer factor is
-    unimodular, so the represented determinant det(m)*exp(2*log_scale)
-    equals 1 up to accumulated rounding.
-
-    That determinant cannot be recovered from m once the product's condition
-    number passes 1/eps (the small singular value drowns in rounding noise).
-    log_det is instead the sum of log|det| over short segment products,
-    computed unscaled alongside the product and closed while their entries
-    are at most 32, so each determinant is exact to rounding. It is 0 for
-    exact arithmetic and measures the rounding of the factor products.
+    unimodular, so det(m)*exp(2*log_scale) is 1 in exact arithmetic; in
+    floats det(m) is accurate only while the product's condition number
+    stays well below 1/eps.
     """
 
     m: np.ndarray
     log_scale: float
-    log_det: float
 
 
 def one_step(v_x: float, E: float) -> np.ndarray:
@@ -96,50 +89,36 @@ def _steps_within(log_bound: float, log_growth: float) -> int:
     return max(1, int(min(BLOCK, log_bound / log_growth)))
 
 
-def _block_lanes(t: np.ndarray, r_scale: int, r_det: int):
+def _block_lanes(t: np.ndarray, r_scale: int):
     """The product of each block's factors, all blocks at once.
 
     t[j, k] is v - E at site k*BLOCK + j. The lanes are rescaled every
-    r_scale steps and at the end, and their determinant segments close every
-    r_det steps and at the end. Returns, per block, the entries a, b, c, d
-    (largest in [1/2, 1)), the binary exponent of the scale and the summed
-    segment log|det|, each as an array over blocks.
+    r_scale steps and at the end. Returns, per block, the entries a, b, c, d
+    (largest in [1/2, 1)) and the binary exponent of the scale, each as an
+    array over blocks.
     """
     blocks = t.shape[1]
-    # Rows 0 and 1 of each lane's product, (a, b) and (c, d), and in columns
-    # 2-3 of its open determinant segment: s[p] holds row 0, s[1 - p] row 1.
-    # A step is row0' = t*row0 - row1, row1' = row0, so writing row0' over
-    # row 1 and flipping p advances every lane in two numpy operations.
-    s = np.zeros((2, 4, blocks))
-    s[0, 0::2] = s[1, 1::2] = 1.0
+    # Rows 0 and 1 of each lane's product, (a, b) and (c, d): s[p] holds
+    # row 0, s[1 - p] row 1. A step is row0' = t*row0 - row1, row1' = row0,
+    # so writing row0' over row 1 and flipping p advances every lane in two
+    # numpy operations.
+    s = np.zeros((2, 2, blocks))
+    s[0, 0] = s[1, 1] = 1.0
     row = (s[0], s[1])
-    main, seg = s[:, :2], s[:, 2:]
-    sa, sb, sc, sd = seg[0, 0], seg[0, 1], seg[1, 0], seg[1, 1]
-    tmp, seg_det = np.empty((4, blocks)), np.empty(blocks)
+    tmp = np.empty((2, blocks))
     exps = np.zeros(blocks, dtype=np.int64)
-    det = np.ones(blocks)
     p = 0
     for j, tj in enumerate(t, 1):
         np.multiply(row[p], tj, out=tmp)
         np.subtract(tmp, row[1 - p], out=row[1 - p])
         p = 1 - p
         if j % r_scale == 0 or j == BLOCK:
-            _, e = np.frexp(np.abs(main).max(axis=(0, 1)))
-            np.ldexp(main, -e, out=main)
+            _, e = np.frexp(np.abs(s).max(axis=(0, 1)))
+            np.ldexp(s, -e, out=s)
             exps += e
-        if j % r_det == 0 or j == BLOCK:
-            # Reset to the identity laid out for p = 0; at p = 1 the new
-            # segment starts from the row swap instead. Either way it is a
-            # permutation, so the segment's |det| and entry bound are those
-            # of its factors, and the determinant's sign, which depends on
-            # p, is dropped.
-            np.multiply(sa, sd, out=seg_det)
-            seg_det -= sb * sc
-            det *= seg_det
-            seg[...] = _EYE
-    a, b = row[p][:2]
-    c, d = row[1 - p][:2]
-    return a, b, c, d, exps, np.log(np.abs(det))
+    a, b = row[p]
+    c, d = row[1 - p]
+    return a, b, c, d, exps
 
 
 def _rescaled(a, b, c, d, e: int) -> tuple:
@@ -149,27 +128,20 @@ def _rescaled(a, b, c, d, e: int) -> tuple:
     return math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(d, -k), e + k
 
 
-def _finish(state: tuple, log_det: float, tail: list, r_scale: int, r_det: int):
+def _finish(state: tuple, tail: list, r_scale: int) -> ScaledMatrix2:
     """The product `state` continued, scalar, over sites whose v - E are
-    the values of `tail`, under the rescaling and segment rules of the
-    lanes.
+    the values of `tail`, under the rescaling rule of the lanes.
 
     state is (a, b, c, d, binary exponent) with the largest |entry| in
     [1/2, 1). The entries are rescaled every r_scale steps and at the end.
-    Returns the ScaledMatrix2.
     """
     a, b, c, d, e = state
-    sa, sb, sc, sd = 1.0, 0.0, 0.0, 1.0
     for i, t in enumerate(tail, 1):
         a, b, c, d = t * a - c, t * b - d, a, b
         if i % r_scale == 0:
             a, b, c, d, e = _rescaled(a, b, c, d, e)
-        sa, sb, sc, sd = t * sa - sc, t * sb - sd, sa, sb
-        if i % r_det == 0 or i == len(tail):
-            log_det += math.log(abs(sa * sd - sb * sc))
-            sa, sb, sc, sd = 1.0, 0.0, 0.0, 1.0
     a, b, c, d, e = _rescaled(a, b, c, d, e)
-    return ScaledMatrix2(np.array([[a, b], [c, d]]), e * _LN2, log_det)
+    return ScaledMatrix2(np.array([[a, b], [c, d]]), e * _LN2)
 
 
 def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
@@ -178,9 +150,9 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
     T_x(E) is the product of the factors of sites 0..x. The checkpoints
     must increase strictly within [0, len(pot) - 1]. Returns
     (x, ScaledMatrix2) pairs in checkpoint order; bit-reproducible for
-    fixed inputs. The rescaling and segment lengths follow from
-    max|v - E| over all of pot, so T_x does not depend on which other
-    checkpoints are asked for.
+    fixed inputs. The rescaling interval follows from max|v - E| over all
+    of pot, so T_x does not depend on which other checkpoints are asked
+    for.
     """
     cps = [int(c) for c in checkpoints]
     if not (cps and 0 <= cps[0] and cps[-1] < len(pot)
@@ -191,22 +163,20 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
     # Entries grow by at most a factor 1 + max|v - E| per site.
     log_growth = math.log1p(float(np.abs(t).max()))
     r_scale = _steps_within(_SCALE_BITS * _LN2, log_growth)
-    r_det = _steps_within(math.log(_SEGMENT_MAX), log_growth)
 
     n_blocks = (cps[-1] + 1) // BLOCK
     lanes = _block_lanes(
-        np.ascontiguousarray(t[: n_blocks * BLOCK].reshape(n_blocks, BLOCK).T), r_scale, r_det
+        np.ascontiguousarray(t[: n_blocks * BLOCK].reshape(n_blocks, BLOCK).T), r_scale
     )
     blocks = zip(*(lane.tolist() for lane in lanes))
-    a, b, c, d, e, log_det = 1.0, 0.0, 0.0, 1.0, 0, 0.0
+    a, b, c, d, e = 1.0, 0.0, 0.0, 1.0, 0
     done = 0
     out = []
     for x in cps:
         q = (x + 1) // BLOCK
-        for ka, kb, kc, kd, ke, kdet in islice(blocks, q - done):
+        for ka, kb, kc, kd, ke in islice(blocks, q - done):
             a, b, c, d = ka * a + kb * c, ka * b + kb * d, kc * a + kd * c, kc * b + kd * d
             e += ke
-            log_det += kdet
             # A block's entries are below 1, so a fold at most doubles the
             # largest entry; rescale once the Frobenius norm leaves
             # (2**-64, 2**64).
@@ -214,5 +184,5 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
                 a, b, c, d, e = _rescaled(a, b, c, d, e)
         done = q
         tail = t[q * BLOCK: x + 1].tolist()
-        out.append((x, _finish(_rescaled(a, b, c, d, e), log_det, tail, r_scale, r_det)))
+        out.append((x, _finish(_rescaled(a, b, c, d, e), tail, r_scale)))
     return out

@@ -281,6 +281,56 @@ def test_validate_command(tmp_path, capsys):
     assert payload["manifest"]["config"] is None
 
 
+# Each command's CSV header (None: no CSV) and JSON top-level keys, in order.
+OUTPUT_LAYOUTS = {
+    "fluxes": (
+        {},
+        None,
+        ["energy_flux_l", "charge_flux_l", "entropy_flux", "quadrature_error_estimate",
+         "evaluations", "no_open_channel", "energy_flux_r", "charge_flux_r", "converged",
+         "manifest"],
+    ),
+    "sweep-e": (
+        {"sweep": {"e_grid": [-1.0, 0.0, 1.0]}},
+        "E,transmission,phi_l,j_l,sigma,unitarity_residual",
+        ["points", "failed_points", "manifest"],
+    ),
+    "sweep-l": (
+        {"sweep": {"energy": 0.5, "l_checkpoints": SWEEP_L}},
+        "L,sigma_density,transmission,log_transfer_norm,resonance_flag",
+        ["classification", "norm_slope", "norm_r2", "sigma_slope", "sigma_r2", "l_max",
+         "sigma_underflowed", "manifest"],
+    ),
+    "equivalence": (
+        {"sweep": {"e_grid": [-0.5, 0.5], "l_checkpoints": SWEEP_L}},
+        "E,label,norm_slope,sigma_slope,sigma_at_l_max,contradiction",
+        ["counts", "contradictions", "mean_sigma_persistent", "mean_sigma_vanishing", "l_max",
+         "manifest"],
+    ),
+}
+MANIFEST_KEYS = [
+    "tool_version", "command", "config", "seeds", "seed_override", "timestamp",
+    "max_unitarity_residual",
+]
+
+
+@pytest.mark.parametrize("command", sorted(OUTPUT_LAYOUTS))
+def test_output_layout(tmp_path, command):
+    extra, header, keys = OUTPUT_LAYOUTS[command]
+    rc, out = run_cli(tmp_path, command, write_config(tmp_path, extra=extra))
+    assert rc == 0
+    stem = command.replace("-", "_")
+    csvs = sorted(p.name for p in out.glob("*.csv"))
+    if header is None:
+        assert csvs == []
+    else:
+        assert csvs == [f"{stem}.csv"]
+        assert (out / f"{stem}.csv").read_text().splitlines()[0] == header
+    payload = strict_json(out / f"{stem}.json")
+    assert list(payload) == keys
+    assert list(payload["manifest"]) == MANIFEST_KEYS
+
+
 def test_config_required_except_for_validate(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["fluxes", "--out", str(tmp_path / "out")])
@@ -310,6 +360,19 @@ BAD_CONFIGS = {
     "missing-lead-table": ("fluxes", {"lead_l": {"type": "tabulated", "path": "nope.csv"}}, "lead_l"),
     "max-evaluations-below-one-panel": (
         "fluxes", {"quadrature": {"max_evaluations": 14}}, "quadrature.max_evaluations",
+    ),
+    # 65 initial panels of width at most pi/51 cover the band.
+    "max-evaluations-below-initial-panels": (
+        "fluxes",
+        {
+            "sample": {
+                "length": 50,
+                "potential": {"type": "almost_mathieu", "coupling": 0.5,
+                              "frequency": (math.sqrt(5.0) - 1.0) / 2.0, "phase": 0.0},
+            },
+            "quadrature": {"max_evaluations": 15},
+        },
+        "quadrature.max_evaluations: the initial panels need 975 evaluations, more than 15",
     ),
     "non-object-sweep": ("fluxes", {"sweep": [1]}, "sweep: expected an object"),
     "non-object-thresholds": (

@@ -9,7 +9,6 @@ from ebb.leads import (
     EnergyWindow,
     SemiInfiniteLaplacian,
     TabulatedLead,
-    band_support,
     sigma_intersection,
     weiss_boundary,
 )
@@ -75,7 +74,7 @@ def test_weiss_scaling_in_coupling_and_hopping():
 
 
 def test_band_support_laplacian():
-    win = band_support(SemiInfiniteLaplacian(1.5, 0.7))
+    win = SemiInfiniteLaplacian(1.5, 0.7).band()
     assert win.intervals == ((-3.0, 3.0),)
     assert win.contains(0.0) and not win.contains(3.0)
 
@@ -116,7 +115,7 @@ def test_tabulated_lead_validation():
 def test_tabulated_band_support_zero_crossings():
     e = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     im = np.array([0.0, 1.0, 1.0, 0.0, 0.0])
-    win = band_support(TabulatedLead(e, np.zeros(5), im))
+    win = TabulatedLead(e, np.zeros(5), im).band()
     (lo, hi), = win.intervals
     assert lo == pytest.approx(-2.0)
     assert hi == pytest.approx(1.0)

@@ -86,12 +86,6 @@ def test_thermo_validation():
         ThermoParams(1.0, 1.0, math.nan, 0.0)
 
 
-def test_equilibrium_predicate():
-    assert ThermoParams(1.0, 1.0, 0.5, 0.5).is_equilibrium
-    assert not ThermoParams(1.0, 2.0, 0.5, 0.5).is_equilibrium
-    assert not ThermoParams(1.0, 1.0, 0.5, -0.5).is_equilibrium
-
-
 def test_sample_spec_validation():
     SampleSpec(2, np.zeros(3))
     with pytest.raises(ConfigError, match="length"):

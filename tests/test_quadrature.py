@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ebb.errors import BudgetError
 from ebb.quadrature import adaptive_gk15
 
 
@@ -49,6 +50,20 @@ def test_budget_exhaustion_reported():
     )
     assert not res.converged
     assert res.evaluations <= 200
+
+
+def test_budget_below_initial_panels_raises_before_evaluating():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.array([1.0])
+
+    # Ten initial panels need 150 evaluations.
+    with pytest.raises(BudgetError, match="need 150 evaluations, more than 149"):
+        adaptive_gk15(f, [(0.0, 1.0)], 1e-12, 149, max_initial_width=0.1)
+    assert calls == []
+    assert adaptive_gk15(f, [(0.0, 1.0)], 1e-12, 150, max_initial_width=0.1).evaluations == 150
 
 
 def test_max_initial_width_forces_panels():
