@@ -98,6 +98,7 @@ def cmd_fluxes(run: RunConfig):
         "entropy_flux": result.entropy_flux,
         "quadrature_error_estimate": result.quadrature_error_estimate,
         "evaluations": result.evaluations,
+        "panels_at_width_floor": result.panels_at_width_floor,
         "no_open_channel": result.no_open_channel,
         "energy_flux_r": -result.energy_flux_l,
         "charge_flux_r": -result.charge_flux_l,

@@ -43,7 +43,7 @@ class QuadratureParams:
             raise DomainError("edge_margin: must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class SpectralDensities:
     phi_l: float
     j_l: float
@@ -60,9 +60,10 @@ class FluxResult:
     converged: bool
     no_open_channel: bool
     max_unitarity_residual: float
+    panels_at_width_floor: int
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PointResult:
     """Full scattering pipeline output at one energy."""
 
@@ -123,7 +124,7 @@ def integrate_fluxes(
     """
     window = integration_window(lead_l, lead_r, quadrature.edge_margin)
     if window.is_empty:
-        return FluxResult(0.0, 0.0, 0.0, 0.0, 0, True, True, 0.0)
+        return FluxResult(0.0, 0.0, 0.0, 0.0, 0, True, True, 0.0, 0)
 
     max_residual = [0.0]
 
@@ -132,7 +133,7 @@ def integrate_fluxes(
         if point.unitarity_residual > max_residual[0]:
             max_residual[0] = point.unitarity_residual
         d = spectral_densities(E, point.transmission, thermo)
-        return np.array([d.phi_l, d.j_l, d.sigma])
+        return d.phi_l, d.j_l, d.sigma
 
     res = adaptive_gk15(
         integrand,
@@ -153,4 +154,5 @@ def integrate_fluxes(
         converged=res.converged,
         no_open_channel=False,
         max_unitarity_residual=max_residual[0],
+        panels_at_width_floor=res.panels_at_width_floor,
     )

@@ -41,37 +41,42 @@ class SelfEnergyPair:
 def is_resonant(T: ScaledMatrix2) -> bool:
     """Whether T11 vanishes relative to ||T||: the energy is numerically a
     Dirichlet eigenvalue of the decoupled sample."""
-    return abs(T.m[0, 0]) < RESONANCE_RELATIVE_CUTOFF * _smax(*T.m.flat)
+    a, b, c, d = T.m.ravel().tolist()
+    return abs(a) < RESONANCE_RELATIVE_CUTOFF * _smax(a, b, c, d)
 
 
-def _tridiag_solve_boundary(diag):
-    """The 2x2 block of sites 0 and L of A^(-1), A the tridiagonal matrix
-    with this complex diagonal on sites 0..L and off-diagonals -1, and a
-    condition estimate.
+def _tridiag_solve_boundary(t, F_l=0j, F_r=0j):
+    """The 2x2 block of sites 0 and L of A^(-1), and a condition estimate.
 
-    Uses LAPACK zgtsv (Gaussian elimination with partial pivoting). The
-    condition estimate is ||A||_inf times the largest inf-norm among the
-    solution columns, a lower bound on the true condition number that
-    blows up exactly at near-resonances.
+    A is tridiagonal on sites 0..L with off-diagonals -1 and diagonal t,
+    the real v - E, less F_l on site 0 and F_r on site L. Uses LAPACK
+    zgtsv (Gaussian elimination with partial pivoting). The condition
+    estimate is ||A||_inf times the largest inf-norm among the solution
+    columns, a lower bound on the true condition number that blows up
+    exactly at near-resonances.
     """
-    off = np.full(len(diag) - 1, -1.0, dtype=complex)
-    b = np.zeros((len(diag), 2), dtype=complex)
-    b[0, 0] = b[-1, 1] = 1.0
+    L = len(t) - 1
+    diag = t.astype(complex)
+    diag[0] -= F_l
+    diag[L] -= F_r
+    off = np.full(L, -1.0, dtype=complex)
+    b = np.zeros((L + 1, 2), dtype=complex)
+    b[0, 0] = b[L, 1] = 1.0
     _, _, _, x, info = lapack.zgtsv(off, diag, off, b)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve failed (info={info})")
-    # ndarray.max, not np.max: at L = 500 np.max's dispatch costs more than
-    # the complex abs it reduces.
-    anorm = float(np.abs(diag).max()) + 2.0
+    # The interior rows of ||A||_inf from the real t: |complex(x, 0)| = |x|.
+    d0, dL = diag[::L].tolist()
+    anorm = max(abs(d0), abs(dL), float(np.abs(t[1:L]).max(initial=0.0))) + 2.0
     cond = anorm * max(1.0, float(np.abs(x).max()))
-    return x[[0, -1]], cond
+    return x[::L], cond
 
 
 def _sample_diag(pot, E: float, L: int) -> np.ndarray:
-    """The diagonal of h_{S,L} - E, sites 0..L, as complex numbers."""
+    """v - E on sites 0..L, the real diagonal of h_{S,L} - E."""
     if len(pot) < L + 1:
         raise ValueError(f"potential has {len(pot)} entries, need {L + 1}")
-    return (np.asarray(pot, dtype=float)[: L + 1] - E).astype(complex)
+    return np.asarray(pot, dtype=float)[: L + 1] - E
 
 
 def coupled_green_direct(pot, E: float, L: int, se: SelfEnergyPair) -> np.ndarray:
@@ -85,10 +90,7 @@ def coupled_green_direct(pot, E: float, L: int, se: SelfEnergyPair) -> np.ndarra
     """
     if not se.open_channel:
         raise DomainError("coupled_green_direct needs Im F > 0 on at least one lead")
-    diag = _sample_diag(pot, E, L)
-    diag[0] -= se.F_l
-    diag[L] -= se.F_r
-    G, cond = _tridiag_solve_boundary(diag)
+    G, cond = _tridiag_solve_boundary(_sample_diag(pot, E, L), se.F_l, se.F_r)
     if cond > CONDITION_LIMIT:
         raise NumericalFailure(
             f"coupled system ill-conditioned (condition estimate {cond:.2e})"

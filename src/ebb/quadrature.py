@@ -72,6 +72,8 @@ class QuadratureResult:
     error: np.ndarray
     evaluations: int
     converged: bool
+    # Panels the loop would have split but found narrower than MIN_PANEL_WIDTH.
+    panels_at_width_floor: int
 
 
 def _converged(integral, error, tol) -> bool:
@@ -84,7 +86,7 @@ def _gk15_panel(f, lo, hi):
     """Kronrod estimate, per-component |K15 - G7| error, on one panel."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
-    fvals = np.array([f(c + h * x) for x in _XGK])
+    fvals = np.array([f(x) for x in (c + h * _XGK).tolist()])
     kronrod = h * (_WGK @ fvals)
     gauss = h * (_WG @ fvals[1::2])
     return kronrod, np.abs(kronrod - gauss)
@@ -113,7 +115,7 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
 
     if not panels:
         zero = np.zeros(1)
-        return QuadratureResult(zero, zero.copy(), 0, True)
+        return QuadratureResult(zero, zero.copy(), 0, True, 0)
     if 15 * len(panels) > max_evaluations:
         raise BudgetError(
             f"max_evaluations: the initial panels need {15 * len(panels)} evaluations, "
@@ -159,4 +161,6 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
     )
     total = np.sum([p[2] for p in pieces], axis=0)
     total_err = np.sum([p[3] for p in pieces], axis=0)
-    return QuadratureResult(total, total_err, evals, _converged(total, total_err, tol))
+    return QuadratureResult(
+        total, total_err, evals, _converged(total, total_err, tol), len(finished)
+    )

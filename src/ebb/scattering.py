@@ -17,10 +17,15 @@ def t_matrix(G: np.ndarray, se: SelfEnergyPair) -> np.ndarray:
     """t(E) = 2i (Im F)^(1/2) G (Im F)^(1/2), entrywise for diagonal F.
 
     A lead with Im F = 0 has no open channel; its row and column of t are
-    structurally zero and it carries no flux.
+    structurally zero and it carries no flux. The arithmetic runs on Python
+    complex numbers, which round as numpy's complex arrays do.
     """
-    sq = np.array([math.sqrt(se.F_l.imag), math.sqrt(se.F_r.imag)])
-    return 2j * (sq[:, None] * np.asarray(G, dtype=complex) * sq[None, :])
+    sl, sr = math.sqrt(se.F_l.imag), math.sqrt(se.F_r.imag)
+    (g00, g01), (g10, g11) = G.tolist()
+    return np.array([
+        [2j * (sl * g00 * sl), 2j * (sl * g01 * sr)],
+        [2j * (sr * g10 * sl), 2j * (sr * g11 * sr)],
+    ])
 
 
 def unitarity_residual(t: np.ndarray) -> float:
@@ -29,8 +34,12 @@ def unitarity_residual(t: np.ndarray) -> float:
     Never used to repair t: residual growth is the primary numerical
     health signal of the pipeline.
     """
-    th = t.conj().T
-    return _smax(*(th @ t + t + th).ravel().tolist())
+    (a, b), (c, d) = t.tolist()
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    return _smax(
+        ac * a + cc * c + a + ac, ac * b + cc * d + b + cc,
+        bc * a + dc * c + c + bc, bc * b + dc * d + d + dc,
+    )
 
 
 def transmission(t: np.ndarray) -> float:

@@ -60,15 +60,16 @@ def one_step(v_x: float, E: float) -> np.ndarray:
 def _smax(a, b, c, d) -> float:
     """Spectral norm of [[a,b],[c,d]], real or complex, in closed form.
 
-    The singular values s1 >= s2 satisfy s1^2 + s2^2 = f (the squared
-    Frobenius norm) and s1*s2 = |det|.
+    s1^2 is the larger eigenvalue of M M* = [[p, r], [conj(r), q]], that is
+    (p + q + hypot(p - q, 2|r|)) / 2. Every term is non-negative, so nothing
+    cancels, also where s1 ~ s2 (the form f/2 + sqrt(f^2/4 - det^2) in the
+    Frobenius norm f and det loses half its digits there). Pass Python
+    numbers: numpy scalars make the call about three times slower.
     """
-    f = abs(a) * abs(a) + abs(b) * abs(b) + abs(c) * abs(c) + abs(d) * abs(d)
-    det = abs(a * d - b * c)
-    disc = f * f - 4.0 * det * det
-    if disc < 0.0:
-        disc = 0.0
-    return math.sqrt(0.5 * (f + math.sqrt(disc)))
+    p = abs(a) * abs(a) + abs(b) * abs(b)
+    q = abs(c) * abs(c) + abs(d) * abs(d)
+    r = abs(a * c.conjugate() + b * d.conjugate())
+    return math.sqrt(0.5 * (p + q + math.hypot(p - q, 2.0 * r)))
 
 
 def log_spectral_norm(M: ScaledMatrix2) -> float:
@@ -77,7 +78,7 @@ def log_spectral_norm(M: ScaledMatrix2) -> float:
     Clamped at 0: a real unimodular 2x2 matrix has norm >= 1, so any
     negative value is pure rounding.
     """
-    val = M.log_scale + math.log(_smax(*M.m.flat))
+    val = M.log_scale + math.log(_smax(*M.m.ravel().tolist()))
     return val if val > 0.0 else 0.0
 
 

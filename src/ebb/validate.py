@@ -116,7 +116,7 @@ def graph_map_check(G: np.ndarray, T: ScaledMatrix2, se: SelfEnergyPair) -> floa
     w = np.array([G[0], e[0] + se.F_l * G[0]])
     target = np.array([e[1] + se.F_r * G[1], G[1]])
     resid = np.linalg.norm(T.m @ w - _inv_scale(T) * target, axis=0)
-    return float(resid.max() / _smax(*T.m.flat))
+    return float(resid.max() / _smax(*T.m.ravel().tolist()))
 
 
 # -- the checks ---------------------------------------------------------------

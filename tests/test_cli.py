@@ -287,8 +287,8 @@ OUTPUT_LAYOUTS = {
         {},
         None,
         ["energy_flux_l", "charge_flux_l", "entropy_flux", "quadrature_error_estimate",
-         "evaluations", "no_open_channel", "energy_flux_r", "charge_flux_r", "converged",
-         "manifest"],
+         "evaluations", "panels_at_width_floor", "no_open_channel", "energy_flux_r",
+         "charge_flux_r", "converged", "manifest"],
     ),
     "sweep-e": (
         {"sweep": {"e_grid": [-1.0, 0.0, 1.0]}},

@@ -95,3 +95,16 @@ def test_error_estimate_bounds_true_error():
     res = adaptive_gk15(f, [(-1.0, 1.0)], 1e-9, 100_000)
     exact = 2.0 / 5.0 * math.atan(5.0)
     assert abs(res.integral[0] - exact) < 10 * max(res.error[0], 1e-15)
+
+
+def test_panels_at_width_floor_counted():
+    # A jump at 1/3 never meets tol = 1e-15: the panel holding it is halved
+    # down to MIN_PANEL_WIDTH and then set aside, and the count says so.
+    def step(x):
+        return np.array([1.0 if x < 1.0 / 3.0 else 0.0])
+
+    res = adaptive_gk15(step, [(0.0, 1.0)], 1e-15, 5000)
+    assert res.panels_at_width_floor > 0
+    assert not res.converged
+    smooth = adaptive_gk15(lambda x: np.array([math.exp(x)]), [(0.0, 1.0)], 1e-15, 5000)
+    assert smooth.converged and smooth.panels_at_width_floor == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -59,3 +61,49 @@ def test_unitarity_everywhere_in_band(seed, L, E, k):
     t = t_matrix(G, se)
     assert unitarity_residual(t) < 1e-10
     assert 0.0 <= transmission(t) <= 1.0
+
+
+# The matrix formulas the scalar kernels write out entry by entry.
+
+
+def t_matrix_oracle(G, se):
+    sq = np.array([math.sqrt(se.F_l.imag), math.sqrt(se.F_r.imag)])
+    return 2j * (sq[:, None] * np.asarray(G, dtype=complex) * sq[None, :])
+
+
+def residual_oracle(t):
+    th = t.conj().T
+    return np.linalg.norm(th @ t + t + th, 2)
+
+
+def random_complex(rng, shape, scale=1.0):
+    return scale * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+
+
+def test_t_matrix_matches_matrix_formula_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for k in range(2000):
+        G = random_complex(rng, (2, 2), 10.0 ** rng.uniform(-3, 3))
+        F_l, F_r = complex(rng.normal(), rng.exponential()), complex(rng.normal(), rng.exponential())
+        if k % 4 == 1:
+            F_r = complex(F_r.real, 0.0)  # closed right channel
+        se = SelfEnergyPair(F_l, F_r)
+        t = t_matrix(G, se)
+        ref = t_matrix_oracle(G, se)
+        assert t.dtype == ref.dtype and t.shape == ref.shape
+        assert t.tobytes() == ref.tobytes()
+
+
+def test_unitarity_residual_matches_svd():
+    rng = np.random.default_rng(9)
+    ts = [random_complex(rng, (2, 2), 10.0 ** rng.uniform(-8, 4)) for _ in range(2000)]
+    # Nearly unitary S = 1 + t from the pipeline, where the residual is rounding.
+    lead = SemiInfiniteLaplacian(1.0, 1.0)
+    pot = generate(AndersonRandom(1.0, 3), 60)
+    for E in np.linspace(-1.9, 1.9, 200):
+        F = weiss_boundary(lead, E)
+        se = SelfEnergyPair(F, F)
+        ts.append(t_matrix(coupled_green_direct(pot, E, 60, se), se))
+    for t in ts:
+        bound = 1e-15 * max(1.0, np.linalg.norm(t, 2) ** 2)
+        assert abs(unitarity_residual(t) - residual_oracle(t)) <= bound

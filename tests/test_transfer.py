@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ebb.potentials import AndersonRandom, generate
 from ebb.transfer import (
@@ -77,6 +77,11 @@ def test_log_spectral_norm_against_numpy():
     assert log_spectral_norm(M) == pytest.approx(ref, abs=1e-12)
 
 
+def _rotation(theta):
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_closed_form_norm_against_svd(dtype):
     # Entries of magnitude 1e-60..1e60 with random signs or phases, and
@@ -94,6 +99,22 @@ def test_closed_form_norm_against_svd(dtype):
         worst = max(worst, abs(_smax(*entries.tolist()) - ref) / ref)
     assert worst < 1e-10
     assert _smax(*np.zeros(4, dtype=dtype).tolist()) == 0.0
+
+    # Near-isometric: rotation x diag(1 + eps, 1/(1 + eps)) x rotation, with
+    # unitary phases for complex entries. There s1 ~ s2, where a form built
+    # on the Frobenius norm and the determinant cancels (relative error up
+    # to 1e-8).
+    worst = 0.0
+    for _ in range(2000):
+        eps = 10.0 ** rng.uniform(-14, -2)
+        rot1, rot2 = (_rotation(theta) for theta in rng.uniform(0, 2 * np.pi, 2))
+        m = rot1 @ np.diag([1 + eps, 1 / (1 + eps)]) @ rot2
+        if dtype is complex:
+            phases = np.exp(2j * np.pi * rng.random(4))
+            m = np.diag(phases[:2]) @ m @ np.diag(phases[2:])
+        ref = np.linalg.norm(m, 2)
+        worst = max(worst, abs(_smax(*m.ravel().tolist()) - ref) / ref)
+    assert worst < 1e-12
 
 
 def test_checkpoint_products_match_full_products():
@@ -163,6 +184,9 @@ def check_against_naive(pot, E, cps):
     seed=st.integers(0, 1000),
     E=st.floats(-2.5, 2.5),
 )
+# A near-isometric free product, whose norm a cancelling closed form read
+# as exactly 1 (log-norm 0 against 1.86e-9).
+@example(cps=[1], amplitude=0.0, seed=0, E=6.103515625e-05)
 def test_block_lanes_match_naive_product(cps, amplitude, seed, E):
     check_against_naive(generate(AndersonRandom(amplitude, seed), cps[-1]), E, cps)
 
