@@ -20,6 +20,7 @@ import math
 import operator
 import os
 import sys
+from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -99,6 +100,7 @@ def cmd_fluxes(run: RunConfig):
         "quadrature_error_estimate": result.quadrature_error_estimate,
         "evaluations": result.evaluations,
         "panels_at_width_floor": result.panels_at_width_floor,
+        "panels_at_rounding_floor": result.panels_at_rounding_floor,
         "no_open_channel": result.no_open_channel,
         "energy_flux_r": -result.energy_flux_l,
         "charge_flux_r": -result.charge_flux_l,
@@ -144,14 +146,20 @@ def cmd_sweep_l(run: RunConfig):
 def cmd_equivalence(run: RunConfig):
     energies = _energies(run, "e_grid")
     cps = run.sweep.l_checkpoints
-    report = scan.equivalence_report(
+    rows = scan.equivalence_rows(
         _sample(run, cps[-1]).potential, energies, cps,
         run.lead_l, run.lead_r, run.thermo, run.sweep.thresholds,
     )
-    names = ("counts", "contradictions", "mean_sigma_persistent", "mean_sigma_vanishing", "l_max")
-    summary = {k: getattr(report, k) for k in names}
-    max_residual = max((r.max_unitarity_residual for r in report.rows), default=0.0)
-    return summary, report.rows, max_residual, None
+    summary = {
+        "counts": dict(Counter(r.label for r in rows)),
+        "contradictions": sum(r.contradiction for r in rows),
+    }
+    for label in ("persistent", "vanishing"):
+        sigmas = [r.sigma_at_l_max for r in rows if r.label == label]
+        summary[f"mean_sigma_{label}"] = float(np.mean(sigmas)) if sigmas else math.nan
+    summary["l_max"] = cps[-1]
+    max_residual = max((r.max_unitarity_residual for r in rows), default=0.0)
+    return summary, rows, max_residual, None
 
 
 def cmd_validate(run: None):

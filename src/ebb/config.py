@@ -33,10 +33,17 @@ def geometric_checkpoints(lo: int = 10, hi: int = 2000, n: int = 13) -> list:
     return sorted(set(int(round(x)) for x in np.geomspace(lo, hi, n)))
 
 
+# The most energies an {min, max, points} grid may hold, checked before
+# the grid is allocated.
+MAX_POINTS = 10**6
+
+
 def energy_range(min: float, max: float, points: int) -> tuple:
     """`points` equally spaced energies from `min` to `max`."""
     if not (max > min and points >= 2):
         raise ConfigError("need max > min and points >= 2")
+    if points > MAX_POINTS:
+        raise ConfigError(f"points: must be at most {MAX_POINTS}, got {points}")
     return tuple(np.linspace(min, max, points).tolist())
 
 

@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import leads as leads_mod
 from .errors import DomainError
 from .green import SelfEnergyPair, coupled_green_direct
@@ -43,13 +41,6 @@ class QuadratureParams:
             raise DomainError("edge_margin: must be >= 0")
 
 
-@dataclass(slots=True)
-class SpectralDensities:
-    phi_l: float
-    j_l: float
-    sigma: float
-
-
 @dataclass(frozen=True)
 class FluxResult:
     energy_flux_l: float
@@ -61,22 +52,12 @@ class FluxResult:
     no_open_channel: bool
     max_unitarity_residual: float
     panels_at_width_floor: int
+    panels_at_rounding_floor: int
 
 
-@dataclass(slots=True)
-class PointResult:
-    """Full scattering pipeline output at one energy."""
-
-    E: float
-    transmission: float
-    unitarity_residual: float
-    green: np.ndarray
-    t: np.ndarray
-    se: SelfEnergyPair
-
-
-def spectral_densities(E, T_of_E, thermo: ThermoParams) -> SpectralDensities:
-    """Pointwise densities at energy E for transmission T_of_E."""
+def spectral_densities(E, T_of_E, thermo: ThermoParams) -> tuple:
+    """Pointwise densities (phi_l, j_l, sigma) at energy E for transmission
+    T_of_E."""
     rho_l = fermi_density(E, thermo.beta_l, thermo.mu_l)
     rho_r = fermi_density(E, thermo.beta_r, thermo.mu_r)
     drho = rho_l - rho_r
@@ -89,19 +70,18 @@ def spectral_densities(E, T_of_E, thermo: ThermoParams) -> SpectralDensities:
         if sigma < _SIGMA_ROUNDING_FLOOR:
             raise DomainError(f"entropy density {sigma} is negative beyond rounding")
         sigma = 0.0
-    return SpectralDensities(phi_l, j_l, sigma)
+    return phi_l, j_l, sigma
 
 
-def evaluate_point(sample: SampleSpec, lead_l, lead_r, E) -> PointResult:
-    """Self-energies -> coupled Green matrix -> t-matrix -> transmission."""
+def evaluate_point(pot, E, L: int, lead_l, lead_r) -> tuple:
+    """Self-energies -> coupled Green matrix -> t-matrix: the transmission
+    and unitarity residual at E of the sample pot[: L + 1]."""
     se = SelfEnergyPair(weiss_boundary(lead_l, E), weiss_boundary(lead_r, E))
     if not se.open_channel:
         # Both channels closed: no scattering at this energy.
-        zero = np.zeros((2, 2), dtype=complex)
-        return PointResult(E, 0.0, 0.0, zero, zero, se)
-    G = coupled_green_direct(sample.potential, E, sample.length, se)
-    t = t_matrix(G, se)
-    return PointResult(E, transmission(t), unitarity_residual(t), G, t, se)
+        return 0.0, 0.0
+    t = t_matrix(coupled_green_direct(pot, E, L, se), se)
+    return transmission(t), unitarity_residual(t)
 
 
 def integration_window(lead_l: LeadModel, lead_r: LeadModel, edge_margin: float) -> leads_mod.EnergyWindow:
@@ -124,23 +104,23 @@ def integrate_fluxes(
     """
     window = integration_window(lead_l, lead_r, quadrature.edge_margin)
     if window.is_empty:
-        return FluxResult(0.0, 0.0, 0.0, 0.0, 0, True, True, 0.0, 0)
+        return FluxResult(0.0, 0.0, 0.0, 0.0, 0, True, True, 0.0, 0, 0)
 
+    pot, L = sample.potential, sample.length
     max_residual = [0.0]
 
     def integrand(E):
-        point = evaluate_point(sample, lead_l, lead_r, E)
-        if point.unitarity_residual > max_residual[0]:
-            max_residual[0] = point.unitarity_residual
-        d = spectral_densities(E, point.transmission, thermo)
-        return d.phi_l, d.j_l, d.sigma
+        tau, residual = evaluate_point(pot, E, L, lead_l, lead_r)
+        if residual > max_residual[0]:
+            max_residual[0] = residual
+        return spectral_densities(E, tau, thermo)
 
     res = adaptive_gk15(
         integrand,
         window.intervals,
         tol=quadrature.tolerance,
         max_evaluations=quadrature.max_evaluations,
-        max_initial_width=math.pi / (sample.length + 1),
+        max_initial_width=math.pi / (L + 1),
     )
     pref = 1.0 / (2.0 * math.pi)
     phi, j, sig = (res.integral * pref).tolist()
@@ -155,4 +135,5 @@ def integrate_fluxes(
         no_open_channel=False,
         max_unitarity_residual=max_residual[0],
         panels_at_width_floor=res.panels_at_width_floor,
+        panels_at_rounding_floor=res.panels_at_rounding_floor,
     )

@@ -64,6 +64,9 @@ _WG = np.array([
 ])
 
 MIN_PANEL_WIDTH = 1e-13
+# QUADPACK dqk15's rounding floor: an error estimate at most this times
+# h * sum_k w_k |f(x_k)| is rounding in the rule itself, not a resolvable error.
+ROUNDING_FLOOR = 50.0 * np.finfo(float).eps
 
 
 @dataclass
@@ -74,6 +77,8 @@ class QuadratureResult:
     converged: bool
     # Panels the loop would have split but found narrower than MIN_PANEL_WIDTH.
     panels_at_width_floor: int
+    # Panels the loop would have split but whose error is at ROUNDING_FLOOR.
+    panels_at_rounding_floor: int
 
 
 def _converged(integral, error, tol) -> bool:
@@ -83,13 +88,15 @@ def _converged(integral, error, tol) -> bool:
 
 
 def _gk15_panel(f, lo, hi):
-    """Kronrod estimate, per-component |K15 - G7| error, on one panel."""
+    """Kronrod estimate, per-component |K15 - G7| error, and whether every
+    component of that error is at the rounding floor, on one panel."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     fvals = np.array([f(x) for x in (c + h * _XGK).tolist()])
     kronrod = h * (_WGK @ fvals)
-    gauss = h * (_WG @ fvals[1::2])
-    return kronrod, np.abs(kronrod - gauss)
+    err = np.abs(kronrod - h * (_WG @ fvals[1::2]))
+    at_floor = bool((err <= (ROUNDING_FLOOR * h) * (_WGK @ abs(fvals))).all())
+    return kronrod, err, at_floor
 
 
 def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
@@ -115,7 +122,7 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
 
     if not panels:
         zero = np.zeros(1)
-        return QuadratureResult(zero, zero.copy(), 0, True, 0)
+        return QuadratureResult(zero, zero.copy(), 0, True, 0, 0)
     if 15 * len(panels) > max_evaluations:
         raise BudgetError(
             f"max_evaluations: the initial panels need {15 * len(panels)} evaluations, "
@@ -123,12 +130,13 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
         )
 
     heap = []
-    finished = []  # panels too narrow to split further
+    # Panels set aside unsplit: too narrow, or with an error that is rounding.
+    at_width, at_rounding = [], []
     evals = 0
     total = None
     total_err = None
     for lo, hi in panels:
-        integral, err = _gk15_panel(f, lo, hi)
+        integral, err, at_floor = _gk15_panel(f, lo, hi)
         evals += 15
         if total is None:
             total = integral.copy()
@@ -136,31 +144,32 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
         else:
             total += integral
             total_err += err
-        heapq.heappush(heap, (-float(err.max()), lo, hi, integral, err))
+        heapq.heappush(heap, (-float(err.max()), lo, hi, integral, err, at_floor))
 
     while not _converged(total, total_err, tol) and heap:
         if evals + 30 > max_evaluations:
             break
-        neg_err, lo, hi, integral, err = heapq.heappop(heap)
+        neg_err, lo, hi, integral, err, at_floor = heapq.heappop(heap)
+        if at_floor:
+            at_rounding.append((lo, hi, integral, err))
+            continue
         if hi - lo < MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
-            finished.append((lo, hi, integral, err))
+            at_width.append((lo, hi, integral, err))
             continue
         mid = 0.5 * (lo + hi)
-        i1, e1 = _gk15_panel(f, lo, mid)
-        i2, e2 = _gk15_panel(f, mid, hi)
+        i1, e1, f1 = _gk15_panel(f, lo, mid)
+        i2, e2, f2 = _gk15_panel(f, mid, hi)
         evals += 30
         total += i1 + i2 - integral
         total_err += e1 + e2 - err
-        heapq.heappush(heap, (-float(e1.max()), lo, mid, i1, e1))
-        heapq.heappush(heap, (-float(e2.max()), mid, hi, i2, e2))
+        heapq.heappush(heap, (-float(e1.max()), lo, mid, i1, e1, f1))
+        heapq.heappush(heap, (-float(e2.max()), mid, hi, i2, e2, f2))
 
     # Deterministic final reduction: re-sum in panel order.
-    pieces = sorted(
-        [(lo, hi, i, e) for (_, lo, hi, i, e) in heap]
-        + finished
-    )
+    pieces = sorted([p[1:5] for p in heap] + at_width + at_rounding)
     total = np.sum([p[2] for p in pieces], axis=0)
     total_err = np.sum([p[3] for p in pieces], axis=0)
     return QuadratureResult(
-        total, total_err, evals, _converged(total, total_err, tol), len(finished)
+        total, total_err, evals, _converged(total, total_err, tol),
+        len(at_width), len(at_rounding),
     )

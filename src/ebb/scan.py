@@ -11,7 +11,7 @@ infinite-L behavior.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -84,16 +84,6 @@ class EquivalenceRow:
     max_unitarity_residual: float
 
 
-@dataclass(frozen=True)
-class EquivalenceReport:
-    rows: tuple
-    l_max: int
-    counts: dict = field(default_factory=dict)
-    mean_sigma_persistent: float = float("nan")
-    mean_sigma_vanishing: float = float("nan")
-    contradictions: int = 0
-
-
 def _sigma_envelope(E, T_of_E, thermo: ThermoParams) -> float:
     """Crude explicit upper bound on the entropy density."""
     bmax = max(thermo.beta_l, thermo.beta_r)
@@ -127,30 +117,27 @@ def l_sweep(
 ) -> list:
     """Entropy density, transmission, and transfer norm at each checkpoint.
 
-    pot holds the potential on at least checkpoints[-1] + 1 sites; the
-    sample at checkpoint L is its first L + 1 entries (prefix stability).
-    The transfer norms come from a single scaled product pass; the
-    Green-function pipeline runs independently per checkpoint.
+    pot holds the potential on at least checkpoints[-1] + 1 sites, checked
+    once; the sample at checkpoint L is its first L + 1 entries (prefix
+    stability). The transfer norms come from a single scaled product pass;
+    the Green-function pipeline runs independently per checkpoint.
     """
     cps = check_checkpoints(checkpoints)
     if not sigma_intersection(lead_l, lead_r).contains(E):
         raise DomainError(
             f"E={E} is outside the band intersection; sigma vanishes trivially"
         )
+    pot = SampleSpec(cps[-1], pot[: cps[-1] + 1]).potential
     points = []
     for L, T in checkpoint_products(pot, E, cps):
-        sample = SampleSpec(L, pot[: L + 1])
-        point = evaluate_point(sample, lead_l, lead_r, E)
-        d = spectral_densities(E, point.transmission, thermo)
-        if d.sigma > _sigma_envelope(E, point.transmission, thermo):
+        tau, residual = evaluate_point(pot, E, L, lead_l, lead_r)
+        _, _, sigma = spectral_densities(E, tau, thermo)
+        if sigma > _sigma_envelope(E, tau, thermo):
             raise NumericalFailure(
-                f"entropy density {d.sigma} exceeds its explicit envelope at L={L}"
+                f"entropy density {sigma} exceeds its explicit envelope at L={L}"
             )
         points.append(
-            LSweepPoint(
-                L, d.sigma, point.transmission, log_spectral_norm(T), is_resonant(T),
-                point.unitarity_residual,
-            )
+            LSweepPoint(L, sigma, tau, log_spectral_norm(T), is_resonant(T), residual)
         )
     return points
 
@@ -220,14 +207,8 @@ def energy_sweep(
     out = []
     for E in grid:
         try:
-            point = evaluate_point(sample, lead_l, lead_r, E)
-            d = spectral_densities(E, point.transmission, thermo)
-            out.append(
-                EnergyPoint(
-                    E, point.transmission, d.phi_l, d.j_l, d.sigma,
-                    point.unitarity_residual,
-                )
-            )
+            tau, residual = evaluate_point(sample.potential, E, sample.length, lead_l, lead_r)
+            out.append(EnergyPoint(E, tau, *spectral_densities(E, tau, thermo), residual))
         except (DomainError, NumericalFailure) as exc:
             out.append(
                 EnergyPoint(E, math.nan, math.nan, math.nan, math.nan, math.nan, str(exc))
@@ -257,29 +238,3 @@ def equivalence_rows(
             )
         )
     return rows
-
-
-def equivalence_report(
-    pot: np.ndarray,
-    grid: Sequence[float],
-    checkpoints: Sequence[int],
-    lead_l: LeadModel,
-    lead_r: LeadModel,
-    thermo: ThermoParams,
-    thresholds: ClassificationThresholds = ClassificationThresholds(),
-) -> EquivalenceReport:
-    """Equivalence rows over the grid, with label counts and mean densities."""
-    rows = equivalence_rows(pot, grid, checkpoints, lead_l, lead_r, thermo, thresholds)
-    counts = {}
-    for row in rows:
-        counts[row.label] = counts.get(row.label, 0) + 1
-    persistent_sigma = [r.sigma_at_l_max for r in rows if r.label == "persistent"]
-    vanishing_sigma = [r.sigma_at_l_max for r in rows if r.label == "vanishing"]
-    return EquivalenceReport(
-        rows=tuple(rows),
-        l_max=int(max(checkpoints)),
-        counts=counts,
-        mean_sigma_persistent=float(np.mean(persistent_sigma)) if persistent_sigma else math.nan,
-        mean_sigma_vanishing=float(np.mean(vanishing_sigma)) if vanishing_sigma else math.nan,
-        contradictions=sum(r.contradiction for r in rows),
-    )

@@ -46,9 +46,9 @@ def transmission(t: np.ndarray) -> float:
     """Transmission probability |t_lr|^2, in [0, 1].
 
     An overshoot beyond rounding tolerance signals an upstream numerical
-    fault and is raised, not clamped.
+    fault and is raised, not clamped. Returns a Python float.
     """
-    val = abs(t[0, 1]) ** 2
+    val = abs(t[0, 1].item()) ** 2
     if val > 1.0 + TRANSMISSION_OVERSHOOT:
         raise UnitarityError(f"transmission {val} exceeds 1 beyond tolerance")
     return min(1.0, val)

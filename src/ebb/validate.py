@@ -29,6 +29,7 @@ from .green import (
 from .leads import SemiInfiniteLaplacian, weiss_boundary
 from .model import SampleSpec, ThermoParams
 from .potentials import AndersonRandom, Periodic, Zero, generate
+from .scattering import t_matrix
 from .transfer import ScaledMatrix2, _smax, checkpoint_products
 
 POTENTIALS = (Zero(), Periodic((1.0, 0.0)), AndersonRandom(1.0, 42))
@@ -140,9 +141,8 @@ def check_unitarity(n_energies: int = 100, lengths=(10, 200)) -> CheckResult:
     for spec in POTENTIALS:
         pot = generate(spec, max(lengths))
         for L in lengths:
-            sample = SampleSpec(L, pot[: L + 1])
             for E in grid:
-                worst = max(worst, evaluate_point(sample, LEAD, LEAD, E).unitarity_residual)
+                worst = max(worst, evaluate_point(pot, E, L, LEAD, LEAD)[1])
     return CheckResult("unitarity", worst < 1e-10, f"max residual {worst:.3e} (< 1e-10)", worst)
 
 
@@ -221,11 +221,12 @@ def check_worked_point() -> CheckResult:
     """The closed-form point L = 1, v = 0, E = 0, where the unit lead gives
     F = i: G = [[i, -1], [-1, i]] / 2, transmission 1 and
     S = I + t = [[0, -i], [-i, 0]] (bound 1e-12)."""
-    point = evaluate_point(SampleSpec(1, np.zeros(2)), LEAD, LEAD, 0.0)
+    pot, se = np.zeros(2), _se(0.0)
+    G = coupled_green_direct(pot, 0.0, 1, se)
     worst = max(
-        float(np.max(np.abs(point.green - np.array([[1j, -1.0], [-1.0, 1j]]) / 2))),
-        abs(point.transmission - 1.0),
-        float(np.max(np.abs(np.eye(2) + point.t - np.array([[0.0, -1j], [-1j, 0.0]])))),
+        float(np.max(np.abs(G - np.array([[1j, -1.0], [-1.0, 1j]]) / 2))),
+        abs(evaluate_point(pot, 0.0, 1, LEAD, LEAD)[0] - 1.0),
+        float(np.max(np.abs(np.eye(2) + t_matrix(G, se) - np.array([[0.0, -1j], [-1j, 0.0]])))),
     )
     return CheckResult("worked-point", worst < 1e-12, f"max deviation {worst:.3e} (< 1e-12)", worst)
 
@@ -237,15 +238,16 @@ def check_density_identities(L: int = 40, n_energies: int = 100, thermos=(NONEQ,
     1e-12), and the integrated second law, entropy flux plus its error
     estimate >= 0."""
     sample = SampleSpec(L, generate(AndersonRandom(1.0, 42), L))
-    points = [evaluate_point(sample, LEAD, LEAD, E) for E in np.linspace(-1.9, 1.9, n_energies)]
+    grid = np.linspace(-1.9, 1.9, n_energies)
+    taus = [evaluate_point(sample.potential, E, L, LEAD, LEAD)[0] for E in grid]
     gap, min_sigma, min_margin = 0.0, math.inf, math.inf
     for th in thermos:
-        for point in points:
-            d = spectral_densities(point.E, point.transmission, th)
-            phi_r, j_r = -d.phi_l, -d.j_l
-            recon = -th.beta_l * (d.phi_l - th.mu_l * d.j_l) - th.beta_r * (phi_r - th.mu_r * j_r)
-            gap = max(gap, abs(recon - d.sigma))
-            min_sigma = min(min_sigma, d.sigma)
+        for E, tau in zip(grid, taus):
+            phi_l, j_l, sigma = spectral_densities(E, tau, th)
+            phi_r, j_r = -phi_l, -j_l
+            recon = -th.beta_l * (phi_l - th.mu_l * j_l) - th.beta_r * (phi_r - th.mu_r * j_r)
+            gap = max(gap, abs(recon - sigma))
+            min_sigma = min(min_sigma, sigma)
         res = integrate_fluxes(sample, LEAD, LEAD, th)
         min_margin = min(min_margin, res.entropy_flux + res.quadrature_error_estimate)
     detail = (f"max identity gap {gap:.3e} (< 1e-12), min sigma {min_sigma:.1e} (>= 0), "

@@ -18,7 +18,7 @@ from ebb.potentials import AndersonRandom, Periodic, Zero, generate
 from ebb.scan import (
     ClassificationThresholds,
     classify_transport,
-    equivalence_report,
+    equivalence_rows,
     l_sweep,
 )
 from ebb.transfer import checkpoint_products, log_spectral_norm, one_step
@@ -117,8 +117,8 @@ def test_09c_dichotomy_equivalence_reports():
     total = 0
     for spec in (Zero(), AndersonRandom(2.0, 7)):
         pot = generate(spec, CHECKPOINTS[-1])
-        rep = equivalence_report(pot, grid, CHECKPOINTS, LEAD, LEAD, NONEQ)
-        total += rep.contradictions
+        rows = equivalence_rows(pot, grid, CHECKPOINTS, LEAD, LEAD, NONEQ)
+        total += sum(r.contradiction for r in rows)
     report(9, total == 0, f"(c) contradictions over 2x100 energies: {total}")
 
 
@@ -134,10 +134,10 @@ def test_10_periodic_band_gap_split():
         if 2.0 <= tr <= 2.2:
             continue  # boundary band excluded
         expected = "persistent" if tr < 2.0 else "vanishing"
-        rep = equivalence_report(pot, [E], CHECKPOINTS, LEAD, LEAD, NONEQ, thresholds)
+        (row,) = equivalence_rows(pot, [E], CHECKPOINTS, LEAD, LEAD, NONEQ, thresholds)
         checked += 1
-        if rep.rows[0].label != expected:
-            mismatches.append((E, tr, rep.rows[0].label, expected))
+        if row.label != expected:
+            mismatches.append((E, tr, row.label, expected))
     ok = not mismatches and checked > 50
     report(10, ok, f"band/gap labels: {len(mismatches)} mismatches over {checked} energies")
 

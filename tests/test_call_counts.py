@@ -63,4 +63,5 @@ def test_equivalence_rows_call_counts(calls, lead11):
     pot = generate(Periodic((1.0, 0.0)), CHECKPOINTS[-1])
     equivalence_rows(pot, grid, CHECKPOINTS, lead11, lead11, THERMO)
     assert calls["scan.checkpoint_products"] == len(grid)
+    assert calls["scan.evaluate_point"] == len(CHECKPOINTS) * len(grid)
     assert calls["fluxes.coupled_green_direct"] == len(CHECKPOINTS) * len(grid)

@@ -1,5 +1,7 @@
+import csv
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ebb.cli import main
-from ebb.config import geometric_checkpoints, parse_config
+from ebb.config import MAX_POINTS, geometric_checkpoints, parse_config
 from ebb.errors import ConfigError
 from ebb.potentials import AndersonRandom, Periodic, Zero, generate
 from ebb.scan import l_sweep
@@ -246,6 +248,30 @@ def test_equivalence_command(tmp_path):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("e_grid", [[-1.5, 0.2, 0.5], [0.2, 0.5]])
+def test_equivalence_summary_matches_rows(tmp_path, e_grid):
+    # The free sample persists at 0.2 and 0.5. At -1.5 the two Fermi factors
+    # cross, sigma vanishes identically under bounded norms: a vanishing
+    # label that contradicts them. Without -1.5 no energy is vanishing.
+    cfg = write_config(tmp_path, extra={"sweep": {"e_grid": e_grid, "l_checkpoints": SWEEP_L}})
+    rc, out = run_cli(tmp_path, "equivalence", cfg)
+    assert rc == 0
+    payload = strict_json(out / "equivalence.json")
+    rows = list(csv.DictReader((out / "equivalence.csv").read_text().splitlines()))
+    labels = [r["label"] for r in rows]
+    # counts tallies the label column, in order of first appearance.
+    assert list(payload["counts"].items()) == list(Counter(labels).items())
+    assert payload["contradictions"] == sum(r["contradiction"] == "1" for r in rows)
+    assert payload["contradictions"] == (-1.5 in e_grid)
+    for label in ("persistent", "vanishing"):
+        sigmas = [float(r["sigma_at_l_max"]) for r in rows if r["label"] == label]
+        # A label no energy received has a null mean.
+        expected = float(np.mean(sigmas)) if sigmas else None
+        assert payload[f"mean_sigma_{label}"] == expected
+    assert (payload["mean_sigma_vanishing"] is None) == (-1.5 not in e_grid)
+    assert payload["l_max"] == SWEEP_L[-1]
+
+
 def test_equivalence_generates_potential_once(tmp_path, monkeypatch):
     # One file read, at the sweep's longest checkpoint, however many
     # energies there are; the config reads no potential values.
@@ -287,8 +313,8 @@ OUTPUT_LAYOUTS = {
         {},
         None,
         ["energy_flux_l", "charge_flux_l", "entropy_flux", "quadrature_error_estimate",
-         "evaluations", "panels_at_width_floor", "no_open_channel", "energy_flux_r",
-         "charge_flux_r", "converged", "manifest"],
+         "evaluations", "panels_at_width_floor", "panels_at_rounding_floor",
+         "no_open_channel", "energy_flux_r", "charge_flux_r", "converged", "manifest"],
     ),
     "sweep-e": (
         {"sweep": {"e_grid": [-1.0, 0.0, 1.0]}},
@@ -409,6 +435,10 @@ BAD_CONFIGS = {
     "huge-l-checkpoint": (
         "sweep-l", {"sweep": {"energy": 0.5, "l_checkpoints": SWEEP_L[:-1] + [10**30]}},
         "sweep.l_checkpoints: must be in [1, 10000000]",
+    ),
+    "huge-e-grid-points": (
+        "sweep-e", {"sweep": {"e_grid": {"min": -1.0, "max": 1.0, "points": MAX_POINTS + 1}}},
+        f"sweep.e_grid.points: must be at most {MAX_POINTS}",
     ),
     "tiny-lead-hopping": (
         "fluxes", {"lead_l": {"type": "semi_infinite", "hopping": 1e-200}, "quadrature": {"edge_margin": 0}},

@@ -100,11 +100,17 @@ def test_error_estimate_bounds_true_error():
 def test_panels_at_width_floor_counted():
     # A jump at 1/3 never meets tol = 1e-15: the panel holding it is halved
     # down to MIN_PANEL_WIDTH and then set aside, and the count says so.
+    # The constant panels beside it carry only rounding error; they are set
+    # aside unsplit at the rounding floor instead of spending the budget.
     def step(x):
         return np.array([1.0 if x < 1.0 / 3.0 else 0.0])
 
     res = adaptive_gk15(step, [(0.0, 1.0)], 1e-15, 5000)
     assert res.panels_at_width_floor > 0
+    assert res.panels_at_rounding_floor > 0
+    assert res.evaluations < 2000
+    assert abs(res.integral[0] - 1.0 / 3.0) < 1e-14
     assert not res.converged
     smooth = adaptive_gk15(lambda x: np.array([math.exp(x)]), [(0.0, 1.0)], 1e-15, 5000)
-    assert smooth.converged and smooth.panels_at_width_floor == 0
+    assert smooth.converged
+    assert smooth.panels_at_width_floor == smooth.panels_at_rounding_floor == 0

@@ -1,4 +1,3 @@
-import math
 import os
 import subprocess
 import sys
@@ -8,9 +7,8 @@ import pytest
 from scipy.stats import linregress
 
 import ebb
-from ebb.errors import DomainError
-from ebb.model import ThermoParams
-from ebb.model import SampleSpec
+from ebb.errors import ConfigError, DomainError
+from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AndersonRandom, Periodic, Zero, generate
 from ebb.scan import (
     ClassificationThresholds,
@@ -18,7 +16,7 @@ from ebb.scan import (
     _fit,
     classify_transport,
     energy_sweep,
-    equivalence_report,
+    equivalence_rows,
     l_sweep,
 )
 
@@ -44,6 +42,16 @@ def test_l_sweep_rejects_out_of_band_energy(lead11):
         l_sweep(FREE, 3.0, lead11, lead11, THERMO, CHECKPOINTS)
     with pytest.raises(DomainError, match="checkpoints"):
         l_sweep(FREE, 0.5, lead11, lead11, THERMO, [0, 10])
+
+
+@pytest.mark.parametrize("site", [0, 500, CHECKPOINTS[-1]])
+def test_l_sweep_rejects_non_finite_potential(lead11, site):
+    # The sweep checks its potential once, up to the last checkpoint: a bad
+    # value anywhere in that prefix is rejected before any solve.
+    pot = FREE.copy()
+    pot[site] = np.nan
+    with pytest.raises(ConfigError, match="finite"):
+        l_sweep(pot, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
 
 
 def test_classify_persistent_free(lead11):
@@ -127,27 +135,24 @@ def test_equivalence_report_clean_split(lead11):
     # Grid avoids E = -1.5, where the two Fermi factors of THERMO cross
     # and the entropy density vanishes identically for any potential.
     grid = np.linspace(-1.2, 1.5, 8)
-    free = equivalence_report(FREE, grid, CHECKPOINTS, lead11, lead11, THERMO)
-    assert free.counts.get("persistent", 0) == len(grid)
-    assert free.contradictions == 0
-    assert free.l_max == 1000
-    assert free.mean_sigma_persistent > 0.0
-    assert math.isnan(free.mean_sigma_vanishing)
+    free = equivalence_rows(FREE, grid, CHECKPOINTS, lead11, lead11, THERMO)
+    assert [r.E for r in free] == list(grid)
+    assert all(r.label == "persistent" and not r.contradiction for r in free)
+    assert all(r.sigma_at_l_max > 0.0 for r in free)
 
-    disordered = equivalence_report(DISORDERED, grid, CHECKPOINTS, lead11, lead11, THERMO)
-    assert disordered.counts.get("vanishing", 0) == len(grid)
-    assert disordered.contradictions == 0
+    disordered = equivalence_rows(DISORDERED, grid, CHECKPOINTS, lead11, lead11, THERMO)
+    assert all(r.label == "vanishing" and not r.contradiction for r in disordered)
 
 
 def test_periodic_band_energy_is_persistent(lead11):
     # At E = -0.5 the trace of the 2-cell transfer, E^2 - 3E - 2 = -0.25,
     # lies inside (-2, 2): a band energy of the period-2 potential.
     loose = ClassificationThresholds(persistent_floor=0.1)
-    rep = equivalence_report(
+    (row,) = equivalence_rows(
         generate(Periodic((3.0, 0.0)), CHECKPOINTS[-1]), [-0.5], CHECKPOINTS,
         lead11, lead11, THERMO, loose,
     )
-    assert rep.rows[0].label == "persistent"
+    assert row.label == "persistent"
 
 
 def test_fit_matches_linregress():

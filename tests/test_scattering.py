@@ -60,7 +60,10 @@ def test_unitarity_everywhere_in_band(seed, L, E, k):
     G = coupled_green_direct(pot, E, L, se)
     t = t_matrix(G, se)
     assert unitarity_residual(t) < 1e-10
-    assert 0.0 <= transmission(t) <= 1.0
+    tau = transmission(t)
+    # A Python float, so the densities downstream run on Python numbers.
+    assert type(tau) is float
+    assert 0.0 <= tau <= 1.0
 
 
 # The matrix formulas the scalar kernels write out entry by entry.
@@ -92,6 +95,16 @@ def test_t_matrix_matches_matrix_formula_bit_for_bit():
         ref = t_matrix_oracle(G, se)
         assert t.dtype == ref.dtype and t.shape == ref.shape
         assert t.tobytes() == ref.tobytes()
+
+
+def test_transmission_matches_numpy_scalar_abs_bit_for_bit():
+    # The builtin abs of a numpy complex scalar, like Python's, calls libm
+    # hypot; the np.abs ufunc does not, and can differ in the last bit.
+    rng = np.random.default_rng(10)
+    for z in random_complex(rng, 2000, 0.5).tolist():
+        t = np.array([[0.0, z], [0.0, 0.0]])
+        if abs(z) <= 1.0:
+            assert transmission(t) == float(abs(t[0, 1]) ** 2)
 
 
 def test_unitarity_residual_matches_svd():
