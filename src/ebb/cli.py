@@ -33,14 +33,6 @@ from .model import SampleSpec
 from .potentials import generate
 
 
-def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return "1" if x else "0"
-    if isinstance(x, (int, str)):
-        return str(x)
-    return format(x, ".17g")
-
-
 def _manifest(command: str, run: Optional[RunConfig], args, max_residual: float) -> dict:
     """The run manifest; run is None for a command that reads no config."""
     seeds = {}
@@ -190,11 +182,17 @@ def _strict(o):
     return o
 
 
-# The row attributes each command writes to its CSV, in column order.
+# The row attributes each command writes to its CSV, in column order, each
+# with its printf spec: _G (round-trip exact) for floats, _D for ints and
+# bools, %s for labels.
+_G, _D = "%.17g", "%d"
 _CSV_COLUMNS = {
-    "sweep-e": ("E", "transmission", "phi_l", "j_l", "sigma", "unitarity_residual"),
-    "sweep-l": ("L", "sigma_density", "transmission", "log_transfer_norm", "resonance_flag"),
-    "equivalence": ("E", "label", "norm_slope", "sigma_slope", "sigma_at_l_max", "contradiction"),
+    "sweep-e": {"E": _G, "transmission": _G, "phi_l": _G, "j_l": _G, "sigma": _G,
+                "unitarity_residual": _G},
+    "sweep-l": {"L": _D, "sigma_density": _G, "transmission": _G, "log_transfer_norm": _G,
+                "resonance_flag": _D},
+    "equivalence": {"E": _G, "label": "%s", "norm_slope": _G, "sigma_slope": _G,
+                    "sigma_at_l_max": _G, "contradiction": _D},
 }
 
 
@@ -205,10 +203,11 @@ def _write_outputs(command: str, run: Optional[RunConfig], args, summary, rows, 
     columns = _CSV_COLUMNS.get(command)
     if columns:
         values = operator.attrgetter(*columns)
+        line = ",".join(columns.values()) + "\n"
         with open(stem + ".csv", "w", newline="") as fh:
             fh.write(",".join(columns) + "\n")
             for row in rows:
-                fh.write(",".join(map(_fmt, values(row))) + "\n")
+                fh.write(line % values(row))
     summary["manifest"] = _manifest(command, run, args, max_residual)
     with open(stem + ".json", "w") as fh:
         json.dump(_strict(summary), fh, indent=2, allow_nan=False)

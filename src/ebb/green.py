@@ -15,10 +15,13 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError, NumericalFailure
-from .transfer import ScaledMatrix2, _smax
+from .transfer import ScaledMatrix2
 
 RESONANCE_RELATIVE_CUTOFF = 1e-12
 CONDITION_LIMIT = 1e12
+
+# Looked up once: the solve runs once per energy.
+_zgtsv = lapack.zgtsv
 
 
 @dataclass(frozen=True)
@@ -41,8 +44,7 @@ class SelfEnergyPair:
 def is_resonant(T: ScaledMatrix2) -> bool:
     """Whether T11 vanishes relative to ||T||: the energy is numerically a
     Dirichlet eigenvalue of the decoupled sample."""
-    a, b, c, d = T.m.ravel().tolist()
-    return abs(a) < RESONANCE_RELATIVE_CUTOFF * _smax(a, b, c, d)
+    return abs(T.m.item(0)) < RESONANCE_RELATIVE_CUTOFF * T.smax
 
 
 def _tridiag_solve_boundary(t, F_l=0j, F_r=0j):
@@ -50,26 +52,26 @@ def _tridiag_solve_boundary(t, F_l=0j, F_r=0j):
 
     A is tridiagonal on sites 0..L with off-diagonals -1 and diagonal t,
     the real v - E, less F_l on site 0 and F_r on site L. Uses LAPACK
-    zgtsv (Gaussian elimination with partial pivoting). The condition
-    estimate is ||A||_inf times the largest inf-norm among the solution
-    columns, a lower bound on the true condition number that blows up
-    exactly at near-resonances.
+    zgtsv (Gaussian elimination with partial pivoting) on buffers it owns.
+    The condition estimate ||A||_inf * max|x| over the two solution columns
+    is at most 2 kappa_inf(A) (max|x| <= ||A^(-1)||_inf; the boundary rows
+    of ||A||_inf count two off-diagonals, not one) and blows up exactly at
+    near-resonances.
     """
     L = len(t) - 1
     diag = t.astype(complex)
     diag[0] -= F_l
     diag[L] -= F_r
+    d0, dL = diag[::L].tolist()
     off = np.full(L, -1.0, dtype=complex)
-    b = np.zeros((L + 1, 2), dtype=complex)
+    b = np.zeros((L + 1, 2), dtype=complex, order="F")
     b[0, 0] = b[L, 1] = 1.0
-    _, _, _, x, info = lapack.zgtsv(off, diag, off, b)
+    _, _, _, x, info = _zgtsv(off, diag, off, b, overwrite_d=1, overwrite_b=1)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve failed (info={info})")
     # The interior rows of ||A||_inf from the real t: |complex(x, 0)| = |x|.
-    d0, dL = diag[::L].tolist()
     anorm = max(abs(d0), abs(dL), float(np.abs(t[1:L]).max(initial=0.0))) + 2.0
-    cond = anorm * max(1.0, float(np.abs(x).max()))
-    return x[::L], cond
+    return x[::L], anorm * float(np.abs(x).max())
 
 
 def _sample_diag(pot, E: float, L: int) -> np.ndarray:

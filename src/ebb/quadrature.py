@@ -88,15 +88,15 @@ def _converged(integral, error, tol) -> bool:
 
 
 def _gk15_panel(f, lo, hi):
-    """Kronrod estimate, per-component |K15 - G7| error, and whether every
-    component of that error is at the rounding floor, on one panel."""
+    """Kronrod estimate, per-component |K15 - G7| error, and the rounding
+    floor ROUNDING_FLOOR * h * sum_k w_k |f(x_k)| per component, on one
+    panel."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     fvals = np.array([f(x) for x in (c + h * _XGK).tolist()])
     kronrod = h * (_WGK @ fvals)
     err = np.abs(kronrod - h * (_WG @ fvals[1::2]))
-    at_floor = bool((err <= (ROUNDING_FLOOR * h) * (_WGK @ abs(fvals))).all())
-    return kronrod, err, at_floor
+    return kronrod, err, (ROUNDING_FLOOR * h) * (_WGK @ abs(fvals))
 
 
 def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
@@ -136,7 +136,7 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
     total = None
     total_err = None
     for lo, hi in panels:
-        integral, err, at_floor = _gk15_panel(f, lo, hi)
+        integral, err, floor = _gk15_panel(f, lo, hi)
         evals += 15
         if total is None:
             total = integral.copy()
@@ -144,13 +144,14 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
         else:
             total += integral
             total_err += err
-        heapq.heappush(heap, (-float(err.max()), lo, hi, integral, err, at_floor))
+        heapq.heappush(heap, (-float(err.max()), lo, hi, integral, err, floor))
 
     while not _converged(total, total_err, tol) and heap:
         if evals + 30 > max_evaluations:
             break
-        neg_err, lo, hi, integral, err, at_floor = heapq.heappop(heap)
-        if at_floor:
+        neg_err, lo, hi, integral, err, floor = heapq.heappop(heap)
+        # The floor is tested only on the panels popped for splitting.
+        if (err <= floor).all():
             at_rounding.append((lo, hi, integral, err))
             continue
         if hi - lo < MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):

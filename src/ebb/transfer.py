@@ -21,6 +21,7 @@ resonance test on its (1,1) entry; no determinant is kept alongside it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import islice
@@ -38,18 +39,23 @@ _FOLD_LO, _FOLD_HI = 2.0**-128, 2.0**128
 _LN2 = math.log(2.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScaledMatrix2:
     """A 2x2 real matrix with separated logarithmic scale.
 
     Represents the matrix exp(log_scale) * m. Each transfer factor is
     unimodular, so det(m)*exp(2*log_scale) is 1 in exact arithmetic; in
     floats det(m) is accurate only while the product's condition number
-    stays well below 1/eps.
+    stays well below 1/eps. m is not modified after construction.
     """
 
     m: np.ndarray
     log_scale: float
+
+    @functools.cached_property
+    def smax(self) -> float:
+        """Spectral norm of m, computed once for the norm and the resonance test."""
+        return _smax(*self.m.ravel().tolist())
 
 
 def one_step(v_x: float, E: float) -> np.ndarray:
@@ -78,7 +84,7 @@ def log_spectral_norm(M: ScaledMatrix2) -> float:
     Clamped at 0: a real unimodular 2x2 matrix has norm >= 1, so any
     negative value is pure rounding.
     """
-    val = M.log_scale + math.log(_smax(*M.m.ravel().tolist()))
+    val = M.log_scale + math.log(M.smax)
     return val if val > 0.0 else 0.0
 
 

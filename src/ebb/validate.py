@@ -30,7 +30,7 @@ from .leads import SemiInfiniteLaplacian, weiss_boundary
 from .model import SampleSpec, ThermoParams
 from .potentials import AndersonRandom, Periodic, Zero, generate
 from .scattering import t_matrix
-from .transfer import ScaledMatrix2, _smax, checkpoint_products
+from .transfer import ScaledMatrix2, checkpoint_products
 
 POTENTIALS = (Zero(), Periodic((1.0, 0.0)), AndersonRandom(1.0, 42))
 LEAD = SemiInfiniteLaplacian(1.0, 1.0)
@@ -117,7 +117,7 @@ def graph_map_check(G: np.ndarray, T: ScaledMatrix2, se: SelfEnergyPair) -> floa
     w = np.array([G[0], e[0] + se.F_l * G[0]])
     target = np.array([e[1] + se.F_r * G[1], G[1]])
     resid = np.linalg.norm(T.m @ w - _inv_scale(T) * target, axis=0)
-    return float(resid.max() / _smax(*T.m.ravel().tolist()))
+    return float(resid.max() / T.smax)
 
 
 # -- the checks ---------------------------------------------------------------
@@ -226,7 +226,7 @@ def check_worked_point() -> CheckResult:
     worst = max(
         float(np.max(np.abs(G - np.array([[1j, -1.0], [-1.0, 1j]]) / 2))),
         abs(evaluate_point(pot, 0.0, 1, LEAD, LEAD)[0] - 1.0),
-        float(np.max(np.abs(np.eye(2) + t_matrix(G, se) - np.array([[0.0, -1j], [-1j, 0.0]])))),
+        float(np.max(np.abs(np.eye(2) + np.array(t_matrix(G, se)) - np.array([[0.0, -1j], [-1j, 0.0]])))),
     )
     return CheckResult("worked-point", worst < 1e-12, f"max deviation {worst:.3e} (< 1e-12)", worst)
 

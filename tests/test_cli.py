@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -8,11 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ebb import cli
 from ebb.cli import main
 from ebb.config import MAX_POINTS, geometric_checkpoints, parse_config
 from ebb.errors import ConfigError
 from ebb.potentials import AndersonRandom, Periodic, Zero, generate
-from ebb.scan import l_sweep
+from ebb.scan import EnergyPoint, EquivalenceRow, LSweepPoint, l_sweep
 
 BASE = {
     "sample": {"length": 10, "potential": {"type": "zero"}},
@@ -218,6 +220,30 @@ def test_sweep_l_command(tmp_path):
     assert payload["manifest"]["max_unitarity_residual"] == residual > 0.0
 
 
+def test_strong_barrier_sample_is_not_ill_conditioned(tmp_path):
+    # A constant potential of 1e300 is a barrier: the coupled system has
+    # kappa_inf ~ 1, so every command must run it, not reject it as
+    # ill-conditioned. The transfer norm grows by ln(1e300) per site.
+    barrier = {"length": 1280, "potential": {"type": "constant", "value": 1e300}}
+    cps = [10, 20, 40, 80, 160, 320, 640, 1280]
+    cfg = write_config(tmp_path, sample=barrier, extra={"sweep": {"energy": 0.5, "l_checkpoints": cps}})
+    rc, out = run_cli(tmp_path / "l", "sweep-l", cfg)
+    assert rc == 0
+    payload = strict_json(out / "sweep_l.json")
+    assert payload["classification"] == "vanishing"
+    assert payload["norm_slope"] == pytest.approx(math.log(1e300), rel=1e-12)
+    cfg = write_config(
+        tmp_path, name="e.json", sample={**barrier, "length": 100},
+        extra={"sweep": {"e_grid": {"min": -1.9, "max": 1.9, "points": 50}}},
+    )
+    rc, out = run_cli(tmp_path / "e", "sweep-e", cfg)
+    assert rc == 0
+    assert strict_json(out / "sweep_e.json")["failed_points"] == []
+    rc, out = run_cli(tmp_path / "f", "fluxes", cfg)
+    assert rc == 0
+    assert strict_json(out / "fluxes.json")["converged"]
+
+
 def test_sweep_l_requires_energy(tmp_path):
     rc, _ = run_cli(tmp_path, "sweep-l", write_config(tmp_path))
     assert rc == 2
@@ -355,6 +381,54 @@ def test_output_layout(tmp_path, command):
     payload = strict_json(out / f"{stem}.json")
     assert list(payload) == keys
     assert list(payload["manifest"]) == MANIFEST_KEYS
+
+
+def _fmt_oracle(x) -> str:
+    """The per-value type dispatch the CSV writer's printf specs replace."""
+    if isinstance(x, bool):
+        return "1" if x else "0"
+    if isinstance(x, (int, str)):
+        return str(x)
+    return format(x, ".17g")
+
+
+def test_csv_printf_specs_match_per_value_formatting(tmp_path):
+    # Every value a float column can hold, and the ints, bools and labels
+    # of the others: one printf spec per column gives the same bytes as
+    # format(x, ".17g") and the per-value rules for ints, bools and labels.
+    floats = [
+        math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.0 / 3.0,
+        -1.99, 1e17, 123456789012345678.0, 1.7976931348623157e308, np.float64(0.1),
+        np.float64(-math.nan), 2.0**-1074 * 3,
+    ]
+    n = len(floats)
+    rows = {
+        "sweep-e": [
+            EnergyPoint(*(floats[(i + k) % n] for k in range(6))) for i in range(n)
+        ] + [EnergyPoint(0.5, math.nan, math.nan, math.nan, math.nan, math.nan, "failed")],
+        "sweep-l": [
+            LSweepPoint(L, floats[i % n], floats[(i + 3) % n], floats[(i + 7) % n], flag)
+            for i, (L, flag) in enumerate([(1, True), (10, False), (2000, True), (10**6, False)] * 4)
+        ],
+        "equivalence": [
+            EquivalenceRow(floats[i], label, floats[(i + 1) % n], floats[(i + 2) % n],
+                           floats[(i + 5) % n], flag, 0.0)
+            for i, (label, flag) in enumerate(
+                [("persistent", False), ("vanishing", True), ("indeterminate", False)] * 5
+            )
+        ],
+    }
+    args = argparse.Namespace(out=str(tmp_path), seed_override=None)
+    for command, table in rows.items():
+        names = list(cli._CSV_COLUMNS[command])
+        cli._write_outputs(command, None, args, {}, table, 0.0)
+        expected = ",".join(names) + "\n" + "".join(
+            ",".join(_fmt_oracle(getattr(row, name)) for name in names) + "\n" for row in table
+        )
+        path = tmp_path / (command.replace("-", "_") + ".csv")
+        assert path.read_bytes() == expected.encode()
+    for x in floats:
+        assert "%.17g" % x == format(x, ".17g")
 
 
 def test_config_required_except_for_validate(tmp_path):

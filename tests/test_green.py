@@ -5,9 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ebb.errors import DomainError, NumericalFailure, ResonanceError
-from ebb.green import SelfEnergyPair, coupled_green_direct
+from ebb.green import SelfEnergyPair, _tridiag_solve_boundary, coupled_green_direct
 from ebb.leads import weiss_boundary
 from ebb.potentials import AndersonRandom, generate
 from ebb.transfer import checkpoint_products
@@ -142,3 +143,41 @@ def test_graph_map_detects_wrong_green(lead11):
     G = coupled_green_direct(pot, 0.5, 30, se)
     ((_, T),) = checkpoint_products(pot, 0.5, [30])
     assert graph_map_check(G + 0.01, T, se) > 1e-4
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.integers(1, 29),
+    max_exponent=st.floats(-2.0, 20.0),
+    coupled=st.booleans(),
+)
+def test_condition_estimate_at_most_twice_kappa_inf(seed, L, max_exponent, coupled):
+    # The estimate ||A||_inf * max|x| must stay a lower bound on kappa_inf(A)
+    # up to the boundary rows of ||A||_inf, which it counts with two
+    # off-diagonals instead of one: at most a factor 2. Potentials reach
+    # 1e20, where ||A^(-1)|| is far below 1.
+    rng = np.random.default_rng(seed)
+    t = rng.normal(size=L + 1) * 10.0 ** rng.uniform(-2.0, max_exponent, size=L + 1)
+    F_l = F_r = 0j
+    if coupled:
+        F_l = complex(rng.normal(), rng.exponential())
+        F_r = complex(rng.normal(), rng.exponential())
+    A = np.diag(t - np.array([F_l] + [0j] * (L - 1) + [F_r]))
+    A += np.diag(np.full(L, -1.0), 1) + np.diag(np.full(L, -1.0), -1)
+    try:
+        _, cond = _tridiag_solve_boundary(t, F_l, F_r)
+    except NumericalFailure:
+        return  # exactly singular for gtsv: nothing to estimate
+    assert cond <= 2.0 * np.linalg.cond(A, np.inf) * (1.0 + 1e-12)
+
+
+def test_strong_barrier_is_well_conditioned(lead11):
+    # A constant potential of 1e300 is a barrier with kappa_inf(A) ~ 1: the
+    # solve must not be rejected as ill-conditioned.
+    L, E = 1280, 0.5
+    se = _se(lead11, E)
+    G = coupled_green_direct(np.full(L + 1, 1e300), E, L, se)
+    assert abs(G[0, 0]) == pytest.approx(1e-300, rel=1e-12)
+    _, cond = _tridiag_solve_boundary(np.full(L + 1, 1e300) - E, se.F_l, se.F_r)
+    assert 1.0 <= cond <= 2.0

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,10 @@ import pytest
 from scipy.stats import linregress
 
 import ebb
+import ebb.green
+import ebb.transfer
 from ebb.errors import ConfigError, DomainError
+from ebb.green import RESONANCE_RELATIVE_CUTOFF
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AndersonRandom, Periodic, Zero, generate
 from ebb.scan import (
@@ -35,6 +39,25 @@ def test_l_sweep_free_sample(lead11):
         assert not p.resonance_flag
     # Free transfer norms stay bounded along the whole sweep.
     assert max(p.log_transfer_norm for p in points) < 2.0
+
+
+def test_l_sweep_one_spectral_norm_per_checkpoint(lead11, monkeypatch):
+    # The transfer norm and the resonance test share one _smax of each
+    # checkpoint's product, and read the same bits as separate calls.
+    calls = []
+    smax = ebb.transfer._smax
+
+    def counting(*m):
+        calls.append(m)
+        return smax(*m)
+
+    monkeypatch.setattr(ebb.transfer, "_smax", counting)
+    monkeypatch.setattr(ebb.green, "_smax", counting, raising=False)
+    points = l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
+    assert len(calls) == len(CHECKPOINTS)
+    for p, m, (_, T) in zip(points, calls, ebb.transfer.checkpoint_products(DISORDERED, 0.5, CHECKPOINTS)):
+        assert p.log_transfer_norm == max(0.0, T.log_scale + math.log(smax(*m)))
+        assert p.resonance_flag == (abs(m[0]) < RESONANCE_RELATIVE_CUTOFF * smax(*m))
 
 
 def test_l_sweep_rejects_out_of_band_energy(lead11):
