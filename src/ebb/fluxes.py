@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import leads as leads_mod
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 from .green import SelfEnergyPair, coupled_green_direct
 from .leads import LeadModel, sigma_intersection, weiss_boundary
 from .model import SampleSpec, ThermoParams, fermi_density, xi
@@ -57,13 +57,22 @@ class FluxResult:
 
 def spectral_densities(E, T_of_E, thermo: ThermoParams) -> tuple:
     """Pointwise densities (phi_l, j_l, sigma) at energy E for transmission
-    T_of_E."""
+    T_of_E. A density that is not finite raises NumericalFailure."""
     rho_l = fermi_density(E, thermo.beta_l, thermo.mu_l)
     rho_r = fermi_density(E, thermo.beta_r, thermo.mu_r)
     drho = rho_l - rho_r
     j_l = T_of_E * drho
     phi_l = j_l * E
-    sigma = T_of_E * (xi(E, thermo.beta_r, thermo.mu_r) - xi(E, thermo.beta_l, thermo.mu_l)) * drho
+    dxi = xi(E, thermo.beta_r, thermo.mu_r) - xi(E, thermo.beta_l, thermo.mu_l)
+    if drho == 0.0:
+        # Equal occupations carry nothing, also where dxi overflowed to inf
+        # (inf * 0 is NaN); only dxi's sign reaches sigma's signed zero.
+        dxi = math.copysign(1.0, dxi)
+    sigma = T_of_E * dxi * drho
+    if not (math.isfinite(phi_l) and math.isfinite(j_l) and math.isfinite(sigma)):
+        raise NumericalFailure(
+            f"densities at E={E} are not finite: phi_l {phi_l}, j_l {j_l}, sigma {sigma}"
+        )
     if sigma < 0.0:
         # (xi_r - xi_l) and (rho_l - rho_r) share their sign analytically;
         # a tiny negative product is rounding at near-equal occupations.
@@ -73,10 +82,16 @@ def spectral_densities(E, T_of_E, thermo: ThermoParams) -> tuple:
     return phi_l, j_l, sigma
 
 
-def evaluate_point(pot, E, L: int, lead_l, lead_r) -> tuple:
-    """Self-energies -> coupled Green matrix -> t-matrix: the transmission
-    and unitarity residual at E of the sample pot[: L + 1]."""
-    se = SelfEnergyPair(weiss_boundary(lead_l, E), weiss_boundary(lead_r, E))
+def self_energies(lead_l: LeadModel, lead_r: LeadModel, E) -> SelfEnergyPair:
+    """The lead boundary values F_l(E+i0), F_r(E+i0) as self-energies. They
+    depend on E only, so a sweep over L at fixed E builds them once."""
+    return SelfEnergyPair(weiss_boundary(lead_l, E), weiss_boundary(lead_r, E))
+
+
+def evaluate_point(pot, E, L: int, se: SelfEnergyPair) -> tuple:
+    """Coupled Green matrix -> t-matrix: the transmission and unitarity
+    residual at E of the sample pot[: L + 1] between the leads of the
+    self-energies se (see `self_energies`)."""
     if not se.open_channel:
         # Both channels closed: no scattering at this energy.
         return 0.0, 0.0
@@ -110,7 +125,7 @@ def integrate_fluxes(
     max_residual = [0.0]
 
     def integrand(E):
-        tau, residual = evaluate_point(pot, E, L, lead_l, lead_r)
+        tau, residual = evaluate_point(pot, E, L, self_energies(lead_l, lead_r, E))
         if residual > max_residual[0]:
             max_residual[0] = residual
         return spectral_densities(E, tau, thermo)

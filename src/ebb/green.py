@@ -9,6 +9,7 @@ are oracles in `ebb.validate`.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,15 @@ class SelfEnergyPair:
 def is_resonant(T: ScaledMatrix2) -> bool:
     """Whether T11 vanishes relative to ||T||: the energy is numerically a
     Dirichlet eigenvalue of the decoupled sample."""
-    return abs(T.m.item(0)) < RESONANCE_RELATIVE_CUTOFF * T.smax
+    return abs(T.a) < RESONANCE_RELATIVE_CUTOFF * T.smax
+
+
+@functools.lru_cache(maxsize=64)
+def _off_diagonal(L: int) -> np.ndarray:
+    """The -1 off-diagonal of A on sites 0..L, shared by every solve at L.
+    zgtsv gets it without overwrite_dl/overwrite_du and so copies it; f2py
+    would write into it otherwise, whatever its writeable flag says."""
+    return np.full(L, -1.0, dtype=complex)
 
 
 def _tridiag_solve_boundary(t, F_l=0j, F_r=0j):
@@ -63,7 +72,7 @@ def _tridiag_solve_boundary(t, F_l=0j, F_r=0j):
     diag[0] -= F_l
     diag[L] -= F_r
     d0, dL = diag[::L].tolist()
-    off = np.full(L, -1.0, dtype=complex)
+    off = _off_diagonal(L)
     b = np.zeros((L + 1, 2), dtype=complex, order="F")
     b[0, 0] = b[L, 1] = 1.0
     _, _, _, x, info = _zgtsv(off, diag, off, b, overwrite_d=1, overwrite_b=1)

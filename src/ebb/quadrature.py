@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetError
+from .errors import BudgetError, NumericalFailure
 
 # Kronrod-15 abscissae on [-1, 1] and weights; embedded Gauss-7 weights
 # apply to the odd-index abscissae. Standard QUADPACK constants.
@@ -90,13 +90,21 @@ def _converged(integral, error, tol) -> bool:
 def _gk15_panel(f, lo, hi):
     """Kronrod estimate, per-component |K15 - G7| error, and the rounding
     floor ROUNDING_FLOOR * h * sum_k w_k |f(x_k)| per component, on one
-    panel."""
+    panel, and the error key max(err). A key that is not finite (the sums
+    overflowed) raises NumericalFailure."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
     fvals = np.array([f(x) for x in (c + h * _XGK).tolist()])
-    kronrod = h * (_WGK @ fvals)
-    err = np.abs(kronrod - h * (_WG @ fvals[1::2]))
-    return kronrod, err, (ROUNDING_FLOOR * h) * (_WGK @ abs(fvals))
+    with np.errstate(over="ignore", invalid="ignore"):
+        kronrod = h * (_WGK @ fvals)
+        err = np.abs(kronrod - h * (_WG @ fvals[1::2]))
+        floor = (ROUNDING_FLOOR * h) * (_WGK @ abs(fvals))
+    key = float(err.max())
+    if not math.isfinite(key):
+        raise NumericalFailure(
+            f"quadrature error estimate on panel [{float(lo)}, {float(hi)}] is not finite ({key})"
+        )
+    return kronrod, err, floor, key
 
 
 def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
@@ -108,6 +116,7 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
     of energy) are seen by the base rule before any subdivision.
     max_evaluations caps every evaluation, the initial panels' included:
     if those alone need more, f is never called and BudgetError is raised.
+    A panel whose error estimate is not finite raises NumericalFailure.
     """
     panels = []
     for lo, hi in intervals:
@@ -136,7 +145,7 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
     total = None
     total_err = None
     for lo, hi in panels:
-        integral, err, floor = _gk15_panel(f, lo, hi)
+        integral, err, floor, key = _gk15_panel(f, lo, hi)
         evals += 15
         if total is None:
             total = integral.copy()
@@ -144,7 +153,7 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
         else:
             total += integral
             total_err += err
-        heapq.heappush(heap, (-float(err.max()), lo, hi, integral, err, floor))
+        heapq.heappush(heap, (-key, lo, hi, integral, err, floor))
 
     while not _converged(total, total_err, tol) and heap:
         if evals + 30 > max_evaluations:
@@ -158,13 +167,13 @@ def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
             at_width.append((lo, hi, integral, err))
             continue
         mid = 0.5 * (lo + hi)
-        i1, e1, f1 = _gk15_panel(f, lo, mid)
-        i2, e2, f2 = _gk15_panel(f, mid, hi)
+        i1, e1, f1, k1 = _gk15_panel(f, lo, mid)
+        i2, e2, f2, k2 = _gk15_panel(f, mid, hi)
         evals += 30
         total += i1 + i2 - integral
         total_err += e1 + e2 - err
-        heapq.heappush(heap, (-float(e1.max()), lo, mid, i1, e1, f1))
-        heapq.heappush(heap, (-float(e2.max()), mid, hi, i2, e2, f2))
+        heapq.heappush(heap, (-k1, lo, mid, i1, e1, f1))
+        heapq.heappush(heap, (-k2, mid, hi, i2, e2, f2))
 
     # Deterministic final reduction: re-sum in panel order.
     pieces = sorted([p[1:5] for p in heap] + at_width + at_rounding)

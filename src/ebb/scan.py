@@ -17,7 +17,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .fluxes import evaluate_point, spectral_densities
+from .fluxes import evaluate_point, self_energies, spectral_densities
 from .green import is_resonant
 from .leads import LeadModel, sigma_intersection
 from .model import SampleSpec, ThermoParams, check_length
@@ -118,7 +118,8 @@ def l_sweep(
     pot holds the potential on at least checkpoints[-1] + 1 sites, checked
     once; the sample at checkpoint L is its first L + 1 entries (prefix
     stability). The transfer norms come from a single scaled product pass;
-    the Green-function pipeline runs independently per checkpoint.
+    the Green-function pipeline runs independently per checkpoint, with the
+    self-energies of E built once.
     """
     cps = check_checkpoints(checkpoints)
     if not sigma_intersection(lead_l, lead_r).contains(E):
@@ -126,9 +127,10 @@ def l_sweep(
             f"E={E} is outside the band intersection; sigma vanishes trivially"
         )
     pot = SampleSpec(cps[-1], pot[: cps[-1] + 1]).potential
+    se = self_energies(lead_l, lead_r, E)
     points = []
     for L, T in checkpoint_products(pot, E, cps):
-        tau, residual = evaluate_point(pot, E, L, lead_l, lead_r)
+        tau, residual = evaluate_point(pot, E, L, se)
         _, _, sigma = spectral_densities(E, tau, thermo)
         if sigma > _sigma_envelope(E, tau, thermo):
             raise NumericalFailure(
@@ -142,13 +144,25 @@ def l_sweep(
 
 def _fit(xs, ys):
     """Least-squares slope of ys against xs and its r^2, computed as
-    scipy.stats.linregress computes them."""
-    if len(xs) < 2 or np.ptp(ys) == 0.0:
+    scipy.stats.linregress computes them. xs and ys are float arrays."""
+    if len(xs) < 2 or ys.max() - ys.min() == 0.0:
         # Degenerate fit; a flat series has slope 0 and perfect quality.
         return 0.0, 1.0
-    ssxm, ssxym, _, ssym = np.cov(xs, ys, bias=1).flat
+    # np.cov(xs, ys, bias=1), operation for operation, without its
+    # argument handling.
+    X = np.stack((xs, ys))
+    X -= X.mean(axis=1)[:, None]
+    (ssxm, ssxym), (_, ssym) = np.dot(X, X.T.conj()) * (1.0 / len(xs))
     r = min(1.0, max(-1.0, ssxym / np.sqrt(ssxm * ssym)))
     return float(ssxym / ssxm), float(r**2)
+
+
+def _median(values) -> float:
+    """The median of finite values as np.median computes it: the middle
+    sorted value, or the mean of the two middle ones."""
+    s = sorted(values)
+    k = len(s) // 2
+    return s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2
 
 
 def classify_transport(
@@ -177,7 +191,7 @@ def classify_transport(
     )
     persistent = (
         not underflowed
-        and float(sigmas.min()) > thresholds.persistent_floor * float(np.median(sigmas))
+        and float(sigmas.min()) > thresholds.persistent_floor * _median(sigmas.tolist())
         and bounded
     )
     # A contradiction is a vanishing label with bounded norms, or a
@@ -205,7 +219,8 @@ def energy_sweep(
     out = []
     for E in grid:
         try:
-            tau, residual = evaluate_point(sample.potential, E, sample.length, lead_l, lead_r)
+            se = self_energies(lead_l, lead_r, E)
+            tau, residual = evaluate_point(sample.potential, E, sample.length, se)
             out.append(EnergyPoint(E, tau, *spectral_densities(E, tau, thermo), residual))
         except (DomainError, NumericalFailure) as exc:
             out.append(

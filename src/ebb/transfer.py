@@ -21,9 +21,7 @@ resonance test on its (1,1) entry; no determinant is kept alongside it.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from itertools import islice
 from typing import Sequence
 
@@ -39,23 +37,29 @@ _FOLD_LO, _FOLD_HI = 2.0**-128, 2.0**128
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
 class ScaledMatrix2:
     """A 2x2 real matrix with separated logarithmic scale.
 
-    Represents the matrix exp(log_scale) * m. Each transfer factor is
-    unimodular, so det(m)*exp(2*log_scale) is 1 in exact arithmetic; in
-    floats det(m) is accurate only while the product's condition number
-    stays well below 1/eps. m is not modified after construction.
+    Represents the matrix exp(log_scale) * m, m = [[a, b], [c, d]], kept as
+    four Python floats; smax, the spectral norm of m, is computed once at
+    construction for both the norm and the resonance test. Each transfer
+    factor is unimodular, so det(m)*exp(2*log_scale) is 1 in exact
+    arithmetic; in floats det(m) is accurate only while the product's
+    condition number stays well below 1/eps. Not modified after
+    construction.
     """
 
-    m: np.ndarray
-    log_scale: float
+    __slots__ = ("a", "b", "c", "d", "log_scale", "smax")
 
-    @functools.cached_property
-    def smax(self) -> float:
-        """Spectral norm of m, computed once for the norm and the resonance test."""
-        return _smax(*self.m.ravel().tolist())
+    def __init__(self, a: float, b: float, c: float, d: float, log_scale: float):
+        self.a, self.b, self.c, self.d = a, b, c, d
+        self.log_scale = log_scale
+        self.smax = _smax(a, b, c, d)
+
+    @property
+    def m(self) -> np.ndarray:
+        """m as a new 2x2 array."""
+        return np.array([[self.a, self.b], [self.c, self.d]])
 
 
 def one_step(v_x: float, E: float) -> np.ndarray:
@@ -148,7 +152,7 @@ def _finish(state: tuple, tail: list, r_scale: int) -> ScaledMatrix2:
         if i % r_scale == 0:
             a, b, c, d, e = _rescaled(a, b, c, d, e)
     a, b, c, d, e = _rescaled(a, b, c, d, e)
-    return ScaledMatrix2(np.array([[a, b], [c, d]]), e * _LN2)
+    return ScaledMatrix2(a, b, c, d, e * _LN2)
 
 
 def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:

@@ -68,7 +68,7 @@ def sample_green_via_transfer(T: ScaledMatrix2) -> np.ndarray:
         raise ResonanceError(
             "T11 vanishes: energy is numerically a Dirichlet eigenvalue"
         )
-    a, b, c = T.m[0, 0], T.m[0, 1], T.m[1, 0]
+    a, b, c = T.a, T.b, T.c
     g_lr = _inv_scale(T) / a
     return np.array([[-b / a, g_lr], [g_lr, c / a]])
 
@@ -142,7 +142,7 @@ def check_unitarity(n_energies: int = 100, lengths=(10, 200)) -> CheckResult:
         pot = generate(spec, max(lengths))
         for L in lengths:
             for E in grid:
-                worst = max(worst, evaluate_point(pot, E, L, LEAD, LEAD)[1])
+                worst = max(worst, evaluate_point(pot, E, L, _se(E))[1])
     return CheckResult("unitarity", worst < 1e-10, f"max residual {worst:.3e} (< 1e-10)", worst)
 
 
@@ -225,7 +225,7 @@ def check_worked_point() -> CheckResult:
     G = coupled_green_direct(pot, 0.0, 1, se)
     worst = max(
         float(np.max(np.abs(G - np.array([[1j, -1.0], [-1.0, 1j]]) / 2))),
-        abs(evaluate_point(pot, 0.0, 1, LEAD, LEAD)[0] - 1.0),
+        abs(evaluate_point(pot, 0.0, 1, se)[0] - 1.0),
         float(np.max(np.abs(np.eye(2) + np.array(t_matrix(G, se)) - np.array([[0.0, -1j], [-1j, 0.0]])))),
     )
     return CheckResult("worked-point", worst < 1e-12, f"max deviation {worst:.3e} (< 1e-12)", worst)
@@ -239,7 +239,7 @@ def check_density_identities(L: int = 40, n_energies: int = 100, thermos=(NONEQ,
     estimate >= 0."""
     sample = SampleSpec(L, generate(AndersonRandom(1.0, 42), L))
     grid = np.linspace(-1.9, 1.9, n_energies)
-    taus = [evaluate_point(sample.potential, E, L, LEAD, LEAD)[0] for E in grid]
+    taus = [evaluate_point(sample.potential, E, L, _se(E))[0] for E in grid]
     gap, min_sigma, min_margin = 0.0, math.inf, math.inf
     for th in thermos:
         for E, tau in zip(grid, taus):

@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import time
 from collections import Counter
 
 import numpy as np
@@ -171,6 +172,53 @@ def test_fluxes_exits_1_when_not_converged(tmp_path, capsys):
     assert payload["converged"] is False
     assert payload["evaluations"] <= 2000
     assert payload["entropy_flux"] > 0.0
+
+
+# Reservoirs at the edge of float range, where xi = beta (E - mu)
+# overflows: beta = 1e308 makes xi_r - xi_l inf where both occupations are
+# 0 or 1; mu_l = -1e308 makes xi_l inf while rho_r stays open.
+EXTREME = {
+    "beta": ({"beta_l": 1e308, "beta_r": 1e308, "mu_l": 0.5, "mu_r": -0.5},
+             {"max_evaluations": 3000}),
+    "mu": ({"beta_l": 2.0, "beta_r": 1.0, "mu_l": -1e308, "mu_r": -0.5}, {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXTREME))
+def test_extreme_reservoirs_end_quickly_and_visibly(tmp_path, capsys, case):
+    # A density that is not finite must not reach a CSV or the quadrature
+    # unnoticed: sweep-e writes 0 where the occupations are equal and fails
+    # the energies whose density is not finite, and fluxes exits 1 naming
+    # the energy or the panel, before it spends its budget on NaN.
+    thermo, quadrature = EXTREME[case]
+    cfg = write_config(
+        tmp_path, sample={"length": 20, "potential": {"type": "zero"}},
+        thermo=thermo, quadrature=quadrature,
+        extra={"sweep": {"e_grid": {"min": -1.5, "max": 1.5, "points": 7}}},
+    )
+    start = time.perf_counter()
+    rc, out = run_cli(tmp_path / "e", "sweep-e", cfg)
+    assert time.perf_counter() - start < 2.0
+    assert rc == 0
+    failed = strict_json(out / "sweep_e.json")["failed_points"]
+    with open(out / "sweep_e.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 7
+    if case == "beta":
+        assert failed == []
+        assert all(math.isfinite(float(v)) for row in rows for v in row.values())
+        assert [rows[0]["sigma"], rows[-1]["sigma"]] == ["0", "0"]
+    else:
+        assert failed == [float(row["E"]) for row in rows]
+    capsys.readouterr()
+    start = time.perf_counter()
+    rc, out = run_cli(tmp_path / "f", "fluxes", cfg)
+    assert time.perf_counter() - start < 2.0
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "not finite" in err and ("E=" in err or "panel" in err)
+    assert "Traceback" not in err
+    assert not (out / "fluxes.json").exists()
 
 
 def test_sweep_e_command_deterministic_csv(tmp_path):

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebb.errors import DomainError
+from ebb.errors import DomainError, NumericalFailure
 from ebb.fluxes import (
     QuadratureParams,
     evaluate_point,
     integrate_fluxes,
     integration_window,
+    self_energies,
     spectral_densities,
 )
 from ebb.leads import SemiInfiniteLaplacian, TabulatedLead
@@ -62,8 +63,31 @@ def test_density_rejects_large_negative_sigma():
         spectral_densities(1.0, -1.0, ThermoParams(1.0, 2.0, 1.0, 0.0))
 
 
+def test_density_equal_occupations_carry_nothing():
+    # beta = 1e308: at E = +-1.5 both occupations are 0 or both 1 while
+    # xi_r - xi_l overflows to inf, and inf * 0 was NaN. The zeros keep the
+    # signs of the product: phi_l is -0 at negative E.
+    thermo = ThermoParams(1e308, 1e308, 0.5, -0.5)
+    for E in (-1.5, 1.5):
+        densities = spectral_densities(E, 1.0, thermo)
+        assert densities == (0.0, 0.0, 0.0)
+        assert [math.copysign(1.0, d) for d in densities] == [math.copysign(1.0, E), 1.0, 1.0]
+    # Both occupations round to 1 with xi_r - xi_l = -1 finite: sigma is
+    # the product's -0, as the plain arithmetic gives it.
+    _, _, sigma = spectral_densities(-50.0, 1.0, ThermoParams(1.0, 1.0, -0.5, 0.5))
+    assert sigma == 0.0 and math.copysign(1.0, sigma) == -1.0
+
+
+def test_density_not_finite_raises():
+    # mu_l = -1e308 makes xi_l inf while rho_r is open: sigma is inf.
+    with pytest.raises(NumericalFailure, match="densities at E=0.25 are not finite: .* sigma inf$"):
+        spectral_densities(0.25, 1.0, ThermoParams(2.0, 1.0, -1e308, -0.5))
+    with pytest.raises(NumericalFailure, match="densities at E=0.25 are not finite"):
+        spectral_densities(0.25, math.nan, ThermoParams(1.0, 2.0, 0.5, -0.5))
+
+
 def test_evaluate_point_free_sample(lead11):
-    tau, residual = evaluate_point(np.zeros(2), 0.0, 1, lead11, lead11)
+    tau, residual = evaluate_point(np.zeros(2), 0.0, 1, self_energies(lead11, lead11, 0.0))
     assert tau == pytest.approx(1.0, abs=1e-14)
     assert residual < 1e-13
 
@@ -71,7 +95,7 @@ def test_evaluate_point_free_sample(lead11):
 def test_evaluate_point_closed_channel(lead11):
     e = np.array([-10.0, 10.0])
     closed = TabulatedLead(e, np.full(2, -0.1), np.zeros(2))
-    assert evaluate_point(np.zeros(2), 0.5, 1, closed, closed) == (0.0, 0.0)
+    assert evaluate_point(np.zeros(2), 0.5, 1, self_energies(closed, closed, 0.5)) == (0.0, 0.0)
 
 
 def test_integration_window_margin():
@@ -99,7 +123,7 @@ def test_nonequilibrium_fluxes_against_trapezoid_oracle():
     E = np.linspace(-2 + 1e-6, 2 - 1e-6, 10_001)
     vals = np.empty((len(E), 3))
     for i, e in enumerate(E):
-        tau, _ = evaluate_point(sample.potential, e, 10, LEAD, LEAD)
+        tau, _ = evaluate_point(sample.potential, e, 10, self_energies(LEAD, LEAD, e))
         vals[i] = spectral_densities(e, tau, thermo)
     ref = np.trapezoid(vals, E, axis=0) / (2 * math.pi)
     assert res.energy_flux_l == pytest.approx(ref[0], abs=1e-6)

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebb.errors import DomainError, NumericalFailure, ResonanceError
-from ebb.green import SelfEnergyPair, _tridiag_solve_boundary, coupled_green_direct
+from ebb.green import (
+    SelfEnergyPair,
+    _off_diagonal,
+    _tridiag_solve_boundary,
+    coupled_green_direct,
+)
 from ebb.leads import weiss_boundary
 from ebb.potentials import AndersonRandom, generate
 from ebb.transfer import checkpoint_products
@@ -181,3 +186,20 @@ def test_strong_barrier_is_well_conditioned(lead11):
     assert abs(G[0, 0]) == pytest.approx(1e-300, rel=1e-12)
     _, cond = _tridiag_solve_boundary(np.full(L + 1, 1e300) - E, se.F_l, se.F_r)
     assert 1.0 <= cond <= 2.0
+
+
+def test_cached_off_diagonal_is_never_written():
+    # Every solve at one L passes zgtsv the same cached -1 off-diagonal.
+    # zgtsv must copy it: f2py writes into an array passed with leave to
+    # overwrite even when the array is read-only, so no flag would guard it.
+    rng = np.random.default_rng(11)
+    F_l, F_r = 0.3 + 1.0j, -0.2 + 0.5j
+    lengths = (1, 2, 7, 50, 7, 2, 1, 50)
+    for L in lengths:
+        t = rng.normal(size=L + 1)
+        G, _ = _tridiag_solve_boundary(t, F_l, F_r)
+        np.testing.assert_allclose(G, dense_green(t, 0.0, L, F_l, F_r), rtol=1e-12, atol=1e-14)
+    for L in set(lengths):
+        off = _off_diagonal(L)
+        assert off.shape == (L,) and off.dtype == complex
+        assert np.all(off == -1.0)

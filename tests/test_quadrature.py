@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ebb.errors import BudgetError
+from ebb.errors import BudgetError, NumericalFailure
 from ebb.quadrature import adaptive_gk15
 
 
@@ -114,3 +114,19 @@ def test_panels_at_width_floor_counted():
     smooth = adaptive_gk15(lambda x: np.array([math.exp(x)]), [(0.0, 1.0)], 1e-15, 5000)
     assert smooth.converged
     assert smooth.panels_at_width_floor == smooth.panels_at_rounding_floor == 0
+
+
+@pytest.mark.parametrize("value", [1e308, math.nan, math.inf])
+def test_non_finite_error_estimate_raises_at_once(value):
+    # Kronrod sums of values near 1e308 overflow, and a NaN or inf value
+    # gives a NaN error: the panel that shows it stops the integration
+    # instead of the budget being spent on NaN.
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return np.array([1.0, value])
+
+    with pytest.raises(NumericalFailure, match=r"panel \[0.0, 0.5\] is not finite"):
+        adaptive_gk15(f, [(0.0, 1.0)], 1e-8, 100_000, max_initial_width=0.5)
+    assert len(calls) == 15

@@ -8,6 +8,7 @@ import pytest
 from scipy.stats import linregress
 
 import ebb
+import ebb.fluxes
 import ebb.green
 import ebb.transfer
 from ebb.errors import ConfigError, DomainError
@@ -18,6 +19,7 @@ from ebb.scan import (
     ClassificationThresholds,
     LSweepPoint,
     _fit,
+    _median,
     classify_transport,
     energy_sweep,
     equivalence_rows,
@@ -58,6 +60,23 @@ def test_l_sweep_one_spectral_norm_per_checkpoint(lead11, monkeypatch):
     for p, m, (_, T) in zip(points, calls, ebb.transfer.checkpoint_products(DISORDERED, 0.5, CHECKPOINTS)):
         assert p.log_transfer_norm == max(0.0, T.log_scale + math.log(smax(*m)))
         assert p.resonance_flag == (abs(m[0]) < RESONANCE_RELATIVE_CUTOFF * smax(*m))
+
+
+def test_l_sweep_builds_one_self_energy_pair(lead11, monkeypatch):
+    # The self-energies depend on E only: one boundary value per lead and
+    # sweep, whatever the number of checkpoints.
+    calls = []
+    inner = ebb.fluxes.weiss_boundary
+
+    def counting(lead, E):
+        calls.append(E)
+        return inner(lead, E)
+
+    monkeypatch.setattr(ebb.fluxes, "weiss_boundary", counting)
+    for cps in (CHECKPOINTS[:8], CHECKPOINTS):
+        calls.clear()
+        l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, cps)
+        assert calls == [0.5, 0.5]
 
 
 def test_l_sweep_rejects_out_of_band_energy(lead11):
@@ -186,6 +205,18 @@ def test_fit_matches_linregress():
         ref = linregress(xs, ys)
         assert _fit(xs, ys) == (ref.slope, ref.rvalue**2)
     assert _fit(xs, np.full(xs.size, 0.3)) == (0.0, 1.0)
+
+
+def test_median_matches_numpy():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 8, 13, 14):
+        for values in (
+            rng.normal(size=n),
+            rng.integers(0, 3, size=n).astype(float),  # repeated values
+            10.0 ** rng.uniform(-300, 300, size=n),
+            np.full(n, 0.1),
+        ):
+            assert _median(values.tolist()) == np.median(values)
 
 
 def test_cli_import_leaves_scipy_stats_out():

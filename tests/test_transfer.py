@@ -63,9 +63,9 @@ def test_scaled_entries_stay_bounded():
 
 
 def test_log_spectral_norm_identity_and_clamp():
-    I = ScaledMatrix2(np.eye(2), 0.0)
+    I = ScaledMatrix2(1.0, 0.0, 0.0, 1.0, 0.0)
     assert log_spectral_norm(I) == 0.0
-    tiny = ScaledMatrix2(np.eye(2), -5.0)
+    tiny = ScaledMatrix2(1.0, 0.0, 0.0, 1.0, -5.0)
     assert log_spectral_norm(tiny) == 0.0
 
 
@@ -129,6 +129,17 @@ def test_checkpoint_products_match_full_products():
         np.testing.assert_array_equal(M.m, ref.m)
         assert M.log_scale == ref.log_scale
         assert log_spectral_norm(M) == log_spectral_norm(ref)
+
+
+def test_scaled_matrix_floats_are_its_array():
+    # A product keeps its entries as Python floats; .m and smax are built
+    # from them with the bits of the array route.
+    pot = generate(AndersonRandom(1.5, 3), 500)
+    for _, M in checkpoint_products(pot, 0.1, [0, 10, 17, 100, 500]):
+        entries = (M.a, M.b, M.c, M.d)
+        assert all(type(v) is float for v in entries)
+        assert M.m.tobytes() == np.array(entries).reshape(2, 2).tobytes()
+        assert M.smax == _smax(*M.m.ravel().tolist())
 
 
 def test_free_cocycle_period_four():
