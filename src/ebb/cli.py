@@ -7,8 +7,8 @@ are byte-identical across runs of the same configuration; the manifest
 timestamp is the only varying field, and it lives in the JSON.
 
 Exit codes: 0 success, 1 numerical-invariant failure (for `fluxes`, also a
-quadrature that did not converge; fluxes.json is still written), 2
-configuration error.
+quadrature that did not converge), 2 configuration error. Exit 1 still writes
+the JSON, with the stderr message as `failure` (and no CSV if the run raised).
 """
 
 from __future__ import annotations
@@ -111,7 +111,9 @@ def cmd_sweep_e(run: RunConfig):
         _sample(run, run.sample_length), run.lead_l, run.lead_r, run.thermo,
         _energies(run, "e_grid"),
     )
-    summary = {"points": len(points), "failed_points": [p.E for p in points if p.error is not None]}
+    failed = [p for p in points if p.error is not None]
+    summary = {"points": len(points), "failed_points": [p.E for p in failed],
+               "failed_reasons": [p.error for p in failed]}
     max_residual = max((p.unitarity_residual for p in points if p.error is None), default=0.0)
     return summary, points, max_residual, None
 
@@ -197,11 +199,11 @@ _CSV_COLUMNS = {
 
 
 def _write_outputs(command: str, run: Optional[RunConfig], args, summary, rows, max_residual):
-    """<stem>.csv from the command's rows, if it has columns, and <stem>.json:
-    the summary with the manifest last, strict JSON (non-finite as null)."""
+    """<stem>.csv from the rows (None: no CSV), if the command has columns, and
+    <stem>.json: the summary with the manifest last, strict JSON (non-finite as null)."""
     stem = os.path.join(args.out, command.replace("-", "_"))
     columns = _CSV_COLUMNS.get(command)
-    if columns:
+    if columns and rows is not None:
         values = operator.attrgetter(*columns)
         line = ",".join(columns.values()) + "\n"
         with open(stem + ".csv", "w", newline="") as fh:
@@ -248,17 +250,19 @@ def main(argv=None) -> int:
     try:
         run = parse_config(args.config, seed_override=args.seed_override) if reads_config else None
         os.makedirs(args.out, exist_ok=True)
-        summary, rows, max_residual, failure = _COMMANDS[args.command](run)
-        _write_outputs(args.command, run, args, summary, rows, max_residual)
+        try:
+            summary, rows, max_residual, failure = _COMMANDS[args.command](run)
+        except NumericalFailure as exc:
+            # The run's record is its failure and manifest, with no CSV.
+            summary, rows, max_residual, failure = {}, None, None, str(exc)
         if failure:
-            raise NumericalFailure(failure)
-        return 0
+            summary["failure"] = failure
+            print(f"numerical failure: {failure}", file=sys.stderr)
+        _write_outputs(args.command, run, args, summary, rows, max_residual)
+        return 1 if failure else 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -88,14 +88,14 @@ def self_energies(lead_l: LeadModel, lead_r: LeadModel, E) -> SelfEnergyPair:
     return SelfEnergyPair(weiss_boundary(lead_l, E), weiss_boundary(lead_r, E))
 
 
-def evaluate_point(pot, E, L: int, se: SelfEnergyPair) -> tuple:
+def evaluate_point(sample: SampleSpec, E, L: int, se: SelfEnergyPair) -> tuple:
     """Coupled Green matrix -> t-matrix: the transmission and unitarity
-    residual at E of the sample pot[: L + 1] between the leads of the
+    residual at E of sites 0..L of the sample between the leads of the
     self-energies se (see `self_energies`)."""
     if not se.open_channel:
         # Both channels closed: no scattering at this energy.
         return 0.0, 0.0
-    t = t_matrix(coupled_green_direct(pot, E, L, se), se)
+    t = t_matrix(coupled_green_direct(sample, E, L, se), se)
     return transmission(t), unitarity_residual(t)
 
 
@@ -121,11 +121,11 @@ def integrate_fluxes(
     if window.is_empty:
         return FluxResult(0.0, 0.0, 0.0, 0.0, 0, True, True, 0.0, 0, 0)
 
-    pot, L = sample.potential, sample.length
+    L = sample.length
     max_residual = [0.0]
 
     def integrand(E):
-        tau, residual = evaluate_point(pot, E, L, self_energies(lead_l, lead_r, E))
+        tau, residual = evaluate_point(sample, E, L, self_energies(lead_l, lead_r, E))
         if residual > max_residual[0]:
             max_residual[0] = residual
         return spectral_densities(E, tau, thermo)

@@ -9,13 +9,11 @@ are oracles in `ebb.validate`.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import lapack
 
 from .errors import DomainError, NumericalFailure
+from .model import SampleSpec
 from .transfer import ScaledMatrix2
 
 RESONANCE_RELATIVE_CUTOFF = 1e-12
@@ -25,21 +23,18 @@ CONDITION_LIMIT = 1e12
 _zgtsv = lapack.zgtsv
 
 
-@dataclass(frozen=True)
 class SelfEnergyPair:
-    """Boundary values F_l(E+i0), F_r(E+i0) acting as lead self-energies."""
+    """Boundary values F_l(E+i0), F_r(E+i0) acting as lead self-energies,
+    and open_channel: whether Im F > 0 on at least one lead, so a channel
+    is open. Built once per energy; not modified after construction."""
 
-    F_l: complex
-    F_r: complex
+    __slots__ = ("F_l", "F_r", "open_channel")
 
-    def __post_init__(self):
-        if self.F_l.imag < 0 or self.F_r.imag < 0:
+    def __init__(self, F_l: complex, F_r: complex):
+        if F_l.imag < 0 or F_r.imag < 0:
             raise DomainError("self-energies must have Im >= 0")
-
-    @property
-    def open_channel(self) -> bool:
-        """Whether Im F > 0 on at least one lead, so a channel is open."""
-        return self.F_l.imag > 0 or self.F_r.imag > 0
+        self.F_l, self.F_r = F_l, F_r
+        self.open_channel = F_l.imag > 0 or F_r.imag > 0
 
 
 def is_resonant(T: ScaledMatrix2) -> bool:
@@ -48,50 +43,39 @@ def is_resonant(T: ScaledMatrix2) -> bool:
     return abs(T.a) < RESONANCE_RELATIVE_CUTOFF * T.smax
 
 
-@functools.lru_cache(maxsize=64)
-def _off_diagonal(L: int) -> np.ndarray:
-    """The -1 off-diagonal of A on sites 0..L, shared by every solve at L.
-    zgtsv gets it without overwrite_dl/overwrite_du and so copies it; f2py
-    would write into it otherwise, whatever its writeable flag says."""
-    return np.full(L, -1.0, dtype=complex)
-
-
-def _tridiag_solve_boundary(t, F_l=0j, F_r=0j):
+def _tridiag_solve_boundary(sample: SampleSpec, E: float, L: int, F_l=0j, F_r=0j):
     """The 2x2 block of sites 0 and L of A^(-1), and a condition estimate.
 
-    A is tridiagonal on sites 0..L with off-diagonals -1 and diagonal t,
-    the real v - E, less F_l on site 0 and F_r on site L. Uses LAPACK
+    A is tridiagonal on sites 0..L of the sample with off-diagonals -1 and
+    diagonal v - E, less F_l on site 0 and F_r on site L. Uses LAPACK
     zgtsv (Gaussian elimination with partial pivoting) on buffers it owns.
     The condition estimate ||A||_inf * max|x| over the two solution columns
     is at most 2 kappa_inf(A) (max|x| <= ||A^(-1)||_inf; the boundary rows
     of ||A||_inf count two off-diagonals, not one) and blows up exactly at
     near-resonances.
     """
-    L = len(t) - 1
-    diag = t.astype(complex)
+    if L > sample.length:
+        raise ValueError(f"potential has {sample.length + 1} entries, need {L + 1}")
+    diag = (sample.potential[: L + 1] - E).astype(complex)
     diag[0] -= F_l
     diag[L] -= F_r
     d0, dL = diag[::L].tolist()
-    off = _off_diagonal(L)
+    # The sample's -1 off-diagonal, shared by every solve on it: zgtsv gets
+    # it without overwrite_dl/overwrite_du and so copies it; f2py would
+    # write into it otherwise, whatever its writeable flag says.
+    off = sample.off_diagonal[:L]
     b = np.zeros((L + 1, 2), dtype=complex, order="F")
     b[0, 0] = b[L, 1] = 1.0
-    _, _, _, x, info = _zgtsv(off, diag, off, b, overwrite_d=1, overwrite_b=1)
+    # Positional overwrite flags (dl, d, du, b): f2py parses keywords slowly.
+    _, _, _, x, info = _zgtsv(off, diag, off, b, 0, 1, 0, 1)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve failed (info={info})")
-    # The interior rows of ||A||_inf from the real t: |complex(x, 0)| = |x|.
-    anorm = max(abs(d0), abs(dL), float(np.abs(t[1:L]).max(initial=0.0))) + 2.0
+    anorm = max(abs(d0), abs(dL), sample.interior_deviation(E, L)) + 2.0
     return x[::L], anorm * float(np.abs(x).max())
 
 
-def _sample_diag(pot, E: float, L: int) -> np.ndarray:
-    """v - E on sites 0..L, the real diagonal of h_{S,L} - E."""
-    if len(pot) < L + 1:
-        raise ValueError(f"potential has {len(pot)} entries, need {L + 1}")
-    return np.asarray(pot, dtype=float)[: L + 1] - E
-
-
-def coupled_green_direct(pot, E: float, L: int, se: SelfEnergyPair) -> np.ndarray:
-    """Coupled Green matrix by a direct complex tridiagonal solve.
+def coupled_green_direct(sample: SampleSpec, E: float, L: int, se: SelfEnergyPair) -> np.ndarray:
+    """Coupled Green matrix of sites 0..L by a direct complex tridiagonal solve.
 
     The lead self-energies are absorbed into the boundary diagonal:
     (h_{S,L} - E - F_l P_0 - F_r P_L) u = delta_site. Requires an open
@@ -101,7 +85,7 @@ def coupled_green_direct(pot, E: float, L: int, se: SelfEnergyPair) -> np.ndarra
     """
     if not se.open_channel:
         raise DomainError("coupled_green_direct needs Im F > 0 on at least one lead")
-    G, cond = _tridiag_solve_boundary(_sample_diag(pot, E, L), se.F_l, se.F_r)
+    G, cond = _tridiag_solve_boundary(sample, E, L, se.F_l, se.F_r)
     if cond > CONDITION_LIMIT:
         raise NumericalFailure(
             f"coupled system ill-conditioned (condition estimate {cond:.2e})"

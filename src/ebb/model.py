@@ -52,6 +52,8 @@ class SampleSpec:
 
     The left junction attaches at site 0 and the right junction at site L,
     so L >= 1 is required (a single shared coupling site is degenerate).
+    Validated once at construction; a solve on the sample or on a prefix
+    of it (sites 0..L' for L' <= L) reads the potential as given.
     """
 
     length: int
@@ -61,13 +63,25 @@ class SampleSpec:
         check_length(self.length)
         pot = np.asarray(self.potential, dtype=float)
         if pot.shape != (self.length + 1,):
-            raise ConfigError(
-                f"potential: expected {self.length + 1} entries, "
-                f"got {pot.shape}"
-            )
+            raise ConfigError(f"potential: expected {self.length + 1} entries, got {pot.shape}")
         if not np.all(np.isfinite(pot)):
             raise ConfigError("potential: entries must be finite")
         object.__setattr__(self, "potential", pot)
+        # The -1 hopping between sites as the complex off-diagonal of the
+        # Green solve (see `green._tridiag_solve_boundary`).
+        object.__setattr__(self, "off_diagonal", np.full(self.length, -1.0, dtype=complex))
+        # Entry k of interior_max (interior_min) is the max (min) of the
+        # interior potential v_1..v_{k+1}; see `interior_deviation`.
+        object.__setattr__(self, "interior_max", np.maximum.accumulate(pot[1:-1]))
+        object.__setattr__(self, "interior_min", np.minimum.accumulate(pot[1:-1]))
+
+    def interior_deviation(self, E: float, L: int) -> float:
+        """max |v_i - E| over the interior sites 1 <= i < L (0.0 for L = 1)
+        in O(1). Rounding is monotone and odd, so it is fl(M - E) or
+        fl(E - m) for the extremes M, m of v_1..v_{L-1}, bit for bit."""
+        if L == 1:
+            return 0.0
+        return max(self.interior_max.item(L - 2) - E, E - self.interior_min.item(L - 2))
 
 
 def xi(E: float, beta: float, mu: float) -> float:

@@ -105,6 +105,30 @@ def check_checkpoints(checkpoints: Sequence[int]) -> list:
     return cps
 
 
+def _checked_sweep_inputs(pot, energies, lead_l: LeadModel, lead_r: LeadModel, checkpoints):
+    """The checkpoints as a list and the sample on sites 0..checkpoints[-1],
+    after the checks of L-sweeps at the given energies (see `l_sweep`)."""
+    cps = check_checkpoints(checkpoints)
+    window = sigma_intersection(lead_l, lead_r)
+    for E in energies:
+        if not window.contains(E):
+            raise DomainError(f"E={E} is outside the band intersection; sigma vanishes trivially")
+    return cps, SampleSpec(cps[-1], pot[: cps[-1] + 1])
+
+
+def _sweep_points(sample: SampleSpec, E, lead_l, lead_r, thermo: ThermoParams, cps: list) -> list:
+    """The L-sweep of a checked sample at a checked energy (see `l_sweep`)."""
+    se = self_energies(lead_l, lead_r, E)
+    points = []
+    for L, T in checkpoint_products(sample.potential, E, cps):
+        tau, residual = evaluate_point(sample, E, L, se)
+        _, _, sigma = spectral_densities(E, tau, thermo)
+        if sigma > _sigma_envelope(E, tau, thermo):
+            raise NumericalFailure(f"entropy density {sigma} exceeds its explicit envelope at L={L}")
+        points.append(LSweepPoint(L, sigma, tau, log_spectral_norm(T), is_resonant(T), residual))
+    return points
+
+
 def l_sweep(
     pot: np.ndarray,
     E: float,
@@ -121,25 +145,8 @@ def l_sweep(
     the Green-function pipeline runs independently per checkpoint, with the
     self-energies of E built once.
     """
-    cps = check_checkpoints(checkpoints)
-    if not sigma_intersection(lead_l, lead_r).contains(E):
-        raise DomainError(
-            f"E={E} is outside the band intersection; sigma vanishes trivially"
-        )
-    pot = SampleSpec(cps[-1], pot[: cps[-1] + 1]).potential
-    se = self_energies(lead_l, lead_r, E)
-    points = []
-    for L, T in checkpoint_products(pot, E, cps):
-        tau, residual = evaluate_point(pot, E, L, se)
-        _, _, sigma = spectral_densities(E, tau, thermo)
-        if sigma > _sigma_envelope(E, tau, thermo):
-            raise NumericalFailure(
-                f"entropy density {sigma} exceeds its explicit envelope at L={L}"
-            )
-        points.append(
-            LSweepPoint(L, sigma, tau, log_spectral_norm(T), is_resonant(T), residual)
-        )
-    return points
+    cps, sample = _checked_sweep_inputs(pot, (E,), lead_l, lead_r, checkpoints)
+    return _sweep_points(sample, E, lead_l, lead_r, thermo, cps)
 
 
 def _fit(xs, ys):
@@ -172,7 +179,12 @@ def classify_transport(
     """Label an L-sweep as persistent, vanishing, or indeterminate, and say
     whether the label contradicts the transfer norms."""
     Ls = np.array(check_checkpoints([p.L for p in sweep]), dtype=float)
-    l_max = int(Ls.max())
+    return _classify(sweep, Ls, thresholds)
+
+
+def _classify(sweep, Ls: np.ndarray, thresholds: ClassificationThresholds) -> TransportClassification:
+    """`classify_transport` of a sweep whose checkpoints Ls (floats) are checked."""
+    l_max = int(Ls[-1])
     sigmas = np.array([p.sigma_density for p in sweep])
     norms = np.array([p.log_transfer_norm for p in sweep])
 
@@ -220,7 +232,7 @@ def energy_sweep(
     for E in grid:
         try:
             se = self_energies(lead_l, lead_r, E)
-            tau, residual = evaluate_point(sample.potential, E, sample.length, se)
+            tau, residual = evaluate_point(sample, E, sample.length, se)
             out.append(EnergyPoint(E, tau, *spectral_densities(E, tau, thermo), residual))
         except (DomainError, NumericalFailure) as exc:
             out.append(
@@ -239,11 +251,14 @@ def equivalence_rows(
     thresholds: ClassificationThresholds = ClassificationThresholds(),
 ) -> list:
     """Classification rows for each grid energy, on the potential pot of
-    at least checkpoints[-1] + 1 sites (see `l_sweep`)."""
+    at least checkpoints[-1] + 1 sites (see `l_sweep`). The checkpoints,
+    energies and potential are checked once, before any energy's sweep."""
+    cps, sample = _checked_sweep_inputs(pot, grid, lead_l, lead_r, checkpoints)
+    Ls = np.array(cps, dtype=float)
     rows = []
     for E in grid:
-        sweep = l_sweep(pot, E, lead_l, lead_r, thermo, checkpoints)
-        cls = classify_transport(sweep, thresholds)
+        sweep = _sweep_points(sample, E, lead_l, lead_r, thermo, cps)
+        cls = _classify(sweep, Ls, thresholds)
         rows.append(
             EquivalenceRow(
                 E, cls.label, cls.norm_slope, cls.sigma_slope, sweep[-1].sigma_density,

@@ -18,15 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure, ResonanceError
-from .fluxes import evaluate_point, integrate_fluxes, spectral_densities
-from .green import (
-    SelfEnergyPair,
-    _sample_diag,
-    _tridiag_solve_boundary,
-    coupled_green_direct,
-    is_resonant,
-)
-from .leads import SemiInfiniteLaplacian, weiss_boundary
+from .fluxes import evaluate_point, integrate_fluxes, self_energies, spectral_densities
+from .green import SelfEnergyPair, _tridiag_solve_boundary, coupled_green_direct, is_resonant
+from .leads import SemiInfiniteLaplacian
 from .model import SampleSpec, ThermoParams
 from .potentials import AndersonRandom, Periodic, Zero, generate
 from .scattering import t_matrix
@@ -73,13 +67,13 @@ def sample_green_via_transfer(T: ScaledMatrix2) -> np.ndarray:
     return np.array([[-b / a, g_lr], [g_lr, c / a]])
 
 
-def sample_green_direct(pot, E: float, L: int):
-    """Decoupled Green matrix G0_L(E) by a pivoted tridiagonal solve, and
-    the condition estimate of h_{S,L} - E that screens near-resonances.
-    Where gtsv finds the system exactly singular (a Dirichlet eigenvalue),
-    G0 is None and the estimate inf."""
+def sample_green_direct(sample: SampleSpec, E: float, L: int):
+    """Decoupled Green matrix G0_L(E) of sites 0..L of the sample by a
+    pivoted tridiagonal solve, and the condition estimate of h_{S,L} - E
+    that screens near-resonances. Where gtsv finds the system exactly
+    singular (a Dirichlet eigenvalue), G0 is None and the estimate inf."""
     try:
-        return _tridiag_solve_boundary(_sample_diag(pot, E, L))
+        return _tridiag_solve_boundary(sample, E, L)
     except NumericalFailure:
         return None, math.inf
 
@@ -128,51 +122,46 @@ def _rel_diff(A, B) -> float:
     return float(np.max(np.abs(A - B)) / scale)
 
 
-def _se(E) -> SelfEnergyPair:
-    F = weiss_boundary(LEAD, E)
-    return SelfEnergyPair(F, F)
-
-
 def check_unitarity(n_energies: int = 100, lengths=(10, 200)) -> CheckResult:
     """Unitarity residual of `evaluate_point` on an energy grid across the
     band, for each potential and length (bound 1e-10)."""
     grid = np.linspace(-2 + 1e-6, 2 - 1e-6, n_energies)
     worst = 0.0
     for spec in POTENTIALS:
-        pot = generate(spec, max(lengths))
+        sample = SampleSpec(max(lengths), generate(spec, max(lengths)))
         for L in lengths:
             for E in grid:
-                worst = max(worst, evaluate_point(pot, E, L, _se(E))[1])
+                worst = max(worst, evaluate_point(sample, E, L, self_energies(LEAD, LEAD, E))[1])
     return CheckResult("unitarity", worst < 1e-10, f"max residual {worst:.3e} (< 1e-10)", worst)
 
 
 def _random_points(seed: int, per_potential: int, max_length: int) -> list:
-    """(potential, E, L) triples: per potential, E uniform in (-1.95, 1.95)
-    and L uniform in 1..max_length, drawn in turn from default_rng(seed)."""
+    """(sample, E, L) triples: per potential, E uniform in (-1.95, 1.95) and
+    L uniform in 1..max_length, drawn in turn from default_rng(seed)."""
     rng = np.random.default_rng(seed)
     points = []
     for spec in POTENTIALS:
-        pot = generate(spec, max_length)
+        sample = SampleSpec(max_length, generate(spec, max_length))
         for _ in range(per_potential):
             E = rng.uniform(-1.95, 1.95)
-            points.append((pot, E, int(rng.integers(1, max_length + 1))))
+            points.append((sample, E, int(rng.integers(1, max_length + 1))))
     return points
 
 
 def _compare_routes(name, bound, route_a, route_b, seed, per_potential, max_length, min_kept):
     """Largest relative difference, normalised by max(|A|, |B|), between two
     routes to one Green matrix at the random points that pass condition
-    screening. Each route is called as route(pot, E, L, G0), with G0 the
-    decoupled direct solve that screened the point. A ResonanceError at a
+    screening. Each route is called as route(sample, E, L, G0), with G0
+    the decoupled direct solve that screened the point. A ResonanceError at a
     kept point fails the check, and so does keeping fewer than min_kept
     points."""
     worst, kept = 0.0, 0
-    for pot, E, L in _random_points(seed, per_potential, max_length):
-        G0, cond = sample_green_direct(pot, E, L)
+    for sample, E, L in _random_points(seed, per_potential, max_length):
+        G0, cond = sample_green_direct(sample, E, L)
         if cond > SCREEN_CONDITION:
             continue
         try:
-            worst = max(worst, _rel_diff(route_a(pot, E, L, G0), route_b(pot, E, L, G0)))
+            worst = max(worst, _rel_diff(route_a(sample, E, L, G0), route_b(sample, E, L, G0)))
         except ResonanceError as exc:
             return CheckResult(name, False, f"E={E!r}, L={L}: {exc}", math.inf)
         kept += 1
@@ -187,8 +176,8 @@ def check_decoupled_green_equivalence(
     tridiagonal solve (bound 1e-9)."""
     return _compare_routes(
         "decoupled-green-equivalence", 1e-9,
-        lambda pot, E, L, G0: sample_green_via_transfer(checkpoint_products(pot, E, [L])[0][1]),
-        lambda pot, E, L, G0: G0, seed, per_potential, max_length, min_kept,
+        lambda s, E, L, G0: sample_green_via_transfer(checkpoint_products(s.potential, E, [L])[0][1]),
+        lambda s, E, L, G0: G0, seed, per_potential, max_length, min_kept,
     )
 
 
@@ -199,8 +188,8 @@ def check_coupled_green_equivalence(
     complex tridiagonal solve (bound 1e-8)."""
     return _compare_routes(
         "coupled-green-equivalence", 1e-8,
-        lambda pot, E, L, G0: coupled_green(G0, _se(E)),
-        lambda pot, E, L, G0: coupled_green_direct(pot, E, L, _se(E)),
+        lambda s, E, L, G0: coupled_green(G0, self_energies(LEAD, LEAD, E)),
+        lambda s, E, L, G0: coupled_green_direct(s, E, L, self_energies(LEAD, LEAD, E)),
         seed, per_potential, max_length, min_kept,
     )
 
@@ -210,10 +199,10 @@ def check_graph_map(cases=((AndersonRandom(2.0, 7), 0.5, 500),)) -> CheckResult:
     transfer matrix, over (potential spec, E, L) cases (bound 1e-8)."""
     worst = 0.0
     for spec, E, L in cases:
-        pot = generate(spec, L)
-        se = _se(E)
-        G = coupled_green_direct(pot, E, L, se)
-        worst = max(worst, graph_map_check(G, checkpoint_products(pot, E, [L])[0][1], se))
+        sample = SampleSpec(L, generate(spec, L))
+        se = self_energies(LEAD, LEAD, E)
+        G = coupled_green_direct(sample, E, L, se)
+        worst = max(worst, graph_map_check(G, checkpoint_products(sample.potential, E, [L])[0][1], se))
     return CheckResult("graph-map-residual", worst < 1e-8, f"max residual {worst:.3e} (< 1e-8)", worst)
 
 
@@ -221,11 +210,11 @@ def check_worked_point() -> CheckResult:
     """The closed-form point L = 1, v = 0, E = 0, where the unit lead gives
     F = i: G = [[i, -1], [-1, i]] / 2, transmission 1 and
     S = I + t = [[0, -i], [-i, 0]] (bound 1e-12)."""
-    pot, se = np.zeros(2), _se(0.0)
-    G = coupled_green_direct(pot, 0.0, 1, se)
+    sample, se = SampleSpec(1, np.zeros(2)), self_energies(LEAD, LEAD, 0.0)
+    G = coupled_green_direct(sample, 0.0, 1, se)
     worst = max(
         float(np.max(np.abs(G - np.array([[1j, -1.0], [-1.0, 1j]]) / 2))),
-        abs(evaluate_point(pot, 0.0, 1, se)[0] - 1.0),
+        abs(evaluate_point(sample, 0.0, 1, se)[0] - 1.0),
         float(np.max(np.abs(np.eye(2) + np.array(t_matrix(G, se)) - np.array([[0.0, -1j], [-1j, 0.0]])))),
     )
     return CheckResult("worked-point", worst < 1e-12, f"max deviation {worst:.3e} (< 1e-12)", worst)
@@ -239,7 +228,7 @@ def check_density_identities(L: int = 40, n_energies: int = 100, thermos=(NONEQ,
     estimate >= 0."""
     sample = SampleSpec(L, generate(AndersonRandom(1.0, 42), L))
     grid = np.linspace(-1.9, 1.9, n_energies)
-    taus = [evaluate_point(sample.potential, E, L, _se(E))[0] for E in grid]
+    taus = [evaluate_point(sample, E, L, self_energies(LEAD, LEAD, E))[0] for E in grid]
     gap, min_sigma, min_margin = 0.0, math.inf, math.inf
     for th in thermos:
         for E, tau in zip(grid, taus):

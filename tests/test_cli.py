@@ -188,8 +188,9 @@ EXTREME = {
 def test_extreme_reservoirs_end_quickly_and_visibly(tmp_path, capsys, case):
     # A density that is not finite must not reach a CSV or the quadrature
     # unnoticed: sweep-e writes 0 where the occupations are equal and fails
-    # the energies whose density is not finite, and fluxes exits 1 naming
-    # the energy or the panel, before it spends its budget on NaN.
+    # the energies whose density is not finite, saying why, and fluxes
+    # exits 1 naming the energy or the panel, before it spends its budget
+    # on NaN, and records that failure in fluxes.json.
     thermo, quadrature = EXTREME[case]
     cfg = write_config(
         tmp_path, sample={"length": 20, "potential": {"type": "zero"}},
@@ -200,7 +201,9 @@ def test_extreme_reservoirs_end_quickly_and_visibly(tmp_path, capsys, case):
     rc, out = run_cli(tmp_path / "e", "sweep-e", cfg)
     assert time.perf_counter() - start < 2.0
     assert rc == 0
-    failed = strict_json(out / "sweep_e.json")["failed_points"]
+    payload = strict_json(out / "sweep_e.json")
+    failed, reasons = payload["failed_points"], payload["failed_reasons"]
+    assert len(reasons) == len(failed)
     with open(out / "sweep_e.csv") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 7
@@ -210,6 +213,7 @@ def test_extreme_reservoirs_end_quickly_and_visibly(tmp_path, capsys, case):
         assert [rows[0]["sigma"], rows[-1]["sigma"]] == ["0", "0"]
     else:
         assert failed == [float(row["E"]) for row in rows]
+        assert len(reasons) == 7 and all("not finite" in r for r in reasons)
     capsys.readouterr()
     start = time.perf_counter()
     rc, out = run_cli(tmp_path / "f", "fluxes", cfg)
@@ -218,7 +222,13 @@ def test_extreme_reservoirs_end_quickly_and_visibly(tmp_path, capsys, case):
     err = capsys.readouterr().err
     assert "not finite" in err and ("E=" in err or "panel" in err)
     assert "Traceback" not in err
-    assert not (out / "fluxes.json").exists()
+    payload = strict_json(out / "fluxes.json")
+    assert list(payload) == ["failure", "manifest"]
+    assert "not finite" in payload["failure"]
+    assert "E=" in payload["failure"] or "panel" in payload["failure"]
+    assert err == f"numerical failure: {payload['failure']}\n"
+    assert payload["manifest"]["command"] == "fluxes"
+    assert sorted(p.name for p in out.iterdir()) == ["fluxes.json"]
 
 
 def test_sweep_e_command_deterministic_csv(tmp_path):
@@ -393,7 +403,7 @@ OUTPUT_LAYOUTS = {
     "sweep-e": (
         {"sweep": {"e_grid": [-1.0, 0.0, 1.0]}},
         "E,transmission,phi_l,j_l,sigma,unitarity_residual",
-        ["points", "failed_points", "manifest"],
+        ["points", "failed_points", "failed_reasons", "manifest"],
     ),
     "sweep-l": (
         {"sweep": {"energy": 0.5, "l_checkpoints": SWEEP_L}},

@@ -87,7 +87,7 @@ def test_density_not_finite_raises():
 
 
 def test_evaluate_point_free_sample(lead11):
-    tau, residual = evaluate_point(np.zeros(2), 0.0, 1, self_energies(lead11, lead11, 0.0))
+    tau, residual = evaluate_point(SampleSpec(1, np.zeros(2)), 0.0, 1, self_energies(lead11, lead11, 0.0))
     assert tau == pytest.approx(1.0, abs=1e-14)
     assert residual < 1e-13
 
@@ -95,7 +95,7 @@ def test_evaluate_point_free_sample(lead11):
 def test_evaluate_point_closed_channel(lead11):
     e = np.array([-10.0, 10.0])
     closed = TabulatedLead(e, np.full(2, -0.1), np.zeros(2))
-    assert evaluate_point(np.zeros(2), 0.5, 1, self_energies(closed, closed, 0.5)) == (0.0, 0.0)
+    assert evaluate_point(SampleSpec(1, np.zeros(2)), 0.5, 1, self_energies(closed, closed, 0.5)) == (0.0, 0.0)
 
 
 def test_integration_window_margin():
@@ -123,7 +123,7 @@ def test_nonequilibrium_fluxes_against_trapezoid_oracle():
     E = np.linspace(-2 + 1e-6, 2 - 1e-6, 10_001)
     vals = np.empty((len(E), 3))
     for i, e in enumerate(E):
-        tau, _ = evaluate_point(sample.potential, e, 10, self_energies(LEAD, LEAD, e))
+        tau, _ = evaluate_point(sample, e, 10, self_energies(LEAD, LEAD, e))
         vals[i] = spectral_densities(e, tau, thermo)
     ref = np.trapezoid(vals, E, axis=0) / (2 * math.pi)
     assert res.energy_flux_l == pytest.approx(ref[0], abs=1e-6)

@@ -6,15 +6,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import lapack
 
 from ebb.errors import DomainError, NumericalFailure, ResonanceError
 from ebb.green import (
     SelfEnergyPair,
-    _off_diagonal,
     _tridiag_solve_boundary,
     coupled_green_direct,
 )
 from ebb.leads import weiss_boundary
+from ebb.model import SampleSpec
 from ebb.potentials import AndersonRandom, generate
 from ebb.transfer import checkpoint_products
 from ebb.validate import (
@@ -37,7 +38,7 @@ def test_self_energy_pair_sign_check():
 
 def test_decoupled_worked_example():
     # L = 1, v = 0, E = 0: h - E = [[0, -1], [-1, 0]], G0 = [[0, -1], [-1, 0]].
-    G0, _ = sample_green_direct(np.zeros(2), 0.0, 1)
+    G0, _ = sample_green_direct(SampleSpec(1, np.zeros(2)), 0.0, 1)
     np.testing.assert_allclose(G0, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-15)
     ((_, T),) = checkpoint_products(np.zeros(2), 0.0, [1])
     np.testing.assert_allclose(sample_green_via_transfer(T), G0, atol=1e-15)
@@ -48,7 +49,7 @@ def test_decoupled_routes_agree_and_match_dense_oracle():
     for L in (1, 7, 40):
         pot = rng.uniform(-1.2, 1.2, L + 1)
         E = 0.37
-        direct, _ = sample_green_direct(pot, E, L)
+        direct, _ = sample_green_direct(SampleSpec(L, pot), E, L)
         ((_, T),) = checkpoint_products(pot, E, [L])
         via = sample_green_via_transfer(T)
         np.testing.assert_allclose(via, direct, atol=1e-10)
@@ -58,30 +59,31 @@ def test_decoupled_routes_agree_and_match_dense_oracle():
 
 def test_decoupled_symmetry():
     pot = generate(AndersonRandom(1.0, 21), 60)
-    G0, _ = sample_green_direct(pot, -0.4, 60)
+    G0, _ = sample_green_direct(SampleSpec(60, pot), -0.4, 60)
     assert G0[0, 1] == pytest.approx(G0[1, 0], abs=1e-14)
 
 
 def test_resonance_detection_both_routes():
     # v = 0, L = 1, E = 1 is an exact Dirichlet eigenvalue: the direct
     # route reports an infinite condition estimate, the transfer route raises.
-    assert sample_green_direct(np.zeros(2), 1.0, 1) == (None, math.inf)
+    assert sample_green_direct(SampleSpec(1, np.zeros(2)), 1.0, 1) == (None, math.inf)
     ((_, T),) = checkpoint_products(np.zeros(2), 1.0, [1])
     with pytest.raises(ResonanceError):
         sample_green_via_transfer(T)
 
 
 def test_short_potential_rejected():
+    short = SampleSpec(2, np.zeros(3))
     with pytest.raises(ValueError, match="need 11"):
-        sample_green_direct(np.zeros(3), 0.3, 10)
+        sample_green_direct(short, 0.3, 10)
     with pytest.raises(ValueError, match="need 11"):
-        coupled_green_direct(np.zeros(3), 0.3, 10, SelfEnergyPair(1j, 1j))
+        coupled_green_direct(short, 0.3, 10, SelfEnergyPair(1j, 1j))
 
 
 def test_condition_estimate_blows_up_at_resonance():
-    pot = np.zeros(2)
-    _, near = sample_green_direct(pot, 1.0 + 1e-9, 1)
-    _, far = sample_green_direct(pot, 0.3, 1)
+    sample = SampleSpec(1, np.zeros(2))
+    _, near = sample_green_direct(sample, 1.0 + 1e-9, 1)
+    _, far = sample_green_direct(sample, 0.3, 1)
     assert near > 1e7 * far
 
 
@@ -105,8 +107,8 @@ def test_coupled_routes_agree_and_match_dense_oracle(lead11):
         pot = rng.uniform(-1, 1, L + 1)
         E = -0.6
         se = _se(lead11, E)
-        direct = coupled_green_direct(pot, E, L, se)
-        via = coupled_green(sample_green_direct(pot, E, L)[0], se)
+        direct = coupled_green_direct(SampleSpec(L, pot), E, L, se)
+        via = coupled_green(sample_green_direct(SampleSpec(L, pot), E, L)[0], se)
         np.testing.assert_allclose(via, direct, atol=1e-10)
         ref = dense_green(pot, E, L, se.F_l, se.F_r)
         np.testing.assert_allclose(direct, ref, atol=1e-10)
@@ -116,14 +118,14 @@ def test_coupled_direct_survives_dirichlet_resonance(lead11):
     # E = 1 is a Dirichlet eigenvalue of the decoupled L = 1 sample, but
     # the coupled system stays invertible because Im F > 0.
     se = _se(lead11, 1.0)
-    G = coupled_green_direct(np.zeros(2), 1.0, 1, se)
+    G = coupled_green_direct(SampleSpec(1, np.zeros(2)), 1.0, 1, se)
     ref = dense_green(np.zeros(2), 1.0, 1, se.F_l, se.F_r)
     np.testing.assert_allclose(G, ref, atol=1e-12)
 
 
 def test_coupled_direct_requires_open_channel():
     with pytest.raises(DomainError):
-        coupled_green_direct(np.zeros(2), 0.0, 1, SelfEnergyPair(0.5 + 0j, -0.5 + 0j))
+        coupled_green_direct(SampleSpec(1, np.zeros(2)), 0.0, 1, SelfEnergyPair(0.5 + 0j, -0.5 + 0j))
 
 
 def test_coupled_green_singular_junction_rejected():
@@ -145,7 +147,7 @@ def test_graph_map_residual_small():
 def test_graph_map_detects_wrong_green(lead11):
     pot = generate(AndersonRandom(1.0, 8), 30)
     se = _se(lead11, 0.5)
-    G = coupled_green_direct(pot, 0.5, 30, se)
+    G = coupled_green_direct(SampleSpec(30, pot), 0.5, 30, se)
     ((_, T),) = checkpoint_products(pot, 0.5, [30])
     assert graph_map_check(G + 0.01, T, se) > 1e-4
 
@@ -171,7 +173,7 @@ def test_condition_estimate_at_most_twice_kappa_inf(seed, L, max_exponent, coupl
     A = np.diag(t - np.array([F_l] + [0j] * (L - 1) + [F_r]))
     A += np.diag(np.full(L, -1.0), 1) + np.diag(np.full(L, -1.0), -1)
     try:
-        _, cond = _tridiag_solve_boundary(t, F_l, F_r)
+        _, cond = _tridiag_solve_boundary(SampleSpec(L, t), 0.0, L, F_l, F_r)
     except NumericalFailure:
         return  # exactly singular for gtsv: nothing to estimate
     assert cond <= 2.0 * np.linalg.cond(A, np.inf) * (1.0 + 1e-12)
@@ -182,24 +184,89 @@ def test_strong_barrier_is_well_conditioned(lead11):
     # solve must not be rejected as ill-conditioned.
     L, E = 1280, 0.5
     se = _se(lead11, E)
-    G = coupled_green_direct(np.full(L + 1, 1e300), E, L, se)
+    barrier = SampleSpec(L, np.full(L + 1, 1e300))
+    G = coupled_green_direct(barrier, E, L, se)
     assert abs(G[0, 0]) == pytest.approx(1e-300, rel=1e-12)
-    _, cond = _tridiag_solve_boundary(np.full(L + 1, 1e300) - E, se.F_l, se.F_r)
+    _, cond = _tridiag_solve_boundary(barrier, E, L, se.F_l, se.F_r)
     assert 1.0 <= cond <= 2.0
 
 
 def test_cached_off_diagonal_is_never_written():
-    # Every solve at one L passes zgtsv the same cached -1 off-diagonal.
-    # zgtsv must copy it: f2py writes into an array passed with leave to
-    # overwrite even when the array is read-only, so no flag would guard it.
+    # Every solve on a sample, at its length or a prefix, passes zgtsv the
+    # sample's one -1 off-diagonal. zgtsv must copy it: f2py writes into an
+    # array passed with leave to overwrite even when the array is read-only,
+    # so no flag would guard it.
     rng = np.random.default_rng(11)
     F_l, F_r = 0.3 + 1.0j, -0.2 + 0.5j
-    lengths = (1, 2, 7, 50, 7, 2, 1, 50)
-    for L in lengths:
-        t = rng.normal(size=L + 1)
-        G, _ = _tridiag_solve_boundary(t, F_l, F_r)
+    t = rng.normal(size=51)
+    sample = SampleSpec(50, t)
+    for L in (1, 2, 7, 50, 7, 2, 1, 50):
+        G, _ = _tridiag_solve_boundary(sample, 0.0, L, F_l, F_r)
         np.testing.assert_allclose(G, dense_green(t, 0.0, L, F_l, F_r), rtol=1e-12, atol=1e-14)
-    for L in set(lengths):
-        off = _off_diagonal(L)
-        assert off.shape == (L,) and off.dtype == complex
-        assert np.all(off == -1.0)
+    off = sample.off_diagonal
+    assert off.shape == (50,) and off.dtype == complex
+    assert np.all(off == -1.0)
+
+
+def _solve_as_before(t, F_l, F_r):
+    """The boundary solve on the real diagonal t = v - E as it was written
+    before the sample carried its extremes and off-diagonal: (info, G, cond)."""
+    L = len(t) - 1
+    diag = t.astype(complex)
+    diag[0] -= F_l
+    diag[L] -= F_r
+    d0, dL = diag[::L].tolist()
+    off = np.full(L, -1.0, dtype=complex)
+    b = np.zeros((L + 1, 2), dtype=complex, order="F")
+    b[0, 0] = b[L, 1] = 1.0
+    _, _, _, x, info = lapack.zgtsv(off, diag, off, b, overwrite_d=1, overwrite_b=1)
+    anorm = max(abs(d0), abs(dL), float(np.abs(t[1:L]).max(initial=0.0))) + 2.0
+    return info, x[::L], anorm * float(np.abs(x).max())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    L=st.sampled_from([*range(1, 41), 200, 2000]),
+    extra=st.integers(0, 3),
+    max_exponent=st.floats(-2.0, 300.0),
+    E=st.floats(-3.0, 3.0),
+    closed=st.sampled_from([None, "l", "r"]),
+)
+def test_lean_solve_keeps_the_bits(lead11, seed, L, extra, max_exponent, E, closed):
+    # The solve on a prefix of a validated sample gives the same bytes of G
+    # and the same condition estimate as the per-call formula it replaced,
+    # for potentials up to about 1e300, E inside and outside the band, and
+    # either lead closed (Im F = 0).
+    rng = np.random.default_rng(seed)
+    n = L + extra
+    pot = rng.normal(size=n + 1) * 10.0 ** rng.uniform(-2.0, max_exponent, size=n + 1)
+    F = weiss_boundary(lead11, E)
+    F_l = complex(F.real, 0.0) if closed == "l" else F
+    F_r = complex(F.real, 0.0) if closed == "r" else F
+    info, G_ref, cond_ref = _solve_as_before(pot[: L + 1] - E, F_l, F_r)
+    if info != 0:
+        with pytest.raises(NumericalFailure):
+            _tridiag_solve_boundary(SampleSpec(n, pot), E, L, F_l, F_r)
+        return
+    G, cond = _tridiag_solve_boundary(SampleSpec(n, pot), E, L, F_l, F_r)
+    assert G.tobytes() == G_ref.tobytes()
+    assert cond == cond_ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 60),
+    max_exponent=st.floats(-2.0, 300.0),
+    E=st.floats(-3.0, 3.0),
+)
+def test_interior_deviation_is_the_elementwise_maximum(seed, n, max_exponent, E):
+    # The O(1) interior row norm equals max |v_i - E| over 1 <= i < L, taken
+    # elementwise, at every prefix length L of the sample, L = 1 and 2 included.
+    rng = np.random.default_rng(seed)
+    pot = rng.normal(size=n + 1) * 10.0 ** rng.uniform(-2.0, max_exponent, size=n + 1)
+    sample = SampleSpec(n, pot)
+    for L in range(1, n + 1):
+        expected = float(np.abs(pot[1:L] - E).max(initial=0.0))
+        assert sample.interior_deviation(E, L) == expected

@@ -10,6 +10,7 @@ from scipy.stats import linregress
 import ebb
 import ebb.fluxes
 import ebb.green
+import ebb.scan
 import ebb.transfer
 from ebb.errors import ConfigError, DomainError
 from ebb.green import RESONANCE_RELATIVE_CUTOFF
@@ -184,6 +185,24 @@ def test_equivalence_report_clean_split(lead11):
 
     disordered = equivalence_rows(DISORDERED, grid, CHECKPOINTS, lead11, lead11, THERMO)
     assert all(r.label == "vanishing" and not r.contradiction for r in disordered)
+
+
+def test_equivalence_rows_check_once_per_command(lead11, monkeypatch):
+    # The checkpoint rule and the band intersection depend only on the
+    # command's inputs: one check of each, whatever the number of energies.
+    calls = {"check_checkpoints": 0, "sigma_intersection": 0}
+    for name in calls:
+        inner = getattr(ebb.scan, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(ebb.scan, name, counted)
+    grid = np.linspace(-1.2, 1.5, 5)
+    rows = equivalence_rows(FREE, grid, CHECKPOINTS, lead11, lead11, THERMO)
+    assert len(rows) == len(grid)
+    assert calls == {"check_checkpoints": 1, "sigma_intersection": 1}
 
 
 def test_periodic_band_energy_is_persistent(lead11):
