@@ -68,7 +68,7 @@ def _sample(run: RunConfig, L: int) -> SampleSpec:
     A potential that cannot supply it (a file unreadable, unparsable or too
     short, a non-finite value) is a configuration error under `sample`."""
     try:
-        return SampleSpec(L, generate(run.potential_spec, L))
+        return SampleSpec(generate(run.potential_spec, L))
     except (ValueError, OSError) as exc:
         raise ConfigError(f"sample: {exc}") from None
 
@@ -121,9 +121,7 @@ def cmd_sweep_e(run: RunConfig):
 def cmd_sweep_l(run: RunConfig):
     (energy,) = _energies(run, "energy")
     cps = run.sweep.l_checkpoints
-    points = scan.l_sweep(
-        _sample(run, cps[-1]).potential, energy, run.lead_l, run.lead_r, run.thermo, cps
-    )
+    points = scan.l_sweep(_sample(run, cps[-1]), energy, run.lead_l, run.lead_r, run.thermo, cps)
     cls = scan.classify_transport(points, run.sweep.thresholds)
     summary = {
         "classification": cls.label,
@@ -141,7 +139,7 @@ def cmd_equivalence(run: RunConfig):
     energies = _energies(run, "e_grid")
     cps = run.sweep.l_checkpoints
     rows = scan.equivalence_rows(
-        _sample(run, cps[-1]).potential, energies, cps,
+        _sample(run, cps[-1]), energies, cps,
         run.lead_l, run.lead_r, run.thermo, run.sweep.thresholds,
     )
     summary = {
@@ -249,7 +247,10 @@ def main(argv=None) -> int:
         parser.error(f"{args.command} requires --config")
     try:
         run = parse_config(args.config, seed_override=args.seed_override) if reads_config else None
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from None
         try:
             summary, rows, max_residual, failure = _COMMANDS[args.command](run)
         except NumericalFailure as exc:

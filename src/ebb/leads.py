@@ -53,18 +53,16 @@ class SemiInfiniteLaplacian:
         return EnergyWindow(((-2.0 * k, 2.0 * k),))
 
 
-@dataclass(frozen=True)
 class TabulatedLead:
-    """F(E+i0) sampled on a grid, interpolated linearly in Re and Im."""
+    """F(E+i0) sampled on a grid, interpolated linearly in Re and Im. Not
+    modified after construction."""
 
-    energies: np.ndarray
-    re_f: np.ndarray
-    im_f: np.ndarray
+    __slots__ = ("energies", "re_f", "im_f")
 
-    def __post_init__(self):
-        e = np.asarray(self.energies, dtype=float)
-        re = np.asarray(self.re_f, dtype=float)
-        im = np.asarray(self.im_f, dtype=float)
+    def __init__(self, energies, re_f, im_f):
+        e = np.asarray(energies, dtype=float)
+        re = np.asarray(re_f, dtype=float)
+        im = np.asarray(im_f, dtype=float)
         if not (len(e) == len(re) == len(im)) or len(e) < 2:
             raise ConfigError("lead table: need >= 2 rows of equal length columns")
         if not np.all(np.isfinite((e, re, im))):
@@ -74,10 +72,7 @@ class TabulatedLead:
         if np.any(im < -1e-12):
             raise ConfigError("lead table: Im F must be >= 0")
         # Herglotz sign constraint: tiny negative entries are rounding.
-        im = np.maximum(im, 0.0)
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(self, "re_f", re)
-        object.__setattr__(self, "im_f", im)
+        self.energies, self.re_f, self.im_f = e, re, np.maximum(im, 0.0)
 
     @classmethod
     def from_csv(cls, path: str) -> "TabulatedLead":

@@ -46,34 +46,33 @@ def check_length(L: int, key: str = "length") -> None:
         raise ConfigError(f"{key}: must be in [1, {MAX_LENGTH}], got {L}")
 
 
-@dataclass(frozen=True)
 class SampleSpec:
     """A finite sample on sites 0..L with on-site potential values.
 
     The left junction attaches at site 0 and the right junction at site L,
-    so L >= 1 is required (a single shared coupling site is degenerate).
-    Validated once at construction; a solve on the sample or on a prefix
-    of it (sites 0..L' for L' <= L) reads the potential as given.
+    so L = len(potential) - 1 >= 1 is required (a single shared coupling
+    site is degenerate). Validated once at construction; a solve on the
+    sample or on a prefix of it (sites 0..L' for L' <= L) reads the
+    potential as given. Not modified after construction.
     """
 
-    length: int
-    potential: np.ndarray
+    __slots__ = ("potential", "length", "off_diagonal", "interior_max", "interior_min")
 
-    def __post_init__(self):
-        check_length(self.length)
-        pot = np.asarray(self.potential, dtype=float)
-        if pot.shape != (self.length + 1,):
-            raise ConfigError(f"potential: expected {self.length + 1} entries, got {pot.shape}")
+    def __init__(self, potential):
+        pot = np.asarray(potential, dtype=float)
+        if pot.ndim != 1:
+            raise ConfigError(f"potential: expected a 1-D array, got shape {pot.shape}")
+        check_length(len(pot) - 1)
         if not np.all(np.isfinite(pot)):
             raise ConfigError("potential: entries must be finite")
-        object.__setattr__(self, "potential", pot)
+        self.potential, self.length = pot, len(pot) - 1
         # The -1 hopping between sites as the complex off-diagonal of the
         # Green solve (see `green._tridiag_solve_boundary`).
-        object.__setattr__(self, "off_diagonal", np.full(self.length, -1.0, dtype=complex))
+        self.off_diagonal = np.full(self.length, -1.0, dtype=complex)
         # Entry k of interior_max (interior_min) is the max (min) of the
         # interior potential v_1..v_{k+1}; see `interior_deviation`.
-        object.__setattr__(self, "interior_max", np.maximum.accumulate(pot[1:-1]))
-        object.__setattr__(self, "interior_min", np.minimum.accumulate(pot[1:-1]))
+        self.interior_max = np.maximum.accumulate(pot[1:-1])
+        self.interior_min = np.minimum.accumulate(pot[1:-1])
 
     def interior_deviation(self, E: float, L: int) -> float:
         """max |v_i - E| over the interior sites 1 <= i < L (0.0 for L = 1)

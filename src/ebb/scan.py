@@ -105,22 +105,23 @@ def check_checkpoints(checkpoints: Sequence[int]) -> list:
     return cps
 
 
-def _checked_sweep_inputs(pot, energies, lead_l: LeadModel, lead_r: LeadModel, checkpoints):
-    """The checkpoints as a list and the sample on sites 0..checkpoints[-1],
-    after the checks of L-sweeps at the given energies (see `l_sweep`)."""
+def _checked_sweep_inputs(energies, lead_l: LeadModel, lead_r: LeadModel, checkpoints) -> list:
+    """The checkpoints as a list, after the checks of L-sweeps at the given
+    energies (see `l_sweep`)."""
     cps = check_checkpoints(checkpoints)
     window = sigma_intersection(lead_l, lead_r)
     for E in energies:
         if not window.contains(E):
             raise DomainError(f"E={E} is outside the band intersection; sigma vanishes trivially")
-    return cps, SampleSpec(cps[-1], pot[: cps[-1] + 1])
+    return cps
 
 
-def _sweep_points(sample: SampleSpec, E, lead_l, lead_r, thermo: ThermoParams, cps: list) -> list:
-    """The L-sweep of a checked sample at a checked energy (see `l_sweep`)."""
+def _sweep_points(sample: SampleSpec, pot, E, lead_l, lead_r, thermo: ThermoParams, cps: list) -> list:
+    """The L-sweep of a sample at a checked energy (see `l_sweep`); pot is
+    the sample's potential on sites 0..cps[-1]."""
     se = self_energies(lead_l, lead_r, E)
     points = []
-    for L, T in checkpoint_products(sample.potential, E, cps):
+    for L, T in checkpoint_products(pot, E, cps):
         tau, residual = evaluate_point(sample, E, L, se)
         _, _, sigma = spectral_densities(E, tau, thermo)
         if sigma > _sigma_envelope(E, tau, thermo):
@@ -130,7 +131,7 @@ def _sweep_points(sample: SampleSpec, E, lead_l, lead_r, thermo: ThermoParams, c
 
 
 def l_sweep(
-    pot: np.ndarray,
+    sample: SampleSpec,
     E: float,
     lead_l: LeadModel,
     lead_r: LeadModel,
@@ -139,14 +140,15 @@ def l_sweep(
 ) -> list:
     """Entropy density, transmission, and transfer norm at each checkpoint.
 
-    pot holds the potential on at least checkpoints[-1] + 1 sites, checked
-    once; the sample at checkpoint L is its first L + 1 entries (prefix
-    stability). The transfer norms come from a single scaled product pass;
-    the Green-function pipeline runs independently per checkpoint, with the
-    self-energies of E built once.
+    The sample at checkpoint L is sites 0..L of the sample (prefix
+    stability); a checkpoint past sample.length raises ValueError before
+    any solve. The transfer norms come from a single scaled product pass
+    over sites 0..checkpoints[-1]; the Green-function pipeline runs
+    independently per checkpoint, with the self-energies of E built once.
     """
-    cps, sample = _checked_sweep_inputs(pot, (E,), lead_l, lead_r, checkpoints)
-    return _sweep_points(sample, E, lead_l, lead_r, thermo, cps)
+    cps = _checked_sweep_inputs((E,), lead_l, lead_r, checkpoints)
+    pot = sample.potential[: cps[-1] + 1]
+    return _sweep_points(sample, pot, E, lead_l, lead_r, thermo, cps)
 
 
 def _fit(xs, ys):
@@ -242,7 +244,7 @@ def energy_sweep(
 
 
 def equivalence_rows(
-    pot: np.ndarray,
+    sample: SampleSpec,
     grid: Sequence[float],
     checkpoints: Sequence[int],
     lead_l: LeadModel,
@@ -250,14 +252,15 @@ def equivalence_rows(
     thermo: ThermoParams,
     thresholds: ClassificationThresholds = ClassificationThresholds(),
 ) -> list:
-    """Classification rows for each grid energy, on the potential pot of
-    at least checkpoints[-1] + 1 sites (see `l_sweep`). The checkpoints,
-    energies and potential are checked once, before any energy's sweep."""
-    cps, sample = _checked_sweep_inputs(pot, grid, lead_l, lead_r, checkpoints)
+    """Classification rows for each grid energy, on sites 0..L of the sample
+    at each checkpoint L (see `l_sweep`). The checkpoints and energies are
+    checked once, before any energy's sweep."""
+    cps = _checked_sweep_inputs(grid, lead_l, lead_r, checkpoints)
+    pot = sample.potential[: cps[-1] + 1]
     Ls = np.array(cps, dtype=float)
     rows = []
     for E in grid:
-        sweep = _sweep_points(sample, E, lead_l, lead_r, thermo, cps)
+        sweep = _sweep_points(sample, pot, E, lead_l, lead_r, thermo, cps)
         cls = _classify(sweep, Ls, thresholds)
         rows.append(
             EquivalenceRow(

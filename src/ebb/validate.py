@@ -128,7 +128,7 @@ def check_unitarity(n_energies: int = 100, lengths=(10, 200)) -> CheckResult:
     grid = np.linspace(-2 + 1e-6, 2 - 1e-6, n_energies)
     worst = 0.0
     for spec in POTENTIALS:
-        sample = SampleSpec(max(lengths), generate(spec, max(lengths)))
+        sample = SampleSpec(generate(spec, max(lengths)))
         for L in lengths:
             for E in grid:
                 worst = max(worst, evaluate_point(sample, E, L, self_energies(LEAD, LEAD, E))[1])
@@ -141,7 +141,7 @@ def _random_points(seed: int, per_potential: int, max_length: int) -> list:
     rng = np.random.default_rng(seed)
     points = []
     for spec in POTENTIALS:
-        sample = SampleSpec(max_length, generate(spec, max_length))
+        sample = SampleSpec(generate(spec, max_length))
         for _ in range(per_potential):
             E = rng.uniform(-1.95, 1.95)
             points.append((sample, E, int(rng.integers(1, max_length + 1))))
@@ -199,7 +199,7 @@ def check_graph_map(cases=((AndersonRandom(2.0, 7), 0.5, 500),)) -> CheckResult:
     transfer matrix, over (potential spec, E, L) cases (bound 1e-8)."""
     worst = 0.0
     for spec, E, L in cases:
-        sample = SampleSpec(L, generate(spec, L))
+        sample = SampleSpec(generate(spec, L))
         se = self_energies(LEAD, LEAD, E)
         G = coupled_green_direct(sample, E, L, se)
         worst = max(worst, graph_map_check(G, checkpoint_products(sample.potential, E, [L])[0][1], se))
@@ -210,7 +210,7 @@ def check_worked_point() -> CheckResult:
     """The closed-form point L = 1, v = 0, E = 0, where the unit lead gives
     F = i: G = [[i, -1], [-1, i]] / 2, transmission 1 and
     S = I + t = [[0, -i], [-i, 0]] (bound 1e-12)."""
-    sample, se = SampleSpec(1, np.zeros(2)), self_energies(LEAD, LEAD, 0.0)
+    sample, se = SampleSpec(np.zeros(2)), self_energies(LEAD, LEAD, 0.0)
     G = coupled_green_direct(sample, 0.0, 1, se)
     worst = max(
         float(np.max(np.abs(G - np.array([[1j, -1.0], [-1.0, 1j]]) / 2))),
@@ -226,7 +226,7 @@ def check_density_identities(L: int = 40, n_energies: int = 100, thermos=(NONEQ,
     - beta_r (phi_r - mu_r j_r) at n_energies band energies (gap bound
     1e-12), and the integrated second law, entropy flux plus its error
     estimate >= 0."""
-    sample = SampleSpec(L, generate(AndersonRandom(1.0, 42), L))
+    sample = SampleSpec(generate(AndersonRandom(1.0, 42), L))
     grid = np.linspace(-1.9, 1.9, n_energies)
     taus = [evaluate_point(sample, E, L, self_energies(LEAD, LEAD, E))[0] for E in grid]
     gap, min_sigma, min_margin = 0.0, math.inf, math.inf
@@ -252,7 +252,7 @@ def check_equilibrium_null(
     potentials, over (potential spec, L, thermo) cases (bound 1e-12)."""
     worst = 0.0
     for spec, L, thermo in cases:
-        sample = SampleSpec(L, generate(spec, L))
+        sample = SampleSpec(generate(spec, L))
         res = integrate_fluxes(sample, LEAD, LEAD, thermo)
         worst = max(worst, abs(res.energy_flux_l), abs(res.charge_flux_l), abs(res.entropy_flux))
     return CheckResult("equilibrium-null", worst < 1e-12, f"max flux {worst:.3e} (< 1e-12)", worst)

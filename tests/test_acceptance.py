@@ -82,7 +82,7 @@ def test_08_weiss_vs_truncated_lead():
 
 
 def test_09a_dichotomy_persistent_free():
-    points = l_sweep(generate(Zero(), CHECKPOINTS[-1]), 0.5, LEAD, LEAD, NONEQ, CHECKPOINTS)
+    points = l_sweep(SampleSpec(generate(Zero(), CHECKPOINTS[-1])), 0.5, LEAD, LEAD, NONEQ, CHECKPOINTS)
     sigmas = np.array([p.sigma_density for p in points])
     norms = [p.log_transfer_norm for p in points]
     cls = classify_transport(points)
@@ -96,8 +96,8 @@ def test_09a_dichotomy_persistent_free():
 
 
 def test_09b_dichotomy_vanishing_disordered():
-    pot = generate(AndersonRandom(2.0, 7), CHECKPOINTS[-1])
-    points = l_sweep(pot, 0.5, LEAD, LEAD, NONEQ, CHECKPOINTS)
+    sample = SampleSpec(generate(AndersonRandom(2.0, 7), CHECKPOINTS[-1]))
+    points = l_sweep(sample, 0.5, LEAD, LEAD, NONEQ, CHECKPOINTS)
     cls = classify_transport(points)
     sigma_decays = cls.underflowed or cls.sigma_slope < 0.0
     ok = (
@@ -116,15 +116,15 @@ def test_09c_dichotomy_equivalence_reports():
     grid = np.linspace(-1.9, 1.9, 100)
     total = 0
     for spec in (Zero(), AndersonRandom(2.0, 7)):
-        pot = generate(spec, CHECKPOINTS[-1])
-        rows = equivalence_rows(pot, grid, CHECKPOINTS, LEAD, LEAD, NONEQ)
+        sample = SampleSpec(generate(spec, CHECKPOINTS[-1]))
+        rows = equivalence_rows(sample, grid, CHECKPOINTS, LEAD, LEAD, NONEQ)
         total += sum(r.contradiction for r in rows)
     report(9, total == 0, f"(c) contradictions over 2x100 energies: {total}")
 
 
 def test_10_periodic_band_gap_split():
     # Trace of the transfer matrix across one period of the [3, 0] cell.
-    pot = generate(Periodic((3.0, 0.0)), CHECKPOINTS[-1])
+    sample = SampleSpec(generate(Periodic((3.0, 0.0)), CHECKPOINTS[-1]))
     thresholds = ClassificationThresholds(persistent_floor=0.1)
     mismatches = []
     checked = 0
@@ -134,7 +134,7 @@ def test_10_periodic_band_gap_split():
         if 2.0 <= tr <= 2.2:
             continue  # boundary band excluded
         expected = "persistent" if tr < 2.0 else "vanishing"
-        (row,) = equivalence_rows(pot, [E], CHECKPOINTS, LEAD, LEAD, NONEQ, thresholds)
+        (row,) = equivalence_rows(sample, [E], CHECKPOINTS, LEAD, LEAD, NONEQ, thresholds)
         checked += 1
         if row.label != expected:
             mismatches.append((E, tr, row.label, expected))
@@ -182,7 +182,7 @@ def test_11_transfer_engine_invariants():
 def test_12_quadrature_refinement():
     worst_ratio = 0.0
     for L in (10, 100):
-        sample = SampleSpec(L, np.zeros(L + 1))
+        sample = SampleSpec(np.zeros(L + 1))
         base = integrate_fluxes(sample, LEAD, LEAD, NONEQ, QuadratureParams(tolerance=1e-8))
         fine = integrate_fluxes(sample, LEAD, LEAD, NONEQ, QuadratureParams(tolerance=5e-9))
         err = max(base.quadrature_error_estimate, 1e-15)

@@ -1,21 +1,26 @@
-"""The names the benchmark's tracer wraps, and the arguments it counts.
+"""The names the benchmark's tracer wraps, the arguments it counts, and
+the harness's own tests.
 
 perfbench/spans.py wraps each function of its LAYERS table and reads work
 counts from named arguments. A function it cannot find is reported absent
 and its coverage check skipped, so a rename would void the per-call gate
 without failing anything. These tests read that table, and change nothing
-in the harness.
+in the harness. perfbench/tests runs the harness end to end on tiny
+workloads, with its correctness gate; it runs here in a subprocess, so a
+program change that breaks the harness fails the suite.
 """
 
 import importlib
 import importlib.util
 import inspect
 import os
+import subprocess
+import sys
 
 import pytest
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "perfbench", "spans.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPANS = os.path.join(ROOT, "perfbench", "spans.py")
 # The arguments the tracer's counters read, by span name.
 COUNTED = {
     "green.coupled_green_direct": "L",
@@ -45,3 +50,11 @@ def test_counted_argument_exists(span):
     module, attr = LAYERS[span]
     fn = getattr(importlib.import_module(module), attr)
     assert COUNTED[span] in inspect.signature(fn).parameters
+
+
+def test_perfbench_own_tests_pass():
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "perfbench/tests", "-q", "-p", "no:cacheprovider"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]

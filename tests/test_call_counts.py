@@ -43,7 +43,7 @@ def calls(monkeypatch):
 def test_integrate_fluxes_calls_evaluate_point_once_per_evaluation(calls, lead11):
     pot = generate(AlmostMathieu(0.5, 0.6180339887498949, 0.0), 30)
     result = integrate_fluxes(
-        SampleSpec(30, pot), lead11, lead11, THERMO, QuadratureParams(tolerance=1e-8)
+        SampleSpec(pot), lead11, lead11, THERMO, QuadratureParams(tolerance=1e-8)
     )
     assert result.evaluations > 15 * 31  # the quadrature subdivided
     assert calls["fluxes.evaluate_point"] == result.evaluations
@@ -53,7 +53,7 @@ def test_integrate_fluxes_calls_evaluate_point_once_per_evaluation(calls, lead11
 def test_energy_sweep_calls_evaluate_point_once_per_energy(calls, lead11):
     grid = np.linspace(-1.9, 1.9, 23)
     pot = generate(AndersonRandom(1.0, 4), 40)
-    energy_sweep(SampleSpec(40, pot), lead11, lead11, THERMO, grid)
+    energy_sweep(SampleSpec(pot), lead11, lead11, THERMO, grid)
     assert calls["scan.evaluate_point"] == len(grid)
     assert calls["fluxes.coupled_green_direct"] == len(grid)
 
@@ -61,7 +61,7 @@ def test_energy_sweep_calls_evaluate_point_once_per_energy(calls, lead11):
 def test_equivalence_rows_call_counts(calls, lead11):
     grid = np.linspace(-1.9, 1.9, 7)
     pot = generate(Periodic((1.0, 0.0)), CHECKPOINTS[-1])
-    equivalence_rows(pot, grid, CHECKPOINTS, lead11, lead11, THERMO)
+    equivalence_rows(SampleSpec(pot), grid, CHECKPOINTS, lead11, lead11, THERMO)
     assert calls["scan.checkpoint_products"] == len(grid)
     assert calls["scan.evaluate_point"] == len(CHECKPOINTS) * len(grid)
     assert calls["fluxes.coupled_green_direct"] == len(CHECKPOINTS) * len(grid)

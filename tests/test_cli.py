@@ -14,6 +14,7 @@ from ebb import cli
 from ebb.cli import main
 from ebb.config import MAX_POINTS, geometric_checkpoints, parse_config
 from ebb.errors import ConfigError
+from ebb.model import SampleSpec
 from ebb.potentials import AndersonRandom, Periodic, Zero, generate
 from ebb.scan import EnergyPoint, EquivalenceRow, LSweepPoint, l_sweep
 
@@ -273,7 +274,7 @@ def test_sweep_l_command(tmp_path):
     assert payload["classification"] == "persistent"
     assert payload["l_max"] == 251
     run = parse_config(cfg)
-    points = l_sweep(generate(Zero(), SWEEP_L[-1]), 0.5, run.lead_l, run.lead_r, run.thermo, SWEEP_L)
+    points = l_sweep(SampleSpec(generate(Zero(), SWEEP_L[-1])), 0.5, run.lead_l, run.lead_r, run.thermo, SWEEP_L)
     residual = max(p.unitarity_residual for p in points)
     assert payload["manifest"]["max_unitarity_residual"] == residual > 0.0
 
@@ -376,6 +377,41 @@ def test_equivalence_generates_potential_once(tmp_path, monkeypatch):
     assert rc == 0
     assert len((out / "equivalence.csv").read_text().splitlines()) == 6
     assert len(reads) == 1
+
+
+@pytest.mark.parametrize("command", ["sweep-l", "equivalence"])
+def test_l_sweep_commands_build_one_sample(tmp_path, monkeypatch, command):
+    # The command's one validated sample is the one every layer solves on.
+    builds, init = [], SampleSpec.__init__
+
+    def counting_init(self, potential):
+        builds.append(len(potential))
+        init(self, potential)
+
+    monkeypatch.setattr(SampleSpec, "__init__", counting_init)
+    sweep = {"energy": 0.5} if command == "sweep-l" else {"e_grid": [-0.5, 0.5]}
+    cfg = write_config(tmp_path, extra={"sweep": {**sweep, "l_checkpoints": SWEEP_L}})
+    rc, _ = run_cli(tmp_path, command, cfg)
+    assert rc == 0
+    assert builds == [SWEEP_L[-1] + 1]
+
+
+@pytest.mark.parametrize("command", ["sweep-e", "validate"])
+@pytest.mark.parametrize("under", [False, True])
+def test_unusable_out_exits_2(tmp_path, capsys, command, under):
+    # --out naming a file, or a path under one, is a configuration error:
+    # exit 2 before anything is computed, with no traceback.
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = str(afile / "sub" if under else afile)
+    args = [command, "--out", out]
+    if command != "validate":
+        args += ["--config", write_config(tmp_path, extra={"sweep": {"e_grid": [0.5]}})]
+    rc = main(args)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "configuration error: --out" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and afile.read_text() == "kept\n"
 
 
 def test_validate_command(tmp_path, capsys):

@@ -24,7 +24,7 @@ LEAD = SemiInfiniteLaplacian(1.0, 1.0)
 
 
 def _fluxes(L, thermo, tol=1e-8):
-    sample = SampleSpec(L, generate(Zero(), L))
+    sample = SampleSpec(generate(Zero(), L))
     return integrate_fluxes(sample, LEAD, LEAD, thermo, QuadratureParams(tolerance=tol))
 
 
@@ -87,7 +87,7 @@ def test_density_not_finite_raises():
 
 
 def test_evaluate_point_free_sample(lead11):
-    tau, residual = evaluate_point(SampleSpec(1, np.zeros(2)), 0.0, 1, self_energies(lead11, lead11, 0.0))
+    tau, residual = evaluate_point(SampleSpec(np.zeros(2)), 0.0, 1, self_energies(lead11, lead11, 0.0))
     assert tau == pytest.approx(1.0, abs=1e-14)
     assert residual < 1e-13
 
@@ -95,7 +95,7 @@ def test_evaluate_point_free_sample(lead11):
 def test_evaluate_point_closed_channel(lead11):
     e = np.array([-10.0, 10.0])
     closed = TabulatedLead(e, np.full(2, -0.1), np.zeros(2))
-    assert evaluate_point(SampleSpec(1, np.zeros(2)), 0.5, 1, self_energies(closed, closed, 0.5)) == (0.0, 0.0)
+    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, self_energies(closed, closed, 0.5)) == (0.0, 0.0)
 
 
 def test_integration_window_margin():
@@ -114,7 +114,7 @@ def test_equilibrium_fluxes_vanish():
 
 def test_nonequilibrium_fluxes_against_trapezoid_oracle():
     thermo = ThermoParams(1.0, 2.0, 0.5, -0.5)
-    sample = SampleSpec(10, generate(Zero(), 10))
+    sample = SampleSpec(generate(Zero(), 10))
     res = integrate_fluxes(sample, LEAD, LEAD, thermo)
     assert res.converged
     assert res.entropy_flux > 0.0
@@ -143,7 +143,7 @@ def test_tolerance_refinement_consistent():
 def test_no_open_channel_result():
     e = np.array([5.0, 6.0])
     right = TabulatedLead(e, np.zeros(2), np.ones(2))
-    res = integrate_fluxes(SampleSpec(3, np.zeros(4)), LEAD, right, ThermoParams(1.0, 2.0, 0.0, 0.0))
+    res = integrate_fluxes(SampleSpec(np.zeros(4)), LEAD, right, ThermoParams(1.0, 2.0, 0.0, 0.0))
     assert res.no_open_channel
     assert res.entropy_flux == 0.0
     assert res.evaluations == 0

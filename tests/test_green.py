@@ -38,7 +38,7 @@ def test_self_energy_pair_sign_check():
 
 def test_decoupled_worked_example():
     # L = 1, v = 0, E = 0: h - E = [[0, -1], [-1, 0]], G0 = [[0, -1], [-1, 0]].
-    G0, _ = sample_green_direct(SampleSpec(1, np.zeros(2)), 0.0, 1)
+    G0, _ = sample_green_direct(SampleSpec(np.zeros(2)), 0.0, 1)
     np.testing.assert_allclose(G0, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-15)
     ((_, T),) = checkpoint_products(np.zeros(2), 0.0, [1])
     np.testing.assert_allclose(sample_green_via_transfer(T), G0, atol=1e-15)
@@ -49,7 +49,7 @@ def test_decoupled_routes_agree_and_match_dense_oracle():
     for L in (1, 7, 40):
         pot = rng.uniform(-1.2, 1.2, L + 1)
         E = 0.37
-        direct, _ = sample_green_direct(SampleSpec(L, pot), E, L)
+        direct, _ = sample_green_direct(SampleSpec(pot), E, L)
         ((_, T),) = checkpoint_products(pot, E, [L])
         via = sample_green_via_transfer(T)
         np.testing.assert_allclose(via, direct, atol=1e-10)
@@ -59,21 +59,21 @@ def test_decoupled_routes_agree_and_match_dense_oracle():
 
 def test_decoupled_symmetry():
     pot = generate(AndersonRandom(1.0, 21), 60)
-    G0, _ = sample_green_direct(SampleSpec(60, pot), -0.4, 60)
+    G0, _ = sample_green_direct(SampleSpec(pot), -0.4, 60)
     assert G0[0, 1] == pytest.approx(G0[1, 0], abs=1e-14)
 
 
 def test_resonance_detection_both_routes():
     # v = 0, L = 1, E = 1 is an exact Dirichlet eigenvalue: the direct
     # route reports an infinite condition estimate, the transfer route raises.
-    assert sample_green_direct(SampleSpec(1, np.zeros(2)), 1.0, 1) == (None, math.inf)
+    assert sample_green_direct(SampleSpec(np.zeros(2)), 1.0, 1) == (None, math.inf)
     ((_, T),) = checkpoint_products(np.zeros(2), 1.0, [1])
     with pytest.raises(ResonanceError):
         sample_green_via_transfer(T)
 
 
 def test_short_potential_rejected():
-    short = SampleSpec(2, np.zeros(3))
+    short = SampleSpec(np.zeros(3))
     with pytest.raises(ValueError, match="need 11"):
         sample_green_direct(short, 0.3, 10)
     with pytest.raises(ValueError, match="need 11"):
@@ -81,7 +81,7 @@ def test_short_potential_rejected():
 
 
 def test_condition_estimate_blows_up_at_resonance():
-    sample = SampleSpec(1, np.zeros(2))
+    sample = SampleSpec(np.zeros(2))
     _, near = sample_green_direct(sample, 1.0 + 1e-9, 1)
     _, far = sample_green_direct(sample, 0.3, 1)
     assert near > 1e7 * far
@@ -107,8 +107,8 @@ def test_coupled_routes_agree_and_match_dense_oracle(lead11):
         pot = rng.uniform(-1, 1, L + 1)
         E = -0.6
         se = _se(lead11, E)
-        direct = coupled_green_direct(SampleSpec(L, pot), E, L, se)
-        via = coupled_green(sample_green_direct(SampleSpec(L, pot), E, L)[0], se)
+        direct = coupled_green_direct(SampleSpec(pot), E, L, se)
+        via = coupled_green(sample_green_direct(SampleSpec(pot), E, L)[0], se)
         np.testing.assert_allclose(via, direct, atol=1e-10)
         ref = dense_green(pot, E, L, se.F_l, se.F_r)
         np.testing.assert_allclose(direct, ref, atol=1e-10)
@@ -118,14 +118,14 @@ def test_coupled_direct_survives_dirichlet_resonance(lead11):
     # E = 1 is a Dirichlet eigenvalue of the decoupled L = 1 sample, but
     # the coupled system stays invertible because Im F > 0.
     se = _se(lead11, 1.0)
-    G = coupled_green_direct(SampleSpec(1, np.zeros(2)), 1.0, 1, se)
+    G = coupled_green_direct(SampleSpec(np.zeros(2)), 1.0, 1, se)
     ref = dense_green(np.zeros(2), 1.0, 1, se.F_l, se.F_r)
     np.testing.assert_allclose(G, ref, atol=1e-12)
 
 
 def test_coupled_direct_requires_open_channel():
     with pytest.raises(DomainError):
-        coupled_green_direct(SampleSpec(1, np.zeros(2)), 0.0, 1, SelfEnergyPair(0.5 + 0j, -0.5 + 0j))
+        coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, SelfEnergyPair(0.5 + 0j, -0.5 + 0j))
 
 
 def test_coupled_green_singular_junction_rejected():
@@ -147,7 +147,7 @@ def test_graph_map_residual_small():
 def test_graph_map_detects_wrong_green(lead11):
     pot = generate(AndersonRandom(1.0, 8), 30)
     se = _se(lead11, 0.5)
-    G = coupled_green_direct(SampleSpec(30, pot), 0.5, 30, se)
+    G = coupled_green_direct(SampleSpec(pot), 0.5, 30, se)
     ((_, T),) = checkpoint_products(pot, 0.5, [30])
     assert graph_map_check(G + 0.01, T, se) > 1e-4
 
@@ -173,7 +173,7 @@ def test_condition_estimate_at_most_twice_kappa_inf(seed, L, max_exponent, coupl
     A = np.diag(t - np.array([F_l] + [0j] * (L - 1) + [F_r]))
     A += np.diag(np.full(L, -1.0), 1) + np.diag(np.full(L, -1.0), -1)
     try:
-        _, cond = _tridiag_solve_boundary(SampleSpec(L, t), 0.0, L, F_l, F_r)
+        _, cond = _tridiag_solve_boundary(SampleSpec(t), 0.0, L, F_l, F_r)
     except NumericalFailure:
         return  # exactly singular for gtsv: nothing to estimate
     assert cond <= 2.0 * np.linalg.cond(A, np.inf) * (1.0 + 1e-12)
@@ -184,7 +184,7 @@ def test_strong_barrier_is_well_conditioned(lead11):
     # solve must not be rejected as ill-conditioned.
     L, E = 1280, 0.5
     se = _se(lead11, E)
-    barrier = SampleSpec(L, np.full(L + 1, 1e300))
+    barrier = SampleSpec(np.full(L + 1, 1e300))
     G = coupled_green_direct(barrier, E, L, se)
     assert abs(G[0, 0]) == pytest.approx(1e-300, rel=1e-12)
     _, cond = _tridiag_solve_boundary(barrier, E, L, se.F_l, se.F_r)
@@ -199,7 +199,7 @@ def test_cached_off_diagonal_is_never_written():
     rng = np.random.default_rng(11)
     F_l, F_r = 0.3 + 1.0j, -0.2 + 0.5j
     t = rng.normal(size=51)
-    sample = SampleSpec(50, t)
+    sample = SampleSpec(t)
     for L in (1, 2, 7, 50, 7, 2, 1, 50):
         G, _ = _tridiag_solve_boundary(sample, 0.0, L, F_l, F_r)
         np.testing.assert_allclose(G, dense_green(t, 0.0, L, F_l, F_r), rtol=1e-12, atol=1e-14)
@@ -247,9 +247,9 @@ def test_lean_solve_keeps_the_bits(lead11, seed, L, extra, max_exponent, E, clos
     info, G_ref, cond_ref = _solve_as_before(pot[: L + 1] - E, F_l, F_r)
     if info != 0:
         with pytest.raises(NumericalFailure):
-            _tridiag_solve_boundary(SampleSpec(n, pot), E, L, F_l, F_r)
+            _tridiag_solve_boundary(SampleSpec(pot), E, L, F_l, F_r)
         return
-    G, cond = _tridiag_solve_boundary(SampleSpec(n, pot), E, L, F_l, F_r)
+    G, cond = _tridiag_solve_boundary(SampleSpec(pot), E, L, F_l, F_r)
     assert G.tobytes() == G_ref.tobytes()
     assert cond == cond_ref
 
@@ -266,7 +266,7 @@ def test_interior_deviation_is_the_elementwise_maximum(seed, n, max_exponent, E)
     # elementwise, at every prefix length L of the sample, L = 1 and 2 included.
     rng = np.random.default_rng(seed)
     pot = rng.normal(size=n + 1) * 10.0 ** rng.uniform(-2.0, max_exponent, size=n + 1)
-    sample = SampleSpec(n, pot)
+    sample = SampleSpec(pot)
     for L in range(1, n + 1):
         expected = float(np.abs(pot[1:L] - E).max(initial=0.0))
         assert sample.interior_deviation(E, L) == expected

@@ -112,6 +112,14 @@ def test_tabulated_lead_validation():
     assert lead.im_f[0] == 0.0
 
 
+def test_tabulated_lead_compares_and_hashes():
+    # A plain value: two equal tables built apart compare and hash by
+    # identity, where the generated dataclass methods raised on arrays.
+    a, b = (TabulatedLead(np.array([0.0, 1.0]), np.zeros(2), np.ones(2)) for _ in range(2))
+    assert a == a and a != b
+    assert len({a, b}) == 2
+
+
 def test_tabulated_band_support_zero_crossings():
     e = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     im = np.array([0.0, 1.0, 1.0, 0.0, 0.0])

@@ -87,10 +87,18 @@ def test_thermo_validation():
 
 
 def test_sample_spec_validation():
-    SampleSpec(2, np.zeros(3))
+    assert SampleSpec(np.zeros(3)).length == 2
     with pytest.raises(ConfigError, match="length"):
-        SampleSpec(0, np.zeros(1))
+        SampleSpec(np.zeros(1))
     with pytest.raises(ConfigError, match="potential"):
-        SampleSpec(2, np.zeros(4))
+        SampleSpec(np.zeros((2, 3)))
     with pytest.raises(ConfigError, match="finite"):
-        SampleSpec(2, np.array([0.0, math.inf, 0.0]))
+        SampleSpec(np.array([0.0, math.inf, 0.0]))
+
+
+def test_sample_spec_compares_and_hashes():
+    # A plain value: two equal samples built apart compare and hash by
+    # identity, where the generated dataclass methods raised on arrays.
+    a, b = SampleSpec(np.zeros(3)), SampleSpec(np.zeros(3))
+    assert a == a and a != b
+    assert len({a, b}) == 2

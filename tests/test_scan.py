@@ -12,7 +12,7 @@ import ebb.fluxes
 import ebb.green
 import ebb.scan
 import ebb.transfer
-from ebb.errors import ConfigError, DomainError
+from ebb.errors import DomainError
 from ebb.green import RESONANCE_RELATIVE_CUTOFF
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AndersonRandom, Periodic, Zero, generate
@@ -29,8 +29,8 @@ from ebb.scan import (
 
 THERMO = ThermoParams(1.0, 2.0, 0.5, -0.5)
 CHECKPOINTS = [10, 16, 25, 40, 63, 100, 158, 251, 398, 631, 1000]
-FREE = generate(Zero(), CHECKPOINTS[-1])
-DISORDERED = generate(AndersonRandom(2.0, 7), CHECKPOINTS[-1])
+FREE = SampleSpec(generate(Zero(), CHECKPOINTS[-1]))
+DISORDERED = SampleSpec(generate(AndersonRandom(2.0, 7), CHECKPOINTS[-1]))
 
 
 def test_l_sweep_free_sample(lead11):
@@ -58,7 +58,7 @@ def test_l_sweep_one_spectral_norm_per_checkpoint(lead11, monkeypatch):
     monkeypatch.setattr(ebb.green, "_smax", counting, raising=False)
     points = l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
     assert len(calls) == len(CHECKPOINTS)
-    for p, m, (_, T) in zip(points, calls, ebb.transfer.checkpoint_products(DISORDERED, 0.5, CHECKPOINTS)):
+    for p, m, (_, T) in zip(points, calls, ebb.transfer.checkpoint_products(DISORDERED.potential, 0.5, CHECKPOINTS)):
         assert p.log_transfer_norm == max(0.0, T.log_scale + math.log(smax(*m)))
         assert p.resonance_flag == (abs(m[0]) < RESONANCE_RELATIVE_CUTOFF * smax(*m))
 
@@ -87,14 +87,53 @@ def test_l_sweep_rejects_out_of_band_energy(lead11):
         l_sweep(FREE, 0.5, lead11, lead11, THERMO, [0, 10])
 
 
-@pytest.mark.parametrize("site", [0, 500, CHECKPOINTS[-1]])
-def test_l_sweep_rejects_non_finite_potential(lead11, site):
-    # The sweep checks its potential once, up to the last checkpoint: a bad
-    # value anywhere in that prefix is rejected before any solve.
-    pot = FREE.copy()
-    pot[site] = np.nan
-    with pytest.raises(ConfigError, match="finite"):
-        l_sweep(pot, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
+def test_checkpoint_past_the_sample_rejected_before_any_solve(lead11, monkeypatch):
+    # A sample shorter than the last checkpoint fails the range check of the
+    # transfer product, before any Green solve.
+    def no_solve(*args):
+        raise AssertionError("solved on a sample shorter than the checkpoints")
+
+    monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", no_solve)
+    short = SampleSpec(generate(Zero(), CHECKPOINTS[-1] - 1))
+    with pytest.raises(ValueError, match="checkpoints"):
+        l_sweep(short, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
+    with pytest.raises(ValueError, match="checkpoints"):
+        equivalence_rows(short, [0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
+
+
+def test_every_solve_receives_the_callers_sample(lead11, monkeypatch):
+    # The sweeps build no sample of their own: each Green solve runs on the
+    # SampleSpec the caller passed, whatever the number of energies.
+    seen = []
+    inner = ebb.fluxes.coupled_green_direct
+
+    def recording(sample, E, L, se):
+        seen.append(sample)
+        return inner(sample, E, L, se)
+
+    monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", recording)
+    l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
+    assert len(seen) == len(CHECKPOINTS) and all(s is DISORDERED for s in seen)
+    seen.clear()
+    equivalence_rows(FREE, [-0.5, 0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
+    assert len(seen) == 3 * len(CHECKPOINTS) and all(s is FREE for s in seen)
+
+
+@pytest.mark.parametrize("spec", [Zero(), AndersonRandom(1.0, 3), Periodic((3.0, 0.0))])
+def test_l_sweep_routes_agree(lead11, spec):
+    # Route 1, the public l_sweep and classify_transport, and route 2, the
+    # equivalence rows on the private per-energy helpers, give the same
+    # fields bit for bit.
+    sample = SampleSpec(generate(spec, CHECKPOINTS[-1]))
+    grid = [-1.2, -0.5, 0.3, 1.1]
+    rows = equivalence_rows(sample, grid, CHECKPOINTS, lead11, lead11, THERMO)
+    for E, row in zip(grid, rows):
+        points = l_sweep(sample, E, lead11, lead11, THERMO, CHECKPOINTS)
+        cls = classify_transport(points)
+        assert row.sigma_at_l_max == points[-1].sigma_density
+        assert (row.norm_slope, row.sigma_slope) == (cls.norm_slope, cls.sigma_slope)
+        assert (row.label, row.contradiction) == (cls.label, cls.contradiction)
+        assert row.max_unitarity_residual == max(p.unitarity_residual for p in points)
 
 
 def test_classify_persistent_free(lead11):
@@ -166,7 +205,7 @@ def test_thresholds_are_tunable():
 def test_energy_sweep_records_errors_per_point(lead11):
     # E = 3 is out of band: a closed-channel zero, not an error.
     grid = [0.5, 1.0, 3.0]
-    out = energy_sweep(SampleSpec(10, np.zeros(11)), lead11, lead11, THERMO, grid)
+    out = energy_sweep(SampleSpec(np.zeros(11)), lead11, lead11, THERMO, grid)
     assert len(out) == 3
     assert out[0].error is None
     assert out[0].transmission > 0.0
@@ -210,7 +249,7 @@ def test_periodic_band_energy_is_persistent(lead11):
     # lies inside (-2, 2): a band energy of the period-2 potential.
     loose = ClassificationThresholds(persistent_floor=0.1)
     (row,) = equivalence_rows(
-        generate(Periodic((3.0, 0.0)), CHECKPOINTS[-1]), [-0.5], CHECKPOINTS,
+        SampleSpec(generate(Periodic((3.0, 0.0)), CHECKPOINTS[-1])), [-0.5], CHECKPOINTS,
         lead11, lead11, THERMO, loose,
     )
     assert row.label == "persistent"

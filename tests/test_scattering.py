@@ -16,7 +16,7 @@ def test_worked_free_point(lead11):
     # L = 1, v = 0, E = 0: F = i, G = [[i, -1], [-1, i]] / 2,
     # t = [[-1, -i], [-i, -1]], so s = 1 + t is unitary and T = 1.
     se = SelfEnergyPair(1j, 1j)
-    G = coupled_green_direct(SampleSpec(1, np.zeros(2)), 0.0, 1, se)
+    G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, se)
     np.testing.assert_allclose(G, np.array([[1j, -1.0], [-1.0, 1j]]) / 2, atol=1e-14)
     t = t_matrix(G, se)
     np.testing.assert_allclose(t, [[-1.0, -1j], [-1j, -1.0]], atol=1e-14)
@@ -56,7 +56,7 @@ def test_unitarity_residual_flags_broken_t():
 )
 def test_unitarity_everywhere_in_band(seed, L, E, k):
     lead = SemiInfiniteLaplacian(k, 1.0)
-    sample = SampleSpec(L, generate(AndersonRandom(1.0, seed), L))
+    sample = SampleSpec(generate(AndersonRandom(1.0, seed), L))
     F = weiss_boundary(lead, E)
     se = SelfEnergyPair(F, F)
     G = coupled_green_direct(sample, E, L, se)
@@ -121,7 +121,7 @@ def test_unitarity_residual_matches_svd():
     ts = [as_t(random_complex(rng, (2, 2), 10.0 ** rng.uniform(-8, 4))) for _ in range(2000)]
     # Nearly unitary S = 1 + t from the pipeline, where the residual is rounding.
     lead = SemiInfiniteLaplacian(1.0, 1.0)
-    sample = SampleSpec(60, generate(AndersonRandom(1.0, 3), 60))
+    sample = SampleSpec(generate(AndersonRandom(1.0, 3), 60))
     for E in np.linspace(-1.9, 1.9, 200):
         F = weiss_boundary(lead, E)
         se = SelfEnergyPair(F, F)
