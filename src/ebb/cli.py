@@ -197,21 +197,30 @@ _CSV_COLUMNS = {
 
 
 def _write_outputs(command: str, run: Optional[RunConfig], args, summary, rows, max_residual):
-    """<stem>.csv from the rows (None: no CSV), if the command has columns, and
-    <stem>.json: the summary with the manifest last, strict JSON (non-finite as null)."""
+    """<stem>.csv from the rows (None: no CSV), if the command has columns, and <stem>.json:
+    the summary with the manifest last, strict JSON (non-finite as null). An OSError
+    is a --out error that removes the files opened: no CSV is left without its JSON."""
     stem = os.path.join(args.out, command.replace("-", "_"))
     columns = _CSV_COLUMNS.get(command)
-    if columns and rows is not None:
-        values = operator.attrgetter(*columns)
-        line = ",".join(columns.values()) + "\n"
-        with open(stem + ".csv", "w", newline="") as fh:
-            fh.write(",".join(columns) + "\n")
-            for row in rows:
-                fh.write(line % values(row))
-    summary["manifest"] = _manifest(command, run, args, max_residual)
-    with open(stem + ".json", "w") as fh:
-        json.dump(_strict(summary), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    opened = []
+    try:
+        if columns and rows is not None:
+            values = operator.attrgetter(*columns)
+            line = ",".join(columns.values()) + "\n"
+            with open(stem + ".csv", "w", newline="") as fh:
+                opened.append(fh.name)
+                fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(line % values(row))
+        summary["manifest"] = _manifest(command, run, args, max_residual)
+        with open(stem + ".json", "w") as fh:
+            opened.append(fh.name)
+            json.dump(_strict(summary), fh, indent=2, allow_nan=False)
+            fh.write("\n")
+    except OSError as exc:
+        for path in opened:
+            os.remove(path)
+        raise ConfigError(f"--out: {exc}") from None
 
 
 _COMMANDS = {

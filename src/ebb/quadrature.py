@@ -18,8 +18,9 @@ import numpy as np
 from .errors import BudgetError, NumericalFailure
 
 # Kronrod-15 abscissae on [-1, 1] and weights; embedded Gauss-7 weights
-# apply to the odd-index abscissae. Standard QUADPACK constants.
-_XGK = np.array([
+# apply to the odd-index abscissae. Standard QUADPACK constants, stored as
+# QUADPACK stores them, from the outermost node to the centre, and mirrored.
+_XGK_HALF = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -28,15 +29,8 @@ _XGK = np.array([
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
     0.000000000000000000000000000000000,
-    -0.207784955007898467600689403773245,
-    -0.405845151377397166906606412076961,
-    -0.586087235467691130294144838258730,
-    -0.741531185599394439863864773280788,
-    -0.864864423359769072789712788640926,
-    -0.949107912342758524526189684047851,
-    -0.991455371120812639206854697526329,
-])
-_WGK = np.array([
+)
+_WGK_HALF = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -45,23 +39,16 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-    0.204432940075298892414161999234649,
-    0.190350578064785409913256402421014,
-    0.169004726639267902826583426598550,
-    0.140653259715525918745189590510238,
-    0.104790010322250183839876322541518,
-    0.063092092629978553290700663189204,
-    0.022935322010529224963732008058970,
-])
-_WG = np.array([
+)
+_WG_HALF = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-    0.381830050505118944950369775488975,
-    0.279705391489276667901467771423780,
-    0.129484966168869693270611432679082,
-])
+)
+_XGK = np.array(_XGK_HALF + tuple(-v for v in _XGK_HALF[-2::-1]))
+_WGK = np.array(_WGK_HALF + _WGK_HALF[-2::-1])
+_WG = np.array(_WG_HALF + _WG_HALF[-2::-1])
 
 MIN_PANEL_WIDTH = 1e-13
 # QUADPACK dqk15's rounding floor: an error estimate at most this times

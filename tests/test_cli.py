@@ -257,6 +257,30 @@ def test_sweep_e_rows_independent_of_batch(tmp_path):
     assert bodies[0] == bodies[1] + bodies[2]
 
 
+@pytest.mark.parametrize(
+    "potential",
+    [{"type": "periodic", "cell": [1.0, 0.0]}, {"type": "anderson", "amplitude": 2.0, "seed": 7}],
+    ids=["period-2", "anderson-underflow"],
+)
+def test_equivalence_rows_independent_of_batch(tmp_path, potential):
+    # The classifier runs on the whole energies x checkpoints table at once;
+    # each energy's row must not depend on which other energies share it.
+    grid = np.linspace(-1.5, 1.5, 9).tolist()
+    sample = {"length": 10, "potential": potential}
+    bodies = []
+    for name, part in (("all", grid), ("head", grid[:4]), ("tail", grid[4:])):
+        cfg = write_config(tmp_path, sample=sample, extra={"sweep": {"e_grid": part}}, name=f"{name}.json")
+        rc, out = run_cli(tmp_path / name, "equivalence", cfg)
+        assert rc == 0
+        bodies.append((out / "equivalence.csv").read_text().splitlines()[1:])
+    assert len(bodies[0]) == 9
+    assert bodies[0] == bodies[1] + bodies[2]
+    if potential["type"] == "anderson":
+        # Rows whose sigma underflowed at L_max, fitted on their alive points.
+        rows = list(csv.reader(bodies[0]))
+        assert any(float(r[4]) == 0.0 and math.isfinite(float(r[3])) for r in rows)
+
+
 def test_sweep_e_rejects_out_of_window_grid(tmp_path):
     cfg = write_config(tmp_path, extra={"sweep": {"e_grid": [0.0, 2.5]}})
     rc, _ = run_cli(tmp_path, "sweep-e", cfg)
@@ -412,6 +436,21 @@ def test_unusable_out_exits_2(tmp_path, capsys, command, under):
     captured = capsys.readouterr()
     assert "configuration error: --out" in captured.err and "Traceback" not in captured.err
     assert captured.out == "" and afile.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("blocked", ["sweep_e.csv", "sweep_e.json"])
+def test_write_error_exits_2_and_leaves_no_lone_file(tmp_path, capsys, blocked):
+    # An OSError while writing (here an output path that is a directory) is
+    # a configuration error under --out: exit 2 with no traceback, and no
+    # CSV is left without its JSON.
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    cfg = write_config(tmp_path, extra={"sweep": {"e_grid": [0.0, 0.5]}})
+    assert main(["sweep-e", "--config", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("configuration error: --out: ")
+    assert "Traceback" not in captured.err
+    assert [p.name for p in out.iterdir()] == [blocked] and (out / blocked).is_dir()
 
 
 def test_validate_command(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -12,10 +13,11 @@ import ebb.fluxes
 import ebb.green
 import ebb.scan
 import ebb.transfer
-from ebb.errors import DomainError
+from ebb.config import geometric_checkpoints
+from ebb.errors import DomainError, NumericalFailure
 from ebb.green import RESONANCE_RELATIVE_CUTOFF
 from ebb.model import SampleSpec, ThermoParams
-from ebb.potentials import AndersonRandom, Periodic, Zero, generate
+from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, Zero, generate
 from ebb.scan import (
     ClassificationThresholds,
     LSweepPoint,
@@ -121,9 +123,9 @@ def test_every_solve_receives_the_callers_sample(lead11, monkeypatch):
 
 @pytest.mark.parametrize("spec", [Zero(), AndersonRandom(1.0, 3), Periodic((3.0, 0.0))])
 def test_l_sweep_routes_agree(lead11, spec):
-    # Route 1, the public l_sweep and classify_transport, and route 2, the
-    # equivalence rows on the private per-energy helpers, give the same
-    # fields bit for bit.
+    # The one-energy case, l_sweep and classify_transport, and the rows of
+    # the batched table that equivalence_rows classifies at once give the
+    # same fields bit for bit.
     sample = SampleSpec(generate(spec, CHECKPOINTS[-1]))
     grid = [-1.2, -0.5, 0.3, 1.1]
     rows = equivalence_rows(sample, grid, CHECKPOINTS, lead11, lead11, THERMO)
@@ -134,6 +136,59 @@ def test_l_sweep_routes_agree(lead11, spec):
         assert (row.norm_slope, row.sigma_slope) == (cls.norm_slope, cls.sigma_slope)
         assert (row.label, row.contradiction) == (cls.label, cls.contradiction)
         assert row.max_unitarity_residual == max(p.unitarity_residual for p in points)
+
+
+@pytest.mark.parametrize("envelope_at, solve_at, reported", [
+    (len(CHECKPOINTS) + 3, 2 * len(CHECKPOINTS), "envelope"),
+    (len(CHECKPOINTS) + 3, len(CHECKPOINTS) - 1, "solve"),
+    (len(CHECKPOINTS) + 3, None, "envelope"),
+])
+def test_first_failure_in_grid_order_is_reported(lead11, monkeypatch, envelope_at, solve_at, reported):
+    # The envelope check runs once, on the table the solves filled, yet the
+    # failure reported is still the first in grid order: an envelope
+    # violation at an earlier point outranks a failed solve at a later one,
+    # and the other way round. Points are counted in grid order.
+    evaluate, densities = ebb.scan.evaluate_point, ebb.scan.spectral_densities
+    count = {"solve": -1, "densities": -1}
+
+    def solve(*args):
+        count["solve"] += 1
+        if count["solve"] == solve_at:
+            raise NumericalFailure("solve failed")
+        return evaluate(*args)
+
+    def above_envelope(E, tau, thermo):
+        count["densities"] += 1
+        phi_l, j_l, sigma = densities(E, tau, thermo)
+        return phi_l, j_l, 1e300 if count["densities"] == envelope_at else sigma
+
+    monkeypatch.setattr(ebb.scan, "evaluate_point", solve)
+    monkeypatch.setattr(ebb.scan, "spectral_densities", above_envelope)
+    message = {
+        "envelope": f"entropy density 1e+300 exceeds its explicit envelope at L={CHECKPOINTS[3]}",
+        "solve": "solve failed",
+    }[reported]
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
+        equivalence_rows(FREE, [-0.5, 0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
+
+
+@pytest.mark.parametrize(
+    "spec", [Periodic((1.0, 0.0)), AndersonRandom(1.0, 3), AlmostMathieu(2.5, (5**0.5 - 1) / 2, 0.0)]
+)
+def test_lower_sandwich_bound(lead11, spec):
+    # tau_L ||T_L||^2 >= 4 Im F_l Im F_r / ((1 + |F_l|^2)(1 + |F_r|^2)) at
+    # every finite L: transmission cannot vanish while the transfer norms
+    # stay bounded. Checked in log space where tau has not underflowed; the
+    # smallest margin seen is above 0.01.
+    cps = geometric_checkpoints()
+    sample = SampleSpec(generate(spec, cps[-1]))
+    for E in np.linspace(-1.99, 1.99, 201):
+        se = ebb.fluxes.self_energies(lead11, lead11, E)
+        F_l, F_r = se.F_l, se.F_r
+        bound = math.log(4 * F_l.imag * F_r.imag / ((1 + abs(F_l) ** 2) * (1 + abs(F_r) ** 2)))
+        for p in l_sweep(sample, E, lead11, lead11, THERMO, cps):
+            if p.transmission > 1e-280:
+                assert math.log(p.transmission) + 2 * p.log_transfer_norm >= bound - 1e-9, (E, p.L)
 
 
 def test_classify_persistent_free(lead11):
@@ -275,6 +330,9 @@ def test_median_matches_numpy():
             np.full(n, 0.1),
         ):
             assert _median(values.tolist()) == np.median(values)
+    # Row by row on a table, as the classifier calls it.
+    table = rng.normal(size=(6, 13))
+    assert _median(table).tolist() == [np.median(row) for row in table]
 
 
 def test_cli_import_leaves_scipy_stats_out():

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import eigvalsh_tridiagonal
 
-from ebb.potentials import AndersonRandom, generate
+from ebb.potentials import AndersonRandom, Periodic, generate
 from ebb.transfer import (
     BLOCK,
     ScaledMatrix2,
@@ -214,3 +215,20 @@ def test_block_lanes_huge_amplitudes_stay_finite(L, amplitude, seed, E):
     # after every site and no product may overflow.
     cps = sorted({x for x in BOUNDARY_SITES if x < L} | {L})
     check_against_naive(generate(AndersonRandom(amplitude, seed), L), E, cps)
+
+
+@pytest.mark.parametrize("spec", [AndersonRandom(1.0, 3), Periodic((1.0, 0.0))])
+def test_product_entry_is_the_characteristic_polynomial(spec):
+    # Cross-layer check against the spectrum: T_11 of the product over sites
+    # 0..L is det(h - E) of those sites, so log|T.a| + T.log_scale is
+    # sum_n log|E - E_n| over the sample's Dirichlet eigenvalues E_n. The
+    # tolerance is relative to sum_n |log|E - E_n||, the scale of the sum's
+    # rounding: the sum itself comes near 0 inside the bands.
+    pot = generate(spec, 300)
+    for L in (50, 151, 300):
+        eigenvalues = eigvalsh_tridiagonal(pot[: L + 1], -np.ones(L))
+        for E in np.linspace(-2.5, 2.5, 37):
+            T = transfer(pot, E, L)
+            logs = np.log(np.abs(E - eigenvalues))
+            error = abs(math.log(abs(T.a)) + T.log_scale - logs.sum())
+            assert error <= 1e-10 * np.abs(logs).sum(), (L, E)
