@@ -15,7 +15,7 @@ from ebb.fluxes import (
 )
 from ebb.leads import SemiInfiniteLaplacian, TabulatedLead
 from ebb.model import SampleSpec, ThermoParams
-from ebb.potentials import Zero, generate
+from ebb.potentials import AlmostMathieu, AndersonRandom, Zero, generate
 
 # Frozen by hand from the closed forms with T = 1, beta_l = 1, mu_l = 1,
 # beta_r = 2, mu_r = 0, E = 0: rho_l = 1/(1+e^-1), rho_r = 1/2.
@@ -154,3 +154,27 @@ def test_quadrature_params_validation():
         QuadratureParams(tolerance=0.0)
     with pytest.raises(DomainError):
         QuadratureParams(edge_margin=-1.0)
+
+
+@pytest.mark.parametrize(
+    "spec, tol, evaluations, fluxes, error",
+    [
+        (AlmostMathieu(0.5, (5**0.5 - 1) / 2, 0.0), 1e-8, 1710,
+         (0.0441189387284211, 0.07532227894740814, 0.1571023571495333), 1.2569593216970382e-09),
+        (AndersonRandom(2.0, 7), 1e-12, 5580,
+         (-2.8932506970335887e-05, 0.00040669902615313565, 0.0005811160322593679),
+         1.4672449840991234e-13),
+    ],
+    ids=["almost-mathieu", "anderson"],
+)
+def test_pinned_flux_quadrature(spec, tol, evaluations, fluxes, error):
+    # Exact evaluation counts and bits of the L = 30 flux integrals.
+    res = integrate_fluxes(
+        SampleSpec(generate(spec, 30)), LEAD, LEAD, ThermoParams(1.0, 2.0, 0.5, -0.5),
+        QuadratureParams(tolerance=tol),
+    )
+    assert res.evaluations == evaluations
+    assert (res.energy_flux_l, res.charge_flux_l, res.entropy_flux) == fluxes
+    assert res.quadrature_error_estimate == error
+    assert res.converged
+    assert res.panels_at_width_floor == res.panels_at_rounding_floor == 0

@@ -49,7 +49,8 @@ def test_budget_exhaustion_reported():
         lambda x: np.array([math.cos(500.0 * x * x)]), [(0.0, 3.0)], 1e-14, 200
     )
     assert not res.converged
-    assert res.evaluations <= 200
+    # The budget is spent: less than one more split (30 evaluations) is left.
+    assert 200 - 30 < res.evaluations <= 200
 
 
 def test_budget_below_initial_panels_raises_before_evaluating():
@@ -130,3 +131,33 @@ def test_non_finite_error_estimate_raises_at_once(value):
     with pytest.raises(NumericalFailure, match=r"panel \[0.0, 0.5\] is not finite"):
         adaptive_gk15(f, [(0.0, 1.0)], 1e-8, 100_000, max_initial_width=0.5)
     assert len(calls) == 15
+
+
+def _step(x):
+    return np.array([1.0 if x < 1.0 / 3.0 else 0.0])
+
+
+@pytest.mark.parametrize(
+    "f, panels, tol, budget, evaluations, integral, error, floors, converged",
+    [
+        (lambda x: np.array([math.cos(40.0 * x)]), [(0.0, 1.0)], 1e-10, 100_000,
+         345, [0.018627829011983694], [7.857684121426178e-11], (0, 0), True),
+        (lambda x: np.array([1.0 / (1.0 + 25.0 * x * x)]), [(-1.0, 1.0)], 1e-9, 100_000,
+         195, [0.5493603067780064], [5.31657821933873e-10], (0, 0), True),
+        (_step, [(0.0, 1.0)], 1e-15, 5000,
+         1335, [0.33333333333333404], [2.8476966571397512e-15], (1, 44), False),
+        (lambda x: np.array([math.sqrt(x), math.log(x)]), [(0.0, 1.0)], 1e-13, 100_000,
+         1305, [0.6666666666666667, -0.9999999999999938],
+         [7.064677520730882e-16, 9.866585307183421e-14], (0, 0), True),
+    ],
+    ids=["cos40x", "runge", "step", "sqrt-log"],
+)
+def test_pinned_results(f, panels, tol, budget, evaluations, integral, error, floors, converged):
+    # Exact evaluation counts, bits and floor counts of the subdivision
+    # order: a change to the splitting rule that changes any of them shows.
+    res = adaptive_gk15(f, panels, tol, budget)
+    assert res.evaluations == evaluations
+    assert res.integral.tolist() == integral
+    assert res.error.tolist() == error
+    assert (res.panels_at_width_floor, res.panels_at_rounding_floor) == floors
+    assert res.converged is converged
