@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import leads as leads_mod
 from .errors import DomainError, NumericalFailure
 from .green import SelfEnergyPair, coupled_green_direct
@@ -114,8 +116,7 @@ def integrate_fluxes(
     """Adaptive quadrature of the densities over the open-channel window.
 
     At every node the full pipeline runs through the direct self-energy
-    solve. The initial panel width is capped at pi/(L+1) so the rule
-    resolves each of the ~L transmission resonances across the band.
+    solve.
     """
     window = integration_window(lead_l, lead_r, quadrature.edge_margin)
     if window.is_empty:
@@ -130,13 +131,13 @@ def integrate_fluxes(
             max_residual[0] = residual
         return spectral_densities(E, tau, thermo)
 
-    res = adaptive_gk15(
-        integrand,
-        window.intervals,
-        tol=quadrature.tolerance,
-        max_evaluations=quadrature.max_evaluations,
-        max_initial_width=math.pi / (L + 1),
-    )
+    # Panels of width at most pi/(L+1), so the base rule sees each of the ~L
+    # transmission resonances across the band before any subdivision.
+    panels = []
+    for lo, hi in window.intervals:
+        edges = np.linspace(lo, hi, math.ceil((hi - lo) / (math.pi / (L + 1))) + 1)
+        panels.extend(zip(edges[:-1], edges[1:]))
+    res = adaptive_gk15(integrand, panels, quadrature.tolerance, quadrature.max_evaluations)
     pref = 1.0 / (2.0 * math.pi)
     phi, j, sig = (res.integral * pref).tolist()
     err = float(res.error.max()) * pref

@@ -14,9 +14,7 @@ from scipy.linalg import lapack
 
 from .errors import DomainError, NumericalFailure
 from .model import SampleSpec
-from .transfer import ScaledMatrix2
 
-RESONANCE_RELATIVE_CUTOFF = 1e-12
 CONDITION_LIMIT = 1e12
 
 # Looked up once: the solve runs once per energy.
@@ -35,12 +33,6 @@ class SelfEnergyPair:
             raise DomainError("self-energies must have Im >= 0")
         self.F_l, self.F_r = F_l, F_r
         self.open_channel = F_l.imag > 0 or F_r.imag > 0
-
-
-def is_resonant(T: ScaledMatrix2) -> bool:
-    """Whether T11 vanishes relative to ||T||: the energy is numerically a
-    Dirichlet eigenvalue of the decoupled sample."""
-    return abs(T.a) < RESONANCE_RELATIVE_CUTOFF * T.smax
 
 
 def _tridiag_solve_boundary(sample: SampleSpec, E: float, L: int, F_l=0j, F_r=0j):

@@ -1,17 +1,20 @@
 """Adaptive Gauss-Kronrod quadrature for vector-valued integrands.
 
-A 15-point Kronrod rule with embedded 7-point Gauss rule per panel; the
-panel with the worst error is split until the summed error estimate meets
-the stopping rule `_converged` or the evaluation budget runs out.
-Subdivision order is deterministic (heap keyed on error, then panel
-position), so results are bit-reproducible.
+A 15-point Kronrod rule with embedded 7-point Gauss rule per panel, on
+panels the caller lays out. The loop runs in passes over one list of
+panels in position order. Each pass sums the integral and the error
+estimate, takes the error's excess over the stopping rule per component,
+and splits the fewest panels whose errors cover that excess in every
+component, worst error first with ties broken by position. A pass splits
+no more panels than the remaining evaluation budget pays for. The sums run
+in position order, so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,22 +65,26 @@ class QuadratureResult:
     error: np.ndarray
     evaluations: int
     converged: bool
-    # Panels the loop would have split but found narrower than MIN_PANEL_WIDTH.
+    # Panels taken for splitting but found narrower than MIN_PANEL_WIDTH.
     panels_at_width_floor: int
-    # Panels the loop would have split but whose error is at ROUNDING_FLOOR.
+    # Panels taken for splitting but whose error is at ROUNDING_FLOOR.
     panels_at_rounding_floor: int
 
 
-def _converged(integral, error, tol) -> bool:
-    """The stopping rule: err_k <= tol * max(1, |I_k|) for every component,
-    QUADPACK's epsabs and epsrel both set to tol."""
-    return bool(np.all(error <= tol * np.maximum(1.0, np.abs(integral))))
+class _Panel(NamedTuple):
+    lo: float
+    hi: float
+    integral: np.ndarray
+    err: np.ndarray
+    # ROUNDING_FLOOR * h * sum_k w_k |f(x_k)|, per component.
+    floor: np.ndarray
+    key: float
+    aside: bool = False
 
 
-def _gk15_panel(f, lo, hi):
-    """Kronrod estimate, per-component |K15 - G7| error, and the rounding
-    floor ROUNDING_FLOOR * h * sum_k w_k |f(x_k)| per component, on one
-    panel, and the error key max(err). A key that is not finite (the sums
+def _gk15_panel(f, lo, hi) -> _Panel:
+    """Kronrod estimate, per-component |K15 - G7| error, rounding floor and
+    error key max(err) of one panel. A key that is not finite (the sums
     overflowed) raises NumericalFailure."""
     c = 0.5 * (lo + hi)
     h = 0.5 * (hi - lo)
@@ -91,82 +98,55 @@ def _gk15_panel(f, lo, hi):
         raise NumericalFailure(
             f"quadrature error estimate on panel [{float(lo)}, {float(hi)}] is not finite ({key})"
         )
-    return kronrod, err, floor, key
+    return _Panel(lo, hi, kronrod, err, floor, key)
 
 
-def adaptive_gk15(f, intervals, tol, max_evaluations, max_initial_width=None):
-    """Integrate the vector-valued f over a union of intervals.
+def adaptive_gk15(f, panels, tol, max_evaluations):
+    """Integrate the vector-valued f over a sequence of (lo, hi) panels in
+    position order, in passes (see the module docstring).
 
-    intervals: sequence of (lo, hi) pairs; tol: see `_converged`.
-    max_initial_width caps the initial panel size so that integrands
-    oscillating on a known scale (one transmission resonance per pi/(L+1)
-    of energy) are seen by the base rule before any subdivision.
+    The stopping rule is err_k <= tol * max(1, |I_k|) for every component,
+    QUADPACK's epsabs and epsrel both set to tol. A panel taken for
+    splitting at ROUNDING_FLOOR or MIN_PANEL_WIDTH is set aside instead.
     max_evaluations caps every evaluation, the initial panels' included:
     if those alone need more, f is never called and BudgetError is raised.
     A panel whose error estimate is not finite raises NumericalFailure.
     """
-    panels = []
-    for lo, hi in intervals:
-        width = hi - lo
-        if width <= 0:
-            continue
-        n = 1
-        if max_initial_width is not None and max_initial_width > 0:
-            n = max(1, math.ceil(width / max_initial_width))
-        edges = np.linspace(lo, hi, n + 1)
-        panels.extend(zip(edges[:-1], edges[1:]))
-
     if not panels:
         zero = np.zeros(1)
         return QuadratureResult(zero, zero.copy(), 0, True, 0, 0)
-    if 15 * len(panels) > max_evaluations:
+    evals = 15 * len(panels)
+    if evals > max_evaluations:
         raise BudgetError(
-            f"max_evaluations: the initial panels need {15 * len(panels)} evaluations, "
+            f"max_evaluations: the initial panels need {evals} evaluations, "
             f"more than {max_evaluations}"
         )
-
-    heap = []
-    # Panels set aside unsplit: too narrow, or with an error that is rounding.
-    at_width, at_rounding = [], []
-    evals = 0
-    total = None
-    total_err = None
-    for lo, hi in panels:
-        integral, err, floor, key = _gk15_panel(f, lo, hi)
-        evals += 15
-        if total is None:
-            total = integral.copy()
-            total_err = err.copy()
-        else:
-            total += integral
-            total_err += err
-        heapq.heappush(heap, (-key, lo, hi, integral, err, floor))
-
-    while not _converged(total, total_err, tol) and heap:
-        if evals + 30 > max_evaluations:
+    panels = [_gk15_panel(f, lo, hi) for lo, hi in panels]
+    at_width = at_rounding = 0
+    while True:
+        integral = np.sum([p.integral for p in panels], axis=0)
+        error = np.sum([p.err for p in panels], axis=0)
+        excess = error - tol * np.maximum(1.0, np.abs(integral))
+        # Worst key first; the stable sort breaks ties by position.
+        order = sorted((i for i, p in enumerate(panels) if not p.aside), key=lambda i: -panels[i].key)
+        budget = (max_evaluations - evals) // 30
+        if (excess <= 0).all() or not order or not budget:
             break
-        neg_err, lo, hi, integral, err, floor = heapq.heappop(heap)
-        # The floor is tested only on the panels popped for splitting.
-        if (err <= floor).all():
-            at_rounding.append((lo, hi, integral, err))
-            continue
-        if hi - lo < MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
-            at_width.append((lo, hi, integral, err))
-            continue
-        mid = 0.5 * (lo + hi)
-        i1, e1, f1, k1 = _gk15_panel(f, lo, mid)
-        i2, e2, f2, k2 = _gk15_panel(f, mid, hi)
-        evals += 30
-        total += i1 + i2 - integral
-        total_err += e1 + e2 - err
-        heapq.heappush(heap, (-k1, lo, mid, i1, e1, f1))
-        heapq.heappush(heap, (-k2, mid, hi, i2, e2, f2))
-
-    # Deterministic final reduction: re-sum in panel order.
-    pieces = sorted([p[1:5] for p in heap] + at_width + at_rounding)
-    total = np.sum([p[2] for p in pieces], axis=0)
-    total_err = np.sum([p[3] for p in pieces], axis=0)
-    return QuadratureResult(
-        total, total_err, evals, _converged(total, total_err, tol),
-        len(at_width), len(at_rounding),
-    )
+        # Errors are non-negative, so the running sums never fall: the
+        # prefixes short of the excess come first, and one more panel covers it.
+        short = (np.cumsum([panels[i].err for i in order], axis=0) < excess).any(axis=1)
+        halves = {}
+        for i in order[: min(budget, 1 + int(np.count_nonzero(short)))]:
+            lo, hi, _, err, floor, _, _ = panels[i]
+            if (err <= floor).all():
+                at_rounding += 1
+            elif hi - lo < MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
+                at_width += 1
+            else:
+                mid = 0.5 * (lo + hi)
+                halves[i] = (_gk15_panel(f, lo, mid), _gk15_panel(f, mid, hi))
+                evals += 30
+                continue
+            panels[i] = panels[i]._replace(aside=True)
+        panels = [q for i, p in enumerate(panels) for q in halves.get(i, (p,))]
+    return QuadratureResult(integral, error, evals, bool((excess <= 0).all()), at_width, at_rounding)

@@ -24,10 +24,9 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailure
 from .fluxes import evaluate_point, self_energies, spectral_densities
-from .green import is_resonant
 from .leads import LeadModel, sigma_intersection
 from .model import SampleSpec, ThermoParams, check_length
-from .transfer import checkpoint_products, log_spectral_norm
+from .transfer import checkpoint_products, is_resonant, log_spectral_norm
 
 # Below this the density has decayed hundreds of decades: its logarithm is
 # no longer fit-worthy and the point is decisive evidence of vanishing.

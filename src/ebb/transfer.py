@@ -35,6 +35,7 @@ _SCALE_BITS = 500
 # leaves this interval.
 _FOLD_LO, _FOLD_HI = 2.0**-128, 2.0**128
 _LN2 = math.log(2.0)
+RESONANCE_RELATIVE_CUTOFF = 1e-12
 
 
 class ScaledMatrix2:
@@ -90,6 +91,12 @@ def log_spectral_norm(M: ScaledMatrix2) -> float:
     """
     val = M.log_scale + math.log(M.smax)
     return val if val > 0.0 else 0.0
+
+
+def is_resonant(T: ScaledMatrix2) -> bool:
+    """Whether T11 vanishes relative to ||T||: the energy is numerically a
+    Dirichlet eigenvalue of the decoupled sample."""
+    return abs(T.a) < RESONANCE_RELATIVE_CUTOFF * T.smax
 
 
 def _steps_within(log_bound: float, log_growth: float) -> int:

@@ -19,12 +19,12 @@ import numpy as np
 
 from .errors import NumericalFailure, ResonanceError
 from .fluxes import evaluate_point, integrate_fluxes, self_energies, spectral_densities
-from .green import SelfEnergyPair, _tridiag_solve_boundary, coupled_green_direct, is_resonant
+from .green import SelfEnergyPair, _tridiag_solve_boundary, coupled_green_direct
 from .leads import SemiInfiniteLaplacian
 from .model import SampleSpec, ThermoParams
 from .potentials import AndersonRandom, Periodic, Zero, generate
 from .scattering import t_matrix
-from .transfer import ScaledMatrix2, checkpoint_products
+from .transfer import ScaledMatrix2, checkpoint_products, is_resonant
 
 POTENTIALS = (Zero(), Periodic((1.0, 0.0)), AndersonRandom(1.0, 42))
 LEAD = SemiInfiniteLaplacian(1.0, 1.0)

@@ -131,6 +131,17 @@ def test_nonequilibrium_fluxes_against_trapezoid_oracle():
     assert res.entropy_flux == pytest.approx(ref[2], abs=1e-6)
 
 
+@pytest.mark.parametrize("L", [1, 30, 200])
+def test_initial_panels_at_most_pi_over_l_plus_1(L):
+    # integrate_fluxes lays out panels of width at most pi/(L+1), so each
+    # of the ~L transmission resonances meets the base rule: at least 15
+    # evaluations per such panel across the window.
+    res = _fluxes(L, ThermoParams(1.0, 2.0, 0.5, -0.5), tol=1e-2)
+    window = integration_window(LEAD, LEAD, QuadratureParams().edge_margin)
+    (lo, hi), = window.intervals
+    assert res.evaluations >= 15 * math.ceil((hi - lo) / (math.pi / (L + 1)))
+
+
 def test_tolerance_refinement_consistent():
     thermo = ThermoParams(0.8, 3.0, 0.7, -0.2)
     coarse = _fluxes(20, thermo, tol=1e-7)

@@ -61,21 +61,27 @@ def test_budget_below_initial_panels_raises_before_evaluating():
         return np.array([1.0])
 
     # Ten initial panels need 150 evaluations.
+    tenths = [(k / 10, (k + 1) / 10) for k in range(10)]
     with pytest.raises(BudgetError, match="need 150 evaluations, more than 149"):
-        adaptive_gk15(f, [(0.0, 1.0)], 1e-12, 149, max_initial_width=0.1)
+        adaptive_gk15(f, tenths, 1e-12, 149)
     assert calls == []
-    assert adaptive_gk15(f, [(0.0, 1.0)], 1e-12, 150, max_initial_width=0.1).evaluations == 150
+    assert adaptive_gk15(f, tenths, 1e-12, 150).evaluations == 150
 
 
-def test_max_initial_width_forces_panels():
-    calls = [0]
+def test_caller_panels_are_all_evaluated():
+    # Every panel the caller lays out gets the base rule, also where one
+    # panel over the whole interval would already converge.
+    calls = []
 
     def f(x):
-        calls[0] += 1
+        calls.append(x)
         return np.array([1.0])
 
-    adaptive_gk15(f, [(0.0, 1.0)], 1e-12, 10_000, max_initial_width=0.1)
-    assert calls[0] >= 150  # at least 10 initial panels
+    tenths = [(k / 10, (k + 1) / 10) for k in range(10)]
+    res = adaptive_gk15(f, tenths, 1e-12, 10_000)
+    assert res.evaluations == len(calls) == 150
+    assert all(any(lo < x < hi for x in calls) for lo, hi in tenths)
+    assert res.integral[0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_deterministic_repeat():
@@ -129,7 +135,7 @@ def test_non_finite_error_estimate_raises_at_once(value):
         return np.array([1.0, value])
 
     with pytest.raises(NumericalFailure, match=r"panel \[0.0, 0.5\] is not finite"):
-        adaptive_gk15(f, [(0.0, 1.0)], 1e-8, 100_000, max_initial_width=0.5)
+        adaptive_gk15(f, [(0.0, 0.5), (0.5, 1.0)], 1e-8, 100_000)
     assert len(calls) == 15
 
 

@@ -10,12 +10,10 @@ from scipy.stats import linregress
 
 import ebb
 import ebb.fluxes
-import ebb.green
 import ebb.scan
 import ebb.transfer
 from ebb.config import geometric_checkpoints
 from ebb.errors import DomainError, NumericalFailure
-from ebb.green import RESONANCE_RELATIVE_CUTOFF
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, Zero, generate
 from ebb.scan import (
@@ -28,6 +26,7 @@ from ebb.scan import (
     equivalence_rows,
     l_sweep,
 )
+from ebb.transfer import RESONANCE_RELATIVE_CUTOFF
 
 THERMO = ThermoParams(1.0, 2.0, 0.5, -0.5)
 CHECKPOINTS = [10, 16, 25, 40, 63, 100, 158, 251, 398, 631, 1000]
@@ -57,7 +56,6 @@ def test_l_sweep_one_spectral_norm_per_checkpoint(lead11, monkeypatch):
         return smax(*m)
 
     monkeypatch.setattr(ebb.transfer, "_smax", counting)
-    monkeypatch.setattr(ebb.green, "_smax", counting, raising=False)
     points = l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
     assert len(calls) == len(CHECKPOINTS)
     for p, m, (_, T) in zip(points, calls, ebb.transfer.checkpoint_products(DISORDERED.potential, 0.5, CHECKPOINTS)):
