@@ -6,6 +6,8 @@ import pytest
 from ebb.errors import BudgetError, NumericalFailure
 from ebb.quadrature import adaptive_gk15
 
+TENTHS = [(k / 10, (k + 1) / 10) for k in range(10)]
+
 
 def test_polynomial_exact():
     # GK15 integrates degree-22 polynomials exactly on a single panel.
@@ -61,11 +63,10 @@ def test_budget_below_initial_panels_raises_before_evaluating():
         return np.array([1.0])
 
     # Ten initial panels need 150 evaluations.
-    tenths = [(k / 10, (k + 1) / 10) for k in range(10)]
     with pytest.raises(BudgetError, match="need 150 evaluations, more than 149"):
-        adaptive_gk15(f, tenths, 1e-12, 149)
+        adaptive_gk15(f, TENTHS, 1e-12, 149)
     assert calls == []
-    assert adaptive_gk15(f, tenths, 1e-12, 150).evaluations == 150
+    assert adaptive_gk15(f, TENTHS, 1e-12, 150).evaluations == 150
 
 
 def test_caller_panels_are_all_evaluated():
@@ -77,10 +78,9 @@ def test_caller_panels_are_all_evaluated():
         calls.append(x)
         return np.array([1.0])
 
-    tenths = [(k / 10, (k + 1) / 10) for k in range(10)]
-    res = adaptive_gk15(f, tenths, 1e-12, 10_000)
+    res = adaptive_gk15(f, TENTHS, 1e-12, 10_000)
     assert res.evaluations == len(calls) == 150
-    assert all(any(lo < x < hi for x in calls) for lo, hi in tenths)
+    assert all(any(lo < x < hi for x in calls) for lo, hi in TENTHS)
     assert res.integral[0] == pytest.approx(1.0, rel=1e-14)
 
 
