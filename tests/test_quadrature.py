@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -143,6 +144,16 @@ def _step(x):
     return np.array([1.0 if x < 1.0 / 3.0 else 0.0])
 
 
+def _spikes(x):
+    # 300/pi narrow peaks over [0, 1] beside two smooth components: many
+    # passes, each splitting panels between unsplit neighbours.
+    s = math.sin(300.0 * x)
+    return np.array([1.0 / (s * s + 1e-6), math.cos(x), 1.0])
+
+
+HUNDREDTHS = [(k / 100, (k + 1) / 100) for k in range(100)]
+
+
 @pytest.mark.parametrize(
     "f, panels, tol, budget, evaluations, integral, error, floors, converged",
     [
@@ -155,8 +166,14 @@ def _step(x):
         (lambda x: np.array([math.sqrt(x), math.log(x)]), [(0.0, 1.0)], 1e-13, 100_000,
          1305, [0.6666666666666667, -0.9999999999999938],
          [7.064677520730882e-16, 9.866585307183421e-14], (0, 0), True),
+        (_spikes, HUNDREDTHS, 1e-10, 1_000_000,
+         77_160, [1000.0730876828334, 0.8414709848078964, 1.0],
+         [9.96574605132642e-08, 7.788891466476919e-17, 1.734723475976807e-16], (0, 0), True),
+        (_spikes, HUNDREDTHS, 1e-10, 20_000,
+         19_980, [890.5105324856492, 0.8414709848078956, 1.0],
+         [746.1320891860479, 8.082727195879436e-17, 1.734723475976807e-16], (0, 0), False),
     ],
-    ids=["cos40x", "runge", "step", "sqrt-log"],
+    ids=["cos40x", "runge", "step", "sqrt-log", "spikes", "spikes-budget"],
 )
 def test_pinned_results(f, panels, tol, budget, evaluations, integral, error, floors, converged):
     # Exact evaluation counts, bits and floor counts of the subdivision
@@ -167,3 +184,19 @@ def test_pinned_results(f, panels, tol, budget, evaluations, integral, error, fl
     assert res.error.tolist() == error
     assert (res.panels_at_width_floor, res.panels_at_rounding_floor) == floors
     assert res.converged is converged
+
+
+def test_pinned_node_order():
+    # The nodes at which f is called, in call order, as a digest of their
+    # float64 bytes: a change in which panels are evaluated, or in what
+    # order, shows even where the sums come out the same.
+    nodes = []
+
+    def f(x):
+        nodes.append(x)
+        return _spikes(x)
+
+    adaptive_gk15(f, HUNDREDTHS, 1e-10, 20_000)
+    assert len(nodes) == 19_980
+    digest = hashlib.sha256(np.array(nodes, dtype=np.float64).tobytes()).hexdigest()
+    assert digest == "219f4fc1f03c18d15fa5f6c26b816fdc9727ac1c4a9bfecd190bc6c2be8c9dec"
