@@ -1,8 +1,8 @@
 """Adaptive Gauss-Kronrod quadrature for vector-valued integrands.
 
 A 15-point Kronrod rule with embedded 7-point Gauss rule per panel, on
-panels the caller lays out. The loop runs in passes over one list of
-panels in position order. Each pass sums the integral and the error
+panels the caller lays out. The loop runs in passes over one table of
+panels, rows in position order. Each pass sums the integral and the error
 estimate, takes the error's excess over the stopping rule per component,
 and splits the fewest panels whose errors cover that excess in every
 component, worst error first with ties broken by position. A pass splits
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -71,34 +70,24 @@ class QuadratureResult:
     panels_at_rounding_floor: int
 
 
-class _Panel(NamedTuple):
-    lo: float
-    hi: float
-    integral: np.ndarray
-    err: np.ndarray
-    # ROUNDING_FLOOR * h * sum_k w_k |f(x_k)|, per component.
-    floor: np.ndarray
-    key: float
-    aside: bool = False
-
-
-def _gk15_panel(f, lo, hi) -> _Panel:
-    """Kronrod estimate, per-component |K15 - G7| error, rounding floor and
-    error key max(err) of one panel. A key that is not finite (the sums
-    overflowed) raises NumericalFailure."""
-    c = 0.5 * (lo + hi)
+def _gk15(f, lo, hi):
+    """Kronrod integral, |K15 - G7| error and rounding floor of the panels
+    (lo[i], hi[i]), as the rows of one (n, 3, k) array. f is called at each
+    panel's nodes in turn; a panel whose error is not finite (the sums
+    overflowed) raises NumericalFailure before f is called on the next."""
     h = 0.5 * (hi - lo)
-    fvals = np.array([f(x) for x in (c + h * _XGK).tolist()])
-    with np.errstate(over="ignore", invalid="ignore"):
-        kronrod = h * (_WGK @ fvals)
-        err = np.abs(kronrod - h * (_WG @ fvals[1::2]))
-        floor = (ROUNDING_FLOOR * h) * (_WGK @ abs(fvals))
-    key = float(err.max())
-    if not math.isfinite(key):
-        raise NumericalFailure(
-            f"quadrature error estimate on panel [{float(lo)}, {float(hi)}] is not finite ({key})"
-        )
-    return _Panel(lo, hi, kronrod, err, floor, key)
+    nodes = (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK
+    rows = []
+    for a, b, hp, xs in zip(lo.tolist(), hi.tolist(), h.tolist(), nodes):
+        fvals = np.array([f(x) for x in xs.tolist()])
+        with np.errstate(over="ignore", invalid="ignore"):
+            kronrod = hp * (_WGK @ fvals)
+            err = np.abs(kronrod - hp * (_WG @ fvals[1::2]))
+            floor = (ROUNDING_FLOOR * hp) * (_WGK @ abs(fvals))
+        if not math.isfinite(key := float(err.max())):
+            raise NumericalFailure(f"quadrature error estimate on panel [{a}, {b}] is not finite ({key})")
+        rows.append((kronrod, err, floor))
+    return np.array(rows)
 
 
 def adaptive_gk15(f, panels, tol, max_evaluations):
@@ -121,32 +110,41 @@ def adaptive_gk15(f, panels, tol, max_evaluations):
             f"max_evaluations: the initial panels need {evals} evaluations, "
             f"more than {max_evaluations}"
         )
-    panels = [_gk15_panel(f, lo, hi) for lo, hi in panels]
+    # The panel table, rows in position order: edges, the (n, 3, k) rule
+    # estimates of _gk15, and the panels set aside.
+    lo, hi = np.asarray(panels, dtype=float).T.copy()
+    est = _gk15(f, lo, hi)
+    aside = np.zeros(len(lo), dtype=bool)
     at_width = at_rounding = 0
     while True:
-        integral = np.sum([p.integral for p in panels], axis=0)
-        error = np.sum([p.err for p in panels], axis=0)
+        integral, error = est[:, 0].sum(axis=0), est[:, 1].sum(axis=0)
         excess = error - tol * np.maximum(1.0, np.abs(integral))
-        # Worst key first; the stable sort breaks ties by position.
-        order = sorted((i for i, p in enumerate(panels) if not p.aside), key=lambda i: -panels[i].key)
+        # Worst key max(err) first; the stable sort breaks ties by position.
+        live = np.flatnonzero(~aside)
+        order = live[np.argsort(-est[live, 1].max(axis=1), kind="stable")]
         budget = (max_evaluations - evals) // 30
-        if (excess <= 0).all() or not order or not budget:
+        if (excess <= 0).all() or not order.size or not budget:
             break
         # Errors are non-negative, so the running sums never fall: the
         # prefixes short of the excess come first, and one more panel covers it.
-        short = (np.cumsum([panels[i].err for i in order], axis=0) < excess).any(axis=1)
-        halves = {}
-        for i in order[: min(budget, 1 + int(np.count_nonzero(short)))]:
-            lo, hi, _, err, floor, _, _ = panels[i]
-            if (err <= floor).all():
-                at_rounding += 1
-            elif hi - lo < MIN_PANEL_WIDTH * max(1.0, abs(lo), abs(hi)):
-                at_width += 1
-            else:
-                mid = 0.5 * (lo + hi)
-                halves[i] = (_gk15_panel(f, lo, mid), _gk15_panel(f, mid, hi))
-                evals += 30
-                continue
-            panels[i] = panels[i]._replace(aside=True)
-        panels = [q for i, p in enumerate(panels) for q in halves.get(i, (p,))]
+        short = (np.cumsum(est[order, 1], axis=0) < excess).any(axis=1)
+        take = order[: min(budget, 1 + int(np.count_nonzero(short)))]
+        rounding = (est[take, 1] <= est[take, 2]).all(axis=1)
+        a, b = lo[take], hi[take]
+        width = ~rounding & (b - a < MIN_PANEL_WIDTH * np.abs([a, b]).max(axis=0, initial=1.0))
+        at_rounding += int(np.count_nonzero(rounding))
+        at_width += int(np.count_nonzero(width))
+        aside[take[rounding | width]] = True
+        split = take[~(rounding | width)]
+        if not split.size:
+            continue
+        # Worst first, left half then right; the left half keeps the row.
+        left, right = lo[split], hi[split]
+        mid = 0.5 * (left + right)
+        halves = _gk15(f, np.column_stack((left, mid)).ravel(), np.column_stack((mid, right)).ravel())
+        evals += 15 * len(halves)
+        hi[split], est[split] = mid, halves[0::2]
+        lo, hi = np.insert(lo, split + 1, mid), np.insert(hi, split + 1, right)
+        est = np.insert(est, split + 1, halves[1::2], axis=0)
+        aside = np.insert(aside, split + 1, False)
     return QuadratureResult(integral, error, evals, bool((excess <= 0).all()), at_width, at_rounding)

@@ -44,10 +44,10 @@ def unitarity_residual(t: tuple) -> float:
 def transmission(t: tuple) -> float:
     """Transmission probability |t_lr|^2, in [0, 1].
 
-    An overshoot beyond rounding tolerance signals an upstream numerical
-    fault and is raised, not clamped. Returns a Python float.
+    An overshoot beyond rounding tolerance, or NaN, signals an upstream
+    numerical fault and is raised, not clamped. Returns a Python float.
     """
     val = abs(t[0][1]) ** 2
-    if val > 1.0 + TRANSMISSION_OVERSHOOT:
-        raise UnitarityError(f"transmission {val} exceeds 1 beyond tolerance")
+    if not val <= 1.0 + TRANSMISSION_OVERSHOOT:
+        raise UnitarityError(f"transmission {val} is not in [0, 1] within tolerance")
     return min(1.0, val)

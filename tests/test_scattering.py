@@ -39,6 +39,10 @@ def test_transmission_overshoot_raises_and_rounding_clamps():
         transmission(bad)
     edge = ((0j, 1.0 + 1e-12 + 0j), (0j, 0j))
     assert transmission(edge) == 1.0
+    # A NaN compares False with the bound and min(1.0, nan) is 1.0: it must
+    # raise instead of passing as full transmission.
+    with pytest.raises(UnitarityError):
+        transmission(((0j, complex(math.nan, 0.0)), (0j, 0j)))
 
 
 def test_unitarity_residual_flags_broken_t():
