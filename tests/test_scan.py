@@ -17,8 +17,10 @@ from ebb.errors import DomainError, NumericalFailure
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, Zero, generate
 from ebb.scan import (
+    SIGMA_UNDERFLOW_FLOOR,
     ClassificationThresholds,
     LSweepPoint,
+    _classify_table,
     _fit,
     _median,
     classify_transport,
@@ -316,6 +318,26 @@ def test_fit_matches_linregress():
         ref = linregress(xs, ys)
         assert _fit(xs, ys) == (ref.slope, ref.rvalue**2)
     assert _fit(xs, np.full(xs.size, 0.3)) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("spec, underflowed", [(Periodic((1.0, 0.0)), 33), (AndersonRandom(1.0, 3), 15)])
+def test_sigma_fits_match_linregress_on_alive_points(lead11, spec, underflowed):
+    # Every row of a 101-energy table with at least two alive sigma points
+    # is fitted as linregress fits those points, bit for bit, also the rows
+    # whose sigma underflowed at some checkpoints.
+    cps = geometric_checkpoints()
+    sample = SampleSpec(generate(spec, cps[-1]))
+    sweeps = [l_sweep(sample, E, lead11, lead11, THERMO, cps) for E in np.linspace(-1.99, 1.99, 101)]
+    sigmas = np.array([[p.sigma_density for p in sweep] for sweep in sweeps])
+    norms = np.array([[p.log_transfer_norm for p in sweep] for sweep in sweeps])
+    _, _, _, slopes, r2s, _, _ = _classify_table(cps, sigmas, norms, ClassificationThresholds())
+    alive = sigmas > SIGMA_UNDERFLOW_FLOOR
+    assert np.count_nonzero(~alive.all(axis=1)) == underflowed
+    Ls = np.array(cps, dtype=float)
+    for row, mask, slope, r2 in zip(sigmas, alive, slopes.tolist(), r2s.tolist()):
+        if np.count_nonzero(mask) >= 2:
+            ref = linregress(Ls[mask], np.log(row[mask]))
+            assert (slope, r2) == (ref.slope, ref.rvalue**2)
 
 
 def test_median_matches_numpy():
