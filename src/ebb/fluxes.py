@@ -133,10 +133,9 @@ def integrate_fluxes(
 
     # Panels of width at most pi/(L+1), so the base rule sees each of the ~L
     # transmission resonances across the band before any subdivision.
-    panels = []
-    for lo, hi in window.intervals:
-        edges = np.linspace(lo, hi, math.ceil((hi - lo) / (math.pi / (L + 1))) + 1)
-        panels.extend(zip(edges[:-1], edges[1:]))
+    width = math.pi / (L + 1)
+    edges = [np.linspace(lo, hi, math.ceil((hi - lo) / width) + 1) for lo, hi in window.intervals]
+    panels = np.concatenate([np.column_stack((e[:-1], e[1:])) for e in edges])
     res = adaptive_gk15(integrand, panels, quadrature.tolerance, quadrature.max_evaluations)
     pref = 1.0 / (2.0 * math.pi)
     phi, j, sig = (res.integral * pref).tolist()

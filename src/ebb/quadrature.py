@@ -91,8 +91,8 @@ def _gk15(f, lo, hi):
 
 
 def adaptive_gk15(f, panels, tol, max_evaluations):
-    """Integrate the vector-valued f over a sequence of (lo, hi) panels in
-    position order, in passes (see the module docstring).
+    """Integrate the vector-valued f over (lo, hi) panels, a sequence of pairs
+    or an (n, 2) array, in position order, in passes (see the module docstring).
 
     The stopping rule is err_k <= tol * max(1, |I_k|) for every component,
     QUADPACK's epsabs and epsrel both set to tol. A panel taken for
@@ -101,7 +101,7 @@ def adaptive_gk15(f, panels, tol, max_evaluations):
     if those alone need more, f is never called and BudgetError is raised.
     A panel whose error estimate is not finite raises NumericalFailure.
     """
-    if not panels:
+    if len(panels) == 0:
         zero = np.zeros(1)
         return QuadratureResult(zero, zero.copy(), 0, True, 0, 0)
     evals = 15 * len(panels)

@@ -7,16 +7,15 @@ classifier below labels each energy from finite-L evidence only, and every
 report carries the L_max actually used. No claim is made about the true
 infinite-L behavior.
 
-Both L-sweep commands take one route: the kernels fill an energies x
-checkpoints table, and the envelope check, the fits and the labels then run
-as array operations, row by row, on the whole table. `l_sweep` and
-`classify_transport` are its one-energy case.
+Both L-sweep commands take one route: the kernels fill one energies x
+checkpoints float table, checking each sigma against its explicit envelope
+as it is computed, and the fits and labels then run as array operations, row
+by row, on the whole table; `l_sweep` is its one-energy case.
 """
 
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -103,51 +102,29 @@ def check_checkpoints(checkpoints: Sequence[int]) -> list:
     return cps
 
 
-def _check_envelope(grid, cps: list, taus: array, sigmas: array, thermo: ThermoParams):
-    """Raise NumericalFailure at the first point swept so far (len(cps) per
-    energy), in grid order, whose sigma exceeds a crude explicit bound."""
-    bmax, bmin = max(thermo.beta_l, thermo.beta_r), min(thermo.beta_l, thermo.beta_r)
-    energy_term = abs(np.array(grid, dtype=float)) + abs(thermo.mu_l) + abs(thermo.mu_r) + 2.0 / bmin
-    bound = 4.0 * np.frombuffer(taus) * bmax * np.repeat(energy_term, len(cps))[: len(taus)]
-    over = np.flatnonzero(np.frombuffer(sigmas) > bound)
-    if over.size:
-        k = over[0]
-        L = cps[k % len(cps)]
-        raise NumericalFailure(f"entropy density {sigmas[k]} exceeds its explicit envelope at L={L}")
-
-
 def _sweep_table(sample: SampleSpec, grid, lead_l, lead_r, thermo: ThermoParams, checkpoints):
     """The checked checkpoints cps, and the L-sweeps at the grid energies
-    (see `l_sweep`) as len(grid) x len(cps) tables of the `LSweepPoint`
-    fields after L, in field order. The kernels run per energy or point;
-    the envelope check once, on the whole table."""
+    (see `l_sweep`) as one len(grid) x len(cps) x 5 float table of the
+    `LSweepPoint` fields after L, in field order. Each sigma is checked
+    against a crude explicit envelope as soon as it is computed."""
     cps = check_checkpoints(checkpoints)
     window = sigma_intersection(lead_l, lead_r)
     for E in grid:
         if not window.contains(E):
             raise DomainError(f"E={E} is outside the band intersection; sigma vanishes trivially")
     pot = sample.potential[: cps[-1] + 1]
-    # Typed arrays, not lists of float objects: on 400 energies x 13
-    # checkpoints, lists raised the command's peak RSS by about 0.5 MB more.
-    sigmas, taus, norms, residuals = (array("d") for _ in range(4))
-    flags = array("b")
-    columns = sigmas, taus, norms, flags, residuals
-    try:
-        for E in grid:
-            se = self_energies(lead_l, lead_r, E)
-            for L, T in checkpoint_products(pot, E, cps):
-                tau, residual = evaluate_point(sample, E, L, se)
-                sigmas.append(spectral_densities(E, tau, thermo)[2])
-                taus.append(tau)
-                residuals.append(residual)
-                norms.append(log_spectral_norm(T))
-                flags.append(is_resonant(T))
-    finally:
-        # Also when a later point failed: the first failure in grid order
-        # is the one reported.
-        _check_envelope(grid, cps, taus, sigmas, thermo)
-    tables = [np.frombuffer(c, dtype=bool if c is flags else float) for c in columns]
-    return cps, [t.reshape(len(grid), len(cps)) for t in tables]
+    bmax, bmin = max(thermo.beta_l, thermo.beta_r), min(thermo.beta_l, thermo.beta_r)
+    table = np.empty((len(grid), len(cps), 5))
+    for row, E in zip(table, grid):
+        se = self_energies(lead_l, lead_r, E)
+        energy_term = abs(E) + abs(thermo.mu_l) + abs(thermo.mu_r) + 2.0 / bmin
+        for point, (L, T) in zip(row, checkpoint_products(pot, E, cps)):
+            tau, residual = evaluate_point(sample, E, L, se)
+            sigma = spectral_densities(E, tau, thermo)[2]
+            if sigma > 4.0 * tau * bmax * energy_term:
+                raise NumericalFailure(f"entropy density {sigma} exceeds its explicit envelope at L={L}")
+            point[:] = sigma, tau, log_spectral_norm(T), is_resonant(T), residual
+    return cps, table
 
 
 def l_sweep(
@@ -168,23 +145,34 @@ def l_sweep(
     This is the one-energy row of the `equivalence_rows` table.
     """
     cps, table = _sweep_table(sample, (E,), lead_l, lead_r, thermo, checkpoints)
-    return list(map(LSweepPoint, cps, *(column[0].tolist() for column in table)))
+    return [LSweepPoint(L, s, t, n, bool(f), r) for L, (s, t, n, f, r) in zip(cps, table[0].tolist())]
 
 
-def _fit(xs, ys):
+def _fit(xs, ys, alive=True):
     """Least-squares slope against xs, and its r^2, of each series along the
-    last axis of ys (float arrays), as scipy.stats.linregress computes them."""
+    last axis of ys (float arrays), as scipy.stats.linregress computes them on
+    the points where `alive` is true; with fewer than two, slope 0 and r^2 1."""
+    xs, ys, alive = np.broadcast_arrays(xs, ys, alive)
+    n, dead = np.count_nonzero(alive, axis=-1), ~alive[..., None, :]
     # np.cov(xs, y, bias=1) of each series y, operation for operation,
-    # without its argument handling.
-    X = np.stack(np.broadcast_arrays(xs, ys), axis=-2)
-    X -= X.mean(axis=-1)[..., None]
-    C = np.matmul(X, np.swapaxes(X, -1, -2)) * (1.0 / xs.size)
-    ssxm, ssxym, ssym = C[..., 0, 0], C[..., 0, 1], C[..., 1, 1]
+    # without its argument handling. A dead point enters its sums as an
+    # exact zero. numpy adds fewer than 8 values in sequence and more in 8
+    # partial sums, so where the dead points trail, as an underflowing
+    # sigma's do, the sums keep linregress's order unless 4 to 7 points are
+    # alive; otherwise they may round differently in the last bit.
+    X = np.stack((xs, ys), axis=-2)
     with np.errstate(divide="ignore", invalid="ignore"):
+        np.copyto(X, 0.0, where=dead)
+        X -= (X.sum(axis=-1) / n[..., None])[..., None]
+        np.copyto(X, 0.0, where=dead)
+        C = np.matmul(X, np.swapaxes(X, -1, -2))
+        C *= (1.0 / n)[..., None, None]
+        ssxm, ssxym, ssym = C[..., 0, 0], C[..., 0, 1], C[..., 1, 1]
         r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
         slope = ssxym / ssxm
     # Degenerate fit; a flat series has slope 0 and perfect quality.
-    flat = (xs.size < 2) | (ys.max(axis=-1) - ys.min(axis=-1) == 0.0)
+    spread = ys.max(axis=-1, where=alive, initial=-math.inf) - ys.min(axis=-1, where=alive, initial=math.inf)
+    flat = (n < 2) | (spread == 0.0)
     return np.where(flat, 0.0, slope), np.where(flat, 1.0, r**2)
 
 
@@ -220,11 +208,9 @@ def _classify_table(cps: list, sigmas, norms, thresholds: ClassificationThreshol
     bounded = norm_slope < thresholds.bounded_norm_slope_factor / l_max
     alive = sigmas > SIGMA_UNDERFLOW_FLOOR
     whole = alive.all(axis=1)
-    sigma_slope, sigma_r2 = np.full(len(sigmas), -math.inf), np.ones(len(sigmas))
-    sigma_slope[whole], sigma_r2[whole] = _fit(Ls, np.log(sigmas[whole]))
-    # A row with underflowed points is fitted on its alive points, if any.
-    for i in np.flatnonzero(~whole & alive.any(axis=1)):
-        sigma_slope[i], sigma_r2[i] = _fit(Ls[alive[i]], np.log(sigmas[i, alive[i]]))
+    # Each row is fitted on its alive points; one with none decays at -inf.
+    sigma_slope, sigma_r2 = _fit(Ls, np.log(np.where(alive, sigmas, 1.0)), alive)
+    sigma_slope[~alive.any(axis=1)] = -math.inf
 
     decaying = sigma_slope < -thresholds.vanishing_slope_factor / l_max
     vanishing = ~whole | (decaying & (sigma_r2 > thresholds.vanishing_r2))
@@ -271,7 +257,8 @@ def equivalence_rows(
     """Classification rows for each grid energy, on sites 0..L of the sample
     at each checkpoint L (see `l_sweep`), from one sweep table classified at
     once. The checkpoints and energies are checked once, before any solve."""
-    cps, (sigmas, _, norms, _, residuals) = _sweep_table(sample, grid, lead_l, lead_r, thermo, checkpoints)
+    cps, table = _sweep_table(sample, grid, lead_l, lead_r, thermo, checkpoints)
+    sigmas, _, norms, _, residuals = np.moveaxis(table, -1, 0)
     classes = _classify_table(cps, sigmas, norms, thresholds)
     label, norm_slope, _, sigma_slope, _, _, contradiction = classes
     columns = label, norm_slope, sigma_slope, sigmas[:, -1], contradiction, residuals.max(axis=1)

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ebb.errors import DomainError, NumericalFailure
+from ebb.errors import BudgetError, DomainError, NumericalFailure
 from ebb.fluxes import (
     QuadratureParams,
     evaluate_point,
@@ -189,3 +190,19 @@ def test_pinned_flux_quadrature(spec, tol, evaluations, fluxes, error):
     assert res.quadrature_error_estimate == error
     assert res.converged
     assert res.panels_at_width_floor == res.panels_at_rounding_floor == 0
+
+
+def test_over_budget_panel_layout_stays_small():
+    # At L = 10^6 the initial panels alone exceed the default budget. They
+    # are laid out as one (n, 2) array, not a tuple per panel, so the
+    # failing call stays small: 1.27e6 panels take 20 MB as an array.
+    sample = SampleSpec(generate(AndersonRandom(1.0, 3), 10**6))
+    thermo = ThermoParams(1.0, 2.0, 0.5, -0.5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetError, match="initial panels"):
+            integrate_fluxes(sample, LEAD, LEAD, thermo)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

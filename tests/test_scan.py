@@ -172,6 +172,28 @@ def test_first_failure_in_grid_order_is_reported(lead11, monkeypatch, envelope_a
         equivalence_rows(FREE, [-0.5, 0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
 
 
+def test_envelope_violation_ends_the_sweep_at_once(lead11, monkeypatch):
+    # Sigma is checked against its envelope as soon as it is computed: no
+    # solve runs after the point that violates it.
+    evaluate, densities = ebb.scan.evaluate_point, ebb.scan.spectral_densities
+    solves, points = [], []
+
+    def counted(*args):
+        solves.append(args)
+        return evaluate(*args)
+
+    def above_envelope(E, tau, thermo):
+        points.append(E)
+        phi_l, j_l, sigma = densities(E, tau, thermo)
+        return phi_l, j_l, 1e300 if len(points) == 15 else sigma
+
+    monkeypatch.setattr(ebb.scan, "evaluate_point", counted)
+    monkeypatch.setattr(ebb.scan, "spectral_densities", above_envelope)
+    with pytest.raises(NumericalFailure, match=f"envelope at L={CHECKPOINTS[3]}$"):
+        equivalence_rows(FREE, [-0.5, 0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
+    assert len(solves) == 15
+
+
 @pytest.mark.parametrize(
     "spec", [Periodic((1.0, 0.0)), AndersonRandom(1.0, 3), AlmostMathieu(2.5, (5**0.5 - 1) / 2, 0.0)]
 )
@@ -318,6 +340,22 @@ def test_fit_matches_linregress():
         ref = linregress(xs, ys)
         assert _fit(xs, ys) == (ref.slope, ref.rvalue**2)
     assert _fit(xs, np.full(xs.size, 0.3)) == (0.0, 1.0)
+    # Dead points, whatever they hold, are left out of the fit: here the
+    # last two, as where sigma underflows at the largest L.
+    ys = -0.02 * xs + rng.normal(0, 0.1, xs.size)
+    alive = np.arange(xs.size) < xs.size - 2
+    ref = linregress(xs[alive], ys[alive])
+    assert _fit(xs, np.where(alive, ys, np.nan), alive) == (ref.slope, ref.rvalue**2)
+    assert _fit(xs, np.where(alive, 0.3, ys), alive) == (0.0, 1.0)
+    for n_alive in (0, 1):
+        assert _fit(xs, ys, np.arange(xs.size) < n_alive) == (0.0, 1.0)
+    # With dead points anywhere, numpy may sum the points in another order
+    # than linregress does: the fit then agrees to rounding.
+    for alive in rng.random((50, xs.size)) < 0.6:
+        if np.count_nonzero(alive) >= 2:
+            ref = linregress(xs[alive], ys[alive])
+            rel = 64 * np.finfo(float).eps
+            assert _fit(xs, ys, alive) == (pytest.approx(ref.slope, rel=rel), pytest.approx(ref.rvalue**2, rel=rel))
 
 
 @pytest.mark.parametrize("spec, underflowed", [(Periodic((1.0, 0.0)), 33), (AndersonRandom(1.0, 3), 15)])
