@@ -194,8 +194,8 @@ def test_pinned_flux_quadrature(spec, tol, evaluations, fluxes, error):
 
 def test_over_budget_panel_layout_stays_small():
     # At L = 10^6 the initial panels alone exceed the default budget. They
-    # are laid out as one (n, 2) array, not a tuple per panel, so the
-    # failing call stays small: 1.27e6 panels take 20 MB as an array.
+    # are laid out as one (n, 2) array, so the failing call stays small:
+    # its 1.27e6 panels take 20 MB.
     sample = SampleSpec(generate(AndersonRandom(1.0, 3), 10**6))
     thermo = ThermoParams(1.0, 2.0, 0.5, -0.5)
     tracemalloc.start()
