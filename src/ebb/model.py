@@ -53,10 +53,10 @@ class SampleSpec:
     so L = len(potential) - 1 >= 1 is required (a single shared coupling
     site is degenerate). Validated once at construction; a solve on the
     sample or on a prefix of it (sites 0..L' for L' <= L) reads the
-    potential as given. Not modified after construction.
+    potential and the one -1 off-diagonal. Not modified after construction.
     """
 
-    __slots__ = ("potential", "length", "off_diagonal", "interior_max", "interior_min")
+    __slots__ = ("potential", "length", "off_diagonal")
 
     def __init__(self, potential):
         pot = np.asarray(potential, dtype=float)
@@ -69,18 +69,6 @@ class SampleSpec:
         # The -1 hopping between sites as the complex off-diagonal of the
         # Green solve (see `green._tridiag_solve_boundary`).
         self.off_diagonal = np.full(self.length, -1.0, dtype=complex)
-        # Entry k of interior_max (interior_min) is the max (min) of the
-        # interior potential v_1..v_{k+1}; see `interior_deviation`.
-        self.interior_max = np.maximum.accumulate(pot[1:-1])
-        self.interior_min = np.minimum.accumulate(pot[1:-1])
-
-    def interior_deviation(self, E: float, L: int) -> float:
-        """max |v_i - E| over the interior sites 1 <= i < L (0.0 for L = 1)
-        in O(1). Rounding is monotone and odd, so it is fl(M - E) or
-        fl(E - m) for the extremes M, m of v_1..v_{L-1}, bit for bit."""
-        if L == 1:
-            return 0.0
-        return max(self.interior_max.item(L - 2) - E, E - self.interior_min.item(L - 2))
 
 
 def xi(E: float, beta: float, mu: float) -> float:

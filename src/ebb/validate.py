@@ -68,10 +68,11 @@ def sample_green_via_transfer(T: ScaledMatrix2) -> np.ndarray:
 
 
 def sample_green_direct(sample: SampleSpec, E: float, L: int):
-    """Decoupled Green matrix G0_L(E) of sites 0..L of the sample by a
-    pivoted tridiagonal solve, and the condition estimate of h_{S,L} - E
-    that screens near-resonances. Where gtsv finds the system exactly
-    singular (a Dirichlet eigenvalue), G0 is None and the estimate inf."""
+    """Decoupled Green matrix G0_L(E) of sites 0..L of the sample by the
+    pivoted tridiagonal solve (symmetric, g_lr = g_rl), and its
+    boundary-row condition estimate that screens near-resonances. Where
+    gtsv finds h_{S,L} - E exactly singular (a Dirichlet eigenvalue), G0
+    is None and the estimate inf."""
     try:
         return _tridiag_solve_boundary(sample, E, L)
     except NumericalFailure:

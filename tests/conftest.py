@@ -5,6 +5,7 @@ boundary value is recomputed from a large truncated lead, and small Green
 matrices from dense matrix inversion.
 """
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import lapack
@@ -44,3 +45,13 @@ def dense_green(pot, E, L, F_l=0.0, F_r=0.0):
     h[L, L] -= F_r
     g = np.linalg.inv(h - E * np.eye(L + 1))
     return np.array([[g[0, 0], g[0, L]], [g[L, 0], g[L, L]]])
+
+
+def continuants(a):
+    """Leading-block determinants of the tridiagonal matrix with diagonal a
+    (mpmath numbers) and off-diagonals -1: entry k is det A_0..k-1, and
+    entry 0 is 1. In the working precision of mpmath."""
+    dets = [mpmath.mpf(1), a[0]]
+    for x in a[1:]:
+        dets.append(x * dets[-1] - dets[-2])
+    return dets

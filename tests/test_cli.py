@@ -5,6 +5,7 @@ import math
 import time
 from collections import Counter
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,12 @@ from ebb import cli
 from ebb.cli import main
 from ebb.config import MAX_POINTS, geometric_checkpoints, parse_config
 from ebb.errors import ConfigError
+from ebb.leads import weiss_boundary
 from ebb.model import SampleSpec
 from ebb.potentials import AndersonRandom, Periodic, Zero, generate
 from ebb.scan import EnergyPoint, EquivalenceRow, LSweepPoint, l_sweep
+
+from conftest import continuants
 
 BASE = {
     "sample": {"length": 10, "potential": {"type": "zero"}},
@@ -325,6 +329,41 @@ def test_strong_barrier_sample_is_not_ill_conditioned(tmp_path):
     rc, out = run_cli(tmp_path / "f", "fluxes", cfg)
     assert rc == 0
     assert strict_json(out / "fluxes.json")["converged"]
+
+
+@pytest.mark.parametrize("sites, impurity", [((5,), 1e12), ((5,), 1e100), ((2, 7), 1e10)])
+def test_strong_impurity_is_not_ill_conditioned(tmp_path, sites, impurity):
+    # zeros(11) with v_5 = 1e12 or 1e100, or v_2 = v_7 = 1e10, is a high,
+    # well-separated barrier, not an ill-conditioned system: every command
+    # runs it, and tau at E = 0.3 is 4 Im F_l Im F_r / |det A|^2 (3.91e-24
+    # at v_5 = 1e12), with det A from continuants in 80 digits. Read from
+    # the e_L column at site 0, tau at v_2 = v_7 = 1e10 was off by 5.5e-7.
+    pot = np.zeros(11)
+    pot[list(sites)] = impurity
+    (tmp_path / "pot.txt").write_text("\n".join(map(repr, pot.tolist())))
+    cfg = write_config(
+        tmp_path, sample={"length": 10, "potential": {"type": "file", "path": "pot.txt"}},
+        extra={"sweep": {"energy": 0.3, "l_checkpoints": [1, 2, 3, 4, 5, 6, 8, 10], "e_grid": [-0.5, 0.3]}},
+    )
+    F = weiss_boundary(parse_config(cfg).lead_l, 0.3)
+    with mpmath.workdps(80):
+        diag = [mpmath.mpc(v - 0.3) for v in pot]
+        diag[0] -= F
+        diag[10] -= F
+        tau = float(4 * F.imag * F.imag / abs(continuants(diag)[-1]) ** 2)
+    if sites == (5,) and impurity == 1e12:
+        assert abs(tau - 3.91e-24) <= 1e-3 * tau
+    rc, out = run_cli(tmp_path / "f", "fluxes", cfg)
+    assert rc == 0
+    rc, out = run_cli(tmp_path / "l", "sweep-l", cfg)
+    assert rc == 0
+    (_, _, transmission, *_) = list(csv.reader((out / "sweep_l.csv").read_text().splitlines()))[-1]
+    assert abs(float(transmission) - tau) <= 1e-13 * tau
+    rc, out = run_cli(tmp_path / "e", "sweep-e", cfg)
+    assert rc == 0
+    assert strict_json(out / "sweep_e.json")["failed_points"] == []
+    (_, transmission, *_) = list(csv.reader((out / "sweep_e.csv").read_text().splitlines()))[-1]
+    assert abs(float(transmission) - tau) <= 1e-13 * tau
 
 
 def test_sweep_l_requires_energy(tmp_path):

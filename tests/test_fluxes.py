@@ -172,10 +172,10 @@ def test_quadrature_params_validation():
     "spec, tol, evaluations, fluxes, error",
     [
         (AlmostMathieu(0.5, (5**0.5 - 1) / 2, 0.0), 1e-8, 1710,
-         (0.0441189387284211, 0.07532227894740814, 0.1571023571495333), 1.2569593216970382e-09),
+         (0.044118938728421105, 0.07532227894740814, 0.1571023571495333), 1.2569593190957543e-09),
         (AndersonRandom(2.0, 7), 1e-12, 5580,
-         (-2.8932506970335887e-05, 0.00040669902615313565, 0.0005811160322593679),
-         1.4672449840991234e-13),
+         (-2.8932506970335954e-05, 0.00040669902615313565, 0.0005811160322593679),
+         1.467245174313735e-13),
     ],
     ids=["almost-mathieu", "anderson"],
 )

@@ -3,9 +3,10 @@ of ebb.validate it is checked against."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import lapack
 
 from ebb.errors import DomainError, NumericalFailure, ResonanceError
@@ -26,7 +27,7 @@ from ebb.validate import (
     sample_green_via_transfer,
 )
 
-from conftest import dense_green
+from conftest import continuants, dense_green
 
 
 def test_self_energy_pair_sign_check():
@@ -208,20 +209,25 @@ def test_cached_off_diagonal_is_never_written():
     assert np.all(off == -1.0)
 
 
-def _solve_as_before(t, F_l, F_r):
-    """The boundary solve on the real diagonal t = v - E as it was written
-    before the sample carried its extremes and off-diagonal: (info, G, cond)."""
+def _reference_solve(t, F_l, F_r):
+    """The boundary solve on the real diagonal t = v - E written out with a
+    keyword zgtsv call on fresh buffers: row L divided by its row sum, the
+    symmetric read of the e_0 column and the boundary-row estimate.
+    Returns (info, G, cond)."""
     L = len(t) - 1
     diag = t.astype(complex)
     diag[0] -= F_l
     diag[L] -= F_r
-    d0, dL = diag[::L].tolist()
-    off = np.full(L, -1.0, dtype=complex)
-    b = np.zeros((L + 1, 2), dtype=complex, order="F")
-    b[0, 0] = b[L, 1] = 1.0
-    _, _, _, x, info = lapack.zgtsv(off, diag, off, b, overwrite_d=1, overwrite_b=1)
-    anorm = max(abs(d0), abs(dL), float(np.abs(t[1:L]).max(initial=0.0))) + 2.0
-    return info, x[::L], anorm * float(np.abs(x).max())
+    s0, sL = abs(diag[0]) + 1.0, abs(diag[L]) + 1.0
+    dl, du = np.full(L, -1.0, dtype=complex), np.full(L, -1.0, dtype=complex)
+    dl[L - 1] /= sL
+    diag[L] /= sL
+    b = np.zeros((L + 1, 2), dtype=complex)
+    b[0, 0], b[L, 1] = 1.0, 1.0 / sL
+    _, _, _, x, info = lapack.zgtsv(dl=dl, d=diag, du=du, b=b)
+    G = np.array([[x[0, 0], x[L, 0]], [x[L, 0], x[L, 1]]])
+    cond = max(s0 * float(np.abs(x[:, 0]).max()), sL * float(np.abs(x[:, 1]).max()))
+    return info, G, cond
 
 
 @settings(max_examples=300, deadline=None)
@@ -234,8 +240,9 @@ def _solve_as_before(t, F_l, F_r):
     closed=st.sampled_from([None, "l", "r"]),
 )
 def test_lean_solve_keeps_the_bits(lead11, seed, L, extra, max_exponent, E, closed):
-    # The solve on a prefix of a validated sample gives the same bytes of G
-    # and the same condition estimate as the per-call formula it replaced,
+    # The solve on a prefix of a validated sample, with its shared
+    # off-diagonal, positional flags and buffers it may overwrite, gives the
+    # same bytes of G and the same condition estimate as the plain solve,
     # for potentials up to about 1e300, E inside and outside the band, and
     # either lead closed (Im F = 0).
     rng = np.random.default_rng(seed)
@@ -244,7 +251,7 @@ def test_lean_solve_keeps_the_bits(lead11, seed, L, extra, max_exponent, E, clos
     F = weiss_boundary(lead11, E)
     F_l = complex(F.real, 0.0) if closed == "l" else F
     F_r = complex(F.real, 0.0) if closed == "r" else F
-    info, G_ref, cond_ref = _solve_as_before(pot[: L + 1] - E, F_l, F_r)
+    info, G_ref, cond_ref = _reference_solve(pot[: L + 1] - E, F_l, F_r)
     if info != 0:
         with pytest.raises(NumericalFailure):
             _tridiag_solve_boundary(SampleSpec(pot), E, L, F_l, F_r)
@@ -254,19 +261,55 @@ def test_lean_solve_keeps_the_bits(lead11, seed, L, extra, max_exponent, E, clos
     assert cond == cond_ref
 
 
+def _continuant_reference(diag):
+    """G_00, G_L0 = G_0L and G_LL of A^(-1), for A tridiagonal with diagonal
+    `diag` and off-diagonals -1, as the continuant ratios det A_1..L / det A,
+    1 / det A and det A_0..L-1 / det A in 80 digits; and the largest
+    diagonal entry of the interior resolvent (A_1..L-1)^(-1), which is large
+    exactly where E is near an interior Dirichlet eigenvalue."""
+    with mpmath.workdps(80):
+        a = [mpmath.mpc(z) for z in diag]
+        D = continuants(a)[-1]
+        G = [complex(q) for q in (continuants(a[1:])[-1] / D, 1 / D, continuants(a[:-1])[-1] / D)]
+        inner = a[1:-1]
+        if not inner:
+            return G, 0.0
+        head, tail = continuants(inner), continuants(inner[::-1])[::-1]
+        if head[-1] == 0:
+            return G, math.inf
+        return G, float(max(abs(head[k] * tail[k + 1] / head[-1]) for k in range(len(inner))))
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.integers(1, 60),
-    max_exponent=st.floats(-2.0, 300.0),
+    L=st.integers(1, 40),
+    max_exponent=st.floats(-3.0, 60.0),
+    impurities=st.lists(st.tuples(st.integers(0, 40), st.floats(5.0, 300.0)), min_size=1, max_size=4),
     E=st.floats(-3.0, 3.0),
 )
-def test_interior_deviation_is_the_elementwise_maximum(seed, n, max_exponent, E):
-    # The O(1) interior row norm equals max |v_i - E| over 1 <= i < L, taken
-    # elementwise, at every prefix length L of the sample, L = 1 and 2 included.
+# v_L = 1e28 after a last pivot below 1: unless row L is scaled, the x^(L)
+# column cancels and the estimate (1.1e12) rejects this accurate solve.
+@example(seed=0, L=6, max_exponent=0.0, impurities=[(6, 28.0)], E=0.0)
+def test_coupled_green_matches_continuants(seed, L, max_exponent, impurities, E):
+    # Heterogeneous samples: site scales from 1e-3 to 10^max_exponent and
+    # impurities of 1e5 to 1e300, coupled to random self-energies. G is
+    # symmetric bit for bit, and G_00, G_L0 and G_LL match the continuant
+    # ratios, also where back-substitution spoils the e_L column at site 0.
+    # Energies within about 1e-2 of an interior Dirichlet eigenvalue are out
+    # of scope: there the solve loses digits in G_00 or G_LL, whichever read.
     rng = np.random.default_rng(seed)
-    pot = rng.normal(size=n + 1) * 10.0 ** rng.uniform(-2.0, max_exponent, size=n + 1)
-    sample = SampleSpec(pot)
-    for L in range(1, n + 1):
-        expected = float(np.abs(pot[1:L] - E).max(initial=0.0))
-        assert sample.interior_deviation(E, L) == expected
+    pot = rng.normal(size=L + 1) * 10.0 ** rng.uniform(-3.0, max_exponent, size=L + 1)
+    for site, exponent in impurities:
+        pot[site % (L + 1)] = rng.choice([-1.0, 1.0]) * 10.0**exponent
+    se = SelfEnergyPair(complex(rng.normal(), rng.uniform(0.1, 2.0)), complex(rng.normal(), rng.uniform(0.1, 2.0)))
+    diag = (pot - E).astype(complex)
+    diag[0] -= se.F_l
+    diag[L] -= se.F_r
+    refs, interior_resolvent = _continuant_reference(diag.tolist())
+    assume(interior_resolvent <= 100.0)
+    G = coupled_green_direct(SampleSpec(pot), E, L, se)
+    assert G[0, 1] == G[1, 0]
+    for g, ref in zip((G[0, 0], G[1, 0], G[1, 1]), refs):
+        # Below the normal range the float result keeps only absolute accuracy.
+        assert abs(g - ref) <= 1e-12 * abs(ref) + 1e-300

@@ -144,10 +144,10 @@ def test_l_sweep_routes_agree(lead11, spec):
     (len(CHECKPOINTS) + 3, None, "envelope"),
 ])
 def test_first_failure_in_grid_order_is_reported(lead11, monkeypatch, envelope_at, solve_at, reported):
-    # The envelope check runs once, on the table the solves filled, yet the
-    # failure reported is still the first in grid order: an envelope
-    # violation at an earlier point outranks a failed solve at a later one,
-    # and the other way round. Points are counted in grid order.
+    # Sigma is checked against its envelope at each point as it is
+    # computed, so the failure reported is the first in grid order: an
+    # envelope violation at an earlier point outranks a failed solve at a
+    # later one, and the other way round. Points are counted in grid order.
     evaluate, densities = ebb.scan.evaluate_point, ebb.scan.spectral_densities
     count = {"solve": -1, "densities": -1}
 
@@ -338,14 +338,14 @@ def test_fit_matches_linregress():
     for ys in (0.01 * xs + rng.normal(0, 0.1, xs.size), -3.0 * xs, rng.normal(0, 1, xs.size),
                np.log(np.exp(-0.02 * xs) + 1e-3)):
         ref = linregress(xs, ys)
-        assert _fit(xs, ys) == (ref.slope, ref.rvalue**2)
+        assert _fit(xs, ys) == (ref.slope, ref.rvalue * ref.rvalue)
     assert _fit(xs, np.full(xs.size, 0.3)) == (0.0, 1.0)
     # Dead points, whatever they hold, are left out of the fit: here the
     # last two, as where sigma underflows at the largest L.
     ys = -0.02 * xs + rng.normal(0, 0.1, xs.size)
     alive = np.arange(xs.size) < xs.size - 2
     ref = linregress(xs[alive], ys[alive])
-    assert _fit(xs, np.where(alive, ys, np.nan), alive) == (ref.slope, ref.rvalue**2)
+    assert _fit(xs, np.where(alive, ys, np.nan), alive) == (ref.slope, ref.rvalue * ref.rvalue)
     assert _fit(xs, np.where(alive, 0.3, ys), alive) == (0.0, 1.0)
     for n_alive in (0, 1):
         assert _fit(xs, ys, np.arange(xs.size) < n_alive) == (0.0, 1.0)
@@ -355,7 +355,7 @@ def test_fit_matches_linregress():
         if np.count_nonzero(alive) >= 2:
             ref = linregress(xs[alive], ys[alive])
             rel = 64 * np.finfo(float).eps
-            assert _fit(xs, ys, alive) == (pytest.approx(ref.slope, rel=rel), pytest.approx(ref.rvalue**2, rel=rel))
+            assert _fit(xs, ys, alive) == (pytest.approx(ref.slope, rel=rel), pytest.approx(ref.rvalue * ref.rvalue, rel=rel))
 
 
 @pytest.mark.parametrize("spec, underflowed", [(Periodic((1.0, 0.0)), 33), (AndersonRandom(1.0, 3), 15)])
@@ -375,7 +375,7 @@ def test_sigma_fits_match_linregress_on_alive_points(lead11, spec, underflowed):
     for row, mask, slope, r2 in zip(sigmas, alive, slopes.tolist(), r2s.tolist()):
         if np.count_nonzero(mask) >= 2:
             ref = linregress(Ls[mask], np.log(row[mask]))
-            assert (slope, r2) == (ref.slope, ref.rvalue**2)
+            assert (slope, r2) == (ref.slope, ref.rvalue * ref.rvalue)
 
 
 def test_median_matches_numpy():
