@@ -93,9 +93,9 @@ def self_energies(lead_l: LeadModel, lead_r: LeadModel, E) -> SelfEnergyPair:
 def evaluate_point(sample: SampleSpec, E, L: int, se: SelfEnergyPair) -> tuple:
     """Coupled Green matrix -> t-matrix: the transmission and unitarity
     residual at E of sites 0..L of the sample between the leads of the
-    self-energies se (see `self_energies`)."""
-    if not se.open_channel:
-        # Both channels closed: no scattering at this energy.
+    self-energies se (see `self_energies`). The one open-channel test:
+    with Im F = 0 on both leads it returns an exact (0.0, 0.0), unsolved."""
+    if not (se.F_l.imag > 0 or se.F_r.imag > 0):
         return 0.0, 0.0
     t = t_matrix(coupled_green_direct(sample, E, L, se), se)
     return transmission(t), unitarity_residual(t)

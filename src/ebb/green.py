@@ -9,10 +9,12 @@ are oracles in `ebb.validate`.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import DomainError, NumericalFailure
+from .errors import NumericalFailure
 from .model import SampleSpec
 
 CONDITION_LIMIT = 1e12
@@ -21,18 +23,12 @@ CONDITION_LIMIT = 1e12
 _zgtsv = lapack.zgtsv
 
 
-class SelfEnergyPair:
-    """Boundary values F_l(E+i0), F_r(E+i0) acting as lead self-energies,
-    and open_channel: whether Im F > 0 on at least one lead, so a channel
-    is open. Built once per energy; not modified after construction."""
+class SelfEnergyPair(NamedTuple):
+    """Boundary values F_l(E+i0), F_r(E+i0) acting as lead self-energies.
+    A plain value pair: the leads that make F keep Im F >= 0."""
 
-    __slots__ = ("F_l", "F_r", "open_channel")
-
-    def __init__(self, F_l: complex, F_r: complex):
-        if F_l.imag < 0 or F_r.imag < 0:
-            raise DomainError("self-energies must have Im >= 0")
-        self.F_l, self.F_r = F_l, F_r
-        self.open_channel = F_l.imag > 0 or F_r.imag > 0
+    F_l: complex
+    F_r: complex
 
 
 def _tridiag_solve_boundary(sample: SampleSpec, E: float, L: int, F_l=0j, F_r=0j):
@@ -80,13 +76,12 @@ def coupled_green_direct(sample: SampleSpec, E: float, L: int, se: SelfEnergyPai
     """Coupled Green matrix of sites 0..L by a direct complex tridiagonal solve.
 
     The lead self-energies are absorbed into the boundary diagonal:
-    (h_{S,L} - E - F_l P_0 - F_r P_L) u = delta_site. Requires an open
-    channel on at least one side: Im F > 0 makes the system invertible
-    (any kernel vector vanishes at the coupling sites, then everywhere by
-    the three-term recurrence).
+    (h_{S,L} - E - F_l P_0 - F_r P_L) u = delta_site. Im F > 0 on a lead
+    makes it invertible (any kernel vector vanishes at the coupling sites,
+    then everywhere by the three-term recurrence); a closed system is
+    solved alike, and a singular or near-singular one raises
+    NumericalFailure through zgtsv's info or CONDITION_LIMIT.
     """
-    if not se.open_channel:
-        raise DomainError("coupled_green_direct needs Im F > 0 on at least one lead")
     G, cond = _tridiag_solve_boundary(sample, E, L, se.F_l, se.F_r)
     if cond > CONDITION_LIMIT:
         raise NumericalFailure(

@@ -318,7 +318,7 @@ def test_strong_barrier_sample_is_not_ill_conditioned(tmp_path):
     assert rc == 0
     payload = strict_json(out / "sweep_l.json")
     assert payload["classification"] == "vanishing"
-    assert payload["norm_slope"] == pytest.approx(math.log(1e300), rel=1e-12)
+    assert payload["norm_slope"] == pytest.approx(math.log(1e300), rel=1e-12, abs=0)
     cfg = write_config(
         tmp_path, name="e.json", sample={**barrier, "length": 100},
         extra={"sweep": {"e_grid": {"min": -1.9, "max": 1.9, "points": 50}}},
@@ -364,6 +364,29 @@ def test_strong_impurity_is_not_ill_conditioned(tmp_path, sites, impurity):
     assert strict_json(out / "sweep_e.json")["failed_points"] == []
     (_, transmission, *_) = list(csv.reader((out / "sweep_e.csv").read_text().splitlines()))[-1]
     assert abs(float(transmission) - tau) <= 1e-13 * tau
+
+
+def test_ill_conditioned_energy_fails_alone(tmp_path):
+    # Couplings of 1e-7 leave zeros(11)'s Dirichlet resonance at E = -1
+    # nearly undamped: that solve's condition estimate exceeds
+    # CONDITION_LIMIT, and sweep-e fails that energy, saying why, and
+    # solves the next one.
+    lead = {"type": "semi_infinite", "hopping": 1.0, "coupling": 1e-7}
+    cfg = write_config(tmp_path, lead_l=lead, lead_r=lead, extra={"sweep": {"e_grid": [-1.0, 0.3]}})
+    rc, out = run_cli(tmp_path, "sweep-e", cfg)
+    assert rc == 0
+    payload = strict_json(out / "sweep_e.json")
+    assert payload["failed_points"] == [-1.0]
+    assert payload["failed_reasons"] == ["coupled system ill-conditioned (condition estimate 9.97e+13)"]
+    rows = list(csv.DictReader((out / "sweep_e.csv").read_text().splitlines()))
+    assert [float(row["E"]) for row in rows] == [-1.0, 0.3]
+    F = weiss_boundary(parse_config(cfg).lead_l, 0.3)
+    with mpmath.workdps(80):
+        diag = [mpmath.mpc(-0.3)] * 11
+        diag[0] -= F
+        diag[10] -= F
+        tau = float(4 * F.imag * F.imag / abs(continuants(diag)[-1]) ** 2)
+    assert abs(float(rows[1]["transmission"]) - tau) <= 1e-13 * tau
 
 
 def test_sweep_l_requires_energy(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ebb.fluxes
 from ebb.errors import BudgetError, DomainError, NumericalFailure
 from ebb.fluxes import (
     QuadratureParams,
@@ -22,6 +23,8 @@ from ebb.potentials import AlmostMathieu, AndersonRandom, Zero, generate
 # beta_r = 2, mu_r = 0, E = 0: rho_l = 1/(1+e^-1), rho_r = 1/2.
 DRHO_REF = 0.2310585786300049
 LEAD = SemiInfiniteLaplacian(1.0, 1.0)
+# Im F = 0 over [-10, 10]: no open channel.
+CLOSED = TabulatedLead(np.array([-10.0, 10.0]), np.full(2, -0.1), np.zeros(2))
 
 
 def _fluxes(L, thermo, tol=1e-8):
@@ -94,9 +97,18 @@ def test_evaluate_point_free_sample(lead11):
 
 
 def test_evaluate_point_closed_channel(lead11):
-    e = np.array([-10.0, 10.0])
-    closed = TabulatedLead(e, np.full(2, -0.1), np.zeros(2))
-    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, self_energies(closed, closed, 0.5)) == (0.0, 0.0)
+    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, self_energies(CLOSED, CLOSED, 0.5)) == (0.0, 0.0)
+
+
+def test_closed_channel_is_decided_before_the_solve(monkeypatch):
+    # evaluate_point is the one open-channel test: a closed pair never
+    # reaches the coupled solve.
+    def solve(*args):
+        raise AssertionError("closed channel reached the coupled solve")
+
+    monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", solve)
+    se = self_energies(CLOSED, CLOSED, 0.5)
+    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, se) == (0.0, 0.0)
 
 
 def test_integration_window_margin():

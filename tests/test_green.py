@@ -9,13 +9,13 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import lapack
 
-from ebb.errors import DomainError, NumericalFailure, ResonanceError
+from ebb.errors import NumericalFailure, ResonanceError
 from ebb.green import (
     SelfEnergyPair,
     _tridiag_solve_boundary,
     coupled_green_direct,
 )
-from ebb.leads import weiss_boundary
+from ebb.leads import SemiInfiniteLaplacian, weiss_boundary
 from ebb.model import SampleSpec
 from ebb.potentials import AndersonRandom, generate
 from ebb.transfer import checkpoint_products
@@ -30,11 +30,11 @@ from ebb.validate import (
 from conftest import continuants, dense_green
 
 
-def test_self_energy_pair_sign_check():
-    assert SelfEnergyPair(1j, 0.5 + 0.0j).open_channel
-    assert not SelfEnergyPair(0.5 + 0j, -0.0j).open_channel
-    with pytest.raises(DomainError):
-        SelfEnergyPair(-1e-6j, 1j)
+def test_self_energy_pair_is_a_plain_value():
+    # Im F >= 0 is the leads' rule where F is made; the pair holds values.
+    assert SelfEnergyPair(1j, 0.5 + 0j) == (1j, 0.5 + 0j)
+    assert SelfEnergyPair._fields == ("F_l", "F_r")
+    assert SelfEnergyPair(-1e-6j, 1j).F_l == -1e-6j
 
 
 def test_decoupled_worked_example():
@@ -124,9 +124,22 @@ def test_coupled_direct_survives_dirichlet_resonance(lead11):
     np.testing.assert_allclose(G, ref, atol=1e-12)
 
 
-def test_coupled_direct_requires_open_channel():
-    with pytest.raises(DomainError):
-        coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, SelfEnergyPair(0.5 + 0j, -0.5 + 0j))
+def test_coupled_direct_solves_a_closed_system():
+    # Im F = 0 on both leads: A = [[-0.5, -1], [-1, 0.5]] is invertible, and
+    # the solve returns its real inverse like any other.
+    G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, SelfEnergyPair(0.5 + 0j, -0.5 + 0j))
+    assert not G.imag.any()
+    np.testing.assert_allclose(G, dense_green(np.zeros(2), 0.0, 1, 0.5, -0.5), rtol=0, atol=1e-14)
+
+
+def test_ill_conditioned_solve_is_rejected():
+    # Couplings of 1e-7 leave the decoupled sample's Dirichlet resonance at
+    # E = -1 nearly undamped (Im F = 8.7e-15): the estimate exceeds
+    # CONDITION_LIMIT and the solve fails rather than return G.
+    lead = SemiInfiniteLaplacian(1.0, 1e-7)
+    with pytest.raises(NumericalFailure) as exc:
+        coupled_green_direct(SampleSpec(np.zeros(11)), -1.0, 10, _se(lead, -1.0))
+    assert str(exc.value) == "coupled system ill-conditioned (condition estimate 9.97e+13)"
 
 
 def test_coupled_green_singular_junction_rejected():
@@ -187,7 +200,7 @@ def test_strong_barrier_is_well_conditioned(lead11):
     se = _se(lead11, E)
     barrier = SampleSpec(np.full(L + 1, 1e300))
     G = coupled_green_direct(barrier, E, L, se)
-    assert abs(G[0, 0]) == pytest.approx(1e-300, rel=1e-12)
+    assert abs(G[0, 0]) == pytest.approx(1e-300, rel=1e-12, abs=0)
     _, cond = _tridiag_solve_boundary(barrier, E, L, se.F_l, se.F_r)
     assert 1.0 <= cond <= 2.0
 

@@ -45,7 +45,7 @@ def test_weiss_out_of_band_real_and_decaying(lead11):
         assert weiss_boundary(lead11, -E) == pytest.approx(-F.real, abs=1e-15)
     # Decay F ~ -coupling^2 / E at infinity (the subtraction in the
     # closed form costs a few digits out here).
-    assert weiss_boundary(lead11, 1e6).real == pytest.approx(-1e-6, rel=1e-3)
+    assert weiss_boundary(lead11, 1e6).real == pytest.approx(-1e-6, rel=1e-3, abs=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -110,6 +110,15 @@ def test_tabulated_lead_validation():
     # Rounding-level negative entries are clamped, not rejected.
     lead = TabulatedLead(np.array([0.0, 1.0]), np.zeros(2), np.array([-1e-13, 1.0]))
     assert lead.im_f[0] == 0.0
+
+
+def test_tabulated_boundary_clamps_interpolation_rounding():
+    # np.interp rounds below zero between non-negative entries; boundary
+    # is the only Im F >= 0 guard a tabulated lead has, so it must clamp.
+    lead = TabulatedLead([-0.47078772717254713, 0.9443423684874057], [0.0, 0.0], [5.2541536019363516e-216, 0.0])
+    E = 0.9443423684874056
+    assert np.interp(E, lead.energies, lead.im_f) < 0.0
+    assert lead.boundary(E).imag == 0.0
 
 
 def test_tabulated_lead_compares_and_hashes():

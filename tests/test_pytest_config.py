@@ -1,5 +1,7 @@
-"""The suite's pytest configuration, run on a throwaway test file."""
+"""The suite's pytest configuration, run on a throwaway test file, and a
+lint of the suite's own tolerance checks."""
 
+import ast
 import pathlib
 import subprocess
 import sys
@@ -28,3 +30,19 @@ def test_failing_hypothesis_test_shows_its_example(tmp_path):
     assert run.returncode == 1, out
     assert "Falsifying example" in out
     assert "INTERNALERROR" not in out
+
+
+def test_relative_approx_has_no_hidden_absolute_tolerance():
+    # pytest.approx(x, rel=r) keeps its default abs=1e-12, which alone
+    # accepts anything within 1e-12 of a small x; a relative check must
+    # say abs= too (abs=0 for a purely relative one).
+    bare = []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "approx"):
+                continue
+            keywords = {k.arg for k in node.keywords}
+            if "rel" in keywords and "abs" not in keywords:
+                bare.append(f"{path.name}:{node.lineno}")
+    assert bare == []

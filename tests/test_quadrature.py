@@ -13,7 +13,7 @@ TENTHS = [(k / 10, (k + 1) / 10) for k in range(10)]
 def test_polynomial_exact():
     # GK15 integrates degree-22 polynomials exactly on a single panel.
     res = adaptive_gk15(lambda x: np.array([x**8]), [(-1.0, 2.0)], 1e-12, 1000)
-    assert res.integral[0] == pytest.approx((2.0**9 + 1.0) / 9.0, rel=1e-14)
+    assert res.integral[0] == pytest.approx((2.0**9 + 1.0) / 9.0, rel=1e-14, abs=0)
     assert res.converged
 
 
@@ -38,7 +38,7 @@ def test_oscillatory_needs_subdivision_and_converges():
 
 def test_multiple_intervals():
     res = adaptive_gk15(lambda x: np.array([1.0]), [(0.0, 1.0), (2.0, 4.0)], 1e-12, 1000)
-    assert res.integral[0] == pytest.approx(3.0, rel=1e-14)
+    assert res.integral[0] == pytest.approx(3.0, rel=1e-14, abs=0)
 
 
 def test_empty_intervals():
@@ -82,7 +82,7 @@ def test_caller_panels_are_all_evaluated():
     res = adaptive_gk15(f, TENTHS, 1e-12, 10_000)
     assert res.evaluations == len(calls) == 150
     assert all(any(lo < x < hi for x in calls) for lo, hi in TENTHS)
-    assert res.integral[0] == pytest.approx(1.0, rel=1e-14)
+    assert res.integral[0] == pytest.approx(1.0, rel=1e-14, abs=0)
 
 
 def test_deterministic_repeat():

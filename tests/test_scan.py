@@ -355,7 +355,7 @@ def test_fit_matches_linregress():
         if np.count_nonzero(alive) >= 2:
             ref = linregress(xs[alive], ys[alive])
             rel = 64 * np.finfo(float).eps
-            assert _fit(xs, ys, alive) == (pytest.approx(ref.slope, rel=rel), pytest.approx(ref.rvalue * ref.rvalue, rel=rel))
+            assert _fit(xs, ys, alive) == (pytest.approx(ref.slope, rel=rel, abs=0), pytest.approx(ref.rvalue * ref.rvalue, rel=rel, abs=0))
 
 
 @pytest.mark.parametrize("spec, underflowed", [(Periodic((1.0, 0.0)), 33), (AndersonRandom(1.0, 3), 15)])
