@@ -18,7 +18,7 @@ import numpy as np
 
 from . import leads as leads_mod
 from .errors import DomainError, NumericalFailure
-from .green import SelfEnergyPair, coupled_green_direct
+from .green import GreenPrefix, SelfEnergyPair, coupled_green_direct
 from .leads import LeadModel, sigma_intersection, weiss_boundary
 from .model import SampleSpec, ThermoParams, fermi_density, xi
 from .quadrature import adaptive_gk15
@@ -57,19 +57,27 @@ class FluxResult:
     panels_at_rounding_floor: int
 
 
-def spectral_densities(E, T_of_E, thermo: ThermoParams) -> tuple:
-    """Pointwise densities (phi_l, j_l, sigma) at energy E for transmission
-    T_of_E. A density that is not finite raises NumericalFailure."""
+def thermal_factors(E, thermo: ThermoParams) -> tuple:
+    """(rho_l - rho_r, xi_r - xi_l) at energy E, the factors of the
+    densities that do not depend on L."""
     rho_l = fermi_density(E, thermo.beta_l, thermo.mu_l)
     rho_r = fermi_density(E, thermo.beta_r, thermo.mu_r)
     drho = rho_l - rho_r
-    j_l = T_of_E * drho
-    phi_l = j_l * E
     dxi = xi(E, thermo.beta_r, thermo.mu_r) - xi(E, thermo.beta_l, thermo.mu_l)
     if drho == 0.0:
         # Equal occupations carry nothing, also where dxi overflowed to inf
         # (inf * 0 is NaN); only dxi's sign reaches sigma's signed zero.
         dxi = math.copysign(1.0, dxi)
+    return drho, dxi
+
+
+def spectral_densities(E, T_of_E, thermo: ThermoParams, factors=None) -> tuple:
+    """Pointwise densities (phi_l, j_l, sigma) at energy E for transmission
+    T_of_E, from `thermal_factors(E, thermo)` or the `factors` it returned
+    at this E. A density that is not finite raises NumericalFailure."""
+    drho, dxi = thermal_factors(E, thermo) if factors is None else factors
+    j_l = T_of_E * drho
+    phi_l = j_l * E
     sigma = T_of_E * dxi * drho
     if not (math.isfinite(phi_l) and math.isfinite(j_l) and math.isfinite(sigma)):
         raise NumericalFailure(
@@ -90,14 +98,18 @@ def self_energies(lead_l: LeadModel, lead_r: LeadModel, E) -> SelfEnergyPair:
     return SelfEnergyPair(weiss_boundary(lead_l, E), weiss_boundary(lead_r, E))
 
 
-def evaluate_point(sample: SampleSpec, E, L: int, se: SelfEnergyPair) -> tuple:
+def evaluate_point(
+    sample: SampleSpec, E, L: int, se: SelfEnergyPair, prefix: GreenPrefix | None = None
+) -> tuple:
     """Coupled Green matrix -> t-matrix: the transmission and unitarity
     residual at E of sites 0..L of the sample between the leads of the
-    self-energies se (see `self_energies`). The one open-channel test:
-    with Im F = 0 on both leads it returns an exact (0.0, 0.0), unsolved."""
+    self-energies se (see `self_energies`), continuing from `prefix` if
+    given (see `green.coupled_green_direct`). The one open-channel test:
+    with Im F = 0 on both leads it returns an exact (0.0, 0.0), unsolved,
+    at every L of the energy, so the prefix is never left behind."""
     if not (se.F_l.imag > 0 or se.F_r.imag > 0):
         return 0.0, 0.0
-    t = t_matrix(coupled_green_direct(sample, E, L, se), se)
+    t = t_matrix(coupled_green_direct(sample, E, L, se, prefix), se)
     return transmission(t), unitarity_residual(t)
 
 

@@ -3,18 +3,21 @@
 The benchmark's traced run counts calls at these bindings and requires
 `evaluate_point` calls == evaluations and `coupled_green_direct` calls ==
 checkpoints x energies. These tests pin that contract on small inputs, with
-a counting wrapper on each binding that a caller looks up.
+a counting wrapper on each binding that a caller looks up. Within it, the
+Green solves of one L-sweep energy continue from checkpoint to checkpoint,
+so the tridiagonal segments they solve cover sites 0..L_max once.
 """
 
 import numpy as np
 import pytest
 
 import ebb.fluxes
+import ebb.green
 import ebb.scan
 from ebb.fluxes import QuadratureParams, integrate_fluxes
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, generate
-from ebb.scan import energy_sweep, equivalence_rows
+from ebb.scan import energy_sweep, equivalence_rows, l_sweep
 
 THERMO = ThermoParams(1.0, 2.0, 0.5, -0.5)
 CHECKPOINTS = [10, 16, 25, 40, 63, 100, 158, 251]
@@ -65,3 +68,30 @@ def test_equivalence_rows_call_counts(calls, lead11):
     assert calls["scan.checkpoint_products"] == len(grid)
     assert calls["scan.evaluate_point"] == len(CHECKPOINTS) * len(grid)
     assert calls["fluxes.coupled_green_direct"] == len(CHECKPOINTS) * len(grid)
+
+
+def test_l_sweep_call_counts(calls, lead11):
+    pot = generate(AndersonRandom(1.0, 3), CHECKPOINTS[-1])
+    l_sweep(SampleSpec(pot), 0.3, lead11, lead11, THERMO, CHECKPOINTS)
+    assert calls["scan.checkpoint_products"] == 1
+    assert calls["scan.evaluate_point"] == len(CHECKPOINTS)
+    assert calls["fluxes.coupled_green_direct"] == len(CHECKPOINTS)
+
+
+@pytest.mark.parametrize("checkpoints", [CHECKPOINTS, [1, 2, 3, 4, 5, 6, 8, 10]])
+def test_equivalence_energy_solves_each_site_once(lead11, monkeypatch, checkpoints):
+    # One solve per energy and checkpoint, and the segments they hand to
+    # zgtsv cover L_max + 1 sites per energy, one-site segments included.
+    sites = []
+    inner = ebb.green._zgtsv
+
+    def counted(dl, d, *args):
+        sites.append(len(d))
+        return inner(dl, d, *args)
+
+    monkeypatch.setattr(ebb.green, "_zgtsv", counted)
+    grid = np.linspace(-1.9, 1.9, 7)
+    pot = generate(Periodic((1.0, 0.0)), checkpoints[-1])
+    equivalence_rows(SampleSpec(pot), grid, checkpoints, lead11, lead11, THERMO)
+    assert len(sites) == len(checkpoints) * len(grid)
+    assert sum(sites) == (checkpoints[-1] + 1) * len(grid)

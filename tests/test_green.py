@@ -7,17 +7,19 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
-from scipy.linalg import lapack
+from scipy.linalg import eigh_tridiagonal, lapack
 
 from ebb.errors import NumericalFailure, ResonanceError
 from ebb.green import (
+    GreenPrefix,
     SelfEnergyPair,
     _tridiag_solve_boundary,
     coupled_green_direct,
 )
 from ebb.leads import SemiInfiniteLaplacian, weiss_boundary
 from ebb.model import SampleSpec
-from ebb.potentials import AndersonRandom, generate
+from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, generate
+from ebb.scattering import t_matrix, transmission
 from ebb.transfer import checkpoint_products
 from ebb.validate import (
     check_graph_map,
@@ -326,3 +328,100 @@ def test_coupled_green_matches_continuants(seed, L, max_exponent, impurities, E)
     for g, ref in zip((G[0, 0], G[1, 0], G[1, 1]), refs):
         # Below the normal range the float result keeps only absolute accuracy.
         assert abs(g - ref) <= 1e-12 * abs(ref) + 1e-300
+
+
+SWEEP_CHECKPOINTS = (
+    [10, 16, 24, 38, 58, 91, 141, 220, 342, 532, 827, 1286, 2000],
+    # One-site segments, also onto the sample's last site.
+    [1, 2, 3, 4, 5, 6, 8, 10, 11, 532, 533, 1286, 1287, 1999, 2000],
+)
+
+
+def _right_end_eigenvalues(pot, P, count=2):
+    """Up to `count` in-band Dirichlet eigenvalues of sites 0..P whose states
+    sit at site P: |psi(P) / psi(0)| > e^100, largest first."""
+    w, v = eigh_tridiagonal(pot[: P + 1], -np.ones(P))
+    log_end = np.log(np.maximum(np.abs(v[[0, -1]]), 1e-300))
+    log_ratio = log_end[1] - log_end[0]
+    log_ratio[np.abs(w) > 1.99] = -np.inf
+    best = np.argsort(log_ratio)[::-1][:count]
+    return w[best[log_ratio[best] > 100.0]].tolist()
+
+
+def _outcome(solve):
+    """The value of solve(), or the NumericalFailure it raised."""
+    try:
+        return solve()
+    except NumericalFailure as exc:
+        return exc
+
+
+@pytest.mark.parametrize("spec, localized", [
+    (Periodic((1.0, 0.0)), False),
+    (AndersonRandom(1.0, 3), True),
+    (AndersonRandom(3.0, 5), True),
+    (AlmostMathieu(2.5, (5**0.5 - 1) / 2, 0.0), True),
+])
+def test_continued_solve_matches_the_fresh_one(lead11, spec, localized):
+    # An L-sweep continues each energy's solve from the previous checkpoint
+    # (GreenPrefix). At every checkpoint it gives the fresh solve's G within
+    # 1e-10 of max|G|, tau within 1e-8 relative and the same NumericalFailure
+    # outcome: on a grid of 201 energies, with one-site segments, and at
+    # eigenvalues of the prefixes 0..532 and 0..1286 whose states sit at
+    # their right end, where the left-connected g_PP is nearly singular.
+    pot = generate(spec, 2000)
+    sample = SampleSpec(pot)
+    energies = np.linspace(-1.99, 1.99, 201).tolist()
+    for P in (532, 1286):
+        eigenvalues = _right_end_eigenvalues(pot, P)
+        # Extended states sit at neither end.
+        assert len(eigenvalues) == (2 if localized else 0)
+        energies += eigenvalues
+    for E in energies:
+        se = _se(lead11, E)
+        for checkpoints in SWEEP_CHECKPOINTS:
+            prefix = GreenPrefix()
+            for L in checkpoints:
+                fresh = _outcome(lambda: coupled_green_direct(sample, E, L, se))
+                continued = _outcome(lambda: coupled_green_direct(sample, E, L, se, prefix))
+                if isinstance(fresh, NumericalFailure) or isinstance(continued, NumericalFailure):
+                    assert type(fresh) is type(continued), (E, L, fresh, continued)
+                    continue
+                assert prefix.P == L
+                scale = np.abs(fresh).max()
+                assert np.abs(continued - fresh).max() <= 1e-10 * scale, (E, L)
+                tau = transmission(t_matrix(fresh, se))
+                if tau > 1e-300:
+                    assert abs(transmission(t_matrix(continued, se)) - tau) <= 1e-8 * tau, (E, L)
+
+
+def test_prefix_must_end_before_the_checkpoint(lead11):
+    # A prefix of sites 0..P continues only to an L past P.
+    sample = SampleSpec(np.zeros(11))
+    se = _se(lead11, 0.3)
+    prefix = GreenPrefix()
+    coupled_green_direct(sample, 0.3, 5, se, prefix)
+    with pytest.raises(ValueError, match="no sites"):
+        coupled_green_direct(sample, 0.3, 5, se, prefix)
+
+
+@pytest.mark.parametrize("spec, E, emptied, restart", [
+    # d = 1 + F_r G_LL is exactly 0 at L = 91: sites 0..91 without the right
+    # lead are singular in working precision, so the prefix is emptied and
+    # L = 141 is solved from site 0.
+    (AndersonRandom(3.0, 5), -0.42120727992722884, 91, 141),
+    # The segment 142..220 has condition estimate 2.0e12: L = 220 is solved
+    # from site 0, as without a prefix, and that solve is accepted.
+    (AndersonRandom(1.0, 3), -1.9887671433748033, None, 220),
+])
+def test_continuation_restarts_from_site_0(lead11, spec, E, emptied, restart):
+    sample = SampleSpec(generate(spec, 2000))
+    se = _se(lead11, E)
+    prefix = GreenPrefix()
+    for L in SWEEP_CHECKPOINTS[0]:
+        G = coupled_green_direct(sample, E, L, se, prefix)
+        fresh = coupled_green_direct(sample, E, L, se)
+        assert prefix.P == (-1 if L == emptied else L)
+        if L == restart:
+            assert G.tobytes() == fresh.tobytes()
+        assert np.abs(G - fresh).max() <= 1e-10 * np.abs(fresh).max()

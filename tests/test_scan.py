@@ -109,9 +109,9 @@ def test_every_solve_receives_the_callers_sample(lead11, monkeypatch):
     seen = []
     inner = ebb.fluxes.coupled_green_direct
 
-    def recording(sample, E, L, se):
+    def recording(sample, E, L, se, prefix=None):
         seen.append(sample)
-        return inner(sample, E, L, se)
+        return inner(sample, E, L, se, prefix)
 
     monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", recording)
     l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
@@ -157,9 +157,9 @@ def test_first_failure_in_grid_order_is_reported(lead11, monkeypatch, envelope_a
             raise NumericalFailure("solve failed")
         return evaluate(*args)
 
-    def above_envelope(E, tau, thermo):
+    def above_envelope(E, tau, thermo, factors=None):
         count["densities"] += 1
-        phi_l, j_l, sigma = densities(E, tau, thermo)
+        phi_l, j_l, sigma = densities(E, tau, thermo, factors)
         return phi_l, j_l, 1e300 if count["densities"] == envelope_at else sigma
 
     monkeypatch.setattr(ebb.scan, "evaluate_point", solve)
@@ -182,9 +182,9 @@ def test_envelope_violation_ends_the_sweep_at_once(lead11, monkeypatch):
         solves.append(args)
         return evaluate(*args)
 
-    def above_envelope(E, tau, thermo):
+    def above_envelope(E, tau, thermo, factors=None):
         points.append(E)
-        phi_l, j_l, sigma = densities(E, tau, thermo)
+        phi_l, j_l, sigma = densities(E, tau, thermo, factors)
         return phi_l, j_l, 1e300 if len(points) == 15 else sigma
 
     monkeypatch.setattr(ebb.scan, "evaluate_point", counted)
