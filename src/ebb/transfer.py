@@ -6,14 +6,15 @@ The product is therefore kept as a ScaledMatrix2: a 2x2 matrix with entries
 at most 2, times exp(log_scale).
 
 `checkpoint_products` computes it in one block-lane pass. Sites
-0..checkpoints[-1] are cut into BLOCK-site blocks laid out from site 0, and
-numpy advances the products of all blocks at once, one site of every block
-per step. The lanes are rescaled by exact powers of two, often enough that
-no finite potential can overflow them. The block products are then folded
-in order by scalar 2x2 products, and each checkpoint finishes its partial
-last block with scalar steps. Scaling by a power of two is exact, so where
-the rescaling happens does not change the product's mantissas, and a
-block's product is the same whichever checkpoints are asked for.
+0..checkpoints[-1] are cut into BLOCK-site blocks laid out from site 0; each
+checkpoint's partial last block, its tail, is one more block, zero-padded at
+the front. numpy advances all these lanes at once, one site per step, and
+rescales them by exact powers of two, often enough that no finite potential
+can overflow them. The block products are folded in order by scalar 2x2
+products, and each checkpoint multiplies its tail onto the fold. Scaling by
+a power of two is exact, so where the rescaling happens does not change the
+product's mantissas, and a lane's product is the same whichever checkpoints
+are asked for.
 
 The run path reads two things from a product, its spectral norm and the
 resonance test on its (1,1) entry; no determinant is kept alongside it.
@@ -108,23 +109,23 @@ def _steps_within(log_bound: float, log_growth: float) -> int:
 
 
 def _block_lanes(t: np.ndarray, r_scale: int):
-    """The product of each block's factors, all blocks at once.
+    """The product of each lane's BLOCK factors, all lanes at once.
 
-    t[j, k] is v - E at site k*BLOCK + j. The lanes are rescaled every
-    r_scale steps and at the end. Returns, per block, the entries a, b, c, d
+    t[j, k] is v - E at step j of lane k. The lanes are rescaled every
+    r_scale steps and at the end. Returns, per lane, the entries a, b, c, d
     (largest in [1/2, 1)) and the binary exponent of the scale, each as an
-    array over blocks.
+    array over lanes.
     """
-    blocks = t.shape[1]
+    lanes = t.shape[1]
     # Rows 0 and 1 of each lane's product, (a, b) and (c, d): s[p] holds
     # row 0, s[1 - p] row 1. A step is row0' = t*row0 - row1, row1' = row0,
     # so writing row0' over row 1 and flipping p advances every lane in two
     # numpy operations.
-    s = np.zeros((2, 2, blocks))
+    s = np.zeros((2, 2, lanes))
     s[0, 0] = s[1, 1] = 1.0
     row = (s[0], s[1])
-    tmp = np.empty((2, blocks))
-    exps = np.zeros(blocks, dtype=np.int64)
+    tmp = np.empty((2, lanes))
+    exps = np.zeros(lanes, dtype=np.int64)
     p = 0
     for j, tj in enumerate(t, 1):
         np.multiply(row[p], tj, out=tmp)
@@ -144,22 +145,6 @@ def _rescaled(a, b, c, d, e: int) -> tuple:
     that brings the largest |entry| into [1/2, 1)."""
     k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
     return math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(d, -k), e + k
-
-
-def _finish(state: tuple, tail: list, r_scale: int) -> ScaledMatrix2:
-    """The product `state` continued, scalar, over sites whose v - E are
-    the values of `tail`, under the rescaling rule of the lanes.
-
-    state is (a, b, c, d, binary exponent) with the largest |entry| in
-    [1/2, 1). The entries are rescaled every r_scale steps and at the end.
-    """
-    a, b, c, d, e = state
-    for i, t in enumerate(tail, 1):
-        a, b, c, d = t * a - c, t * b - d, a, b
-        if i % r_scale == 0:
-            a, b, c, d, e = _rescaled(a, b, c, d, e)
-    a, b, c, d, e = _rescaled(a, b, c, d, e)
-    return ScaledMatrix2(a, b, c, d, e * _LN2)
 
 
 def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
@@ -183,14 +168,21 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
     r_scale = _steps_within(_SCALE_BITS * _LN2, log_growth)
 
     n_blocks = (cps[-1] + 1) // BLOCK
-    lanes = _block_lanes(
-        np.ascontiguousarray(t[: n_blocks * BLOCK].reshape(n_blocks, BLOCK).T), r_scale
-    )
-    blocks = zip(*(lane.tolist() for lane in lanes))
+    # Lane i < len(cps) is the tail of checkpoint i, zero-padded at the
+    # front; lane len(cps) + k is block k.
+    steps = np.empty((BLOCK, len(cps) + n_blocks))
+    steps[:, len(cps):] = t[: n_blocks * BLOCK].reshape(n_blocks, BLOCK).T
+    steps[:, : len(cps)] = 0.0
+    for i, x in enumerate(cps):
+        tail = t[(x + 1) // BLOCK * BLOCK: x + 1]
+        steps[BLOCK - len(tail):, i] = tail
+    lanes = _block_lanes(steps, r_scale)
+    # A lazy zip: the fold below keeps none of its tuples, so zip reuses one.
+    blocks = zip(*(lane[len(cps):].tolist() for lane in lanes))
     a, b, c, d, e = 1.0, 0.0, 0.0, 1.0, 0
     done = 0
     out = []
-    for x in cps:
+    for x, ta, tb, tc, td, te in zip(cps, *(lane[: len(cps)].tolist() for lane in lanes)):
         q = (x + 1) // BLOCK
         for ka, kb, kc, kd, ke in islice(blocks, q - done):
             a, b, c, d = ka * a + kb * c, ka * b + kb * d, kc * a + kd * c, kc * b + kd * d
@@ -201,6 +193,14 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
             if not _FOLD_LO < a * a + b * b + c * c + d * d < _FOLD_HI:
                 a, b, c, d, e = _rescaled(a, b, c, d, e)
         done = q
-        tail = t[q * BLOCK: x + 1].tolist()
-        out.append((x, _finish(_rescaled(a, b, c, d, e), tail, r_scale)))
+        # A padding step (v - E = 0) is the exact quarter turn R = [[0, -1],
+        # [1, 0]], so the lane is the tail's product times R**pad. R**4 = I
+        # and BLOCK is a multiple of 4, so R**(x + 1), one column swap and
+        # negation per power, undoes the padding.
+        for _ in range((x + 1) % 4):
+            ta, tb, tc, td = tb, -ta, td, -tc
+        ta, tb, tc, td, te = _rescaled(
+            ta * a + tb * c, ta * b + tb * d, tc * a + td * c, tc * b + td * d, e + te
+        )
+        out.append((x, ScaledMatrix2(ta, tb, tc, td, te * _LN2)))
     return out

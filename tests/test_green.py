@@ -425,3 +425,25 @@ def test_continuation_restarts_from_site_0(lead11, spec, E, emptied, restart):
         if L == restart:
             assert G.tobytes() == fresh.tobytes()
         assert np.abs(G - fresh).max() <= 1e-10 * np.abs(fresh).max()
+
+
+def test_continued_solve_after_a_near_resonant_prefix(lead11):
+    # The restart energy above: sites 0..220 are close to resonant (estimate
+    # 6.0e6), so the left solution decays across part of the prefix. The
+    # solves continued from there keep G within 1e-10 of max|G| of the
+    # 80-digit continuant ratios at every later checkpoint.
+    E = -1.9887671433748033
+    pot = generate(AndersonRandom(1.0, 3), 2000)
+    sample = SampleSpec(pot)
+    se = _se(lead11, E)
+    prefix = GreenPrefix()
+    for L in SWEEP_CHECKPOINTS[0]:
+        G = coupled_green_direct(sample, E, L, se, prefix)
+        if L < 342:
+            continue
+        diag = (pot[: L + 1] - E).astype(complex)
+        diag[0] -= se.F_l
+        diag[L] -= se.F_r
+        (g00, g0L, gLL), _ = _continuant_reference(diag.tolist())
+        ref = np.array([[g00, g0L], [g0L, gLL]])
+        assert np.abs(G - ref).max() <= 1e-10 * np.abs(ref).max(), L

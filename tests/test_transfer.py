@@ -120,9 +120,13 @@ def test_closed_form_norm_against_svd(dtype):
 
 def test_checkpoint_products_match_full_products():
     # One pass over all checkpoints gives the same matrices, bit for bit,
-    # as a separate pass to each checkpoint.
+    # as a separate pass to each checkpoint. Checkpoint 17k - 1 has a tail
+    # of k mod BLOCK sites, so every tail length, and with it every power
+    # of the padding's quarter turn, is taken; each product also matches
+    # the one_step oracle.
     pot = generate(AndersonRandom(1.5, 3), 500)
-    cps = [0, 10, 20, 100, 300, 500]
+    cps = sorted({0, 10, 20, 100, 300, 500} | {(BLOCK + 1) * k - 1 for k in range(1, BLOCK + 1)})
+    assert {(x + 1) % BLOCK for x in cps} == set(range(BLOCK))
     out = checkpoint_products(pot, 0.1, cps)
     assert [x for x, _ in out] == cps
     for x, M in out:
@@ -130,6 +134,7 @@ def test_checkpoint_products_match_full_products():
         np.testing.assert_array_equal(M.m, ref.m)
         assert M.log_scale == ref.log_scale
         assert log_spectral_norm(M) == log_spectral_norm(ref)
+    check_against_naive(pot, 0.1, cps)
 
 
 def test_scaled_matrix_floats_are_its_array():
