@@ -35,15 +35,12 @@ from .potentials import generate
 
 def _manifest(command: str, run: Optional[RunConfig], args, max_residual: float) -> dict:
     """The run manifest; run is None for a command that reads no config."""
-    seeds = {}
     pot = run.resolved["sample"]["potential"] if run else {}
-    if pot.get("type") == "anderson":
-        seeds["anderson"] = pot["seed"]
     return {
         "tool_version": __version__,
         "command": command,
         "config": run.resolved if run else None,
-        "seeds": seeds,
+        "seeds": {pot["type"]: pot["seed"]} if "seed" in pot else {},
         "seed_override": args.seed_override,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "max_unitarity_residual": max_residual,
@@ -123,15 +120,9 @@ def cmd_sweep_l(run: RunConfig):
     cps = run.sweep.l_checkpoints
     points = scan.l_sweep(_sample(run, cps[-1]), energy, run.lead_l, run.lead_r, run.thermo, cps)
     cls = scan.classify_transport(points, run.sweep.thresholds)
-    summary = {
-        "classification": cls.label,
-        "norm_slope": cls.norm_slope,
-        "norm_r2": cls.norm_r2,
-        "sigma_slope": cls.sigma_slope,
-        "sigma_r2": cls.sigma_r2,
-        "l_max": cls.l_max,
-        "sigma_underflowed": cls.underflowed,
-    }
+    # Every field of the classification, two of them under their JSON names.
+    names = {"label": "classification", "underflowed": "sigma_underflowed"}
+    summary = {names.get(k, k): v for k, v in cls._asdict().items()}
     return summary, points, max(p.unitarity_residual for p in points), None
 
 

@@ -101,7 +101,7 @@ def self_energies(lead_l: LeadModel, lead_r: LeadModel, E) -> SelfEnergyPair:
 def evaluate_point(
     sample: SampleSpec, E, L: int, se: SelfEnergyPair, prefix: GreenPrefix | None = None
 ) -> tuple:
-    """Coupled Green matrix -> t-matrix: the transmission and unitarity
+    """Coupled Green block -> t-matrix: the transmission and unitarity
     residual at E of sites 0..L of the sample between the leads of the
     self-energies se (see `self_energies`), continuing from `prefix` if
     given (see `green.coupled_green_direct`). The one open-channel test:

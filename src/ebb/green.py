@@ -1,12 +1,13 @@
-"""Boundary Green matrix of the coupled sample: the production solve.
+"""Boundary Green block of the coupled sample: the production solve.
 
-The coupled 2x2 Green matrix comes from one complex tridiagonal solve with
-the lead self-energies absorbed into the boundary sites; with Im F > 0 it
-stays uniformly invertible at real energies. Along a sweep over L at one
-energy, each solve continues from the previous one's left-connected corner
-(`GreenPrefix`) and solves only the sites past it. The independent routes
-(the transfer-matrix G0, the junction identity and the graph
-correspondence) are oracles in `ebb.validate`.
+The coupled boundary block, the triple (G_00, G_0L, G_LL) of Python complex
+numbers that fixes the complex-symmetric 2x2 matrix, comes from one complex
+tridiagonal solve with the lead self-energies absorbed into the boundary
+sites; with Im F > 0 it stays uniformly invertible at real energies. Along a
+sweep over L at one energy, each solve continues from the previous one's
+left-connected corner (`GreenPrefix`) and solves only the sites past it. The
+independent routes (the transfer-matrix G0, the junction identity and the
+graph correspondence) are oracles in `ebb.validate`.
 """
 
 from __future__ import annotations
@@ -43,41 +44,39 @@ class GreenPrefix:
     def __init__(self):
         self.P = -1
 
-    def extend(self, H: np.ndarray, L: int, F_r: complex) -> np.ndarray:
+    def extend(self, H: tuple, L: int, F_r: complex) -> tuple:
         """G of sites 0..L from the block H of the segment P+1..L (H itself
         when the prefix is empty); then the prefix advances to L by taking
         F_r off again, with d = 1 + F_r G_LL. Where d is 0, sites 0..L
         without the right lead are singular in working precision, and the
         prefix is emptied instead."""
-        G = H
-        (G_00, G_0L), (_, G_LL) = H.tolist()
+        G_00, G_0L, G_LL = H
         if self.P >= 0:
             G_00 = self.g_00 + self.g_0P * self.g_0P * G_00
             G_0L = self.g_0P * G_0L
-            G = np.array([[G_00, G_0L], [G_0L, G_LL]])
         d = 1.0 + F_r * G_LL
         if d != 0:
             self.P, self.g_00, self.g_0P, self.g_PP = L, G_00 - F_r * G_0L * G_0L / d, G_0L / d, G_LL / d
         else:
             self.P = -1
-        return G
+        return G_00, G_0L, G_LL
 
 
 def _tridiag_solve_boundary(sample: SampleSpec, E: float, L: int, F_l=0j, F_r=0j, start=0):
-    """The 2x2 block of sites `start` and L of A^(-1), and a condition estimate.
+    """(G_00, G_0L, G_LL) of sites `start` and L of A^(-1), and a condition estimate.
 
     A is tridiagonal on sites start..L of the sample with off-diagonals -1
     and diagonal v - E, less F_l on site `start` and F_r on site L. LAPACK
     zgtsv (Gaussian elimination with partial pivoting) solves, on buffers
     it owns, for the columns x^(0), x^(L) of A^(-1) at the two boundary
-    sites, row L divided by its row sum. A is complex symmetric: both
-    off-diagonal entries are x^(0) at site L, a product chain that pivoting
-    gets right (x^(L) at the first site comes out of back-substitution,
-    off by up to u*max|v - E| relative). The estimate max over the boundary
-    rows j of (|A_jj| + 1) * max|x^(j)| scales each column by its own
-    boundary row sum; it blows up exactly at near-resonances and, for exact
-    columns, is at most kappa_inf(A). A one-site segment (start = L) is
-    both boundary rows, and the same formula holds.
+    sites, row L divided by its row sum. A is complex symmetric, so G_0L is
+    read as x^(0) at site L, a product chain that pivoting gets right
+    (x^(L) at the first site comes out of back-substitution, off by up to
+    u*max|v - E| relative). The estimate max over the boundary rows j of
+    (|A_jj| + 1) * max|x^(j)| scales each column by its own boundary row
+    sum; it blows up exactly at near-resonances and, for exact columns, is
+    at most kappa_inf(A). A one-site segment (start = L) is both boundary
+    rows, and the same reads and formula hold.
     """
     if L > sample.length:
         raise ValueError(f"potential has {sample.length + 1} entries, need {L + 1}")
@@ -109,14 +108,13 @@ def _tridiag_solve_boundary(sample: SampleSpec, E: float, L: int, F_l=0j, F_r=0j
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve failed (info={info})")
     x0, xL = np.abs(x).max(axis=0).tolist()
-    x[0, 1] = x[k, 0]
-    return (x[::k] if k else x[[0, 0]]), max(s0 * x0, sL * xL)
+    return (x.item(0, 0), x.item(k, 0), x.item(k, 1)), max(s0 * x0, sL * xL)
 
 
 def coupled_green_direct(
     sample: SampleSpec, E: float, L: int, se: SelfEnergyPair, prefix: GreenPrefix | None = None
-) -> np.ndarray:
-    """Coupled Green matrix of sites 0..L by a direct complex tridiagonal solve.
+) -> tuple:
+    """Coupled block (G_00, G_0L, G_LL) of sites 0..L by a direct complex tridiagonal solve.
 
     The lead self-energies are absorbed into the boundary diagonal:
     (h_{S,L} - E - F_l P_0 - F_r P_L) u = delta_site. Im F > 0 on a lead

@@ -11,8 +11,8 @@ from .transfer import _smax
 TRANSMISSION_OVERSHOOT = 1e-10
 
 
-def t_matrix(G, se: SelfEnergyPair) -> tuple:
-    """t(E) = 2i (Im F)^(1/2) G (Im F)^(1/2), entrywise for diagonal F.
+def t_matrix(G: tuple, se: SelfEnergyPair) -> tuple:
+    """t(E) = 2i (Im F)^(1/2) G (Im F)^(1/2), entrywise, for G = (G_00, G_0L, G_LL).
 
     A lead with Im F = 0 has no open channel; its row and column of t are
     structurally zero and it carries no flux. Returns the rows of t as
@@ -20,10 +20,10 @@ def t_matrix(G, se: SelfEnergyPair) -> tuple:
     arrays do; wrap them in np.array where a matrix is needed.
     """
     sl, sr = math.sqrt(se.F_l.imag), math.sqrt(se.F_r.imag)
-    (g00, g01), (g10, g11) = G.tolist()
+    g00, g01, g11 = G
     return (
         (2j * (sl * g00 * sl), 2j * (sl * g01 * sr)),
-        (2j * (sr * g10 * sl), 2j * (sr * g11 * sr)),
+        (2j * (sr * g01 * sl), 2j * (sr * g11 * sr)),
     )
 
 

@@ -50,8 +50,8 @@ def _inv_scale(T: ScaledMatrix2) -> float:
     return math.exp(-T.log_scale) if T.log_scale < 745.0 else 0.0
 
 
-def sample_green_via_transfer(T: ScaledMatrix2) -> np.ndarray:
-    """Decoupled Green matrix G0_L(E) from the transfer matrix.
+def sample_green_via_transfer(T: ScaledMatrix2) -> tuple:
+    """Decoupled Green block (g_ll, g_lr, g_rr) of G0_L(E) from the transfer matrix.
 
     With T = [[a, b], [c, d]] (true scale), the graph correspondence gives
     g_ll = -b/a, g_lr = g_rl = 1/a, g_rr = c/a. The scale cancels in the
@@ -62,42 +62,36 @@ def sample_green_via_transfer(T: ScaledMatrix2) -> np.ndarray:
         raise ResonanceError(
             "T11 vanishes: energy is numerically a Dirichlet eigenvalue"
         )
-    a, b, c = T.a, T.b, T.c
-    g_lr = _inv_scale(T) / a
-    return np.array([[-b / a, g_lr], [g_lr, c / a]])
+    return complex(-T.b / T.a), complex(_inv_scale(T) / T.a), complex(T.c / T.a)
 
 
 def sample_green_direct(sample: SampleSpec, E: float, L: int):
-    """Decoupled Green matrix G0_L(E) of sites 0..L of the sample by the
-    pivoted tridiagonal solve (symmetric, g_lr = g_rl), and its
-    boundary-row condition estimate that screens near-resonances. Where
-    gtsv finds h_{S,L} - E exactly singular (a Dirichlet eigenvalue), G0
-    is None and the estimate inf."""
+    """Decoupled Green block of G0_L(E) on sites 0..L of the sample by the
+    pivoted tridiagonal solve, and its boundary-row condition estimate that
+    screens near-resonances. Where gtsv finds h_{S,L} - E exactly singular
+    (a Dirichlet eigenvalue), G0 is None and the estimate inf."""
     try:
         return _tridiag_solve_boundary(sample, E, L)
     except NumericalFailure:
         return None, math.inf
 
 
-def coupled_green(G0: np.ndarray, se: SelfEnergyPair) -> np.ndarray:
-    """Coupled Green matrix from the junction identity
-    G = (I - G0*F)^(-1) * G0, with F = diag(F_l, F_r).
-
-    Avoids inverting G0, which may be singular as a 2x2 matrix.
-    """
-    G0 = np.asarray(G0, dtype=complex)
-    F = np.array([[se.F_l, 0.0], [0.0, se.F_r]])
-    M = np.eye(2) - G0 @ F
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+def coupled_green(G0: tuple, se: SelfEnergyPair) -> tuple:
+    """Coupled Green block from the junction identity G = (I - G0 F)^(-1) G0,
+    F = diag(F_l, F_r), written out for G0 = (a, b, d): with delta = ad - b^2
+    and det = (1 - a F_l)(1 - d F_r) - b^2 F_l F_r, G = (a - F_r delta, b,
+    d - F_l delta) / det. G0, which may be singular, is never inverted."""
+    a, b, d = G0
+    delta = a * d - b * b
+    det = (1 - a * se.F_l) * (1 - d * se.F_r) - b * b * se.F_l * se.F_r
     if abs(det) < 1e-14:
         raise NumericalFailure(
             "det(I - G0*F) vanished; analytically excluded for Im F > 0"
         )
-    inv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-    return inv @ G0
+    return (a - se.F_r * delta) / det, b / det, (d - se.F_l * delta) / det
 
 
-def graph_map_check(G: np.ndarray, T: ScaledMatrix2, se: SelfEnergyPair) -> float:
+def graph_map_check(G: tuple, T: ScaledMatrix2, se: SelfEnergyPair) -> float:
     """Residual of the graph correspondence between G(E+i0) and T(E).
 
     For (u, v) = G(x, y) the correspondence demands
@@ -106,11 +100,10 @@ def graph_map_check(G: np.ndarray, T: ScaledMatrix2, se: SelfEnergyPair) -> floa
     (x, y) in {(1, 0), (0, 1)}, so it stays meaningful when ||T|| is
     exponentially large.
     """
-    G = np.asarray(G, dtype=complex)
+    g00, g0L, gLL = G
     # Column j of w and of target belongs to the basis input (x, y) = e_j.
-    e = np.eye(2)
-    w = np.array([G[0], e[0] + se.F_l * G[0]])
-    target = np.array([e[1] + se.F_r * G[1], G[1]])
+    w = np.array([[g00, g0L], [1 + se.F_l * g00, se.F_l * g0L]])
+    target = np.array([[se.F_r * g0L, 1 + se.F_r * gLL], [g0L, gLL]])
     resid = np.linalg.norm(T.m @ w - _inv_scale(T) * target, axis=0)
     return float(resid.max() / T.smax)
 
@@ -118,9 +111,9 @@ def graph_map_check(G: np.ndarray, T: ScaledMatrix2, se: SelfEnergyPair) -> floa
 # -- the checks ---------------------------------------------------------------
 
 
-def _rel_diff(A, B) -> float:
-    scale = max(np.max(np.abs(A)), np.max(np.abs(B)), 1e-300)
-    return float(np.max(np.abs(A - B)) / scale)
+def _rel_diff(A: tuple, B: tuple) -> float:
+    scale = max(*map(abs, A), *map(abs, B), 1e-300)
+    return max(abs(a - b) for a, b in zip(A, B)) / scale
 
 
 def check_unitarity(n_energies: int = 100, lengths=(10, 200)) -> CheckResult:
@@ -151,7 +144,7 @@ def _random_points(seed: int, per_potential: int, max_length: int) -> list:
 
 def _compare_routes(name, bound, route_a, route_b, seed, per_potential, max_length, min_kept):
     """Largest relative difference, normalised by max(|A|, |B|), between two
-    routes to one Green matrix at the random points that pass condition
+    routes to one Green block at the random points that pass condition
     screening. Each route is called as route(sample, E, L, G0), with G0
     the decoupled direct solve that screened the point. A ResonanceError at a
     kept point fails the check, and so does keeping fewer than min_kept
@@ -173,7 +166,7 @@ def _compare_routes(name, bound, route_a, route_b, seed, per_potential, max_leng
 def check_decoupled_green_equivalence(
     seed: int = 1, per_potential: int = 20, max_length: int = 100, min_kept: int = 50
 ) -> CheckResult:
-    """Decoupled Green matrix from the transfer matrix against the pivoted
+    """Decoupled Green block from the transfer matrix against the pivoted
     tridiagonal solve (bound 1e-9)."""
     return _compare_routes(
         "decoupled-green-equivalence", 1e-9,
@@ -185,7 +178,7 @@ def check_decoupled_green_equivalence(
 def check_coupled_green_equivalence(
     seed: int = 2, per_potential: int = 20, max_length: int = 100, min_kept: int = 50
 ) -> CheckResult:
-    """Coupled Green matrix from the junction identity against the direct
+    """Coupled Green block from the junction identity against the direct
     complex tridiagonal solve (bound 1e-8)."""
     return _compare_routes(
         "coupled-green-equivalence", 1e-8,
@@ -209,12 +202,12 @@ def check_graph_map(cases=((AndersonRandom(2.0, 7), 0.5, 500),)) -> CheckResult:
 
 def check_worked_point() -> CheckResult:
     """The closed-form point L = 1, v = 0, E = 0, where the unit lead gives
-    F = i: G = [[i, -1], [-1, i]] / 2, transmission 1 and
+    F = i: G = (i, -1, i) / 2, transmission 1 and
     S = I + t = [[0, -i], [-i, 0]] (bound 1e-12)."""
     sample, se = SampleSpec(np.zeros(2)), self_energies(LEAD, LEAD, 0.0)
     G = coupled_green_direct(sample, 0.0, 1, se)
     worst = max(
-        float(np.max(np.abs(G - np.array([[1j, -1.0], [-1.0, 1j]]) / 2))),
+        max(abs(g - ref) for g, ref in zip(G, (0.5j, -0.5, 0.5j))),
         abs(evaluate_point(sample, 0.0, 1, se)[0] - 1.0),
         float(np.max(np.abs(np.eye(2) + np.array(t_matrix(G, se)) - np.array([[0.0, -1j], [-1j, 0.0]])))),
     )

@@ -38,13 +38,19 @@ def dense_hamiltonian(pot, L):
     return h
 
 
-def dense_green(pot, E, L, F_l=0.0, F_r=0.0):
-    """Boundary 2x2 block of (h - E - F_l P_0 - F_r P_L)^(-1), densely."""
+def dense_resolvent(pot, E, L, F_l=0.0, F_r=0.0):
+    """(h - E - F_l P_0 - F_r P_L)^(-1) on sites 0..L, densely."""
     h = dense_hamiltonian(pot, L).astype(complex)
     h[0, 0] -= F_l
     h[L, L] -= F_r
-    g = np.linalg.inv(h - E * np.eye(L + 1))
-    return np.array([[g[0, 0], g[0, L]], [g[L, 0], g[L, L]]])
+    return np.linalg.inv(h - E * np.eye(L + 1))
+
+
+def dense_green(pot, E, L, F_l=0.0, F_r=0.0):
+    """Boundary block (G_00, G_0L, G_LL) of the dense resolvent, G_0L read
+    from its e_0 column as the production solve reads it."""
+    g = dense_resolvent(pot, E, L, F_l, F_r)
+    return g[0, 0], g[L, 0], g[L, L]
 
 
 def continuants(a):

@@ -2,6 +2,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from collections import Counter
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ebb
 from ebb import cli
 from ebb.cli import main
 from ebb.config import MAX_POINTS, geometric_checkpoints, parse_config
@@ -307,6 +311,55 @@ def test_sweep_l_command(tmp_path):
     assert payload["manifest"]["max_unitarity_residual"] == residual > 0.0
 
 
+def test_sweep_l_json_matches_the_equivalence_rows(tmp_path):
+    # sweep_l.json holds every field of the classification, contradiction
+    # included: on the free chain E = -1.5 (where sigma is 0, so its slope
+    # is -inf, written as null) reads vanishing against bounded norms, and
+    # E = 0.5 persistent. At both, sweep-l gives the label, the slopes and
+    # the contradiction of the equivalence row at that energy.
+    energies = [-1.5, 0.5]
+    cfg = write_config(tmp_path, extra={"sweep": {"e_grid": energies, "l_checkpoints": SWEEP_L}})
+    rc, out = run_cli(tmp_path / "eq", "equivalence", cfg)
+    assert rc == 0
+    rows = list(csv.DictReader((out / "equivalence.csv").read_text().splitlines()))
+    assert [(r["label"], r["contradiction"]) for r in rows] == [("vanishing", "1"), ("persistent", "0")]
+    for E, row in zip(energies, rows):
+        sweep = {"energy": E, "l_checkpoints": SWEEP_L}
+        rc, out = run_cli(tmp_path / str(E), "sweep-l", write_config(tmp_path, extra={"sweep": sweep}))
+        assert rc == 0
+        payload = strict_json(out / "sweep_l.json")
+        assert payload["classification"] == row["label"]
+        for key in ("norm_slope", "sigma_slope"):
+            value = float(row[key])
+            assert payload[key] == (value if math.isfinite(value) else None), key
+        assert payload["contradiction"] is (row["contradiction"] == "1")
+
+
+def test_manifest_records_the_potential_seed(tmp_path):
+    # manifest["seeds"] maps the potential's type to the seed it ran with:
+    # the configured one or the override; a potential without a seed has none.
+    sweep = {"sweep": {"e_grid": [0.5]}}
+    anderson = write_config(tmp_path, name="anderson.json", sample=ANDERSON, extra=sweep)
+    for name, cfg, extra_args, seeds in (
+        ("configured", anderson, (), {"anderson": 7}),
+        ("override", anderson, ("--seed-override", "3"), {"anderson": 3}),
+        ("zero", write_config(tmp_path, extra=sweep), (), {}),
+    ):
+        rc, out = run_cli(tmp_path / name, "sweep-e", cfg, *extra_args)
+        assert rc == 0
+        assert strict_json(out / "sweep_e.json")["manifest"]["seeds"] == seeds
+
+
+def test_cli_import_leaves_the_validate_oracles_out():
+    # The independent routes of ebb.validate are oracles: only `ebb validate`
+    # loads them, never a run's import of the CLI.
+    code = "import sys, ebb.cli; print('ebb.validate' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(ebb.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 def test_strong_barrier_sample_is_not_ill_conditioned(tmp_path):
     # A constant potential of 1e300 is a barrier: the coupled system has
     # kappa_inf ~ 1, so every command must run it, not reject it as
@@ -546,7 +599,7 @@ OUTPUT_LAYOUTS = {
         {"sweep": {"energy": 0.5, "l_checkpoints": SWEEP_L}},
         "L,sigma_density,transmission,log_transfer_norm,resonance_flag",
         ["classification", "norm_slope", "norm_r2", "sigma_slope", "sigma_r2", "l_max",
-         "sigma_underflowed", "manifest"],
+         "sigma_underflowed", "contradiction", "manifest"],
     ),
     "equivalence": (
         {"sweep": {"e_grid": [-0.5, 0.5], "l_checkpoints": SWEEP_L}},

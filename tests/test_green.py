@@ -29,7 +29,7 @@ from ebb.validate import (
     sample_green_via_transfer,
 )
 
-from conftest import continuants, dense_green
+from conftest import continuants, dense_green, dense_resolvent
 
 
 def test_self_energy_pair_is_a_plain_value():
@@ -39,10 +39,32 @@ def test_self_energy_pair_is_a_plain_value():
     assert SelfEnergyPair(-1e-6j, 1j).F_l == -1e-6j
 
 
+def test_every_route_gives_three_python_complex_numbers(lead11):
+    # The boundary block is the triple (G_00, G_0L, G_LL) wherever it is
+    # made: the solve (one-site segments too), the continued solve through
+    # GreenPrefix.extend, and the oracles.
+    pot = generate(AndersonRandom(1.0, 4), 12)
+    sample, E = SampleSpec(pot), 0.3
+    se = _se(lead11, E)
+    prefix = GreenPrefix()
+    ((_, T),) = checkpoint_products(pot, E, [12])
+    G0 = sample_green_direct(sample, E, 12)[0]
+    blocks = [
+        _tridiag_solve_boundary(sample, E, 12, se.F_l, se.F_r)[0],
+        _tridiag_solve_boundary(sample, E, 5, se.F_l, se.F_r, 5)[0],
+        coupled_green_direct(sample, E, 12, se),
+        *(coupled_green_direct(sample, E, L, se, prefix) for L in (3, 4, 12)),
+        G0, sample_green_via_transfer(T), coupled_green(G0, se),
+    ]
+    for G in blocks:
+        assert type(G) is tuple and len(G) == 3
+        assert all(type(g) is complex for g in G)
+
+
 def test_decoupled_worked_example():
     # L = 1, v = 0, E = 0: h - E = [[0, -1], [-1, 0]], G0 = [[0, -1], [-1, 0]].
     G0, _ = sample_green_direct(SampleSpec(np.zeros(2)), 0.0, 1)
-    np.testing.assert_allclose(G0, [[0.0, -1.0], [-1.0, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(G0, (0.0, -1.0, 0.0), atol=1e-15)
     ((_, T),) = checkpoint_products(np.zeros(2), 0.0, [1])
     np.testing.assert_allclose(sample_green_via_transfer(T), G0, atol=1e-15)
 
@@ -56,14 +78,19 @@ def test_decoupled_routes_agree_and_match_dense_oracle():
         ((_, T),) = checkpoint_products(pot, E, [L])
         via = sample_green_via_transfer(T)
         np.testing.assert_allclose(via, direct, atol=1e-10)
-        ref = dense_green(pot, E, L).real
+        ref = np.real(dense_green(pot, E, L))
         np.testing.assert_allclose(direct, ref, atol=1e-10)
 
 
 def test_decoupled_symmetry():
+    # The solve returns one G_0L: h is symmetric, so the dense resolvent's
+    # two off-diagonal corners agree, and G_0L matches both.
     pot = generate(AndersonRandom(1.0, 21), 60)
+    g = dense_resolvent(pot, -0.4, 60)
+    assert g[0, 60] == pytest.approx(g[60, 0], abs=1e-14)
     G0, _ = sample_green_direct(SampleSpec(pot), -0.4, 60)
-    assert G0[0, 1] == pytest.approx(G0[1, 0], abs=1e-14)
+    assert G0[1] == pytest.approx(g[0, 60], abs=1e-14)
+    assert G0[1] == pytest.approx(g[60, 0], abs=1e-14)
 
 
 def test_resonance_detection_both_routes():
@@ -95,7 +122,7 @@ def test_offdiagonal_underflow_for_long_localized_sample():
     pot = generate(AndersonRandom(2.0, 4), 5000)
     ((_, T),) = checkpoint_products(pot, 0.0, [5000])
     G0 = sample_green_via_transfer(T)
-    assert G0[0, 1] == 0.0
+    assert G0[1] == 0.0
     assert np.all(np.isfinite(G0))
 
 
@@ -130,7 +157,7 @@ def test_coupled_direct_solves_a_closed_system():
     # Im F = 0 on both leads: A = [[-0.5, -1], [-1, 0.5]] is invertible, and
     # the solve returns its real inverse like any other.
     G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, SelfEnergyPair(0.5 + 0j, -0.5 + 0j))
-    assert not G.imag.any()
+    assert not any(g.imag for g in G)
     np.testing.assert_allclose(G, dense_green(np.zeros(2), 0.0, 1, 0.5, -0.5), rtol=0, atol=1e-14)
 
 
@@ -148,7 +175,7 @@ def test_coupled_green_singular_junction_rejected():
     # G0 = [[0, -1], [-1, 0]], F = diag(0+0j not allowed) -- use a real F
     # pair with Im = 0 that makes I - G0 F singular: F_l = F_r = 1 gives
     # I - G0 F = [[1, 1], [1, 1]].
-    G0 = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    G0 = (0j, -1 + 0j, 0j)
     with pytest.raises(NumericalFailure):
         coupled_green(G0, SelfEnergyPair(1.0 + 0j, 1.0 + 0j))
 
@@ -165,7 +192,7 @@ def test_graph_map_detects_wrong_green(lead11):
     se = _se(lead11, 0.5)
     G = coupled_green_direct(SampleSpec(pot), 0.5, 30, se)
     ((_, T),) = checkpoint_products(pot, 0.5, [30])
-    assert graph_map_check(G + 0.01, T, se) > 1e-4
+    assert graph_map_check(tuple(g + 0.01 for g in G), T, se) > 1e-4
 
 
 @settings(max_examples=300, deadline=None)
@@ -202,7 +229,7 @@ def test_strong_barrier_is_well_conditioned(lead11):
     se = _se(lead11, E)
     barrier = SampleSpec(np.full(L + 1, 1e300))
     G = coupled_green_direct(barrier, E, L, se)
-    assert abs(G[0, 0]) == pytest.approx(1e-300, rel=1e-12, abs=0)
+    assert abs(G[0]) == pytest.approx(1e-300, rel=1e-12, abs=0)
     _, cond = _tridiag_solve_boundary(barrier, E, L, se.F_l, se.F_r)
     assert 1.0 <= cond <= 2.0
 
@@ -227,7 +254,7 @@ def test_cached_off_diagonal_is_never_written():
 def _reference_solve(t, F_l, F_r):
     """The boundary solve on the real diagonal t = v - E written out with a
     keyword zgtsv call on fresh buffers: row L divided by its row sum, the
-    symmetric read of the e_0 column and the boundary-row estimate.
+    G_0L read from the e_0 column and the boundary-row estimate.
     Returns (info, G, cond)."""
     L = len(t) - 1
     diag = t.astype(complex)
@@ -240,7 +267,7 @@ def _reference_solve(t, F_l, F_r):
     b = np.zeros((L + 1, 2), dtype=complex)
     b[0, 0], b[L, 1] = 1.0, 1.0 / sL
     _, _, _, x, info = lapack.zgtsv(dl=dl, d=diag, du=du, b=b)
-    G = np.array([[x[0, 0], x[L, 0]], [x[L, 0], x[L, 1]]])
+    G = (x[0, 0], x[L, 0], x[L, 1])
     cond = max(s0 * float(np.abs(x[:, 0]).max()), sL * float(np.abs(x[:, 1]).max()))
     return info, G, cond
 
@@ -272,7 +299,8 @@ def test_lean_solve_keeps_the_bits(lead11, seed, L, extra, max_exponent, E, clos
             _tridiag_solve_boundary(SampleSpec(pot), E, L, F_l, F_r)
         return
     G, cond = _tridiag_solve_boundary(SampleSpec(pot), E, L, F_l, F_r)
-    assert G.tobytes() == G_ref.tobytes()
+    assert all(type(g) is complex for g in G)
+    assert np.array(G).tobytes() == np.array(G_ref).tobytes()
     assert cond == cond_ref
 
 
@@ -308,9 +336,10 @@ def _continuant_reference(diag):
 @example(seed=0, L=6, max_exponent=0.0, impurities=[(6, 28.0)], E=0.0)
 def test_coupled_green_matches_continuants(seed, L, max_exponent, impurities, E):
     # Heterogeneous samples: site scales from 1e-3 to 10^max_exponent and
-    # impurities of 1e5 to 1e300, coupled to random self-energies. G is
-    # symmetric bit for bit, and G_00, G_L0 and G_LL match the continuant
-    # ratios, also where back-substitution spoils the e_L column at site 0.
+    # impurities of 1e5 to 1e300, coupled to random self-energies. G is the
+    # triple G_00, G_L0, G_LL of Python complex numbers, and it matches the
+    # continuant ratios, also where back-substitution spoils the e_L column
+    # at site 0.
     # Energies within about 1e-2 of an interior Dirichlet eigenvalue are out
     # of scope: there the solve loses digits in G_00 or G_LL, whichever read.
     rng = np.random.default_rng(seed)
@@ -324,8 +353,8 @@ def test_coupled_green_matches_continuants(seed, L, max_exponent, impurities, E)
     refs, interior_resolvent = _continuant_reference(diag.tolist())
     assume(interior_resolvent <= 100.0)
     G = coupled_green_direct(SampleSpec(pot), E, L, se)
-    assert G[0, 1] == G[1, 0]
-    for g, ref in zip((G[0, 0], G[1, 0], G[1, 1]), refs):
+    assert len(G) == 3 and all(type(g) is complex for g in G)
+    for g, ref in zip(G, refs):
         # Below the normal range the float result keeps only absolute accuracy.
         assert abs(g - ref) <= 1e-12 * abs(ref) + 1e-300
 
@@ -389,7 +418,7 @@ def test_continued_solve_matches_the_fresh_one(lead11, spec, localized):
                     continue
                 assert prefix.P == L
                 scale = np.abs(fresh).max()
-                assert np.abs(continued - fresh).max() <= 1e-10 * scale, (E, L)
+                assert np.abs(np.subtract(continued, fresh)).max() <= 1e-10 * scale, (E, L)
                 tau = transmission(t_matrix(fresh, se))
                 if tau > 1e-300:
                     assert abs(transmission(t_matrix(continued, se)) - tau) <= 1e-8 * tau, (E, L)
@@ -423,8 +452,8 @@ def test_continuation_restarts_from_site_0(lead11, spec, E, emptied, restart):
         fresh = coupled_green_direct(sample, E, L, se)
         assert prefix.P == (-1 if L == emptied else L)
         if L == restart:
-            assert G.tobytes() == fresh.tobytes()
-        assert np.abs(G - fresh).max() <= 1e-10 * np.abs(fresh).max()
+            assert np.array(G).tobytes() == np.array(fresh).tobytes()
+        assert np.abs(np.subtract(G, fresh)).max() <= 1e-10 * np.abs(fresh).max()
 
 
 def test_continued_solve_after_a_near_resonant_prefix(lead11):
@@ -444,6 +473,5 @@ def test_continued_solve_after_a_near_resonant_prefix(lead11):
         diag = (pot[: L + 1] - E).astype(complex)
         diag[0] -= se.F_l
         diag[L] -= se.F_r
-        (g00, g0L, gLL), _ = _continuant_reference(diag.tolist())
-        ref = np.array([[g00, g0L], [g0L, gLL]])
-        assert np.abs(G - ref).max() <= 1e-10 * np.abs(ref).max(), L
+        ref, _ = _continuant_reference(diag.tolist())
+        assert np.abs(np.subtract(G, ref)).max() <= 1e-10 * np.abs(ref).max(), L

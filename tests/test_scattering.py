@@ -13,11 +13,11 @@ from ebb.scattering import t_matrix, transmission, unitarity_residual
 
 
 def test_worked_free_point(lead11):
-    # L = 1, v = 0, E = 0: F = i, G = [[i, -1], [-1, i]] / 2,
+    # L = 1, v = 0, E = 0: F = i, G = (i, -1, i) / 2,
     # t = [[-1, -i], [-i, -1]], so s = 1 + t is unitary and T = 1.
     se = SelfEnergyPair(1j, 1j)
     G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, se)
-    np.testing.assert_allclose(G, np.array([[1j, -1.0], [-1.0, 1j]]) / 2, atol=1e-14)
+    np.testing.assert_allclose(G, (0.5j, -0.5, 0.5j), atol=1e-14)
     t = t_matrix(G, se)
     np.testing.assert_allclose(t, [[-1.0, -1j], [-1j, -1.0]], atol=1e-14)
     assert unitarity_residual(t) < 1e-14
@@ -25,7 +25,7 @@ def test_worked_free_point(lead11):
 
 
 def test_closed_channel_row_is_zero():
-    G = np.array([[0.3 + 0.2j, 0.1j], [0.1j, -0.4 + 0.5j]])
+    G = (0.3 + 0.2j, 0.1j, -0.4 + 0.5j)
     se = SelfEnergyPair(2j, 0.7 + 0j)
     t = t_matrix(G, se)
     m = np.array(t)
@@ -81,8 +81,10 @@ def as_t(m):
 
 
 def t_matrix_oracle(G, se):
+    """The matrix formula on the symmetric 2x2 matrix of G = (G_00, G_0L, G_LL)."""
+    g00, g0L, gLL = G
     sq = np.array([math.sqrt(se.F_l.imag), math.sqrt(se.F_r.imag)])
-    return 2j * (sq[:, None] * np.asarray(G, dtype=complex) * sq[None, :])
+    return 2j * (sq[:, None] * np.array([[g00, g0L], [g0L, gLL]]) * sq[None, :])
 
 
 def residual_oracle(t):
@@ -98,7 +100,7 @@ def random_complex(rng, shape, scale=1.0):
 def test_t_matrix_matches_matrix_formula_bit_for_bit():
     rng = np.random.default_rng(8)
     for k in range(2000):
-        G = random_complex(rng, (2, 2), 10.0 ** rng.uniform(-3, 3))
+        G = tuple(random_complex(rng, 3, 10.0 ** rng.uniform(-3, 3)).tolist())
         F_l, F_r = complex(rng.normal(), rng.exponential()), complex(rng.normal(), rng.exponential())
         if k % 4 == 1:
             F_r = complex(F_r.real, 0.0)  # closed right channel
