@@ -18,11 +18,12 @@ import numpy as np
 
 from . import leads as leads_mod
 from .errors import DomainError, NumericalFailure
-from .green import GreenPrefix, SelfEnergyPair, coupled_green_direct
+from .green import SelfEnergyPair, coupled_green_direct
 from .leads import LeadModel, sigma_intersection, weiss_boundary
 from .model import SampleSpec, ThermoParams, fermi_density, xi
 from .quadrature import adaptive_gk15
 from .scattering import t_matrix, transmission, unitarity_residual
+from .transfer import ScaledMatrix2
 
 # Densities more negative than this are an upstream fault, not rounding.
 _SIGMA_ROUNDING_FLOOR = -1e-30
@@ -99,17 +100,17 @@ def self_energies(lead_l: LeadModel, lead_r: LeadModel, E) -> SelfEnergyPair:
 
 
 def evaluate_point(
-    sample: SampleSpec, E, L: int, se: SelfEnergyPair, prefix: GreenPrefix | None = None
+    sample: SampleSpec, E, L: int, se: SelfEnergyPair, transfer: ScaledMatrix2 | None = None
 ) -> tuple:
     """Coupled Green block -> t-matrix: the transmission and unitarity
     residual at E of sites 0..L of the sample between the leads of the
-    self-energies se (see `self_energies`), continuing from `prefix` if
-    given (see `green.coupled_green_direct`). The one open-channel test:
-    with Im F = 0 on both leads it returns an exact (0.0, 0.0), unsolved,
-    at every L of the energy, so the prefix is never left behind."""
+    self-energies se (see `self_energies`), with the block read from the
+    transfer product T_L of sites 0..L if given, solved otherwise (see
+    `green.coupled_green_direct`). The one open-channel test: with
+    Im F = 0 on both leads it returns an exact (0.0, 0.0), unsolved."""
     if not (se.F_l.imag > 0 or se.F_r.imag > 0):
         return 0.0, 0.0
-    t = t_matrix(coupled_green_direct(sample, E, L, se, prefix), se)
+    t = t_matrix(coupled_green_direct(sample, E, L, se, transfer), se)
     return transmission(t), unitarity_residual(t)
 
 

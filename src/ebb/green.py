@@ -1,17 +1,18 @@
-"""Boundary Green block of the coupled sample: the production solve.
+"""Boundary Green block of the coupled sample: the production route.
 
 The coupled boundary block, the triple (G_00, G_0L, G_LL) of Python complex
 numbers that fixes the complex-symmetric 2x2 matrix, comes from one complex
 tridiagonal solve with the lead self-energies absorbed into the boundary
-sites; with Im F > 0 it stays uniformly invertible at real energies. Along a
-sweep over L at one energy, each solve continues from the previous one's
-left-connected corner (`GreenPrefix`) and solves only the sites past it. The
+sites; with Im F > 0 it stays uniformly invertible at real energies. An
+L-sweep, which computes the transfer product T_L at each checkpoint anyway,
+reads the block from T_L in closed form instead and solves nothing. The
 independent routes (the transfer-matrix G0, the junction identity and the
 graph correspondence) are oracles in `ebb.validate`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +20,7 @@ from scipy.linalg import lapack
 
 from .errors import NumericalFailure
 from .model import SampleSpec
+from .transfer import ScaledMatrix2
 
 CONDITION_LIMIT = 1e12
 
@@ -34,110 +36,93 @@ class SelfEnergyPair(NamedTuple):
     F_r: complex
 
 
-class GreenPrefix:
-    """The left-connected corner g_00, g_0P, g_PP of sites 0..P at one
-    energy (left lead attached, right lead not), carried from one
-    `coupled_green_direct` call to the next; empty (P = -1) at first."""
+def _tridiag_solve_boundary(sample: SampleSpec, E: float, L: int, F_l=0j, F_r=0j):
+    """(G_00, G_0L, G_LL) of A^(-1), and a condition estimate.
 
-    __slots__ = ("P", "g_00", "g_0P", "g_PP")
-
-    def __init__(self):
-        self.P = -1
-
-    def extend(self, H: tuple, L: int, F_r: complex) -> tuple:
-        """G of sites 0..L from the block H of the segment P+1..L (H itself
-        when the prefix is empty); then the prefix advances to L by taking
-        F_r off again, with d = 1 + F_r G_LL. Where d is 0, sites 0..L
-        without the right lead are singular in working precision, and the
-        prefix is emptied instead."""
-        G_00, G_0L, G_LL = H
-        if self.P >= 0:
-            G_00 = self.g_00 + self.g_0P * self.g_0P * G_00
-            G_0L = self.g_0P * G_0L
-        d = 1.0 + F_r * G_LL
-        if d != 0:
-            self.P, self.g_00, self.g_0P, self.g_PP = L, G_00 - F_r * G_0L * G_0L / d, G_0L / d, G_LL / d
-        else:
-            self.P = -1
-        return G_00, G_0L, G_LL
-
-
-def _tridiag_solve_boundary(sample: SampleSpec, E: float, L: int, F_l=0j, F_r=0j, start=0):
-    """(G_00, G_0L, G_LL) of sites `start` and L of A^(-1), and a condition estimate.
-
-    A is tridiagonal on sites start..L of the sample with off-diagonals -1
-    and diagonal v - E, less F_l on site `start` and F_r on site L. LAPACK
-    zgtsv (Gaussian elimination with partial pivoting) solves, on buffers
-    it owns, for the columns x^(0), x^(L) of A^(-1) at the two boundary
-    sites, row L divided by its row sum. A is complex symmetric, so G_0L is
-    read as x^(0) at site L, a product chain that pivoting gets right
-    (x^(L) at the first site comes out of back-substitution, off by up to
-    u*max|v - E| relative). The estimate max over the boundary rows j of
-    (|A_jj| + 1) * max|x^(j)| scales each column by its own boundary row
-    sum; it blows up exactly at near-resonances and, for exact columns, is
-    at most kappa_inf(A). A one-site segment (start = L) is both boundary
-    rows, and the same reads and formula hold.
+    A is tridiagonal on sites 0..L of the sample with off-diagonals -1 and
+    diagonal v - E, less F_l on site 0 and F_r on site L. LAPACK zgtsv
+    (Gaussian elimination with partial pivoting) solves, on buffers it
+    owns, for the columns x^(0), x^(L) of A^(-1) at the two boundary sites,
+    row L divided by its row sum. A is complex symmetric, so G_0L is read as
+    x^(0) at site L, a product chain that pivoting gets right (x^(L) at site
+    0 comes out of back-substitution, off by up to u*max|v - E| relative).
+    The estimate max over the boundary rows j of (|A_jj| + 1) * max|x^(j)|
+    scales each column by its own boundary row sum; it blows up exactly at
+    near-resonances and, for exact columns, is at most kappa_inf(A).
     """
-    if L > sample.length:
-        raise ValueError(f"potential has {sample.length + 1} entries, need {L + 1}")
-    if start > L:
-        raise ValueError(f"no sites in the segment {start}..{L}")
-    k = L - start
-    diag = (sample.potential[start : L + 1] - E).astype(complex)
+    if not 1 <= L <= sample.length:
+        raise ValueError(f"L={L}: potential has {sample.length + 1} entries, need {L + 1} with L >= 1")
+    diag = (sample.potential[: L + 1] - E).astype(complex)
     diag[0] -= F_l
-    diag[k] -= F_r
-    s0, sL = abs(diag[0]) + 1.0, abs(diag[k]) + 1.0
+    diag[L] -= F_r
+    s0, sL = abs(diag[0]) + 1.0, abs(diag[L]) + 1.0
     # Unscaled, a last pivot below 1 swaps row L up, and back-substitution
     # then cancels 1 against A_LL x_L down the whole x^(L) column: a large
     # |v_L| would inflate the estimate of an accurate solve. The sample's
     # -1 off-diagonal, shared by every solve on it, goes in as du without
     # overwrite_du, so zgtsv copies it; f2py would write into it otherwise,
     # whatever its writeable flag says.
-    off = sample.off_diagonal[start:L]
-    b = np.zeros((k + 1, 2), dtype=complex, order="F")
-    b[0, 0], b[k, 1] = 1.0, 1.0 / sL
-    if not k:
-        # One site is both boundary rows, so e_0 is scaled too; f2py's
-        # wrapper wants off-diagonals of one entry, which zgtsv never reads.
-        off, b[0, 0] = np.zeros(1, dtype=complex), 1.0 / sL
+    off = sample.off_diagonal[:L]
+    b = np.zeros((L + 1, 2), dtype=complex, order="F")
+    b[0, 0], b[L, 1] = 1.0, 1.0 / sL
     dl = off.copy()
     dl[-1] = -1.0 / sL
-    diag[k] /= sL
+    diag[L] /= sL
     # Positional overwrite flags (dl, d, du, b): f2py parses keywords slowly.
     _, _, _, x, info = _zgtsv(dl, diag, off, b, 1, 1, 0, 1)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve failed (info={info})")
     x0, xL = np.abs(x).max(axis=0).tolist()
-    return (x.item(0, 0), x.item(k, 0), x.item(k, 1)), max(s0 * x0, sL * xL)
+    return (x.item(0, 0), x.item(L, 0), x.item(L, 1)), max(s0 * x0, sL * xL)
+
+
+def _transfer_block(sample: SampleSpec, E: float, L: int, se: SelfEnergyPair, T: ScaledMatrix2):
+    """(G_00, G_0L, G_LL) of A^(-1) in closed form from T_L = 2^e [[a, b],
+    [c, d]], the transfer product of sites 0..L, and the estimate of
+    `_tridiag_solve_boundary` restricted to the boundary entries it has.
+
+    With D = (a + b F_l) - F_r (c + d F_l): G_00 = (F_r d - b)/D,
+    G_0L = 2^-e / D and G_LL = (c + d F_l)/D. G_0L scales 1/D by 2^-e per
+    component, so it flushes to 0 where T outgrows float range, as the
+    solve's does. A D of exactly 0 is a singular system: estimate inf.
+    """
+    F_l, F_r = se.F_l, se.F_r
+    D = (T.a + T.b * F_l) - F_r * (T.c + T.d * F_l)
+    if D == 0:
+        return None, math.inf
+    q = 1 / D
+    G_0L = complex(math.ldexp(q.real, -T.exponent), math.ldexp(q.imag, -T.exponent))
+    G = (F_r * T.d - T.b) / D, G_0L, (T.c + T.d * F_l) / D
+    s0 = abs(sample.potential.item(0) - E - F_l) + 1.0
+    sL = abs(sample.potential.item(L) - E - F_r) + 1.0
+    g00, g0L, gLL = map(abs, G)
+    return G, max(s0 * max(g00, g0L), sL * max(g0L, gLL))
 
 
 def coupled_green_direct(
-    sample: SampleSpec, E: float, L: int, se: SelfEnergyPair, prefix: GreenPrefix | None = None
+    sample: SampleSpec, E: float, L: int, se: SelfEnergyPair, transfer: ScaledMatrix2 | None = None
 ) -> tuple:
-    """Coupled block (G_00, G_0L, G_LL) of sites 0..L by a direct complex tridiagonal solve.
+    """Coupled block (G_00, G_0L, G_LL) of sites 0..L.
 
     The lead self-energies are absorbed into the boundary diagonal:
-    (h_{S,L} - E - F_l P_0 - F_r P_L) u = delta_site. Im F > 0 on a lead
-    makes it invertible (any kernel vector vanishes at the coupling sites,
-    then everywhere by the three-term recurrence); a closed system is
-    solved alike, and a singular or near-singular one raises
-    NumericalFailure through zgtsv's info or CONDITION_LIMIT.
+    A = h_{S,L} - E - F_l P_0 - F_r P_L, and G is the boundary block of
+    A^(-1). Im F > 0 on a lead makes A invertible (any kernel vector
+    vanishes at the coupling sites, then everywhere by the three-term
+    recurrence); a closed system is solved alike.
 
-    With a `GreenPrefix` of sites 0..P < L, only sites P+1..L are solved,
-    with g_PP in place of F_l on site P+1, and G is composed from the
-    prefix, which then advances to L: an L-sweep solves each site once per
-    energy. Where that segment's condition estimate exceeds
-    CONDITION_LIMIT, or the prefix is empty, sites 0..L are solved as
-    without a prefix.
+    Without `transfer`, G comes from one complex tridiagonal solve of A.
+    Given the transfer product T_L of sites 0..L (`transfer.checkpoint_products`),
+    which an L-sweep computes anyway, G is read from it in closed form (see
+    `_transfer_block`) and nothing is solved. Either way one check follows:
+    a singular or near-singular A, whose condition estimate exceeds
+    CONDITION_LIMIT, raises NumericalFailure.
     """
-    if prefix is not None and prefix.P >= 0:
-        H, cond = _tridiag_solve_boundary(sample, E, L, prefix.g_PP, se.F_r, prefix.P + 1)
-        if cond <= CONDITION_LIMIT:
-            return prefix.extend(H, L, se.F_r)
-        prefix.P = -1
-    G, cond = _tridiag_solve_boundary(sample, E, L, se.F_l, se.F_r)
+    if transfer is None:
+        G, cond = _tridiag_solve_boundary(sample, E, L, se.F_l, se.F_r)
+    else:
+        G, cond = _transfer_block(sample, E, L, se, transfer)
     if cond > CONDITION_LIMIT:
         raise NumericalFailure(
             f"coupled system ill-conditioned (condition estimate {cond:.2e})"
         )
-    return G if prefix is None else prefix.extend(G, L, se.F_r)
+    return G

@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError, NumericalFailure
 from .fluxes import evaluate_point, self_energies, spectral_densities, thermal_factors
-from .green import GreenPrefix
 from .leads import LeadModel, sigma_intersection
 from .model import SampleSpec, ThermoParams, check_length
 from .transfer import checkpoint_products, is_resonant, log_spectral_norm
@@ -108,9 +107,9 @@ def _sweep_table(sample: SampleSpec, grid, lead_l, lead_r, thermo: ThermoParams,
     (see `l_sweep`) as one len(grid) x len(cps) x 5 float table of the
     `LSweepPoint` fields after L, in field order. Each sigma is checked
     against a crude explicit envelope as soon as it is computed. Per
-    energy, the Green solves continue one `GreenPrefix` from checkpoint to
-    checkpoint, so each site of 0..cps[-1] is solved once, and the thermal
-    factors of sigma are taken once."""
+    energy, one transfer pass gives T_L at every checkpoint, and each
+    checkpoint's Green block is read from its T_L in closed form, so no
+    site is solved; the thermal factors of sigma are taken once."""
     cps = check_checkpoints(checkpoints)
     window = sigma_intersection(lead_l, lead_r)
     for E in grid:
@@ -121,10 +120,10 @@ def _sweep_table(sample: SampleSpec, grid, lead_l, lead_r, thermo: ThermoParams,
     table = np.empty((len(grid), len(cps), 5))
     for row, E in zip(table, grid):
         se = self_energies(lead_l, lead_r, E)
-        prefix, factors = GreenPrefix(), thermal_factors(E, thermo)
+        factors = thermal_factors(E, thermo)
         energy_term = abs(E) + abs(thermo.mu_l) + abs(thermo.mu_r) + 2.0 / bmin
         for point, (L, T) in zip(row, checkpoint_products(pot, E, cps)):
-            tau, residual = evaluate_point(sample, E, L, se, prefix)
+            tau, residual = evaluate_point(sample, E, L, se, T)
             sigma = spectral_densities(E, tau, thermo, factors)[2]
             if sigma > 4.0 * tau * bmax * energy_term:
                 raise NumericalFailure(f"entropy density {sigma} exceeds its explicit envelope at L={L}")
@@ -146,8 +145,8 @@ def l_sweep(
     stability); a checkpoint past sample.length raises ValueError before
     any solve. The transfer norms come from a single scaled product pass
     over sites 0..checkpoints[-1]; the Green-function pipeline runs once
-    per checkpoint, each solve continuing from the previous checkpoint's,
-    with the self-energies of E built once.
+    per checkpoint on the block read from that checkpoint's product, with
+    the self-energies of E built once.
     This is the one-energy row of the `equivalence_rows` table.
     """
     cps, table = _sweep_table(sample, (E,), lead_l, lead_r, thermo, checkpoints)

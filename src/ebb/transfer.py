@@ -3,7 +3,7 @@
 The running product of one-step factors [[v(x)-E, -1], [1, 0]] grows like
 exp(gamma*L) for localized potentials, far beyond float range for large L.
 The product is therefore kept as a ScaledMatrix2: a 2x2 matrix with entries
-at most 2, times exp(log_scale).
+at most 2, times 2**exponent.
 
 `checkpoint_products` computes it in one block-lane pass. Sites
 0..checkpoints[-1] are cut into BLOCK-site blocks laid out from site 0; each
@@ -40,10 +40,11 @@ RESONANCE_RELATIVE_CUTOFF = 1e-12
 
 
 class ScaledMatrix2:
-    """A 2x2 real matrix with separated logarithmic scale.
+    """A 2x2 real matrix with a separated power-of-two scale.
 
-    Represents the matrix exp(log_scale) * m, m = [[a, b], [c, d]], kept as
-    four Python floats; smax, the spectral norm of m, is computed once at
+    Represents the matrix 2**exponent * m, m = [[a, b], [c, d]], kept as
+    four Python floats and the integer exponent; log_scale is
+    exponent * ln 2. smax, the spectral norm of m, is computed once at
     construction for both the norm and the resonance test. Each transfer
     factor is unimodular, so det(m)*exp(2*log_scale) is 1 in exact
     arithmetic; in floats det(m) is accurate only while the product's
@@ -51,11 +52,11 @@ class ScaledMatrix2:
     construction.
     """
 
-    __slots__ = ("a", "b", "c", "d", "log_scale", "smax")
+    __slots__ = ("a", "b", "c", "d", "exponent", "log_scale", "smax")
 
-    def __init__(self, a: float, b: float, c: float, d: float, log_scale: float):
+    def __init__(self, a: float, b: float, c: float, d: float, exponent: int):
         self.a, self.b, self.c, self.d = a, b, c, d
-        self.log_scale = log_scale
+        self.exponent, self.log_scale = exponent, exponent * _LN2
         self.smax = _smax(a, b, c, d)
 
     @property
@@ -202,5 +203,5 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
         ta, tb, tc, td, te = _rescaled(
             ta * a + tb * c, ta * b + tb * d, tc * a + td * c, tc * b + td * d, e + te
         )
-        out.append((x, ScaledMatrix2(ta, tb, tc, td, te * _LN2)))
+        out.append((x, ScaledMatrix2(ta, tb, tc, td, te)))
     return out

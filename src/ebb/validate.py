@@ -46,8 +46,8 @@ class CheckResult:
 
 
 def _inv_scale(T: ScaledMatrix2) -> float:
-    """exp(-log_scale), flushed to 0 where it would underflow."""
-    return math.exp(-T.log_scale) if T.log_scale < 745.0 else 0.0
+    """2**-exponent, flushed to 0 where it underflows."""
+    return math.ldexp(1.0, -T.exponent)
 
 
 def sample_green_via_transfer(T: ScaledMatrix2) -> tuple:
@@ -175,15 +175,23 @@ def check_decoupled_green_equivalence(
     )
 
 
+def _junction_and_transfer_blocks(sample: SampleSpec, E: float, L: int, G0: tuple) -> tuple:
+    """The coupled block from the junction identity on G0, then the one
+    `coupled_green_direct` reads from the transfer product T_L: six entries."""
+    se = self_energies(LEAD, LEAD, E)
+    ((_, T),) = checkpoint_products(sample.potential, E, [L])
+    return (*coupled_green(G0, se), *coupled_green_direct(sample, E, L, se, T))
+
+
 def check_coupled_green_equivalence(
     seed: int = 2, per_potential: int = 20, max_length: int = 100, min_kept: int = 50
 ) -> CheckResult:
-    """Coupled Green block from the junction identity against the direct
-    complex tridiagonal solve (bound 1e-8)."""
+    """Coupled Green block from the junction identity, and from the
+    transfer product in closed form, each against the direct complex
+    tridiagonal solve (bound 1e-8)."""
     return _compare_routes(
-        "coupled-green-equivalence", 1e-8,
-        lambda s, E, L, G0: coupled_green(G0, self_energies(LEAD, LEAD, E)),
-        lambda s, E, L, G0: coupled_green_direct(s, E, L, self_energies(LEAD, LEAD, E)),
+        "coupled-green-equivalence", 1e-8, _junction_and_transfer_blocks,
+        lambda s, E, L, G0: 2 * coupled_green_direct(s, E, L, self_energies(LEAD, LEAD, E)),
         seed, per_potential, max_length, min_kept,
     )
 

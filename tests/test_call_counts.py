@@ -3,9 +3,10 @@
 The benchmark's traced run counts calls at these bindings and requires
 `evaluate_point` calls == evaluations and `coupled_green_direct` calls ==
 checkpoints x energies. These tests pin that contract on small inputs, with
-a counting wrapper on each binding that a caller looks up. Within it, the
-Green solves of one L-sweep energy continue from checkpoint to checkpoint,
-so the tridiagonal segments they solve cover sites 0..L_max once.
+a counting wrapper on each binding that a caller looks up. Within it, an
+L-sweep energy reads each checkpoint's Green block from its transfer
+product, so one transfer pass walks sites 0..L_max once and nothing is
+handed to the tridiagonal solver.
 """
 
 import numpy as np
@@ -80,18 +81,24 @@ def test_l_sweep_call_counts(calls, lead11):
 
 @pytest.mark.parametrize("checkpoints", [CHECKPOINTS, [1, 2, 3, 4, 5, 6, 8, 10]])
 def test_equivalence_energy_solves_each_site_once(lead11, monkeypatch, checkpoints):
-    # One solve per energy and checkpoint, and the segments they hand to
-    # zgtsv cover L_max + 1 sites per energy, one-site segments included.
-    sites = []
-    inner = ebb.green._zgtsv
+    # Each site of 0..L_max is walked once per energy, by its one transfer
+    # pass; the Green blocks are read from that pass's products, so no site
+    # reaches zgtsv.
+    sites, transfer_sites = [], []
+    inner, products = ebb.green._zgtsv, ebb.scan.checkpoint_products
 
-    def counted(dl, d, *args):
+    def solved(dl, d, *args):
         sites.append(len(d))
         return inner(dl, d, *args)
 
-    monkeypatch.setattr(ebb.green, "_zgtsv", counted)
+    def walked(pot, E, cps):
+        transfer_sites.append(cps[-1] + 1)
+        return products(pot, E, cps)
+
+    monkeypatch.setattr(ebb.green, "_zgtsv", solved)
+    monkeypatch.setattr(ebb.scan, "checkpoint_products", walked)
     grid = np.linspace(-1.9, 1.9, 7)
     pot = generate(Periodic((1.0, 0.0)), checkpoints[-1])
     equivalence_rows(SampleSpec(pot), grid, checkpoints, lead11, lead11, THERMO)
-    assert len(sites) == len(checkpoints) * len(grid)
-    assert sum(sites) == (checkpoints[-1] + 1) * len(grid)
+    assert sites == []
+    assert transfer_sites == [checkpoints[-1] + 1] * len(grid)

@@ -442,6 +442,22 @@ def test_ill_conditioned_energy_fails_alone(tmp_path):
     assert abs(float(rows[1]["transmission"]) - tau) <= 1e-13 * tau
 
 
+def test_ill_conditioned_l_sweep_exits_1(tmp_path, capsys):
+    # The L-sweep reads its Green blocks from the transfer products, and the
+    # same condition check follows: with couplings of 1e-7, sites 0..1 of
+    # zeros(11) have a nearly undamped resonance at E = -1, whose boundary
+    # estimate reads 1.00e14 (the solve's reads 9.97e13), and sweep-l exits
+    # 1 saying why, without a traceback.
+    lead = {"type": "semi_infinite", "hopping": 1.0, "coupling": 1e-7}
+    sweep = {"energy": -1.0, "l_checkpoints": [1, 2, 3, 4, 5, 6, 8, 10]}
+    cfg = write_config(tmp_path, lead_l=lead, lead_r=lead, extra={"sweep": sweep})
+    rc, out = run_cli(tmp_path, "sweep-l", cfg)
+    assert rc == 1
+    reason = "coupled system ill-conditioned (condition estimate 1.00e+14)"
+    assert capsys.readouterr().err == f"numerical failure: {reason}\n"
+    assert strict_json(out / "sweep_l.json")["failure"] == reason
+
+
 def test_sweep_l_requires_energy(tmp_path):
     rc, _ = run_cli(tmp_path, "sweep-l", write_config(tmp_path))
     assert rc == 2

@@ -109,9 +109,9 @@ def test_every_solve_receives_the_callers_sample(lead11, monkeypatch):
     seen = []
     inner = ebb.fluxes.coupled_green_direct
 
-    def recording(sample, E, L, se, prefix=None):
+    def recording(sample, E, L, se, transfer=None):
         seen.append(sample)
-        return inner(sample, E, L, se, prefix)
+        return inner(sample, E, L, se, transfer)
 
     monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", recording)
     l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)

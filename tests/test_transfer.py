@@ -64,9 +64,9 @@ def test_scaled_entries_stay_bounded():
 
 
 def test_log_spectral_norm_identity_and_clamp():
-    I = ScaledMatrix2(1.0, 0.0, 0.0, 1.0, 0.0)
+    I = ScaledMatrix2(1.0, 0.0, 0.0, 1.0, 0)
     assert log_spectral_norm(I) == 0.0
-    tiny = ScaledMatrix2(1.0, 0.0, 0.0, 1.0, -5.0)
+    tiny = ScaledMatrix2(1.0, 0.0, 0.0, 1.0, -5)
     assert log_spectral_norm(tiny) == 0.0
 
 
