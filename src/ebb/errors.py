@@ -13,10 +13,6 @@ class BudgetError(DomainError):
     """An evaluation budget below what the work needs before it can start."""
 
 
-class ResonanceError(RuntimeError):
-    """Energy is numerically a Dirichlet eigenvalue of the decoupled sample."""
-
-
 class NumericalFailure(RuntimeError):
     """A solve or invariant check failed beyond recoverable tolerance."""
 

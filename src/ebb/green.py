@@ -6,7 +6,7 @@ tridiagonal solve with the lead self-energies absorbed into the boundary
 sites; with Im F > 0 it stays uniformly invertible at real energies. An
 L-sweep, which computes the transfer product T_L at each checkpoint anyway,
 reads the block from T_L in closed form instead and solves nothing. The
-independent routes (the transfer-matrix G0, the junction identity and the
+routes that share no algebra with these two (the junction identity and the
 graph correspondence) are oracles in `ebb.validate`.
 """
 
@@ -58,18 +58,18 @@ def _tridiag_solve_boundary(sample: SampleSpec, E: float, L: int, F_l=0j, F_r=0j
     s0, sL = abs(diag[0]) + 1.0, abs(diag[L]) + 1.0
     # Unscaled, a last pivot below 1 swaps row L up, and back-substitution
     # then cancels 1 against A_LL x_L down the whole x^(L) column: a large
-    # |v_L| would inflate the estimate of an accurate solve. The sample's
-    # -1 off-diagonal, shared by every solve on it, goes in as du without
-    # overwrite_du, so zgtsv copies it; f2py would write into it otherwise,
-    # whatever its writeable flag says.
-    off = sample.off_diagonal[:L]
+    # |v_L| would inflate the estimate of an accurate solve.
     b = np.zeros((L + 1, 2), dtype=complex, order="F")
     b[0, 0], b[L, 1] = 1.0, 1.0 / sL
-    dl = off.copy()
+    du = np.empty(L, dtype=complex)
+    du.fill(-1.0)  # half the cost of np.full, a Python-level wrapper
+    dl = du.copy()
     dl[-1] = -1.0 / sL
     diag[L] /= sL
-    # Positional overwrite flags (dl, d, du, b): f2py parses keywords slowly.
-    _, _, _, x, info = _zgtsv(dl, diag, off, b, 1, 1, 0, 1)
+    # Every buffer is this call's own, so zgtsv may overwrite all four and
+    # f2py copies none. Positional overwrite flags (dl, d, du, b): f2py
+    # parses keywords slowly.
+    _, _, _, x, info = _zgtsv(dl, diag, du, b, 1, 1, 1, 1)
     if info != 0:
         raise NumericalFailure(f"tridiagonal solve failed (info={info})")
     x0, xL = np.abs(x).max(axis=0).tolist()

@@ -53,10 +53,10 @@ class SampleSpec:
     so L = len(potential) - 1 >= 1 is required (a single shared coupling
     site is degenerate). Validated once at construction; a solve on the
     sample or on a prefix of it (sites 0..L' for L' <= L) reads the
-    potential and the one -1 off-diagonal. Not modified after construction.
+    potential. Not modified after construction.
     """
 
-    __slots__ = ("potential", "length", "off_diagonal")
+    __slots__ = ("potential", "length")
 
     def __init__(self, potential):
         pot = np.asarray(potential, dtype=float)
@@ -66,9 +66,6 @@ class SampleSpec:
         if not np.all(np.isfinite(pot)):
             raise ConfigError("potential: entries must be finite")
         self.potential, self.length = pot, len(pot) - 1
-        # The -1 hopping between sites as the complex off-diagonal of the
-        # Green solve (see `green._tridiag_solve_boundary`).
-        self.off_diagonal = np.full(self.length, -1.0, dtype=complex)
 
 
 def xi(E: float, beta: float, mu: float) -> float:

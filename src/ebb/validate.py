@@ -6,8 +6,9 @@ graph-correspondence residual, the closed-form worked point, the density
 identities with the integrated second law, and the equilibrium null test.
 Each takes its sizes as arguments. The defaults are small, so `ebb validate`
 runs all seven in seconds; tests/test_acceptance.py runs the same checks at
-acceptance sizes. The independent routes to the Green matrices that the
-checks hold against the production solve of `ebb.green` live here too.
+acceptance sizes. The two routes to the Green block that share no algebra
+with `ebb.green`, the junction identity and the graph correspondence, live
+here as oracles; every other Green route a check reads is a production call.
 """
 
 from __future__ import annotations
@@ -17,14 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalFailure, ResonanceError
+from .errors import NumericalFailure
 from .fluxes import evaluate_point, integrate_fluxes, self_energies, spectral_densities
 from .green import SelfEnergyPair, _tridiag_solve_boundary, coupled_green_direct
 from .leads import SemiInfiniteLaplacian
 from .model import SampleSpec, ThermoParams
 from .potentials import AndersonRandom, Periodic, Zero, generate
 from .scattering import t_matrix
-from .transfer import ScaledMatrix2, checkpoint_products, is_resonant
+from .transfer import ScaledMatrix2, checkpoint_products
 
 POTENTIALS = (Zero(), Periodic((1.0, 0.0)), AndersonRandom(1.0, 42))
 LEAD = SemiInfiniteLaplacian(1.0, 1.0)
@@ -43,37 +44,6 @@ class CheckResult:
 
 
 # -- independent routes to the Green matrices (oracles) -----------------------
-
-
-def _inv_scale(T: ScaledMatrix2) -> float:
-    """2**-exponent, flushed to 0 where it underflows."""
-    return math.ldexp(1.0, -T.exponent)
-
-
-def sample_green_via_transfer(T: ScaledMatrix2) -> tuple:
-    """Decoupled Green block (g_ll, g_lr, g_rr) of G0_L(E) from the transfer matrix.
-
-    With T = [[a, b], [c, d]] (true scale), the graph correspondence gives
-    g_ll = -b/a, g_lr = g_rl = 1/a, g_rr = c/a. The scale cancels in the
-    diagonal entries; the off-diagonal one may legitimately underflow to 0
-    for exponentially large T.
-    """
-    if is_resonant(T):
-        raise ResonanceError(
-            "T11 vanishes: energy is numerically a Dirichlet eigenvalue"
-        )
-    return complex(-T.b / T.a), complex(_inv_scale(T) / T.a), complex(T.c / T.a)
-
-
-def sample_green_direct(sample: SampleSpec, E: float, L: int):
-    """Decoupled Green block of G0_L(E) on sites 0..L of the sample by the
-    pivoted tridiagonal solve, and its boundary-row condition estimate that
-    screens near-resonances. Where gtsv finds h_{S,L} - E exactly singular
-    (a Dirichlet eigenvalue), G0 is None and the estimate inf."""
-    try:
-        return _tridiag_solve_boundary(sample, E, L)
-    except NumericalFailure:
-        return None, math.inf
 
 
 def coupled_green(G0: tuple, se: SelfEnergyPair) -> tuple:
@@ -104,7 +74,7 @@ def graph_map_check(G: tuple, T: ScaledMatrix2, se: SelfEnergyPair) -> float:
     # Column j of w and of target belongs to the basis input (x, y) = e_j.
     w = np.array([[g00, g0L], [1 + se.F_l * g00, se.F_l * g0L]])
     target = np.array([[se.F_r * g0L, 1 + se.F_r * gLL], [g0L, gLL]])
-    resid = np.linalg.norm(T.m @ w - _inv_scale(T) * target, axis=0)
+    resid = np.linalg.norm(T.m @ w - math.ldexp(1.0, -T.exponent) * target, axis=0)
     return float(resid.max() / T.smax)
 
 
@@ -144,19 +114,24 @@ def _random_points(seed: int, per_potential: int, max_length: int) -> list:
 
 def _compare_routes(name, bound, route_a, route_b, seed, per_potential, max_length, min_kept):
     """Largest relative difference, normalised by max(|A|, |B|), between two
-    routes to one Green block at the random points that pass condition
-    screening. Each route is called as route(sample, E, L, G0), with G0
-    the decoupled direct solve that screened the point. A ResonanceError at a
-    kept point fails the check, and so does keeping fewer than min_kept
-    points."""
+    routes to one Green block at random points. The production decoupled
+    solve screens them: a point where it is exactly singular, or its
+    condition estimate exceeds SCREEN_CONDITION, is skipped. Each route is
+    called as route(sample, E, L, G0, T), with G0 that solve's block and T
+    the transfer product of sites 0..L. A NumericalFailure from a route at a
+    kept point fails the check, and so does keeping fewer than min_kept."""
     worst, kept = 0.0, 0
     for sample, E, L in _random_points(seed, per_potential, max_length):
-        G0, cond = sample_green_direct(sample, E, L)
+        try:
+            G0, cond = _tridiag_solve_boundary(sample, E, L)
+        except NumericalFailure:  # exactly singular
+            continue
         if cond > SCREEN_CONDITION:
             continue
         try:
-            worst = max(worst, _rel_diff(route_a(sample, E, L, G0), route_b(sample, E, L, G0)))
-        except ResonanceError as exc:
+            ((_, T),) = checkpoint_products(sample.potential, E, [L])
+            worst = max(worst, _rel_diff(route_a(sample, E, L, G0, T), route_b(sample, E, L, G0, T)))
+        except NumericalFailure as exc:
             return CheckResult(name, False, f"E={E!r}, L={L}: {exc}", math.inf)
         kept += 1
     detail = f"max rel diff {worst:.3e} (< {bound:g}) over {kept} points (>= {min_kept})"
@@ -166,20 +141,20 @@ def _compare_routes(name, bound, route_a, route_b, seed, per_potential, max_leng
 def check_decoupled_green_equivalence(
     seed: int = 1, per_potential: int = 20, max_length: int = 100, min_kept: int = 50
 ) -> CheckResult:
-    """Decoupled Green block from the transfer matrix against the pivoted
-    tridiagonal solve (bound 1e-9)."""
+    """Decoupled Green block read in closed form from the transfer product
+    at zero self-energies, (-b, 2^-e, c)/a, against the pivoted tridiagonal
+    solve (bound 1e-9)."""
     return _compare_routes(
         "decoupled-green-equivalence", 1e-9,
-        lambda s, E, L, G0: sample_green_via_transfer(checkpoint_products(s.potential, E, [L])[0][1]),
-        lambda s, E, L, G0: G0, seed, per_potential, max_length, min_kept,
+        lambda s, E, L, G0, T: coupled_green_direct(s, E, L, SelfEnergyPair(0j, 0j), T),
+        lambda s, E, L, G0, T: G0, seed, per_potential, max_length, min_kept,
     )
 
 
-def _junction_and_transfer_blocks(sample: SampleSpec, E: float, L: int, G0: tuple) -> tuple:
+def _junction_and_transfer_blocks(sample: SampleSpec, E: float, L: int, G0: tuple, T: ScaledMatrix2):
     """The coupled block from the junction identity on G0, then the one
     `coupled_green_direct` reads from the transfer product T_L: six entries."""
     se = self_energies(LEAD, LEAD, E)
-    ((_, T),) = checkpoint_products(sample.potential, E, [L])
     return (*coupled_green(G0, se), *coupled_green_direct(sample, E, L, se, T))
 
 
@@ -191,7 +166,7 @@ def check_coupled_green_equivalence(
     tridiagonal solve (bound 1e-8)."""
     return _compare_routes(
         "coupled-green-equivalence", 1e-8, _junction_and_transfer_blocks,
-        lambda s, E, L, G0: 2 * coupled_green_direct(s, E, L, self_energies(LEAD, LEAD, E)),
+        lambda s, E, L, G0, T: 2 * coupled_green_direct(s, E, L, self_energies(LEAD, LEAD, E)),
         seed, per_potential, max_length, min_kept,
     )
 

@@ -18,7 +18,7 @@ import ebb
 from ebb import cli
 from ebb.cli import main
 from ebb.config import MAX_POINTS, geometric_checkpoints, parse_config
-from ebb.errors import ConfigError
+from ebb.errors import ConfigError, NumericalFailure
 from ebb.leads import weiss_boundary
 from ebb.model import SampleSpec
 from ebb.potentials import AndersonRandom, Periodic, Zero, generate
@@ -595,6 +595,37 @@ def test_validate_command(tmp_path, capsys):
     assert len(payload["checks"]) == 7
     assert payload["manifest"]["max_unitarity_residual"] > 0.0
     assert payload["manifest"]["config"] is None
+
+
+def test_validate_route_failure_fails_only_its_check(tmp_path, capsys, monkeypatch):
+    # A NumericalFailure from one Green route at one kept point fails that
+    # route's check, with the point in its detail and value inf; the other
+    # six checks still run and pass.
+    from ebb import validate
+
+    junction, calls = validate.coupled_green, []
+
+    def junction_failing_once(G0, se):
+        calls.append(G0)
+        if len(calls) == 3:
+            raise NumericalFailure("injected")
+        return junction(G0, se)
+
+    monkeypatch.setattr(validate, "coupled_green", junction_failing_once)
+    result = validate.check_coupled_green_equivalence()
+    assert (result.passed, result.value) == (False, math.inf)
+    assert result.detail.startswith("E=") and ", L=" in result.detail
+    assert result.detail.endswith(": injected")
+    calls.clear()
+    assert main(["validate", "--out", str(tmp_path)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == [line for line in printed if line.startswith(("[PASS] ", "[FAIL] "))]
+    assert [line for line in printed if line.startswith("[FAIL]")] == [
+        f"[FAIL] coupled-green-equivalence: {result.detail}"
+    ]
+    payload = strict_json(tmp_path / "validate.json")
+    assert len(payload["checks"]) == 7
+    assert payload["failure"] == "checks failed: coupled-green-equivalence"
 
 
 # Each command's CSV header (None: no CSV) and JSON top-level keys, in order.

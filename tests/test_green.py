@@ -1,5 +1,7 @@
-"""The production coupled solve of ebb.green, and the independent routes
-of ebb.validate it is checked against."""
+"""The production routes of ebb.green to the boundary Green block, the
+pivoted solve and the closed form from the transfer product, and the
+oracles of ebb.validate they are checked against: the junction identity
+and the graph correspondence."""
 
 import math
 
@@ -9,22 +11,24 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, lapack
 
-from ebb.errors import NumericalFailure, ResonanceError
+from ebb.errors import NumericalFailure
 from ebb.green import SelfEnergyPair, _tridiag_solve_boundary, coupled_green_direct
 from ebb.leads import SemiInfiniteLaplacian, weiss_boundary
 from ebb.model import SampleSpec
 from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, Zero, generate
 from ebb.scattering import t_matrix, transmission
 from ebb.transfer import checkpoint_products
-from ebb.validate import (
-    check_graph_map,
-    coupled_green,
-    graph_map_check,
-    sample_green_direct,
-    sample_green_via_transfer,
-)
+from ebb.validate import check_graph_map, coupled_green, graph_map_check
 
 from conftest import continuants, dense_green, dense_resolvent
+
+
+def _closed_form(sample, E, L):
+    """The decoupled block (G_00, G_0L, G_LL) of sites 0..L read from the
+    transfer product T_L in closed form at zero self-energies:
+    (-b, 2^-e, c)/a."""
+    ((_, T),) = checkpoint_products(sample.potential, E, [L])
+    return coupled_green_direct(sample, E, L, SelfEnergyPair(0j, 0j), T)
 
 
 def test_self_energy_pair_is_a_plain_value():
@@ -36,18 +40,18 @@ def test_self_energy_pair_is_a_plain_value():
 
 def test_every_route_gives_three_python_complex_numbers(lead11):
     # The boundary block is the triple (G_00, G_0L, G_LL) wherever it is
-    # made: the solve, the closed form from the transfer product, and the
-    # oracles.
+    # made: the solve, the closed form from the transfer product, coupled
+    # or not, and the junction identity.
     pot = generate(AndersonRandom(1.0, 4), 12)
     sample, E = SampleSpec(pot), 0.3
     se = _se(lead11, E)
     ((_, T),) = checkpoint_products(pot, E, [12])
-    G0 = sample_green_direct(sample, E, 12)[0]
+    G0 = _tridiag_solve_boundary(sample, E, 12)[0]
     blocks = [
         _tridiag_solve_boundary(sample, E, 12, se.F_l, se.F_r)[0],
         coupled_green_direct(sample, E, 12, se),
         coupled_green_direct(sample, E, 12, se, T),
-        G0, sample_green_via_transfer(T), coupled_green(G0, se),
+        G0, _closed_form(sample, E, 12), coupled_green(G0, se),
     ]
     for G in blocks:
         assert type(G) is tuple and len(G) == 3
@@ -56,10 +60,10 @@ def test_every_route_gives_three_python_complex_numbers(lead11):
 
 def test_decoupled_worked_example():
     # L = 1, v = 0, E = 0: h - E = [[0, -1], [-1, 0]], G0 = [[0, -1], [-1, 0]].
-    G0, _ = sample_green_direct(SampleSpec(np.zeros(2)), 0.0, 1)
+    sample = SampleSpec(np.zeros(2))
+    G0, _ = _tridiag_solve_boundary(sample, 0.0, 1)
     np.testing.assert_allclose(G0, (0.0, -1.0, 0.0), atol=1e-15)
-    ((_, T),) = checkpoint_products(np.zeros(2), 0.0, [1])
-    np.testing.assert_allclose(sample_green_via_transfer(T), G0, atol=1e-15)
+    np.testing.assert_allclose(_closed_form(sample, 0.0, 1), G0, atol=1e-15)
 
 
 def test_decoupled_routes_agree_and_match_dense_oracle():
@@ -67,9 +71,8 @@ def test_decoupled_routes_agree_and_match_dense_oracle():
     for L in (1, 7, 40):
         pot = rng.uniform(-1.2, 1.2, L + 1)
         E = 0.37
-        direct, _ = sample_green_direct(SampleSpec(pot), E, L)
-        ((_, T),) = checkpoint_products(pot, E, [L])
-        via = sample_green_via_transfer(T)
+        direct, _ = _tridiag_solve_boundary(SampleSpec(pot), E, L)
+        via = _closed_form(SampleSpec(pot), E, L)
         np.testing.assert_allclose(via, direct, atol=1e-10)
         ref = np.real(dense_green(pot, E, L))
         np.testing.assert_allclose(direct, ref, atol=1e-10)
@@ -81,40 +84,40 @@ def test_decoupled_symmetry():
     pot = generate(AndersonRandom(1.0, 21), 60)
     g = dense_resolvent(pot, -0.4, 60)
     assert g[0, 60] == pytest.approx(g[60, 0], abs=1e-14)
-    G0, _ = sample_green_direct(SampleSpec(pot), -0.4, 60)
+    G0, _ = _tridiag_solve_boundary(SampleSpec(pot), -0.4, 60)
     assert G0[1] == pytest.approx(g[0, 60], abs=1e-14)
     assert G0[1] == pytest.approx(g[60, 0], abs=1e-14)
 
 
 def test_resonance_detection_both_routes():
-    # v = 0, L = 1, E = 1 is an exact Dirichlet eigenvalue: the direct
-    # route reports an infinite condition estimate, the transfer route raises.
-    assert sample_green_direct(SampleSpec(np.zeros(2)), 1.0, 1) == (None, math.inf)
-    ((_, T),) = checkpoint_products(np.zeros(2), 1.0, [1])
-    with pytest.raises(ResonanceError):
-        sample_green_via_transfer(T)
+    # v = 0, L = 1, E = 1 is an exact Dirichlet eigenvalue: the solve finds
+    # the system singular, and the closed form's D = a is exactly 0, so its
+    # condition estimate is infinite.
+    sample = SampleSpec(np.zeros(2))
+    with pytest.raises(NumericalFailure, match=r"tridiagonal solve failed \(info=2\)"):
+        _tridiag_solve_boundary(sample, 1.0, 1)
+    with pytest.raises(NumericalFailure, match=r"condition estimate inf\)"):
+        _closed_form(sample, 1.0, 1)
 
 
 def test_short_potential_rejected():
     short = SampleSpec(np.zeros(3))
     with pytest.raises(ValueError, match="need 11"):
-        sample_green_direct(short, 0.3, 10)
+        _tridiag_solve_boundary(short, 0.3, 10)
     with pytest.raises(ValueError, match="need 11"):
         coupled_green_direct(short, 0.3, 10, SelfEnergyPair(1j, 1j))
 
 
 def test_condition_estimate_blows_up_at_resonance():
     sample = SampleSpec(np.zeros(2))
-    _, near = sample_green_direct(sample, 1.0 + 1e-9, 1)
-    _, far = sample_green_direct(sample, 0.3, 1)
+    _, near = _tridiag_solve_boundary(sample, 1.0 + 1e-9, 1)
+    _, far = _tridiag_solve_boundary(sample, 0.3, 1)
     assert near > 1e7 * far
 
 
 def test_offdiagonal_underflow_for_long_localized_sample():
     # ||T|| ~ exp(gamma*L) >> float range: g_lr underflows cleanly to 0.
-    pot = generate(AndersonRandom(2.0, 4), 5000)
-    ((_, T),) = checkpoint_products(pot, 0.0, [5000])
-    G0 = sample_green_via_transfer(T)
+    G0 = _closed_form(SampleSpec(generate(AndersonRandom(2.0, 4), 5000)), 0.0, 5000)
     assert G0[1] == 0.0
     assert np.all(np.isfinite(G0))
 
@@ -131,7 +134,7 @@ def test_coupled_routes_agree_and_match_dense_oracle(lead11):
         E = -0.6
         se = _se(lead11, E)
         direct = coupled_green_direct(SampleSpec(pot), E, L, se)
-        via = coupled_green(sample_green_direct(SampleSpec(pot), E, L)[0], se)
+        via = coupled_green(_tridiag_solve_boundary(SampleSpec(pot), E, L)[0], se)
         np.testing.assert_allclose(via, direct, atol=1e-10)
         ref = dense_green(pot, E, L, se.F_l, se.F_r)
         np.testing.assert_allclose(direct, ref, atol=1e-10)
@@ -227,21 +230,20 @@ def test_strong_barrier_is_well_conditioned(lead11):
     assert 1.0 <= cond <= 2.0
 
 
-def test_cached_off_diagonal_is_never_written():
-    # Every solve on a sample, at its length or a prefix, passes zgtsv the
-    # sample's one -1 off-diagonal. zgtsv must copy it: f2py writes into an
-    # array passed with leave to overwrite even when the array is read-only,
-    # so no flag would guard it.
+def test_prefix_solves_match_the_dense_resolvent():
+    # Solves on one sample, at its length and at prefixes in any order, each
+    # match the dense resolvent, and a repeated solve returns the same bytes:
+    # zgtsv overwrites only the buffers each call builds, never the sample.
     rng = np.random.default_rng(11)
     F_l, F_r = 0.3 + 1.0j, -0.2 + 0.5j
     t = rng.normal(size=51)
     sample = SampleSpec(t)
     for L in (1, 2, 7, 50, 7, 2, 1, 50):
-        G, _ = _tridiag_solve_boundary(sample, 0.0, L, F_l, F_r)
+        G, cond = _tridiag_solve_boundary(sample, 0.0, L, F_l, F_r)
         np.testing.assert_allclose(G, dense_green(t, 0.0, L, F_l, F_r), rtol=1e-12, atol=1e-14)
-    off = sample.off_diagonal
-    assert off.shape == (50,) and off.dtype == complex
-    assert np.all(off == -1.0)
+        G_again, cond_again = _tridiag_solve_boundary(sample, 0.0, L, F_l, F_r)
+        assert np.array(G_again).tobytes() == np.array(G).tobytes() and cond_again == cond
+    assert sample.potential.tobytes() == t.tobytes()
 
 
 def _reference_solve(t, F_l, F_r):
@@ -275,9 +277,8 @@ def _reference_solve(t, F_l, F_r):
     closed=st.sampled_from([None, "l", "r"]),
 )
 def test_lean_solve_keeps_the_bits(lead11, seed, L, extra, max_exponent, E, closed):
-    # The solve on a prefix of a validated sample, with its shared
-    # off-diagonal, positional flags and buffers it may overwrite, gives the
-    # same bytes of G and the same condition estimate as the plain solve,
+    # The solve on a prefix of a validated sample, with positional flags
+    # and buffers it overwrites, gives the same bytes of G and the same condition estimate as the plain solve,
     # for potentials up to about 1e300, E inside and outside the band, and
     # either lead closed (Im F = 0).
     rng = np.random.default_rng(seed)
