@@ -23,7 +23,7 @@ from .leads import LeadModel, sigma_intersection, weiss_boundary
 from .model import SampleSpec, ThermoParams, fermi_density, xi
 from .quadrature import adaptive_gk15
 from .scattering import t_matrix, transmission, unitarity_residual
-from .transfer import ScaledMatrix2
+from .transfer import ScaledMatrix2, end_products
 
 # Densities more negative than this are an upstream fault, not rounding.
 _SIGMA_ROUNDING_FLOOR = -1e-30
@@ -128,8 +128,9 @@ def integrate_fluxes(
 ) -> FluxResult:
     """Adaptive quadrature of the densities over the open-channel window.
 
-    At every node the full pipeline runs through the direct self-energy
-    solve.
+    Each pass's nodes get their transfer products T_L from one energy-batched
+    sweep (`transfer.end_products`); each node then runs the per-energy
+    chain on its own product, with every check of that chain.
     """
     window = integration_window(lead_l, lead_r, quadrature.edge_margin)
     if window.is_empty:
@@ -138,11 +139,14 @@ def integrate_fluxes(
     L = sample.length
     max_residual = [0.0]
 
-    def integrand(E):
-        tau, residual = evaluate_point(sample, E, L, self_energies(lead_l, lead_r, E))
-        if residual > max_residual[0]:
-            max_residual[0] = residual
-        return spectral_densities(E, tau, thermo)
+    def integrand(energies):
+        out = np.empty((len(energies), 3))
+        for i, T in enumerate(end_products(sample.potential, energies)):
+            E = energies.item(i)
+            tau, residual = evaluate_point(sample, E, L, self_energies(lead_l, lead_r, E), T)
+            max_residual[0] = max(max_residual[0], residual)
+            out[i] = spectral_densities(E, tau, thermo)
+        return out
 
     # Panels of width at most pi/(L+1), so the base rule sees each of the ~L
     # transmission resonances across the band before any subdivision.

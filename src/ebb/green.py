@@ -3,9 +3,9 @@
 The coupled boundary block, the triple (G_00, G_0L, G_LL) of Python complex
 numbers that fixes the complex-symmetric 2x2 matrix, comes from one complex
 tridiagonal solve with the lead self-energies absorbed into the boundary
-sites; with Im F > 0 it stays uniformly invertible at real energies. An
-L-sweep, which computes the transfer product T_L at each checkpoint anyway,
-reads the block from T_L in closed form instead and solves nothing. The
+sites; with Im F > 0 it stays uniformly invertible at real energies. Given
+the transfer product T_L, as the L-sweeps and the flux quadrature are, the
+block is read from it in closed form instead and nothing is solved. The
 routes that share no algebra with these two (the junction identity and the
 graph correspondence) are oracles in `ebb.validate`.
 """
@@ -111,8 +111,8 @@ def coupled_green_direct(
     recurrence); a closed system is solved alike.
 
     Without `transfer`, G comes from one complex tridiagonal solve of A.
-    Given the transfer product T_L of sites 0..L (`transfer.checkpoint_products`),
-    which an L-sweep computes anyway, G is read from it in closed form (see
+    Given the transfer product T_L of sites 0..L (`transfer.checkpoint_products`
+    or `transfer.end_products`), G is read from it in closed form (see
     `_transfer_block`) and nothing is solved. Either way one check follows:
     a singular or near-singular A, whose condition estimate exceeds
     CONDITION_LIMIT, raises NumericalFailure.

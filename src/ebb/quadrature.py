@@ -2,7 +2,8 @@
 
 A 15-point Kronrod rule with embedded 7-point Gauss rule per panel, on
 panels the caller lays out. The loop runs in passes over one table of
-panels, rows in position order. Each pass sums the integral and the error
+panels, rows in position order. Each pass evaluates the integrand and the
+rule on all its new panels at once, sums the integral and the error
 estimate, takes the error's excess over the stopping rule per component,
 and splits the fewest panels whose errors cover that excess in every
 component, worst error first with ties broken by position. A pass splits
@@ -12,7 +13,6 @@ in position order, so results are bit-reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,34 +72,37 @@ class QuadratureResult:
 
 def _gk15(f, lo, hi):
     """Kronrod integral, |K15 - G7| error and rounding floor of the panels
-    (lo[i], hi[i]), as the rows of one (n, 3, k) array. f is called at each
-    panel's nodes in turn; a panel whose error is not finite (the sums
-    overflowed) raises NumericalFailure before f is called on the next."""
-    h = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + h[:, None] * _XGK
-    rows = []
-    for a, b, hp, xs in zip(lo.tolist(), hi.tolist(), h.tolist(), nodes):
-        fvals = np.array([f(x) for x in xs.tolist()])
-        with np.errstate(over="ignore", invalid="ignore"):
-            kronrod = hp * (_WGK @ fvals)
-            err = np.abs(kronrod - hp * (_WG @ fvals[1::2]))
-            floor = (ROUNDING_FLOOR * hp) * (_WGK @ abs(fvals))
-        if not math.isfinite(key := float(err.max())):
-            raise NumericalFailure(f"quadrature error estimate on panel [{a}, {b}] is not finite ({key})")
-        rows.append((kronrod, err, floor))
-    return np.array(rows)
+    (lo[i], hi[i]), as the rows of one (n, 3, k) array, from one call of f
+    on the nodes of all of them, panel by panel. The first panel whose
+    error is not finite (the sums overflowed) raises NumericalFailure."""
+    h = (0.5 * (hi - lo))[:, None]
+    nodes = (0.5 * (lo + hi))[:, None] + h * _XGK
+    fvals = np.asarray(f(nodes.ravel())).reshape(len(lo), 15, -1)
+    # matmul applies each rule to each panel's (15, k) block with the bits
+    # of a per-panel product (einsum and tensordot sum in another order).
+    with np.errstate(over="ignore", invalid="ignore"):
+        kronrod = h * np.matmul(_WGK, fvals)
+        err = np.abs(kronrod - h * np.matmul(_WG, fvals[:, 1::2]))
+        floor = (ROUNDING_FLOOR * h) * np.matmul(_WGK, np.abs(fvals, out=fvals))
+    if not np.isfinite(key := err.max(axis=1)).all():
+        i = np.flatnonzero(~np.isfinite(key))[0]
+        raise NumericalFailure(f"quadrature error estimate on panel [{lo[i]}, {hi[i]}] is not finite ({key[i]})")
+    return np.stack((kronrod, err, floor), axis=1)
 
 
 def adaptive_gk15(f, panels, tol, max_evaluations):
     """Integrate the vector-valued f over (lo, hi) panels, a sequence of pairs
     or an (n, 2) array, in position order, in passes (see the module docstring).
 
-    The stopping rule is err_k <= tol * max(1, |I_k|) for every component,
-    QUADPACK's epsabs and epsrel both set to tol. A panel taken for
-    splitting at ROUNDING_FLOOR or MIN_PANEL_WIDTH is set aside instead.
-    max_evaluations caps every evaluation, the initial panels' included:
-    if those alone need more, f is never called and BudgetError is raised.
-    A panel whose error estimate is not finite raises NumericalFailure.
+    f is called once per pass, on a 1-D array of its nodes, 15 per panel in
+    panel order, and returns their values as an (n, k) float array, which
+    the rule then overwrites. The stopping rule is err_k <= tol *
+    max(1, |I_k|) for every component, QUADPACK's epsabs and epsrel both
+    set to tol. A panel taken for splitting at ROUNDING_FLOOR or
+    MIN_PANEL_WIDTH is set aside instead. max_evaluations caps every
+    evaluation, the initial panels' included: if those alone need more, f
+    is never called and BudgetError is raised. A panel whose error
+    estimate is not finite raises NumericalFailure after its pass.
     """
     if len(panels) == 0:
         zero = np.zeros(1)

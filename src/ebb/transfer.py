@@ -16,8 +16,10 @@ a power of two is exact, so where the rescaling happens does not change the
 product's mantissas, and a lane's product is the same whichever checkpoints
 are asked for.
 
-The run path reads two things from a product, its spectral norm and the
-resonance test on its (1,1) entry; no determinant is kept alongside it.
+`end_products` runs the same lanes over all sites, one lane per energy.
+
+The run path reads a product's spectral norm, the resonance test on its
+(1,1) entry and the Green block in closed form; no determinant is kept.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import numpy as np
 
 # Sites per lane of the block-lane pass.
 BLOCK = 16
+# Energies per lane pass of `end_products`.
+CHUNK = 512
 # Lane entries are rescaled before they can grow past 2**_SCALE_BITS.
 _SCALE_BITS = 500
 # The fold of the block products rescales once the squared Frobenius norm
@@ -109,15 +113,14 @@ def _steps_within(log_bound: float, log_growth: float) -> int:
     return max(1, int(min(BLOCK, log_bound / log_growth)))
 
 
-def _block_lanes(t: np.ndarray, r_scale: int):
-    """The product of each lane's BLOCK factors, all lanes at once.
+def _block_lanes(rows, lanes: int, steps: int, r_scale: int):
+    """The product of each lane's `steps` factors, all lanes at once.
 
-    t[j, k] is v - E at step j of lane k. The lanes are rescaled every
-    r_scale steps and at the end. Returns, per lane, the entries a, b, c, d
-    (largest in [1/2, 1)) and the binary exponent of the scale, each as an
-    array over lanes.
+    rows yields, step by step, the array over lanes of v - E at that step.
+    The lanes are rescaled every r_scale steps and at the end. Returns, per
+    lane, the entries a, b, c, d (largest in [1/2, 1)) and the binary
+    exponent of the scale, each as an array over lanes.
     """
-    lanes = t.shape[1]
     # Rows 0 and 1 of each lane's product, (a, b) and (c, d): s[p] holds
     # row 0, s[1 - p] row 1. A step is row0' = t*row0 - row1, row1' = row0,
     # so writing row0' over row 1 and flipping p advances every lane in two
@@ -128,11 +131,11 @@ def _block_lanes(t: np.ndarray, r_scale: int):
     tmp = np.empty((2, lanes))
     exps = np.zeros(lanes, dtype=np.int64)
     p = 0
-    for j, tj in enumerate(t, 1):
+    for j, tj in enumerate(rows, 1):
         np.multiply(row[p], tj, out=tmp)
         np.subtract(tmp, row[1 - p], out=row[1 - p])
         p = 1 - p
-        if j % r_scale == 0 or j == BLOCK:
+        if j % r_scale == 0 or j == steps:
             _, e = np.frexp(np.abs(s).max(axis=(0, 1)))
             np.ldexp(s, -e, out=s)
             exps += e
@@ -177,7 +180,7 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
     for i, x in enumerate(cps):
         tail = t[(x + 1) // BLOCK * BLOCK: x + 1]
         steps[BLOCK - len(tail):, i] = tail
-    lanes = _block_lanes(steps, r_scale)
+    lanes = _block_lanes(steps, steps.shape[1], BLOCK, r_scale)
     # A lazy zip: the fold below keeps none of its tuples, so zip reuses one.
     blocks = zip(*(lane[len(cps):].tolist() for lane in lanes))
     a, b, c, d, e = 1.0, 0.0, 0.0, 1.0, 0
@@ -205,3 +208,20 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
         )
         out.append((x, ScaledMatrix2(ta, tb, tc, td, te)))
     return out
+
+
+def end_products(pot, energies):
+    """T_L(E) of all sites 0..L of the float array pot for each E of the
+    float array energies, in turn, as a generator of ScaledMatrix2: one
+    `_block_lanes` lane per energy, CHUNK energies per pass, fed v_x - E one
+    site at a time, so memory stays O(CHUNK) at any L. Rescaling is exact,
+    so an energy's product does not depend on the others in its batch."""
+    for k in range(0, len(energies), CHUNK):
+        E = energies[k: k + CHUNK]
+        # Entries grow by at most a factor 1 + max|v| + max|E| per site.
+        log_growth = math.log1p(float(np.abs(pot).max() + np.abs(E).max()))
+        r_scale = _steps_within(_SCALE_BITS * _LN2, log_growth)
+        buf = np.empty(len(E))
+        rows = (np.subtract(v, E, out=buf) for v in pot.tolist())
+        lanes = _block_lanes(rows, len(E), len(pot), r_scale)
+        yield from map(ScaledMatrix2, *(lane.tolist() for lane in lanes))

@@ -25,7 +25,7 @@ from .leads import SemiInfiniteLaplacian
 from .model import SampleSpec, ThermoParams
 from .potentials import AndersonRandom, Periodic, Zero, generate
 from .scattering import t_matrix
-from .transfer import ScaledMatrix2, checkpoint_products
+from .transfer import ScaledMatrix2, checkpoint_products, end_products
 
 POTENTIALS = (Zero(), Periodic((1.0, 0.0)), AndersonRandom(1.0, 42))
 LEAD = SemiInfiniteLaplacian(1.0, 1.0)
@@ -88,14 +88,16 @@ def _rel_diff(A: tuple, B: tuple) -> float:
 
 def check_unitarity(n_energies: int = 100, lengths=(10, 200)) -> CheckResult:
     """Unitarity residual of `evaluate_point` on an energy grid across the
-    band, for each potential and length (bound 1e-10)."""
+    band, for each potential and length, with the Green block solved and
+    read from `end_products`, as `integrate_fluxes` reads it (bound 1e-10)."""
     grid = np.linspace(-2 + 1e-6, 2 - 1e-6, n_energies)
     worst = 0.0
     for spec in POTENTIALS:
         sample = SampleSpec(generate(spec, max(lengths)))
         for L in lengths:
-            for E in grid:
-                worst = max(worst, evaluate_point(sample, E, L, self_energies(LEAD, LEAD, E))[1])
+            for E, T in zip(grid, end_products(sample.potential[: L + 1], grid)):
+                se = self_energies(LEAD, LEAD, E)
+                worst = max(worst, evaluate_point(sample, E, L, se)[1], evaluate_point(sample, E, L, se, T)[1])
     return CheckResult("unitarity", worst < 1e-10, f"max residual {worst:.3e} (< 1e-10)", worst)
 
 

@@ -5,8 +5,9 @@ The benchmark's traced run counts calls at these bindings and requires
 checkpoints x energies. These tests pin that contract on small inputs, with
 a counting wrapper on each binding that a caller looks up. Within it, an
 L-sweep energy reads each checkpoint's Green block from its transfer
-product, so one transfer pass walks sites 0..L_max once and nothing is
-handed to the tridiagonal solver.
+product, so one transfer pass walks sites 0..L_max once, and a flux
+quadrature node reads its block from its pass's energy-batched transfer
+sweep: neither hands anything to the tridiagonal solver.
 """
 
 import numpy as np
@@ -52,6 +53,22 @@ def test_integrate_fluxes_calls_evaluate_point_once_per_evaluation(calls, lead11
     assert result.evaluations > 15 * 31  # the quadrature subdivided
     assert calls["fluxes.evaluate_point"] == result.evaluations
     assert calls["fluxes.coupled_green_direct"] == result.evaluations
+
+
+def test_integrate_fluxes_hands_no_site_to_zgtsv(calls, lead11, monkeypatch):
+    # Each node's Green block is read from its pass's transfer products.
+    solves = []
+    inner = ebb.green._zgtsv
+
+    def solved(*args):
+        solves.append(len(args[1]))
+        return inner(*args)
+
+    monkeypatch.setattr(ebb.green, "_zgtsv", solved)
+    pot = generate(AndersonRandom(1.0, 3), 30)
+    result = integrate_fluxes(SampleSpec(pot), lead11, lead11, THERMO)
+    assert calls["fluxes.evaluate_point"] == result.evaluations > 0
+    assert solves == []
 
 
 def test_energy_sweep_calls_evaluate_point_once_per_energy(calls, lead11):

@@ -181,18 +181,23 @@ def test_quadrature_params_validation():
 
 
 @pytest.mark.parametrize(
-    "spec, tol, evaluations, fluxes, error",
+    "spec, tol, evaluations, fluxes, error, zgtsv_fluxes",
     [
         (AlmostMathieu(0.5, (5**0.5 - 1) / 2, 0.0), 1e-8, 1710,
-         (0.044118938728421105, 0.07532227894740814, 0.1571023571495333), 1.2569593190957543e-09),
+         (0.044118938728421105, 0.07532227894740814, 0.1571023571495333), 1.2569593187541471e-09,
+         (0.044118938728421105, 0.07532227894740814, 0.1571023571495333)),
         (AndersonRandom(2.0, 7), 1e-12, 5580,
-         (-2.8932506970335954e-05, 0.00040669902615313565, 0.0005811160322593679),
-         1.467245174313735e-13),
+         (-2.8932506970335243e-05, 0.0004066990261531357, 0.000581116032259369),
+         1.4672601546022694e-13,
+         (-2.8932506970335954e-05, 0.00040669902615313565, 0.0005811160322593679)),
     ],
     ids=["almost-mathieu", "anderson"],
 )
-def test_pinned_flux_quadrature(spec, tol, evaluations, fluxes, error):
-    # Exact evaluation counts and bits of the L = 30 flux integrals.
+def test_pinned_flux_quadrature(spec, tol, evaluations, fluxes, error, zgtsv_fluxes):
+    # Exact evaluation counts and bits of the L = 30 flux integrals, whose
+    # Green blocks are read from the transfer products. zgtsv_fluxes are
+    # the same integrals with every block from the tridiagonal solve: the
+    # two routes agree within 1e-12 relative.
     res = integrate_fluxes(
         SampleSpec(generate(spec, 30)), LEAD, LEAD, ThermoParams(1.0, 2.0, 0.5, -0.5),
         QuadratureParams(tolerance=tol),
@@ -202,6 +207,8 @@ def test_pinned_flux_quadrature(spec, tol, evaluations, fluxes, error):
     assert res.quadrature_error_estimate == error
     assert res.converged
     assert res.panels_at_width_floor == res.panels_at_rounding_floor == 0
+    for value, oracle in zip(fluxes, zgtsv_fluxes):
+        assert value == pytest.approx(oracle, rel=1e-12, abs=0)
 
 
 def test_over_budget_panel_layout_stays_small():
@@ -218,3 +225,21 @@ def test_over_budget_panel_layout_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 2**20
+
+
+def test_flux_quadrature_memory_stays_small_at_long_length():
+    # Each pass's transfer products come from energy chunks fed one site at
+    # a time, so no (L + 1) x nodes array and no whole pass of products is
+    # held: at L = 2000 (38,220 nodes in one pass) the traced peak stays
+    # near the 2 MB the per-node solve took.
+    sample = SampleSpec(generate(AndersonRandom(1.0, 3), 2000))
+    tracemalloc.start()
+    try:
+        res = integrate_fluxes(
+            sample, LEAD, LEAD, ThermoParams(1.0, 2.0, 0.5, -0.5), QuadratureParams(tolerance=1e-2)
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.evaluations == 38_220
+    assert peak < 4 * 2**20

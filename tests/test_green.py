@@ -17,7 +17,7 @@ from ebb.leads import SemiInfiniteLaplacian, weiss_boundary
 from ebb.model import SampleSpec
 from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, Zero, generate
 from ebb.scattering import t_matrix, transmission
-from ebb.transfer import checkpoint_products
+from ebb.transfer import checkpoint_products, end_products
 from ebb.validate import check_graph_map, coupled_green, graph_map_check
 
 from conftest import continuants, dense_green, dense_resolvent
@@ -446,9 +446,13 @@ def test_transfer_route_tau_within_its_conditioning(spec, L, E, coupling):
     # conditioning instead: within 2 u kappa_tau of 80-digit continuants, at
     # the points of ROADMAP item K with L <= 2000. At E = -1.98877 tau is
     # off by 1.1 u kappa_tau at L = 220 and 1.2 u kappa_tau from L = 342 on.
+    # The same holds for the product of the energy-batched sweep that
+    # `integrate_fluxes` reads, taken here inside a batch of energies.
     pot = generate(spec, L)
     se = _se(SemiInfiniteLaplacian(1.0, coupling), E)
     ref, kappa = _tau_and_condition(pot.tolist(), E, se)
     ((_, T),) = checkpoint_products(pot, E, [L])
-    tau = transmission(t_matrix(coupled_green_direct(SampleSpec(pot), E, L, se, T), se))
-    assert abs(tau - ref) <= 2 * 2.0**-53 * kappa * ref
+    _, batched, _ = end_products(pot, np.array([E - 0.5, E, E + 0.5]))
+    for T in (T, batched):
+        tau = transmission(t_matrix(coupled_green_direct(SampleSpec(pot), E, L, se, T), se))
+        assert abs(tau - ref) <= 2 * 2.0**-53 * kappa * ref

@@ -8,9 +8,11 @@ from scipy.linalg import eigvalsh_tridiagonal
 from ebb.potentials import AndersonRandom, Periodic, generate
 from ebb.transfer import (
     BLOCK,
+    CHUNK,
     ScaledMatrix2,
     _smax,
     checkpoint_products,
+    end_products,
     log_spectral_norm,
     one_step,
 )
@@ -237,3 +239,46 @@ def test_product_entry_is_the_characteristic_polynomial(spec):
             logs = np.log(np.abs(E - eigenvalues))
             error = abs(math.log(abs(T.a)) + T.log_scale - logs.sum())
             assert error <= 1e-10 * np.abs(logs).sum(), (L, E)
+
+
+def _bits(M):
+    return (M.a, M.b, M.c, M.d, M.exponent)
+
+
+@pytest.mark.parametrize("amplitude", [0.0, 1.0, 1e150])
+def test_end_products_do_not_depend_on_the_batch(amplitude):
+    # Each energy is its own lane, and rescaling by powers of two is exact:
+    # its product has the same bits alone, inside a batch, on either side
+    # of a chunk boundary, and beside an energy of 1e12 that makes the pass
+    # rescale more often.
+    pot = generate(AndersonRandom(amplitude, 3), 300)
+    energies = np.random.default_rng(4).uniform(-2.5, 2.5, 2 * CHUNK + 7)
+    energies[CHUNK + 3] = 1e12
+    batch = list(end_products(pot, energies))
+    assert len(batch) == len(energies)
+    for i in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 6):
+        (alone,) = end_products(pot, energies[i: i + 1])
+        assert _bits(batch[i]) == _bits(alone), i
+        assert type(alone.exponent) is int and all(type(v) is float for v in _bits(alone)[:4])
+    assert list(end_products(pot, np.array([]))) == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    L=st.integers(1, 6 * BLOCK + 2),
+    amplitude=st.sampled_from([0.0, 0.5, 2.0, 10.0, 1e150, 1e300]),
+    seed=st.integers(0, 1000),
+    E=st.floats(-2.5, 2.5),
+)
+def test_end_products_match_naive_product(L, amplitude, seed, E):
+    # The product of all sites against the one_step oracle, in log space,
+    # as check_against_naive holds the checkpoint products.
+    pot = generate(AndersonRandom(amplitude, seed), L)
+    (M,) = end_products(pot, np.array([E]))
+    assert np.all(np.isfinite(M.m)) and 0.5 <= np.max(np.abs(M.m)) < 1.0
+    ref, ref_log = naive_log_product(pot, E, L)
+    ref_norm = ref_log + math.log(np.linalg.norm(ref, 2))
+    assert log_spectral_norm(M) == pytest.approx(max(ref_norm, 0.0), rel=1e-10, abs=1e-10)
+    np.testing.assert_allclose(
+        M.m / np.linalg.norm(M.m, 2), ref / np.linalg.norm(ref, 2), rtol=0, atol=1e-9
+    )
