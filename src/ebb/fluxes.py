@@ -99,18 +99,16 @@ def self_energies(lead_l: LeadModel, lead_r: LeadModel, E) -> SelfEnergyPair:
     return SelfEnergyPair(weiss_boundary(lead_l, E), weiss_boundary(lead_r, E))
 
 
-def evaluate_point(
-    sample: SampleSpec, E, L: int, se: SelfEnergyPair, transfer: ScaledMatrix2 | None = None
-) -> tuple:
+def evaluate_point(sample: SampleSpec, E, L: int, se: SelfEnergyPair, T: ScaledMatrix2) -> tuple:
     """Coupled Green block -> t-matrix: the transmission and unitarity
     residual at E of sites 0..L of the sample between the leads of the
     self-energies se (see `self_energies`), with the block read from the
-    transfer product T_L of sites 0..L if given, solved otherwise (see
-    `green.coupled_green_direct`). The one open-channel test: with
-    Im F = 0 on both leads it returns an exact (0.0, 0.0), unsolved."""
+    transfer product T of sites 0..L (see `green.coupled_green_direct`).
+    The one open-channel test: with Im F = 0 on both leads it returns an
+    exact (0.0, 0.0) without reading the block."""
     if not (se.F_l.imag > 0 or se.F_r.imag > 0):
         return 0.0, 0.0
-    t = t_matrix(coupled_green_direct(sample, E, L, se, transfer), se)
+    t = t_matrix(coupled_green_direct(sample, E, L, se, T), se)
     return transmission(t), unitarity_residual(t)
 
 

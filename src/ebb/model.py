@@ -34,8 +34,8 @@ class ThermoParams:
                 raise ConfigError(f"{name}: must be finite")
 
 
-# The longest sample: its potential alone takes 8 bytes per site, and the
-# Green solve several complex arrays of that length.
+# The longest sample: its potential alone takes 8 bytes per site, and an
+# L-sweep's transfer pass a few float arrays of that length.
 MAX_LENGTH = 10**7
 
 
@@ -51,8 +51,8 @@ class SampleSpec:
 
     The left junction attaches at site 0 and the right junction at site L,
     so L = len(potential) - 1 >= 1 is required (a single shared coupling
-    site is degenerate). Validated once at construction; a solve on the
-    sample or on a prefix of it (sites 0..L' for L' <= L) reads the
+    site is degenerate). Validated once at construction; a transfer product
+    of the sample or of a prefix of it (sites 0..L' for L' <= L) reads the
     potential. Not modified after construction.
     """
 

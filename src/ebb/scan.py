@@ -25,7 +25,7 @@ from .errors import DomainError, NumericalFailure
 from .fluxes import evaluate_point, self_energies, spectral_densities, thermal_factors
 from .leads import LeadModel, sigma_intersection
 from .model import SampleSpec, ThermoParams, check_length
-from .transfer import checkpoint_products, is_resonant, log_spectral_norm
+from .transfer import checkpoint_products, end_products, is_resonant, log_spectral_norm
 
 # Below this the density has decayed hundreds of decades: its logarithm is
 # no longer fit-worthy and the point is decisive evidence of vanishing.
@@ -236,12 +236,14 @@ def energy_sweep(
     thermo: ThermoParams,
     grid: Sequence[float],
 ) -> list:
-    """Full pipeline at each grid energy; failures are recorded per point."""
+    """Full pipeline at each grid energy, on the transfer product of all the
+    sample's sites from one energy-batched sweep (`transfer.end_products`);
+    failures are recorded per point."""
     out = []
-    for E in grid:
+    for E, T in zip(grid, end_products(sample.potential, np.asarray(grid, dtype=float))):
         try:
             se = self_energies(lead_l, lead_r, E)
-            tau, residual = evaluate_point(sample, E, sample.length, se)
+            tau, residual = evaluate_point(sample, E, sample.length, se, T)
             out.append(EnergyPoint(E, tau, *spectral_densities(E, tau, thermo), residual))
         except (DomainError, NumericalFailure) as exc:
             out.append(

@@ -6,9 +6,11 @@ graph-correspondence residual, the closed-form worked point, the density
 identities with the integrated second law, and the equilibrium null test.
 Each takes its sizes as arguments. The defaults are small, so `ebb validate`
 runs all seven in seconds; tests/test_acceptance.py runs the same checks at
-acceptance sizes. The two routes to the Green block that share no algebra
-with `ebb.green`, the junction identity and the graph correspondence, live
-here as oracles; every other Green route a check reads is a production call.
+acceptance sizes. The three routes to the Green block that share no algebra
+with `ebb.green`, the pivoted tridiagonal solve, the junction identity and
+the graph correspondence, live here as oracles, and only `ebb validate` and
+the tests load them (and scipy); every other Green route a check reads is a
+production call.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .errors import NumericalFailure
 from .fluxes import evaluate_point, integrate_fluxes, self_energies, spectral_densities
-from .green import SelfEnergyPair, _tridiag_solve_boundary, coupled_green_direct
+from .green import SelfEnergyPair, coupled_green_direct
 from .leads import SemiInfiniteLaplacian
 from .model import SampleSpec, ThermoParams
 from .potentials import AndersonRandom, Periodic, Zero, generate
@@ -34,6 +37,9 @@ NONEQ = ThermoParams(1.0, 2.0, 0.5, -0.5)
 # the Green-route comparisons as near-resonant.
 SCREEN_CONDITION = 1e8
 
+# Looked up once: the oracle solves once per point.
+_zgtsv = lapack.zgtsv
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -44,6 +50,46 @@ class CheckResult:
 
 
 # -- independent routes to the Green matrices (oracles) -----------------------
+
+
+def _tridiag_solve_boundary(sample: SampleSpec, E: float, L: int, F_l=0j, F_r=0j):
+    """(G_00, G_0L, G_LL) of A^(-1), and a condition estimate.
+
+    A is tridiagonal on sites 0..L of the sample with off-diagonals -1 and
+    diagonal v - E, less F_l on site 0 and F_r on site L. LAPACK zgtsv
+    (Gaussian elimination with partial pivoting) solves, on buffers it
+    owns, for the columns x^(0), x^(L) of A^(-1) at the two boundary sites,
+    row L divided by its row sum. A is complex symmetric, so G_0L is read as
+    x^(0) at site L, a product chain that pivoting gets right (x^(L) at site
+    0 comes out of back-substitution, off by up to u*max|v - E| relative).
+    The estimate max over the boundary rows j of (|A_jj| + 1) * max|x^(j)|
+    scales each column by its own boundary row sum; it blows up exactly at
+    near-resonances and, for exact columns, is at most kappa_inf(A).
+    """
+    if not 1 <= L <= sample.length:
+        raise ValueError(f"L={L}: potential has {sample.length + 1} entries, need {L + 1} with L >= 1")
+    diag = (sample.potential[: L + 1] - E).astype(complex)
+    diag[0] -= F_l
+    diag[L] -= F_r
+    s0, sL = abs(diag[0]) + 1.0, abs(diag[L]) + 1.0
+    # Unscaled, a last pivot below 1 swaps row L up, and back-substitution
+    # then cancels 1 against A_LL x_L down the whole x^(L) column: a large
+    # |v_L| would inflate the estimate of an accurate solve.
+    b = np.zeros((L + 1, 2), dtype=complex, order="F")
+    b[0, 0], b[L, 1] = 1.0, 1.0 / sL
+    du = np.empty(L, dtype=complex)
+    du.fill(-1.0)  # half the cost of np.full, a Python-level wrapper
+    dl = du.copy()
+    dl[-1] = -1.0 / sL
+    diag[L] /= sL
+    # Every buffer is this call's own, so zgtsv may overwrite all four and
+    # f2py copies none. Positional overwrite flags (dl, d, du, b): f2py
+    # parses keywords slowly.
+    _, _, _, x, info = _zgtsv(dl, diag, du, b, 1, 1, 1, 1)
+    if info != 0:
+        raise NumericalFailure(f"tridiagonal solve failed (info={info})")
+    x0, xL = np.abs(x).max(axis=0).tolist()
+    return (x.item(0, 0), x.item(L, 0), x.item(L, 1)), max(s0 * x0, sL * xL)
 
 
 def coupled_green(G0: tuple, se: SelfEnergyPair) -> tuple:
@@ -88,8 +134,9 @@ def _rel_diff(A: tuple, B: tuple) -> float:
 
 def check_unitarity(n_energies: int = 100, lengths=(10, 200)) -> CheckResult:
     """Unitarity residual of `evaluate_point` on an energy grid across the
-    band, for each potential and length, with the Green block solved and
-    read from `end_products`, as `integrate_fluxes` reads it (bound 1e-10)."""
+    band, for each potential and length, with the Green block read from
+    `end_products`, as `integrate_fluxes` and `energy_sweep` read it
+    (bound 1e-10)."""
     grid = np.linspace(-2 + 1e-6, 2 - 1e-6, n_energies)
     worst = 0.0
     for spec in POTENTIALS:
@@ -97,7 +144,7 @@ def check_unitarity(n_energies: int = 100, lengths=(10, 200)) -> CheckResult:
         for L in lengths:
             for E, T in zip(grid, end_products(sample.potential[: L + 1], grid)):
                 se = self_energies(LEAD, LEAD, E)
-                worst = max(worst, evaluate_point(sample, E, L, se)[1], evaluate_point(sample, E, L, se, T)[1])
+                worst = max(worst, evaluate_point(sample, E, L, se, T)[1])
     return CheckResult("unitarity", worst < 1e-10, f"max residual {worst:.3e} (< 1e-10)", worst)
 
 
@@ -116,11 +163,11 @@ def _random_points(seed: int, per_potential: int, max_length: int) -> list:
 
 def _compare_routes(name, bound, route_a, route_b, seed, per_potential, max_length, min_kept):
     """Largest relative difference, normalised by max(|A|, |B|), between two
-    routes to one Green block at random points. The production decoupled
-    solve screens them: a point where it is exactly singular, or its
-    condition estimate exceeds SCREEN_CONDITION, is skipped. Each route is
-    called as route(sample, E, L, G0, T), with G0 that solve's block and T
-    the transfer product of sites 0..L. A NumericalFailure from a route at a
+    routes to one Green block at random points. The oracle decoupled solve
+    screens them: a point where it is exactly singular, or its condition
+    estimate exceeds SCREEN_CONDITION, is skipped. Each route is called as
+    route(sample, E, L, G0, T), with G0 that solve's block and T the
+    transfer product of sites 0..L. A NumericalFailure from a route at a
     kept point fails the check, and so does keeping fewer than min_kept."""
     worst, kept = 0.0, 0
     for sample, E, L in _random_points(seed, per_potential, max_length):
@@ -164,23 +211,25 @@ def check_coupled_green_equivalence(
     seed: int = 2, per_potential: int = 20, max_length: int = 100, min_kept: int = 50
 ) -> CheckResult:
     """Coupled Green block from the junction identity, and from the
-    transfer product in closed form, each against the direct complex
+    transfer product in closed form, each against the oracle complex
     tridiagonal solve (bound 1e-8)."""
     return _compare_routes(
         "coupled-green-equivalence", 1e-8, _junction_and_transfer_blocks,
-        lambda s, E, L, G0, T: 2 * coupled_green_direct(s, E, L, self_energies(LEAD, LEAD, E)),
+        lambda s, E, L, G0, T: 2 * _tridiag_solve_boundary(s, E, L, *self_energies(LEAD, LEAD, E))[0],
         seed, per_potential, max_length, min_kept,
     )
 
 
 def check_graph_map(cases=((AndersonRandom(2.0, 7), 0.5, 500),)) -> CheckResult:
     """Graph-correspondence residual between the coupled Green matrix and the
-    transfer matrix, over (potential spec, E, L) cases (bound 1e-8)."""
+    transfer matrix, over (potential spec, E, L) cases (bound 1e-8). G comes
+    from the oracle solve: a G read from the same T would satisfy the
+    correspondence nearly by construction."""
     worst = 0.0
     for spec, E, L in cases:
         sample = SampleSpec(generate(spec, L))
         se = self_energies(LEAD, LEAD, E)
-        G = coupled_green_direct(sample, E, L, se)
+        G = _tridiag_solve_boundary(sample, E, L, se.F_l, se.F_r)[0]
         worst = max(worst, graph_map_check(G, checkpoint_products(sample.potential, E, [L])[0][1], se))
     return CheckResult("graph-map-residual", worst < 1e-8, f"max residual {worst:.3e} (< 1e-8)", worst)
 
@@ -190,10 +239,11 @@ def check_worked_point() -> CheckResult:
     F = i: G = (i, -1, i) / 2, transmission 1 and
     S = I + t = [[0, -i], [-i, 0]] (bound 1e-12)."""
     sample, se = SampleSpec(np.zeros(2)), self_energies(LEAD, LEAD, 0.0)
-    G = coupled_green_direct(sample, 0.0, 1, se)
+    ((_, T),) = checkpoint_products(sample.potential, 0.0, [1])
+    G = coupled_green_direct(sample, 0.0, 1, se, T)
     worst = max(
         max(abs(g - ref) for g, ref in zip(G, (0.5j, -0.5, 0.5j))),
-        abs(evaluate_point(sample, 0.0, 1, se)[0] - 1.0),
+        abs(evaluate_point(sample, 0.0, 1, se, T)[0] - 1.0),
         float(np.max(np.abs(np.eye(2) + np.array(t_matrix(G, se)) - np.array([[0.0, -1j], [-1j, 0.0]])))),
     )
     return CheckResult("worked-point", worst < 1e-12, f"max deviation {worst:.3e} (< 1e-12)", worst)
@@ -207,7 +257,8 @@ def check_density_identities(L: int = 40, n_energies: int = 100, thermos=(NONEQ,
     estimate >= 0."""
     sample = SampleSpec(generate(AndersonRandom(1.0, 42), L))
     grid = np.linspace(-1.9, 1.9, n_energies)
-    taus = [evaluate_point(sample, E, L, self_energies(LEAD, LEAD, E))[0] for E in grid]
+    taus = [evaluate_point(sample, E, L, self_energies(LEAD, LEAD, E), T)[0]
+            for E, T in zip(grid, end_products(sample.potential, grid))]
     gap, min_sigma, min_margin = 0.0, math.inf, math.inf
     for th in thermos:
         for E, tau in zip(grid, taus):

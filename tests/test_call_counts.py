@@ -5,16 +5,13 @@ The benchmark's traced run counts calls at these bindings and requires
 checkpoints x energies. These tests pin that contract on small inputs, with
 a counting wrapper on each binding that a caller looks up. Within it, an
 L-sweep energy reads each checkpoint's Green block from its transfer
-product, so one transfer pass walks sites 0..L_max once, and a flux
-quadrature node reads its block from its pass's energy-batched transfer
-sweep: neither hands anything to the tridiagonal solver.
+product, so one transfer pass walks sites 0..L_max once.
 """
 
 import numpy as np
 import pytest
 
 import ebb.fluxes
-import ebb.green
 import ebb.scan
 from ebb.fluxes import QuadratureParams, integrate_fluxes
 from ebb.model import SampleSpec, ThermoParams
@@ -55,22 +52,6 @@ def test_integrate_fluxes_calls_evaluate_point_once_per_evaluation(calls, lead11
     assert calls["fluxes.coupled_green_direct"] == result.evaluations
 
 
-def test_integrate_fluxes_hands_no_site_to_zgtsv(calls, lead11, monkeypatch):
-    # Each node's Green block is read from its pass's transfer products.
-    solves = []
-    inner = ebb.green._zgtsv
-
-    def solved(*args):
-        solves.append(len(args[1]))
-        return inner(*args)
-
-    monkeypatch.setattr(ebb.green, "_zgtsv", solved)
-    pot = generate(AndersonRandom(1.0, 3), 30)
-    result = integrate_fluxes(SampleSpec(pot), lead11, lead11, THERMO)
-    assert calls["fluxes.evaluate_point"] == result.evaluations > 0
-    assert solves == []
-
-
 def test_energy_sweep_calls_evaluate_point_once_per_energy(calls, lead11):
     grid = np.linspace(-1.9, 1.9, 23)
     pot = generate(AndersonRandom(1.0, 4), 40)
@@ -99,23 +80,16 @@ def test_l_sweep_call_counts(calls, lead11):
 @pytest.mark.parametrize("checkpoints", [CHECKPOINTS, [1, 2, 3, 4, 5, 6, 8, 10]])
 def test_equivalence_energy_solves_each_site_once(lead11, monkeypatch, checkpoints):
     # Each site of 0..L_max is walked once per energy, by its one transfer
-    # pass; the Green blocks are read from that pass's products, so no site
-    # reaches zgtsv.
-    sites, transfer_sites = [], []
-    inner, products = ebb.green._zgtsv, ebb.scan.checkpoint_products
-
-    def solved(dl, d, *args):
-        sites.append(len(d))
-        return inner(dl, d, *args)
+    # pass; the Green blocks are read from that pass's products.
+    transfer_sites = []
+    products = ebb.scan.checkpoint_products
 
     def walked(pot, E, cps):
         transfer_sites.append(cps[-1] + 1)
         return products(pot, E, cps)
 
-    monkeypatch.setattr(ebb.green, "_zgtsv", solved)
     monkeypatch.setattr(ebb.scan, "checkpoint_products", walked)
     grid = np.linspace(-1.9, 1.9, 7)
     pot = generate(Periodic((1.0, 0.0)), checkpoints[-1])
     equivalence_rows(SampleSpec(pot), grid, checkpoints, lead11, lead11, THERMO)
-    assert sites == []
     assert transfer_sites == [checkpoints[-1] + 1] * len(grid)

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ebb
-from ebb import cli
+from ebb import cli, transfer
 from ebb.cli import main
 from ebb.config import MAX_POINTS, geometric_checkpoints, parse_config
 from ebb.errors import ConfigError, NumericalFailure
@@ -253,16 +253,33 @@ def test_sweep_e_command_deterministic_csv(tmp_path):
 
 
 def test_sweep_e_rows_independent_of_batch(tmp_path):
-    # Each energy's row must not depend on which other energies share its run.
-    grid = np.linspace(-1.5, 1.5, 9).tolist()
-    bodies = []
-    for name, part in (("all", grid), ("head", grid[:4]), ("tail", grid[4:])):
-        cfg = write_config(tmp_path, extra={"sweep": {"e_grid": part}}, name=f"{name}.json")
-        rc, out = run_cli(tmp_path / name, "sweep-e", cfg)
+    # Each energy's row must not depend on which other energies share its
+    # run, also on a grid longer than the transfer sweep's chunk of
+    # energies, split away from the chunk boundary.
+    long_grid = np.linspace(-1.9, 1.9, transfer.CHUNK + 300).tolist()
+    for sample, grid, split in (
+        (BASE["sample"], np.linspace(-1.5, 1.5, 9).tolist(), 4),
+        (ANDERSON, long_grid, transfer.CHUNK + 100),
+    ):
+        bodies = []
+        for name, part in (("all", grid), ("head", grid[:split]), ("tail", grid[split:])):
+            cfg = write_config(tmp_path, sample=sample, extra={"sweep": {"e_grid": part}}, name=f"{name}.json")
+            rc, out = run_cli(tmp_path / name, "sweep-e", cfg)
+            assert rc == 0
+            bodies.append((out / "sweep_e.csv").read_text().splitlines()[1:])
+        assert len(bodies[0]) == len(grid)
+        assert bodies[0] == bodies[1] + bodies[2]
+    # An empty grid runs no transfer sweep: no rows, and nothing failed.
+    cfg = write_config(tmp_path, extra={"sweep": {"e_grid": [], "l_checkpoints": SWEEP_L}}, name="empty.json")
+    for command, name, empty in (
+        ("sweep-e", "sweep_e", {"points": 0, "failed_points": []}),
+        ("equivalence", "equivalence", {"counts": {}, "contradictions": 0}),
+    ):
+        rc, out = run_cli(tmp_path / name, command, cfg)
         assert rc == 0
-        bodies.append((out / "sweep_e.csv").read_text().splitlines()[1:])
-    assert len(bodies[0]) == 9
-    assert bodies[0] == bodies[1] + bodies[2]
+        payload = strict_json(out / f"{name}.json")
+        assert {key: payload[key] for key in empty} == empty
+        assert len((out / f"{name}.csv").read_text().splitlines()) == 1
 
 
 @pytest.mark.parametrize(
@@ -421,16 +438,16 @@ def test_strong_impurity_is_not_ill_conditioned(tmp_path, sites, impurity):
 
 def test_ill_conditioned_energy_fails_alone(tmp_path):
     # Couplings of 1e-7 leave zeros(11)'s Dirichlet resonance at E = -1
-    # nearly undamped: that solve's condition estimate exceeds
-    # CONDITION_LIMIT, and sweep-e fails that energy, saying why, and
-    # solves the next one.
+    # nearly undamped: the condition estimate of the block read from T_10
+    # exceeds CONDITION_LIMIT (the oracle solve's reads 9.97e13), and
+    # sweep-e fails that energy, saying why, and reads the next one.
     lead = {"type": "semi_infinite", "hopping": 1.0, "coupling": 1e-7}
     cfg = write_config(tmp_path, lead_l=lead, lead_r=lead, extra={"sweep": {"e_grid": [-1.0, 0.3]}})
     rc, out = run_cli(tmp_path, "sweep-e", cfg)
     assert rc == 0
     payload = strict_json(out / "sweep_e.json")
     assert payload["failed_points"] == [-1.0]
-    assert payload["failed_reasons"] == ["coupled system ill-conditioned (condition estimate 9.97e+13)"]
+    assert payload["failed_reasons"] == ["coupled system ill-conditioned (condition estimate 1.00e+14)"]
     rows = list(csv.DictReader((out / "sweep_e.csv").read_text().splitlines()))
     assert [float(row["E"]) for row in rows] == [-1.0, 0.3]
     F = weiss_boundary(parse_config(cfg).lead_l, 0.3)
@@ -446,7 +463,7 @@ def test_ill_conditioned_l_sweep_exits_1(tmp_path, capsys):
     # The L-sweep reads its Green blocks from the transfer products, and the
     # same condition check follows: with couplings of 1e-7, sites 0..1 of
     # zeros(11) have a nearly undamped resonance at E = -1, whose boundary
-    # estimate reads 1.00e14 (the solve's reads 9.97e13), and sweep-l exits
+    # estimate reads 1.00e14 (the oracle solve's reads 9.97e13), and sweep-l exits
     # 1 saying why, without a traceback.
     lead = {"type": "semi_infinite", "hopping": 1.0, "coupling": 1e-7}
     sweep = {"energy": -1.0, "l_checkpoints": [1, 2, 3, 4, 5, 6, 8, 10]}

@@ -18,6 +18,7 @@ from ebb.fluxes import (
 from ebb.leads import SemiInfiniteLaplacian, TabulatedLead
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AlmostMathieu, AndersonRandom, Zero, generate
+from ebb.transfer import checkpoint_products, end_products
 
 # Frozen by hand from the closed forms with T = 1, beta_l = 1, mu_l = 1,
 # beta_r = 2, mu_r = 0, E = 0: rho_l = 1/(1+e^-1), rho_r = 1/2.
@@ -90,25 +91,33 @@ def test_density_not_finite_raises():
         spectral_densities(0.25, math.nan, ThermoParams(1.0, 2.0, 0.5, -0.5))
 
 
+def _product(E, L=1):
+    """T_L(E) of the free sample zeros(L + 1)."""
+    ((_, T),) = checkpoint_products(np.zeros(L + 1), E, [L])
+    return T
+
+
 def test_evaluate_point_free_sample(lead11):
-    tau, residual = evaluate_point(SampleSpec(np.zeros(2)), 0.0, 1, self_energies(lead11, lead11, 0.0))
+    se = self_energies(lead11, lead11, 0.0)
+    tau, residual = evaluate_point(SampleSpec(np.zeros(2)), 0.0, 1, se, _product(0.0))
     assert tau == pytest.approx(1.0, abs=1e-14)
     assert residual < 1e-13
 
 
 def test_evaluate_point_closed_channel(lead11):
-    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, self_energies(CLOSED, CLOSED, 0.5)) == (0.0, 0.0)
+    se = self_energies(CLOSED, CLOSED, 0.5)
+    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, se, _product(0.5)) == (0.0, 0.0)
 
 
 def test_closed_channel_is_decided_before_the_solve(monkeypatch):
     # evaluate_point is the one open-channel test: a closed pair never
-    # reaches the coupled solve.
+    # reaches the Green block.
     def solve(*args):
-        raise AssertionError("closed channel reached the coupled solve")
+        raise AssertionError("closed channel reached the Green block")
 
     monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", solve)
     se = self_energies(CLOSED, CLOSED, 0.5)
-    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, se) == (0.0, 0.0)
+    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, se, _product(0.5)) == (0.0, 0.0)
 
 
 def test_integration_window_margin():
@@ -135,8 +144,8 @@ def test_nonequilibrium_fluxes_against_trapezoid_oracle():
     # Independent check: dense trapezoid over the same window.
     E = np.linspace(-2 + 1e-6, 2 - 1e-6, 10_001)
     vals = np.empty((len(E), 3))
-    for i, e in enumerate(E):
-        tau, _ = evaluate_point(sample, e, 10, self_energies(LEAD, LEAD, e))
+    for i, (e, T) in enumerate(zip(E, end_products(sample.potential, E))):
+        tau, _ = evaluate_point(sample, e, 10, self_energies(LEAD, LEAD, e), T)
         vals[i] = spectral_densities(e, tau, thermo)
     ref = np.trapezoid(vals, E, axis=0) / (2 * math.pi)
     assert res.energy_flux_l == pytest.approx(ref[0], abs=1e-6)

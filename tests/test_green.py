@@ -1,7 +1,7 @@
-"""The production routes of ebb.green to the boundary Green block, the
-pivoted solve and the closed form from the transfer product, and the
-oracles of ebb.validate they are checked against: the junction identity
-and the graph correspondence."""
+"""The production route of ebb.green to the boundary Green block, the
+closed form from the transfer product, and the oracles of ebb.validate it
+is checked against: the pivoted solve, the junction identity and the graph
+correspondence."""
 
 import math
 
@@ -12,13 +12,13 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from ebb.errors import NumericalFailure
-from ebb.green import SelfEnergyPair, _tridiag_solve_boundary, coupled_green_direct
+from ebb.green import CONDITION_LIMIT, SelfEnergyPair, coupled_green_direct
 from ebb.leads import SemiInfiniteLaplacian, weiss_boundary
 from ebb.model import SampleSpec
 from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, Zero, generate
 from ebb.scattering import t_matrix, transmission
 from ebb.transfer import checkpoint_products, end_products
-from ebb.validate import check_graph_map, coupled_green, graph_map_check
+from ebb.validate import _tridiag_solve_boundary, check_graph_map, coupled_green, graph_map_check
 
 from conftest import continuants, dense_green, dense_resolvent
 
@@ -40,8 +40,8 @@ def test_self_energy_pair_is_a_plain_value():
 
 def test_every_route_gives_three_python_complex_numbers(lead11):
     # The boundary block is the triple (G_00, G_0L, G_LL) wherever it is
-    # made: the solve, the closed form from the transfer product, coupled
-    # or not, and the junction identity.
+    # made: the oracle solve, the closed form from the transfer product,
+    # coupled or not, and the junction identity.
     pot = generate(AndersonRandom(1.0, 4), 12)
     sample, E = SampleSpec(pot), 0.3
     se = _se(lead11, E)
@@ -49,7 +49,6 @@ def test_every_route_gives_three_python_complex_numbers(lead11):
     G0 = _tridiag_solve_boundary(sample, E, 12)[0]
     blocks = [
         _tridiag_solve_boundary(sample, E, 12, se.F_l, se.F_r)[0],
-        coupled_green_direct(sample, E, 12, se),
         coupled_green_direct(sample, E, 12, se, T),
         G0, _closed_form(sample, E, 12), coupled_green(G0, se),
     ]
@@ -101,11 +100,13 @@ def test_resonance_detection_both_routes():
 
 
 def test_short_potential_rejected():
+    # The closed form reads T_10, and no transfer product of sites 0..10
+    # can be built on a shorter sample.
     short = SampleSpec(np.zeros(3))
     with pytest.raises(ValueError, match="need 11"):
         _tridiag_solve_boundary(short, 0.3, 10)
-    with pytest.raises(ValueError, match="need 11"):
-        coupled_green_direct(short, 0.3, 10, SelfEnergyPair(1j, 1j))
+    with pytest.raises(ValueError, match="checkpoints"):
+        checkpoint_products(short.potential, 0.3, [10])
 
 
 def test_condition_estimate_blows_up_at_resonance():
@@ -133,38 +134,44 @@ def test_coupled_routes_agree_and_match_dense_oracle(lead11):
         pot = rng.uniform(-1, 1, L + 1)
         E = -0.6
         se = _se(lead11, E)
-        direct = coupled_green_direct(SampleSpec(pot), E, L, se)
+        direct = _tridiag_solve_boundary(SampleSpec(pot), E, L, se.F_l, se.F_r)[0]
         via = coupled_green(_tridiag_solve_boundary(SampleSpec(pot), E, L)[0], se)
         np.testing.assert_allclose(via, direct, atol=1e-10)
         ref = dense_green(pot, E, L, se.F_l, se.F_r)
         np.testing.assert_allclose(direct, ref, atol=1e-10)
+        ((_, T),) = checkpoint_products(pot, E, [L])
+        np.testing.assert_allclose(coupled_green_direct(SampleSpec(pot), E, L, se, T), ref, atol=1e-10)
 
 
 def test_coupled_direct_survives_dirichlet_resonance(lead11):
     # E = 1 is a Dirichlet eigenvalue of the decoupled L = 1 sample, but
     # the coupled system stays invertible because Im F > 0.
     se = _se(lead11, 1.0)
-    G = coupled_green_direct(SampleSpec(np.zeros(2)), 1.0, 1, se)
+    ((_, T),) = checkpoint_products(np.zeros(2), 1.0, [1])
+    G = coupled_green_direct(SampleSpec(np.zeros(2)), 1.0, 1, se, T)
     ref = dense_green(np.zeros(2), 1.0, 1, se.F_l, se.F_r)
     np.testing.assert_allclose(G, ref, atol=1e-12)
 
 
 def test_coupled_direct_solves_a_closed_system():
     # Im F = 0 on both leads: A = [[-0.5, -1], [-1, 0.5]] is invertible, and
-    # the solve returns its real inverse like any other.
-    G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, SelfEnergyPair(0.5 + 0j, -0.5 + 0j))
+    # the closed form reads its real inverse like any other.
+    ((_, T),) = checkpoint_products(np.zeros(2), 0.0, [1])
+    G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, SelfEnergyPair(0.5 + 0j, -0.5 + 0j), T)
     assert not any(g.imag for g in G)
     np.testing.assert_allclose(G, dense_green(np.zeros(2), 0.0, 1, 0.5, -0.5), rtol=0, atol=1e-14)
 
 
 def test_ill_conditioned_solve_is_rejected():
     # Couplings of 1e-7 leave the decoupled sample's Dirichlet resonance at
-    # E = -1 nearly undamped (Im F = 8.7e-15): the estimate exceeds
-    # CONDITION_LIMIT and the solve fails rather than return G.
+    # E = -1 nearly undamped (Im F = 8.7e-15): the estimate read with the
+    # closed form exceeds CONDITION_LIMIT (the oracle solve's reads 9.97e13),
+    # and the read fails rather than return G.
     lead = SemiInfiniteLaplacian(1.0, 1e-7)
+    ((_, T),) = checkpoint_products(np.zeros(11), -1.0, [10])
     with pytest.raises(NumericalFailure) as exc:
-        coupled_green_direct(SampleSpec(np.zeros(11)), -1.0, 10, _se(lead, -1.0))
-    assert str(exc.value) == "coupled system ill-conditioned (condition estimate 9.97e+13)"
+        coupled_green_direct(SampleSpec(np.zeros(11)), -1.0, 10, _se(lead, -1.0), T)
+    assert str(exc.value) == "coupled system ill-conditioned (condition estimate 1.00e+14)"
 
 
 def test_coupled_green_singular_junction_rejected():
@@ -186,7 +193,7 @@ def test_graph_map_residual_small():
 def test_graph_map_detects_wrong_green(lead11):
     pot = generate(AndersonRandom(1.0, 8), 30)
     se = _se(lead11, 0.5)
-    G = coupled_green_direct(SampleSpec(pot), 0.5, 30, se)
+    G = _tridiag_solve_boundary(SampleSpec(pot), 0.5, 30, se.F_l, se.F_r)[0]
     ((_, T),) = checkpoint_products(pot, 0.5, [30])
     assert graph_map_check(tuple(g + 0.01 for g in G), T, se) > 1e-4
 
@@ -219,15 +226,18 @@ def test_condition_estimate_at_most_twice_kappa_inf(seed, L, max_exponent, coupl
 
 
 def test_strong_barrier_is_well_conditioned(lead11):
-    # A constant potential of 1e300 is a barrier with kappa_inf(A) ~ 1: the
-    # solve must not be rejected as ill-conditioned.
+    # A constant potential of 1e300 is a barrier with kappa_inf(A) ~ 1:
+    # neither the solve nor the closed form must reject it as
+    # ill-conditioned.
     L, E = 1280, 0.5
     se = _se(lead11, E)
     barrier = SampleSpec(np.full(L + 1, 1e300))
-    G = coupled_green_direct(barrier, E, L, se)
+    G, cond = _tridiag_solve_boundary(barrier, E, L, se.F_l, se.F_r)
     assert abs(G[0]) == pytest.approx(1e-300, rel=1e-12, abs=0)
-    _, cond = _tridiag_solve_boundary(barrier, E, L, se.F_l, se.F_r)
     assert 1.0 <= cond <= 2.0
+    (T,) = end_products(barrier.potential, np.array([E]))
+    G = coupled_green_direct(barrier, E, L, se, T)
+    assert abs(G[0]) == pytest.approx(1e-300, rel=1e-12, abs=0)
 
 
 def test_prefix_solves_match_the_dense_resolvent():
@@ -346,7 +356,7 @@ def test_coupled_green_matches_continuants(seed, L, max_exponent, impurities, E)
     diag[L] -= se.F_r
     refs, interior_resolvent = _continuant_reference(diag.tolist())
     assume(interior_resolvent <= 100.0)
-    G = coupled_green_direct(SampleSpec(pot), E, L, se)
+    G = _checked_solve(SampleSpec(pot), E, L, se)
     assert len(G) == 3 and all(type(g) is complex for g in G)
     for g, ref in zip(G, refs):
         # Below the normal range the float result keeps only absolute accuracy.
@@ -369,6 +379,15 @@ def _right_end_eigenvalues(pot, P, count=2):
     log_ratio[np.abs(w) > 1.99] = -np.inf
     best = np.argsort(log_ratio)[::-1][:count]
     return w[best[log_ratio[best] > 100.0]].tolist()
+
+
+def _checked_solve(sample, E, L, se):
+    """The oracle solve's block, with the CONDITION_LIMIT check that the
+    closed form applies to its own estimate."""
+    G, cond = _tridiag_solve_boundary(sample, E, L, se.F_l, se.F_r)
+    if cond > CONDITION_LIMIT:
+        raise NumericalFailure(f"coupled system ill-conditioned (condition estimate {cond:.2e})")
+    return G
 
 
 def _outcome(solve):
@@ -404,7 +423,7 @@ def test_transfer_route_matches_the_fresh_solve(lead11, spec, localized):
         se = _se(lead11, E)
         for checkpoints in SWEEP_CHECKPOINTS:
             for L, T in checkpoint_products(pot, E, checkpoints):
-                fresh = _outcome(lambda: coupled_green_direct(sample, E, L, se))
+                fresh = _outcome(lambda: _checked_solve(sample, E, L, se))
                 closed = _outcome(lambda: coupled_green_direct(sample, E, L, se, T))
                 if isinstance(fresh, NumericalFailure) or isinstance(closed, NumericalFailure):
                     assert type(fresh) is type(closed), (E, L, fresh, closed)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -109,9 +110,9 @@ def test_every_solve_receives_the_callers_sample(lead11, monkeypatch):
     seen = []
     inner = ebb.fluxes.coupled_green_direct
 
-    def recording(sample, E, L, se, transfer=None):
+    def recording(sample, E, L, se, T):
         seen.append(sample)
-        return inner(sample, E, L, se, transfer)
+        return inner(sample, E, L, se, T)
 
     monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", recording)
     l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
@@ -119,6 +120,9 @@ def test_every_solve_receives_the_callers_sample(lead11, monkeypatch):
     seen.clear()
     equivalence_rows(FREE, [-0.5, 0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
     assert len(seen) == 3 * len(CHECKPOINTS) and all(s is FREE for s in seen)
+    seen.clear()
+    energy_sweep(DISORDERED, lead11, lead11, THERMO, [-0.5, 0.5, 1.0])
+    assert len(seen) == 3 and all(s is DISORDERED for s in seen)
 
 
 @pytest.mark.parametrize("spec", [Zero(), AndersonRandom(1.0, 3), Periodic((3.0, 0.0))])
@@ -393,9 +397,29 @@ def test_median_matches_numpy():
     assert _median(table).tolist() == [np.median(row) for row in table]
 
 
-def test_cli_import_leaves_scipy_stats_out():
-    code = "import sys, ebb.cli; print('scipy.stats' in sys.modules)"
+RUN_CODE = """
+import sys
+from ebb.cli import main
+config, out = sys.argv[1:]
+for command in ("fluxes", "sweep-e", "sweep-l", "equivalence"):
+    assert main([command, "--config", config, "--out", f"{out}/{command}"]) == 0, command
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m == "ebb.validate"))
+"""
+
+
+def test_cli_import_leaves_scipy_stats_out(tmp_path):
+    # Every Green block on the run path is read from a transfer product, so
+    # no run command loads scipy, nor the oracles of ebb.validate: one
+    # interpreter imports the CLI and runs the four run commands.
+    lead = {"type": "semi_infinite", "hopping": 1.0, "coupling": 1.0}
+    config = {
+        "sample": {"length": 10, "potential": {"type": "anderson", "amplitude": 1.0, "seed": 3}},
+        "lead_l": lead, "lead_r": lead,
+        "thermo": {"beta_l": 1.0, "beta_r": 2.0, "mu_l": 0.5, "mu_r": -0.5},
+        "sweep": {"energy": 0.5, "e_grid": [-0.5, 0.5], "l_checkpoints": [1, 2, 3, 4, 5, 6, 8, 10]},
+    }
+    (tmp_path / "run.json").write_text(json.dumps(config))
     src = os.path.dirname(os.path.dirname(ebb.__file__))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", RUN_CODE, str(tmp_path / "run.json"), str(tmp_path)],
+                         capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"

@@ -10,13 +10,15 @@ from ebb.leads import SemiInfiniteLaplacian, weiss_boundary
 from ebb.model import SampleSpec
 from ebb.potentials import AndersonRandom, generate
 from ebb.scattering import t_matrix, transmission, unitarity_residual
+from ebb.transfer import checkpoint_products, end_products
 
 
 def test_worked_free_point(lead11):
     # L = 1, v = 0, E = 0: F = i, G = (i, -1, i) / 2,
     # t = [[-1, -i], [-i, -1]], so s = 1 + t is unitary and T = 1.
     se = SelfEnergyPair(1j, 1j)
-    G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, se)
+    ((_, T),) = checkpoint_products(np.zeros(2), 0.0, [1])
+    G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, se, T)
     np.testing.assert_allclose(G, (0.5j, -0.5, 0.5j), atol=1e-14)
     t = t_matrix(G, se)
     np.testing.assert_allclose(t, [[-1.0, -1j], [-1j, -1.0]], atol=1e-14)
@@ -63,7 +65,8 @@ def test_unitarity_everywhere_in_band(seed, L, E, k):
     sample = SampleSpec(generate(AndersonRandom(1.0, seed), L))
     F = weiss_boundary(lead, E)
     se = SelfEnergyPair(F, F)
-    G = coupled_green_direct(sample, E, L, se)
+    ((_, T),) = checkpoint_products(sample.potential, E, [L])
+    G = coupled_green_direct(sample, E, L, se, T)
     t = t_matrix(G, se)
     assert unitarity_residual(t) < 1e-10
     tau = transmission(t)
@@ -128,10 +131,11 @@ def test_unitarity_residual_matches_svd():
     # Nearly unitary S = 1 + t from the pipeline, where the residual is rounding.
     lead = SemiInfiniteLaplacian(1.0, 1.0)
     sample = SampleSpec(generate(AndersonRandom(1.0, 3), 60))
-    for E in np.linspace(-1.9, 1.9, 200):
+    grid = np.linspace(-1.9, 1.9, 200)
+    for E, T in zip(grid, end_products(sample.potential, grid)):
         F = weiss_boundary(lead, E)
         se = SelfEnergyPair(F, F)
-        ts.append(t_matrix(coupled_green_direct(sample, E, 60, se), se))
+        ts.append(t_matrix(coupled_green_direct(sample, E, 60, se, T), se))
     for t in ts:
         bound = 1e-15 * max(1.0, np.linalg.norm(t, 2) ** 2)
         assert abs(unitarity_residual(t) - residual_oracle(t)) <= bound
