@@ -23,7 +23,7 @@ from .leads import LeadModel, sigma_intersection, weiss_boundary
 from .model import SampleSpec, ThermoParams, fermi_density, xi
 from .quadrature import adaptive_gk15
 from .scattering import t_matrix, transmission, unitarity_residual
-from .transfer import ScaledMatrix2, end_products
+from .transfer import CHUNK, ScaledMatrix2, end_products
 
 # Densities more negative than this are an upstream fault, not rounding.
 _SIGMA_ROUNDING_FLOOR = -1e-30
@@ -93,10 +93,13 @@ def spectral_densities(E, T_of_E, thermo: ThermoParams, factors=None) -> tuple:
     return phi_l, j_l, sigma
 
 
-def self_energies(lead_l: LeadModel, lead_r: LeadModel, E) -> SelfEnergyPair:
-    """The lead boundary values F_l(E+i0), F_r(E+i0) as self-energies. They
-    depend on E only, so a sweep over L at fixed E builds them once."""
-    return SelfEnergyPair(weiss_boundary(lead_l, E), weiss_boundary(lead_r, E))
+def self_energies(lead_l: LeadModel, lead_r: LeadModel, E):
+    """The lead boundary values F_l(E+i0), F_r(E+i0) as self-energies at a
+    float E, or an iterator of them over the float array E, from one
+    boundary call per lead. They depend on E only, so they are built once
+    per energy, and a batch of energies takes each lead's values at once."""
+    F_l, F_r = weiss_boundary(lead_l, E), weiss_boundary(lead_r, E)
+    return SelfEnergyPair(F_l, F_r) if np.ndim(E) == 0 else map(SelfEnergyPair, F_l, F_r)
 
 
 def evaluate_point(sample: SampleSpec, E, L: int, se: SelfEnergyPair, T: ScaledMatrix2) -> tuple:
@@ -126,9 +129,10 @@ def integrate_fluxes(
 ) -> FluxResult:
     """Adaptive quadrature of the densities over the open-channel window.
 
-    Each pass's nodes get their transfer products T_L from one energy-batched
-    sweep (`transfer.end_products`); each node then runs the per-energy
-    chain on its own product, with every check of that chain.
+    Each pass's nodes are taken CHUNK at a time: a chunk gets each lead's
+    boundary values from one call and its transfer products T_L from one
+    energy-batched sweep (`transfer.end_products`); each node then runs the
+    per-energy chain on its own product, with every check of that chain.
     """
     window = integration_window(lead_l, lead_r, quadrature.edge_margin)
     if window.is_empty:
@@ -139,11 +143,14 @@ def integrate_fluxes(
 
     def integrand(energies):
         out = np.empty((len(energies), 3))
-        for i, T in enumerate(end_products(sample.potential, energies)):
-            E = energies.item(i)
-            tau, residual = evaluate_point(sample, E, L, self_energies(lead_l, lead_r, E), T)
-            max_residual[0] = max(max_residual[0], residual)
-            out[i] = spectral_densities(E, tau, thermo)
+        for k in range(0, len(energies), CHUNK):
+            chunk = energies[k: k + CHUNK]
+            nodes = zip(self_energies(lead_l, lead_r, chunk), end_products(sample.potential, chunk))
+            for i, (se, T) in enumerate(nodes, k):
+                E = energies.item(i)
+                tau, residual = evaluate_point(sample, E, L, se, T)
+                max_residual[0] = max(max_residual[0], residual)
+                out[i] = spectral_densities(E, tau, thermo)
         return out
 
     # Panels of width at most pi/(L+1), so the base rule sees each of the ~L

@@ -3,8 +3,9 @@
 A lead enters the sample physics only through F(E+i0), the boundary value
 of its resolvent matrix element on the coupling vector. F is a Herglotz
 function, so Im F >= 0 on the real axis; the set where Im F > 0 is the
-lead's open band. Each lead model gives F through boundary(E) and its band
-through band(); TYPES maps the config `type` names to their constructors.
+lead's open band. Each lead model gives F at an array of energies through
+boundary(E) and its band through band(); TYPES maps the config `type` names
+to their constructors.
 """
 
 from __future__ import annotations
@@ -35,18 +36,28 @@ class SemiInfiniteLaplacian:
         if not (self.coupling != 0 and self.coupling * self.coupling / k2 < math.inf):
             raise ConfigError("coupling: must be nonzero, with coupling**2/hopping**2 finite")
 
-    def boundary(self, E: float) -> complex:
-        """Closed form coupling^2 * (-E + sqrt(E^2 - 4k^2)) / (2k^2), with
+    def boundary(self, E: np.ndarray) -> np.ndarray:
+        """F(E+i0) at each energy of the float array E, as a complex array:
+        the closed form coupling^2 * (-E + sqrt(E^2 - 4k^2)) / (2k^2), with
         the square-root branch forced by the Herglotz property (Im F >= 0)
         and the decay F(z) ~ -coupling^2/z at infinity."""
         k = self.hopping
         kap2 = self.coupling * self.coupling
-        if abs(E) < 2.0 * k:
-            return kap2 * complex(-E, math.sqrt(4.0 * k * k - E * E)) / (2.0 * k * k)
-        root = math.sqrt(E * E - 4.0 * k * k)
-        if E < 0:
-            root = -root
-        return complex(kap2 * (-E + root) / (2.0 * k * k), 0.0)
+        d = 2.0 * k * k
+        F = np.empty(np.shape(E), dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Outside the band |4k^2 - E^2| is E^2 - 4k^2 bit for bit.
+            root = np.sqrt(np.abs(4.0 * k * k - E * E))
+            # In the band F = kap2 * complex(-E, root) / d, written in the
+            # real arithmetic of Python's complex product and quotient, where
+            # kap2 and d carry an imaginary part 0.0 (numpy's complex
+            # division rounds otherwise). Outside, F is real, and root takes
+            # the sign of E.
+            p, q = kap2 * -E - 0.0 * root, kap2 * root + 0.0 * -E
+            inside = np.abs(E) < 2.0 * k
+            F.real = np.where(inside, (p + q * 0.0) / d, kap2 * (-E + np.copysign(root, E)) / d)
+            F.imag = np.where(inside, (q - p * 0.0) / d, 0.0)
+        return F
 
     def band(self) -> EnergyWindow:
         k = self.hopping
@@ -88,13 +99,18 @@ class TabulatedLead:
             raise ConfigError(f"lead table {path}: expected 3 columns")
         return cls(data[:, 0], data[:, 1], data[:, 2])
 
-    def boundary(self, E: float) -> complex:
+    def boundary(self, E: np.ndarray) -> np.ndarray:
+        """F(E+i0) at each energy of the float array E, as a complex array.
+        An energy outside the table raises DomainError, naming the first."""
         e = self.energies
-        if E < e[0] or E > e[-1]:
-            raise DomainError(f"E={E} outside table range [{e[0]}, {e[-1]}]")
-        re = float(np.interp(E, e, self.re_f))
-        im = max(0.0, float(np.interp(E, e, self.im_f)))
-        return complex(re, im)
+        outside = (E < e[0]) | (E > e[-1])
+        if outside.any():
+            raise DomainError(f"E={np.extract(outside, E)[0]} outside table range [{e[0]}, {e[-1]}]")
+        im = np.interp(E, e, self.im_f)
+        F = np.empty(np.shape(E), dtype=complex)
+        F.real = np.interp(E, e, self.re_f)
+        F.imag = np.where(im > 0.0, im, 0.0)
+        return F
 
     def band(self) -> EnergyWindow:
         e, im = self.energies, self.im_f
@@ -153,9 +169,10 @@ class EnergyWindow:
         )
 
 
-def weiss_boundary(lead: LeadModel, E: float) -> complex:
-    """F(E+i0) for the given lead."""
-    return lead.boundary(E)
+def weiss_boundary(lead: LeadModel, E):
+    """F(E+i0) for the given lead at a float E, as a Python complex, or at
+    each energy of a float array E, as a list of them."""
+    return lead.boundary(np.asarray(E, dtype=float)).tolist()
 
 
 def sigma_intersection(left: LeadModel, right: LeadModel) -> EnergyWindow:

@@ -25,7 +25,7 @@ from .errors import DomainError, NumericalFailure
 from .fluxes import evaluate_point, self_energies, spectral_densities, thermal_factors
 from .leads import LeadModel, sigma_intersection
 from .model import SampleSpec, ThermoParams, check_length
-from .transfer import checkpoint_products, end_products, is_resonant, log_spectral_norm
+from .transfer import CHUNK, checkpoint_products, end_products, norm_and_resonance
 
 # Below this the density has decayed hundreds of decades: its logarithm is
 # no longer fit-worthy and the point is decisive evidence of vanishing.
@@ -109,7 +109,8 @@ def _sweep_table(sample: SampleSpec, grid, lead_l, lead_r, thermo: ThermoParams,
     against a crude explicit envelope as soon as it is computed. Per
     energy, one transfer pass gives T_L at every checkpoint, and each
     checkpoint's Green block is read from its T_L in closed form, so no
-    site is solved; the thermal factors of sigma are taken once."""
+    site is solved; the thermal factors of sigma are taken once, and the
+    self-energies of the whole grid from one boundary call per lead."""
     cps = check_checkpoints(checkpoints)
     window = sigma_intersection(lead_l, lead_r)
     for E in grid:
@@ -118,8 +119,8 @@ def _sweep_table(sample: SampleSpec, grid, lead_l, lead_r, thermo: ThermoParams,
     pot = sample.potential[: cps[-1] + 1]
     bmax, bmin = max(thermo.beta_l, thermo.beta_r), min(thermo.beta_l, thermo.beta_r)
     table = np.empty((len(grid), len(cps), 5))
-    for row, E in zip(table, grid):
-        se = self_energies(lead_l, lead_r, E)
+    ses = self_energies(lead_l, lead_r, np.asarray(grid, dtype=float))
+    for row, E, se in zip(table, grid, ses):
         factors = thermal_factors(E, thermo)
         energy_term = abs(E) + abs(thermo.mu_l) + abs(thermo.mu_r) + 2.0 / bmin
         for point, (L, T) in zip(row, checkpoint_products(pot, E, cps)):
@@ -127,7 +128,7 @@ def _sweep_table(sample: SampleSpec, grid, lead_l, lead_r, thermo: ThermoParams,
             sigma = spectral_densities(E, tau, thermo, factors)[2]
             if sigma > 4.0 * tau * bmax * energy_term:
                 raise NumericalFailure(f"entropy density {sigma} exceeds its explicit envelope at L={L}")
-            point[:] = sigma, tau, log_spectral_norm(T), is_resonant(T), residual
+            point[:] = sigma, tau, *norm_and_resonance(T), residual
     return cps, table
 
 
@@ -236,19 +237,29 @@ def energy_sweep(
     thermo: ThermoParams,
     grid: Sequence[float],
 ) -> list:
-    """Full pipeline at each grid energy, on the transfer product of all the
-    sample's sites from one energy-batched sweep (`transfer.end_products`);
-    failures are recorded per point."""
+    """Full pipeline at each grid energy, CHUNK energies at a time: a chunk
+    gets each lead's boundary values from one call and the transfer products
+    of all the sample's sites from one energy-batched sweep
+    (`transfer.end_products`); failures are recorded per point."""
+    energies = np.asarray(grid, dtype=float)
     out = []
-    for E, T in zip(grid, end_products(sample.potential, np.asarray(grid, dtype=float))):
+    for k in range(0, len(energies), CHUNK):
+        chunk = energies[k: k + CHUNK]
         try:
-            se = self_energies(lead_l, lead_r, E)
-            tau, residual = evaluate_point(sample, E, sample.length, se, T)
-            out.append(EnergyPoint(E, tau, *spectral_densities(E, tau, thermo), residual))
-        except (DomainError, NumericalFailure) as exc:
-            out.append(
-                EnergyPoint(E, math.nan, math.nan, math.nan, math.nan, math.nan, str(exc))
-            )
+            ses = self_energies(lead_l, lead_r, chunk)
+        except DomainError:
+            # An energy outside a lead's table: each energy's own call
+            # below names the ones that fail.
+            ses = [None] * len(chunk)
+        for E, se, T in zip(grid[k: k + CHUNK], ses, end_products(sample.potential, chunk)):
+            try:
+                se = se or self_energies(lead_l, lead_r, E)
+                tau, residual = evaluate_point(sample, E, sample.length, se, T)
+                out.append(EnergyPoint(E, tau, *spectral_densities(E, tau, thermo), residual))
+            except (DomainError, NumericalFailure) as exc:
+                out.append(
+                    EnergyPoint(E, math.nan, math.nan, math.nan, math.nan, math.nan, str(exc))
+                )
     return out
 
 

@@ -16,10 +16,14 @@ a power of two is exact, so where the rescaling happens does not change the
 product's mantissas, and a lane's product is the same whichever checkpoints
 are asked for.
 
-`end_products` runs the same lanes over all sites, one lane per energy.
+`end_products` runs the same lanes over all sites, one lane per energy,
+CHUNK energies per pass.
 
-The run path reads a product's spectral norm, the resonance test on its
-(1,1) entry and the Green block in closed form; no determinant is kept.
+The run path reads the Green block of a product in closed form, and the
+L-sweeps also read its spectral norm and the resonance test on its (1,1)
+entry, from one norm per product (`norm_and_resonance`); no determinant is
+kept. The norm is computed only where it is read, so `fluxes` and `sweep-e`
+compute none.
 """
 
 from __future__ import annotations
@@ -32,13 +36,15 @@ import numpy as np
 
 # Sites per lane of the block-lane pass.
 BLOCK = 16
-# Energies per lane pass of `end_products`.
-CHUNK = 512
+# Energies per lane pass of `end_products`, and per slice of energies whose
+# lead boundary values `fluxes` and `sweep-e` take in one call.
+CHUNK = 4096
 # Lane entries are rescaled before they can grow past 2**_SCALE_BITS.
 _SCALE_BITS = 500
 # The fold of the block products rescales once the squared Frobenius norm
-# leaves this interval.
-_FOLD_LO, _FOLD_HI = 2.0**-128, 2.0**128
+# leaves this interval. The lower end keeps the largest entry above 2**-17,
+# so an entry 1e-300 times smaller still has all its bits.
+_FOLD_LO, _FOLD_HI = 2.0**-32, 2.0**128
 _LN2 = math.log(2.0)
 RESONANCE_RELATIVE_CUTOFF = 1e-12
 
@@ -48,20 +54,23 @@ class ScaledMatrix2:
 
     Represents the matrix 2**exponent * m, m = [[a, b], [c, d]], kept as
     four Python floats and the integer exponent; log_scale is
-    exponent * ln 2. smax, the spectral norm of m, is computed once at
-    construction for both the norm and the resonance test. Each transfer
-    factor is unimodular, so det(m)*exp(2*log_scale) is 1 in exact
-    arithmetic; in floats det(m) is accurate only while the product's
-    condition number stays well below 1/eps. Not modified after
+    exponent * ln 2. smax, the spectral norm of m, is computed on each
+    read. Each transfer factor is unimodular, so det(m)*exp(2*log_scale)
+    is 1 in exact arithmetic; in floats det(m) is accurate only while the
+    product's condition number stays well below 1/eps. Not modified after
     construction.
     """
 
-    __slots__ = ("a", "b", "c", "d", "exponent", "log_scale", "smax")
+    __slots__ = ("a", "b", "c", "d", "exponent", "log_scale")
 
     def __init__(self, a: float, b: float, c: float, d: float, exponent: int):
         self.a, self.b, self.c, self.d = a, b, c, d
         self.exponent, self.log_scale = exponent, exponent * _LN2
-        self.smax = _smax(a, b, c, d)
+
+    @property
+    def smax(self) -> float:
+        """The spectral norm of m."""
+        return _smax(self.a, self.b, self.c, self.d)
 
     @property
     def m(self) -> np.ndarray:
@@ -89,20 +98,24 @@ def _smax(a, b, c, d) -> float:
     return math.sqrt(0.5 * (p + q + math.hypot(p - q, 2.0 * r)))
 
 
-def log_spectral_norm(M: ScaledMatrix2) -> float:
-    """log of the spectral norm of the represented matrix.
+def norm_and_resonance(T: ScaledMatrix2) -> tuple:
+    """log of the spectral norm of the represented matrix, and whether T11
+    vanishes relative to that norm, from one spectral norm of m.
 
-    Clamped at 0: a real unimodular 2x2 matrix has norm >= 1, so any
-    negative value is pure rounding.
+    The log norm is clamped at 0: a real unimodular 2x2 matrix has norm
+    >= 1, so any negative value is pure rounding. T is resonant where |T11|
+    is below RESONANCE_RELATIVE_CUTOFF times the norm: the energy is
+    numerically a Dirichlet eigenvalue of the decoupled sample.
     """
-    val = M.log_scale + math.log(M.smax)
-    return val if val > 0.0 else 0.0
+    s = _smax(T.a, T.b, T.c, T.d)
+    val = T.log_scale + math.log(s)
+    return (val if val > 0.0 else 0.0), abs(T.a) < RESONANCE_RELATIVE_CUTOFF * s
 
 
-def is_resonant(T: ScaledMatrix2) -> bool:
-    """Whether T11 vanishes relative to ||T||: the energy is numerically a
-    Dirichlet eigenvalue of the decoupled sample."""
-    return abs(T.a) < RESONANCE_RELATIVE_CUTOFF * T.smax
+def log_spectral_norm(M: ScaledMatrix2) -> float:
+    """log of the spectral norm of the represented matrix, clamped at 0
+    (see `norm_and_resonance`)."""
+    return norm_and_resonance(M)[0]
 
 
 def _steps_within(log_bound: float, log_growth: float) -> int:
@@ -144,10 +157,10 @@ def _block_lanes(rows, lanes: int, steps: int, r_scale: int):
     return a, b, c, d, exps
 
 
-def _rescaled(a, b, c, d, e: int) -> tuple:
+def _rescaled(a, b, c, d, e: int, top: int = 0) -> tuple:
     """(a, b, c, d) times 2**-k and the binary exponent e + k, for the k
-    that brings the largest |entry| into [1/2, 1)."""
-    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    that brings the largest |entry| into [2**(top - 1), 2**top)."""
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1] - top
     return math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(d, -k), e + k
 
 
@@ -192,10 +205,10 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
             a, b, c, d = ka * a + kb * c, ka * b + kb * d, kc * a + kd * c, kc * b + kd * d
             e += ke
             # A block's entries are below 1, so a fold at most doubles the
-            # largest entry; rescale once the Frobenius norm leaves
-            # (2**-64, 2**64).
+            # largest entry; once the Frobenius norm leaves (2**-16, 2**64),
+            # rescale the largest entry to 2**24, midway, in octaves.
             if not _FOLD_LO < a * a + b * b + c * c + d * d < _FOLD_HI:
-                a, b, c, d, e = _rescaled(a, b, c, d, e)
+                a, b, c, d, e = _rescaled(a, b, c, d, e, 24)
         done = q
         # A padding step (v - E = 0) is the exact quarter turn R = [[0, -1],
         # [1, 0]], so the lane is the tail's product times R**pad. R**4 = I

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ebb.fluxes
+import ebb.transfer
 from ebb.errors import BudgetError, DomainError, NumericalFailure
 from ebb.fluxes import (
     QuadratureParams,
@@ -18,7 +19,7 @@ from ebb.fluxes import (
 from ebb.leads import SemiInfiniteLaplacian, TabulatedLead
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AlmostMathieu, AndersonRandom, Zero, generate
-from ebb.transfer import checkpoint_products, end_products
+from ebb.transfer import CHUNK, checkpoint_products, end_products
 
 # Frozen by hand from the closed forms with T = 1, beta_l = 1, mu_l = 1,
 # beta_r = 2, mu_r = 0, E = 0: rho_l = 1/(1+e^-1), rho_r = 1/2.
@@ -237,10 +238,10 @@ def test_over_budget_panel_layout_stays_small():
 
 
 def test_flux_quadrature_memory_stays_small_at_long_length():
-    # Each pass's transfer products come from energy chunks fed one site at
-    # a time, so no (L + 1) x nodes array and no whole pass of products is
-    # held: at L = 2000 (38,220 nodes in one pass) the traced peak stays
-    # near the 2 MB the per-node solve took.
+    # Each pass's nodes are taken CHUNK at a time, and their transfer
+    # products come from sweeps fed one site at a time, so no (L + 1) x nodes
+    # array and no Python object per node of a whole pass is held: at
+    # L = 2000 (38,220 nodes in one pass) the traced peak stays below 4 MB.
     sample = SampleSpec(generate(AndersonRandom(1.0, 3), 2000))
     tracemalloc.start()
     try:
@@ -252,3 +253,24 @@ def test_flux_quadrature_memory_stays_small_at_long_length():
         tracemalloc.stop()
     assert res.evaluations == 38_220
     assert peak < 4 * 2**20
+
+
+def test_integrate_fluxes_runs_energy_only_work_once_per_chunk(monkeypatch):
+    # A quadrature pass is cut into CHUNK slices of its nodes; each slice
+    # takes one boundary call per lead and one end_products sweep, and no
+    # product's spectral norm is computed: fluxes never reads one.
+    left, right = SemiInfiniteLaplacian(1.0, 1.0), SemiInfiniteLaplacian(1.0, 0.8)
+    passes, sweeps, norms, boundary = [], [], [], {left: [], right: []}
+    gk15, sweep, smax, weiss = (
+        ebb.fluxes.adaptive_gk15, ebb.fluxes.end_products, ebb.transfer._smax, ebb.fluxes.weiss_boundary
+    )
+    monkeypatch.setattr(ebb.fluxes, "adaptive_gk15", lambda f, *a: gk15(lambda E: passes.append(len(E)) or f(E), *a))
+    monkeypatch.setattr(ebb.fluxes, "end_products", lambda pot, E: sweeps.append(len(E)) or sweep(pot, E))
+    monkeypatch.setattr(ebb.transfer, "_smax", lambda *m: norms.append(m) or smax(*m))
+    monkeypatch.setattr(ebb.fluxes, "weiss_boundary", lambda lead, E: boundary[lead].append(len(E)) or weiss(lead, E))
+    sample = SampleSpec(generate(AlmostMathieu(0.5, 0.6180339887498949, 0.0), 300))
+    res = integrate_fluxes(sample, left, right, ThermoParams(1.0, 2.0, 0.5, -0.5), QuadratureParams(tolerance=1e-6))
+    assert sum(passes) == res.evaluations and max(passes) > CHUNK
+    chunks = [min(CHUNK, n - k) for n in passes for k in range(0, n, CHUNK)]
+    assert sweeps == boundary[left] == boundary[right] == chunks
+    assert norms == []

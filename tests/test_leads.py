@@ -121,6 +121,76 @@ def test_tabulated_boundary_clamps_interpolation_rounding():
     assert lead.boundary(E).imag == 0.0
 
 
+def _scalar_laplacian(lead, E):
+    """The closed form as it was computed for one Python float E at a time,
+    in Python's complex arithmetic: the reference for the array route."""
+    k = lead.hopping
+    kap2 = lead.coupling * lead.coupling
+    if abs(E) < 2.0 * k:
+        return kap2 * complex(-E, math.sqrt(4.0 * k * k - E * E)) / (2.0 * k * k)
+    root = math.sqrt(E * E - 4.0 * k * k)
+    if E < 0:
+        root = -root
+    return complex(kap2 * (-E + root) / (2.0 * k * k), 0.0)
+
+
+def _scalar_table(lead, E):
+    """Linear interpolation as it was computed for one Python float E."""
+    e = lead.energies
+    if E < e[0] or E > e[-1]:
+        raise DomainError(f"E={E} outside table range [{e[0]}, {e[-1]}]")
+    return complex(float(np.interp(E, e, lead.re_f)), max(0.0, float(np.interp(E, e, lead.im_f))))
+
+
+def _assert_scalar_bits(lead, energies, reference):
+    # Each value of the array call, and the call at each float alone, is a
+    # Python complex with the repr of the scalar reference (signed zeros,
+    # inf and nan included).
+    got = weiss_boundary(lead, energies)
+    assert type(got) is list and len(got) == len(energies)
+    for E, F in zip(energies.tolist(), got):
+        ref = reference(lead, E)
+        alone = weiss_boundary(lead, E)
+        assert type(F) is complex and type(alone) is complex
+        assert repr(F) == repr(alone) == repr(ref), E
+
+
+@pytest.mark.parametrize("hopping, coupling", [(1.0, 1.0), (0.7, 1.3), (2.5, 0.4), (1.0, 1.3e154)])
+def test_laplacian_array_boundary_has_the_scalar_bits(hopping, coupling):
+    # Random energies in and around the band, its edges +-2*hopping exactly
+    # and their neighbours, both signed zeros, and energies far outside,
+    # where E*E overflows. The last lead's coupling^2 * E overflows in the
+    # band, so the scalar route's inf * 0.0 makes nan there.
+    lead = SemiInfiniteLaplacian(hopping, coupling)
+    edge = 2.0 * hopping
+    rng = np.random.default_rng(11)
+    special = [edge, -edge, np.nextafter(edge, 0.0), np.nextafter(-edge, 0.0),
+               np.nextafter(edge, np.inf), np.nextafter(-edge, -np.inf), 0.0, -0.0, 5e-324, 1e6, -1e6, 1e200, -1e200]
+    energies = np.concatenate((rng.uniform(-1.5 * edge, 1.5 * edge, 2000), special))
+    _assert_scalar_bits(lead, energies, _scalar_laplacian)
+
+
+def test_tabulated_array_boundary_has_the_scalar_bits():
+    # Every grid point, both table edges, random energies between them and
+    # both signed zeros; an interpolated Im F that rounds below 0 is clamped
+    # alike. An energy outside the table fails the array call, naming it.
+    for lead in (
+        TabulatedLead([-2.0, -0.5, 0.25, 1.0, 2.0], [0.3, -0.1, 0.7, 0.2, -0.4], [0.0, 0.9, 1e-3, 0.6, 0.0]),
+        TabulatedLead([-0.47078772717254713, 0.9443423684874057], [0.0, 0.0], [5.2541536019363516e-216, 0.0]),
+    ):
+        e = lead.energies
+        rng = np.random.default_rng(12)
+        energies = np.concatenate((e, rng.uniform(e[0], e[-1], 2000), [0.0, -0.0, np.nextafter(e[-1], 0.0)]))
+        _assert_scalar_bits(lead, energies, _scalar_table)
+        for outside in (np.nextafter(e[0], -np.inf), np.nextafter(e[-1], np.inf), 1e6):
+            message = str(pytest.raises(DomainError, _scalar_table, lead, outside).value)
+            with pytest.raises(DomainError) as alone:
+                weiss_boundary(lead, outside)
+            with pytest.raises(DomainError) as batch:
+                weiss_boundary(lead, np.array([e[0], outside, e[-1], outside]))
+            assert str(alone.value) == str(batch.value) == message
+
+
 def test_tabulated_lead_compares_and_hashes():
     # A plain value: two equal tables built apart compare and hash by
     # identity, where the generated dataclass methods raised on arrays.

@@ -15,6 +15,7 @@ import ebb.scan
 import ebb.transfer
 from ebb.config import geometric_checkpoints
 from ebb.errors import DomainError, NumericalFailure
+from ebb.leads import SemiInfiniteLaplacian, TabulatedLead
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, Zero, generate
 from ebb.scan import (
@@ -29,7 +30,7 @@ from ebb.scan import (
     equivalence_rows,
     l_sweep,
 )
-from ebb.transfer import RESONANCE_RELATIVE_CUTOFF
+from ebb.transfer import CHUNK, RESONANCE_RELATIVE_CUTOFF
 
 THERMO = ThermoParams(1.0, 2.0, 0.5, -0.5)
 CHECKPOINTS = [10, 16, 25, 40, 63, 100, 158, 251, 398, 631, 1000]
@@ -292,6 +293,36 @@ def test_energy_sweep_records_errors_per_point(lead11):
     assert out[0].transmission > 0.0
     assert out[2].transmission == 0.0
     assert all(p.sigma >= 0.0 for p in out if p.error is None)
+
+
+def test_energy_sweep_runs_energy_only_work_once_per_chunk(monkeypatch):
+    # The grid is cut into CHUNK slices; each takes one boundary call per
+    # lead and one end_products sweep, and no product's spectral norm is
+    # computed: sweep-e never reads one.
+    left, right = SemiInfiniteLaplacian(1.0, 1.0), SemiInfiniteLaplacian(1.0, 0.8)
+    sweeps, norms, boundary = [], [], {left: [], right: []}
+    sweep, smax, weiss = ebb.scan.end_products, ebb.transfer._smax, ebb.fluxes.weiss_boundary
+    monkeypatch.setattr(ebb.scan, "end_products", lambda pot, E: sweeps.append(len(E)) or sweep(pot, E))
+    monkeypatch.setattr(ebb.transfer, "_smax", lambda *m: norms.append(m) or smax(*m))
+    monkeypatch.setattr(ebb.fluxes, "weiss_boundary", lambda lead, E: boundary[lead].append(len(E)) or weiss(lead, E))
+    grid = np.linspace(-1.9, 1.9, CHUNK + 5).tolist()
+    out = energy_sweep(SampleSpec(generate(AndersonRandom(1.0, 4), 20)), left, right, THERMO, grid)
+    assert [p.E for p in out] == grid and all(p.error is None for p in out)
+    assert sweeps == [CHUNK, 5]
+    assert boundary == {left: [CHUNK, 5], right: [CHUNK, 5]}
+    assert norms == []
+
+
+def test_energy_sweep_names_each_energy_outside_a_lead_table(lead11):
+    # An energy outside a lead's table fails on its own, with the table's
+    # message; the other energies of its chunk keep their values.
+    table = TabulatedLead([-1.0, 1.0], [0.1, -0.1], [1.0, 0.5])
+    sample = SampleSpec(generate(AndersonRandom(1.0, 4), 20))
+    out = energy_sweep(sample, table, lead11, THERMO, [-1.5, -0.5, 0.5, 1.5])
+    assert [p.error for p in out] == [
+        "E=-1.5 outside table range [-1.0, 1.0]", None, None, "E=1.5 outside table range [-1.0, 1.0]"
+    ]
+    assert out[1:3] == energy_sweep(sample, table, lead11, THERMO, [-0.5, 0.5])
 
 
 def test_equivalence_report_clean_split(lead11):

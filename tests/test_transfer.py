@@ -224,6 +224,20 @@ def test_block_lanes_huge_amplitudes_stay_finite(L, amplitude, seed, E):
     check_against_naive(generate(AndersonRandom(amplitude, seed), L), E, cps)
 
 
+@pytest.mark.parametrize("L", [624, 1280])
+def test_fold_keeps_small_entries_normal(L):
+    # On a constant barrier v = 1e300 the product's off-diagonal entries are
+    # 1e-300 of its largest: b/a = -c/a = -U_L/U_(L+1), which is -1/(v - E)
+    # to float precision. The fold of the block products must rescale before
+    # such entries turn subnormal and lose bits (as end_products, which
+    # rescales after every site here, never lets them).
+    pot = np.full(L + 1, 1e300)
+    ref = -1.0 / (1e300 - 0.5)
+    for T in (transfer(pot, 0.5, L), *end_products(pot, np.array([0.5]))):
+        assert abs(T.b / T.a / ref - 1.0) < 1e-15
+        assert abs(T.c / T.a / ref + 1.0) < 1e-15
+
+
 @pytest.mark.parametrize("spec", [AndersonRandom(1.0, 3), Periodic((1.0, 0.0))])
 def test_product_entry_is_the_characteristic_polynomial(spec):
     # Cross-layer check against the spectrum: T_11 of the product over sites
