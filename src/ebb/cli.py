@@ -188,14 +188,16 @@ _CSV_COLUMNS = {
 
 
 def _write_outputs(command: str, run: Optional[RunConfig], args, summary, rows, max_residual):
-    """<stem>.csv from the rows (None: no CSV), if the command has columns, and <stem>.json:
-    the summary with the manifest last, strict JSON (non-finite as null). An OSError
-    is a --out error that removes the files opened: no CSV is left without its JSON."""
+    """<stem>.csv from the rows (None: none, not even an earlier run's), if the command has
+    columns, and <stem>.json: the summary, manifest last, strict JSON (non-finite as null).
+    An OSError is a --out error that removes the files opened: no CSV without its JSON."""
     stem = os.path.join(args.out, command.replace("-", "_"))
     columns = _CSV_COLUMNS.get(command)
     opened = []
     try:
-        if columns and rows is not None:
+        if columns and rows is None and os.path.exists(stem + ".csv"):
+            os.remove(stem + ".csv")
+        elif columns and rows is not None:
             values = operator.attrgetter(*columns)
             line = ",".join(columns.values()) + "\n"
             with open(stem + ".csv", "w", newline="") as fh:

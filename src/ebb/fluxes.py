@@ -23,7 +23,7 @@ from .leads import LeadModel, sigma_intersection, weiss_boundary
 from .model import SampleSpec, ThermoParams, fermi_density, xi
 from .quadrature import adaptive_gk15
 from .scattering import t_matrix, transmission, unitarity_residual
-from .transfer import CHUNK, ScaledMatrix2, end_products
+from .transfer import CHUNK, end_products
 
 # Densities more negative than this are an upstream fault, not rounding.
 _SIGMA_ROUNDING_FLOOR = -1e-30
@@ -102,7 +102,7 @@ def self_energies(lead_l: LeadModel, lead_r: LeadModel, E):
     return SelfEnergyPair(F_l, F_r) if np.ndim(E) == 0 else map(SelfEnergyPair, F_l, F_r)
 
 
-def evaluate_point(sample: SampleSpec, E, L: int, se: SelfEnergyPair, T: ScaledMatrix2) -> tuple:
+def evaluate_point(sample: SampleSpec, E, L: int, se: SelfEnergyPair, T: tuple) -> tuple:
     """Coupled Green block -> t-matrix: the transmission and unitarity
     residual at E of sites 0..L of the sample between the leads of the
     self-energies se (see `self_energies`), with the block read from the

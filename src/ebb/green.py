@@ -16,7 +16,6 @@ from typing import NamedTuple
 
 from .errors import NumericalFailure
 from .model import SampleSpec
-from .transfer import ScaledMatrix2
 
 CONDITION_LIMIT = 1e12
 
@@ -29,7 +28,7 @@ class SelfEnergyPair(NamedTuple):
     F_r: complex
 
 
-def coupled_green_direct(sample: SampleSpec, E: float, L: int, se: SelfEnergyPair, T: ScaledMatrix2) -> tuple:
+def coupled_green_direct(sample: SampleSpec, E: float, L: int, se: SelfEnergyPair, T: tuple) -> tuple:
     """Coupled block (G_00, G_0L, G_LL) of sites 0..L.
 
     The lead self-energies are absorbed into the boundary diagonal:
@@ -38,22 +37,23 @@ def coupled_green_direct(sample: SampleSpec, E: float, L: int, se: SelfEnergyPai
     vanishes at the coupling sites, then everywhere by the three-term
     recurrence); a closed system is read alike.
 
-    G is read from T = 2^e [[a, b], [c, d]], the transfer product of sites
-    0..L (`transfer.checkpoint_products` or `transfer.end_products`). With
-    D = (a + b F_l) - F_r (c + d F_l): G_00 = (F_r d - b)/D, G_0L = 2^-e / D
-    and G_LL = (c + d F_l)/D. G_0L scales 1/D by 2^-e per component, so it
-    flushes to 0 where T outgrows float range. A singular A (D exactly 0),
-    or a near-singular one, whose estimate max over the boundary rows j of
-    (|A_jj| + 1) * max|G_j.| exceeds CONDITION_LIMIT, raises
-    NumericalFailure.
+    G is read from T = (a, b, c, d, e) = 2^e [[a, b], [c, d]], the transfer
+    product of sites 0..L (`transfer.checkpoint_products` or `end_products`).
+    With D = (a + b F_l) - F_r (c + d F_l): G_00 = (F_r d - b)/D,
+    G_0L = 2^-e / D and G_LL = (c + d F_l)/D. G_0L scales 1/D by 2^-e per
+    component, so it flushes to 0 where T outgrows float range. A singular
+    A (D exactly 0), or a near-singular one, whose estimate max over the
+    boundary rows j of (|A_jj| + 1) * max|G_j.| exceeds CONDITION_LIMIT,
+    raises NumericalFailure.
     """
     F_l, F_r = se.F_l, se.F_r
-    D = (T.a + T.b * F_l) - F_r * (T.c + T.d * F_l)
+    a, b, c, d, e = T
+    D = (a + b * F_l) - F_r * (c + d * F_l)
     if D == 0:
         raise NumericalFailure("coupled system ill-conditioned (condition estimate inf)")
     q = 1 / D
-    G_0L = complex(math.ldexp(q.real, -T.exponent), math.ldexp(q.imag, -T.exponent))
-    G = (F_r * T.d - T.b) / D, G_0L, (T.c + T.d * F_l) / D
+    G_0L = complex(math.ldexp(q.real, -e), math.ldexp(q.imag, -e))
+    G = (F_r * d - b) / D, G_0L, (c + d * F_l) / D
     s0 = abs(sample.potential.item(0) - E - F_l) + 1.0
     sL = abs(sample.potential.item(L) - E - F_r) + 1.0
     g00, g0L, gLL = map(abs, G)

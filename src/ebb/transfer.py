@@ -2,8 +2,10 @@
 
 The running product of one-step factors [[v(x)-E, -1], [1, 0]] grows like
 exp(gamma*L) for localized potentials, far beyond float range for large L.
-The product is therefore kept as a ScaledMatrix2: a 2x2 matrix with entries
-at most 2, times 2**exponent.
+A product is therefore the plain tuple (a, b, c, d, e) of four Python floats
+at most 2 and an int: the matrix 2**e * [[a, b], [c, d]]. Its determinant
+times 4**e is 1, but in floats only while its condition number stays well
+below 1/eps, so none is kept.
 
 `checkpoint_products` computes it in one block-lane pass. Sites
 0..checkpoints[-1] are cut into BLOCK-site blocks laid out from site 0; each
@@ -16,14 +18,12 @@ a power of two is exact, so where the rescaling happens does not change the
 product's mantissas, and a lane's product is the same whichever checkpoints
 are asked for.
 
-`end_products` runs the same lanes over all sites, one lane per energy,
-CHUNK energies per pass.
+`end_products` runs the same lanes over all sites, one lane per energy.
 
 The run path reads the Green block of a product in closed form, and the
 L-sweeps also read its spectral norm and the resonance test on its (1,1)
-entry, from one norm per product (`norm_and_resonance`); no determinant is
-kept. The norm is computed only where it is read, so `fluxes` and `sweep-e`
-compute none.
+entry, from one norm per product (`norm_and_resonance`). The norm is
+computed only where it is read, so `fluxes` and `sweep-e` compute none.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ import numpy as np
 
 # Sites per lane of the block-lane pass.
 BLOCK = 16
-# Energies per lane pass of `end_products`, and per slice of energies whose
-# lead boundary values `fluxes` and `sweep-e` take in one call.
+# Energies per slice whose lead boundary values and transfer products
+# `fluxes` and `sweep-e` take in one call each.
 CHUNK = 4096
 # Lane entries are rescaled before they can grow past 2**_SCALE_BITS.
 _SCALE_BITS = 500
@@ -47,40 +47,6 @@ _SCALE_BITS = 500
 _FOLD_LO, _FOLD_HI = 2.0**-32, 2.0**128
 _LN2 = math.log(2.0)
 RESONANCE_RELATIVE_CUTOFF = 1e-12
-
-
-class ScaledMatrix2:
-    """A 2x2 real matrix with a separated power-of-two scale.
-
-    Represents the matrix 2**exponent * m, m = [[a, b], [c, d]], kept as
-    four Python floats and the integer exponent; log_scale is
-    exponent * ln 2. smax, the spectral norm of m, is computed on each
-    read. Each transfer factor is unimodular, so det(m)*exp(2*log_scale)
-    is 1 in exact arithmetic; in floats det(m) is accurate only while the
-    product's condition number stays well below 1/eps. Not modified after
-    construction.
-    """
-
-    __slots__ = ("a", "b", "c", "d", "exponent", "log_scale")
-
-    def __init__(self, a: float, b: float, c: float, d: float, exponent: int):
-        self.a, self.b, self.c, self.d = a, b, c, d
-        self.exponent, self.log_scale = exponent, exponent * _LN2
-
-    @property
-    def smax(self) -> float:
-        """The spectral norm of m."""
-        return _smax(self.a, self.b, self.c, self.d)
-
-    @property
-    def m(self) -> np.ndarray:
-        """m as a new 2x2 array."""
-        return np.array([[self.a, self.b], [self.c, self.d]])
-
-
-def one_step(v_x: float, E: float) -> np.ndarray:
-    """Single transfer factor at site x; determinant 1 by construction."""
-    return np.array([[v_x - E, -1.0], [1.0, 0.0]])
 
 
 def _smax(a, b, c, d) -> float:
@@ -98,24 +64,19 @@ def _smax(a, b, c, d) -> float:
     return math.sqrt(0.5 * (p + q + math.hypot(p - q, 2.0 * r)))
 
 
-def norm_and_resonance(T: ScaledMatrix2) -> tuple:
-    """log of the spectral norm of the represented matrix, and whether T11
-    vanishes relative to that norm, from one spectral norm of m.
+def norm_and_resonance(T: tuple) -> tuple:
+    """log of the spectral norm of the product T, and whether T11 vanishes
+    relative to that norm, from one spectral norm of [[a, b], [c, d]].
 
     The log norm is clamped at 0: a real unimodular 2x2 matrix has norm
     >= 1, so any negative value is pure rounding. T is resonant where |T11|
     is below RESONANCE_RELATIVE_CUTOFF times the norm: the energy is
     numerically a Dirichlet eigenvalue of the decoupled sample.
     """
-    s = _smax(T.a, T.b, T.c, T.d)
-    val = T.log_scale + math.log(s)
-    return (val if val > 0.0 else 0.0), abs(T.a) < RESONANCE_RELATIVE_CUTOFF * s
-
-
-def log_spectral_norm(M: ScaledMatrix2) -> float:
-    """log of the spectral norm of the represented matrix, clamped at 0
-    (see `norm_and_resonance`)."""
-    return norm_and_resonance(M)[0]
+    a, b, c, d, e = T
+    s = _smax(a, b, c, d)
+    val = e * _LN2 + math.log(s)
+    return (val if val > 0.0 else 0.0), abs(a) < RESONANCE_RELATIVE_CUTOFF * s
 
 
 def _steps_within(log_bound: float, log_growth: float) -> int:
@@ -169,7 +130,7 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
 
     T_x(E) is the product of the factors of sites 0..x. The checkpoints
     must increase strictly within [0, len(pot) - 1]. Returns
-    (x, ScaledMatrix2) pairs in checkpoint order; bit-reproducible for
+    (x, (a, b, c, d, e)) pairs in checkpoint order; bit-reproducible for
     fixed inputs. The rescaling interval follows from max|v - E| over all
     of pot, so T_x does not depend on which other checkpoints are asked
     for.
@@ -216,25 +177,24 @@ def checkpoint_products(pot, E: float, checkpoints: Sequence[int]) -> list:
         # negation per power, undoes the padding.
         for _ in range((x + 1) % 4):
             ta, tb, tc, td = tb, -ta, td, -tc
-        ta, tb, tc, td, te = _rescaled(
+        out.append((x, _rescaled(
             ta * a + tb * c, ta * b + tb * d, tc * a + td * c, tc * b + td * d, e + te
-        )
-        out.append((x, ScaledMatrix2(ta, tb, tc, td, te)))
+        )))
     return out
 
 
 def end_products(pot, energies):
     """T_L(E) of all sites 0..L of the float array pot for each E of the
-    float array energies, in turn, as a generator of ScaledMatrix2: one
-    `_block_lanes` lane per energy, CHUNK energies per pass, fed v_x - E one
-    site at a time, so memory stays O(CHUNK) at any L. Rescaling is exact,
-    so an energy's product does not depend on the others in its batch."""
-    for k in range(0, len(energies), CHUNK):
-        E = energies[k: k + CHUNK]
-        # Entries grow by at most a factor 1 + max|v| + max|E| per site.
-        log_growth = math.log1p(float(np.abs(pot).max() + np.abs(E).max()))
-        r_scale = _steps_within(_SCALE_BITS * _LN2, log_growth)
-        buf = np.empty(len(E))
-        rows = (np.subtract(v, E, out=buf) for v in pot.tolist())
-        lanes = _block_lanes(rows, len(E), len(pot), r_scale)
-        yield from map(ScaledMatrix2, *(lane.tolist() for lane in lanes))
+    float array energies, in turn, as a generator of (a, b, c, d, e): one
+    `_block_lanes` lane per energy, fed v_x - E one site at a time, so
+    memory stays O(len(energies)) at any L. Rescaling is exact, so an
+    energy's product does not depend on the others in its batch."""
+    # A generator, so the pass runs at the first product asked for: a caller
+    # that rebinds its iterator per slice has freed the last slice's lists.
+    # Entries grow by at most a factor 1 + max|v| + max|E| per site.
+    log_growth = math.log1p(float(np.abs(pot).max() + np.abs(energies).max(initial=0.0)))
+    r_scale = _steps_within(_SCALE_BITS * _LN2, log_growth)
+    buf = np.empty(len(energies))
+    rows = (np.subtract(v, energies, out=buf) for v in pot.tolist())
+    lanes = _block_lanes(rows, len(energies), len(pot), r_scale)
+    yield from zip(*(lane.tolist() for lane in lanes))

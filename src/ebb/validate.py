@@ -28,7 +28,7 @@ from .leads import SemiInfiniteLaplacian
 from .model import SampleSpec, ThermoParams
 from .potentials import AndersonRandom, Periodic, Zero, generate
 from .scattering import t_matrix
-from .transfer import ScaledMatrix2, checkpoint_products, end_products
+from .transfer import _smax, checkpoint_products, end_products
 
 POTENTIALS = (Zero(), Periodic((1.0, 0.0)), AndersonRandom(1.0, 42))
 LEAD = SemiInfiniteLaplacian(1.0, 1.0)
@@ -107,7 +107,7 @@ def coupled_green(G0: tuple, se: SelfEnergyPair) -> tuple:
     return (a - se.F_r * delta) / det, b / det, (d - se.F_l * delta) / det
 
 
-def graph_map_check(G: tuple, T: ScaledMatrix2, se: SelfEnergyPair) -> float:
+def graph_map_check(G: tuple, T: tuple, se: SelfEnergyPair) -> float:
     """Residual of the graph correspondence between G(E+i0) and T(E).
 
     For (u, v) = G(x, y) the correspondence demands
@@ -120,8 +120,9 @@ def graph_map_check(G: tuple, T: ScaledMatrix2, se: SelfEnergyPair) -> float:
     # Column j of w and of target belongs to the basis input (x, y) = e_j.
     w = np.array([[g00, g0L], [1 + se.F_l * g00, se.F_l * g0L]])
     target = np.array([[se.F_r * g0L, 1 + se.F_r * gLL], [g0L, gLL]])
-    resid = np.linalg.norm(T.m @ w - math.ldexp(1.0, -T.exponent) * target, axis=0)
-    return float(resid.max() / T.smax)
+    a, b, c, d, e = T
+    resid = np.linalg.norm(np.array([[a, b], [c, d]]) @ w - math.ldexp(1.0, -e) * target, axis=0)
+    return float(resid.max() / _smax(a, b, c, d))
 
 
 # -- the checks ---------------------------------------------------------------
@@ -200,7 +201,7 @@ def check_decoupled_green_equivalence(
     )
 
 
-def _junction_and_transfer_blocks(sample: SampleSpec, E: float, L: int, G0: tuple, T: ScaledMatrix2):
+def _junction_and_transfer_blocks(sample: SampleSpec, E: float, L: int, G0: tuple, T: tuple):
     """The coupled block from the junction identity on G0, then the one
     `coupled_green_direct` reads from the transfer product T_L: six entries."""
     se = self_energies(LEAD, LEAD, E)

@@ -29,6 +29,12 @@ def truncated_weiss(k, kappa, E, N=100_000, eps=1e-4):
     return kappa * kappa * x[0, 0]
 
 
+def one_step(v_x, E):
+    """The transfer factor [[v_x - E, -1], [1, 0]] of one site, as an array:
+    the oracle factor that naive products multiply out."""
+    return np.array([[v_x - E, -1.0], [1.0, 0.0]])
+
+
 def dense_hamiltonian(pot, L):
     """Full (L+1)x(L+1) sample Hamiltonian as a dense matrix."""
     h = np.diag(np.asarray(pot, dtype=float)[: L + 1])

@@ -21,10 +21,10 @@ from ebb.scan import (
     equivalence_rows,
     l_sweep,
 )
-from ebb.transfer import checkpoint_products, log_spectral_norm, one_step
+from ebb.transfer import checkpoint_products, norm_and_resonance
 from ebb.validate import LEAD, NONEQ, POTENTIALS
 
-from conftest import truncated_weiss
+from conftest import one_step, truncated_weiss
 
 CHECKPOINTS = [10, 16, 25, 40, 63, 100, 158, 251, 398, 631, 1000, 1585, 2000]
 # The random points of criteria 02 and 03: 300 in all, more than 200 kept.
@@ -160,14 +160,14 @@ def test_11_transfer_engine_invariants():
     pot = generate(AndersonRandom(2.0, 7), L)
     ((_, T),) = checkpoint_products(pot, 0.5, [L])
     ref = scalar_log_norm(pot, 0.5)
-    norm_gap = abs(log_spectral_norm(T) - ref) / ref
+    norm_gap = abs(norm_and_resonance(T)[0] - ref) / ref
     # The free product at E = 0.5 stays bounded, so det(m) is accurate.
     det_defect = max(
-        abs(math.log(abs(np.linalg.det(M.m))) + 2.0 * M.log_scale)
-        for _, M in checkpoint_products(np.zeros(L + 1), 0.5, [999, 99_999, L])
+        abs(math.log(abs(np.linalg.det([[a, b], [c, d]]))) + 2.0 * e * math.log(2.0))
+        for _, (a, b, c, d, e) in checkpoint_products(np.zeros(L + 1), 0.5, [999, 99_999, L])
     )
     cocycle_defect = max(
-        log_spectral_norm(M)
+        norm_and_resonance(M)[0]
         for _, M in checkpoint_products(np.zeros(2001), 0.0, [3, 7, 999, 1999])
     )
     ok = norm_gap < 1e-10 and det_defect < 1e-10 and cocycle_defect < 1e-12

@@ -475,6 +475,21 @@ def test_ill_conditioned_l_sweep_exits_1(tmp_path, capsys):
     assert strict_json(out / "sweep_l.json")["failure"] == reason
 
 
+def test_failed_run_removes_an_earlier_csv(tmp_path):
+    # A run that raised writes no CSV; one left in --out by an earlier good
+    # run would sit beside the failure as if it were this run's rows.
+    good = write_config(tmp_path, name="good.json", extra={"sweep": {"energy": 0.5, "l_checkpoints": SWEEP_L}})
+    rc, out = run_cli(tmp_path, "sweep-l", good)
+    assert rc == 0 and (out / "sweep_l.csv").exists()
+    lead = {"type": "semi_infinite", "hopping": 1.0, "coupling": 1e-7}
+    sweep = {"energy": -1.0, "l_checkpoints": [1, 2, 3, 4, 5, 6, 8, 10]}
+    bad = write_config(tmp_path, name="bad.json", lead_l=lead, lead_r=lead, extra={"sweep": sweep})
+    rc, out = run_cli(tmp_path, "sweep-l", bad)
+    assert rc == 1
+    assert "failure" in strict_json(out / "sweep_l.json")
+    assert not (out / "sweep_l.csv").exists()
+
+
 def test_sweep_l_requires_energy(tmp_path):
     rc, _ = run_cli(tmp_path, "sweep-l", write_config(tmp_path))
     assert rc == 2

@@ -63,7 +63,7 @@ def test_l_sweep_one_spectral_norm_per_checkpoint(lead11, monkeypatch):
     points = l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
     assert len(calls) == len(CHECKPOINTS)
     for p, m, (_, T) in zip(points, calls, ebb.transfer.checkpoint_products(DISORDERED.potential, 0.5, CHECKPOINTS)):
-        assert p.log_transfer_norm == max(0.0, T.log_scale + math.log(smax(*m)))
+        assert p.log_transfer_norm == max(0.0, T[4] * math.log(2.0) + math.log(smax(*m)))
         assert p.resonance_flag == (abs(m[0]) < RESONANCE_RELATIVE_CUTOFF * smax(*m))
 
 

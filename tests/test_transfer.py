@@ -6,16 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import eigvalsh_tridiagonal
 
 from ebb.potentials import AndersonRandom, Periodic, generate
-from ebb.transfer import (
-    BLOCK,
-    CHUNK,
-    ScaledMatrix2,
-    _smax,
-    checkpoint_products,
-    end_products,
-    log_spectral_norm,
-    one_step,
-)
+from ebb.transfer import BLOCK, CHUNK, _smax, checkpoint_products, end_products, norm_and_resonance
+
+from conftest import one_step
+
+LN2 = math.log(2.0)
 
 
 def naive_log_product(pot, E, L):
@@ -34,50 +29,65 @@ def transfer(pot, E, L):
     return M
 
 
+def unpack(M):
+    """A product (a, b, c, d, e) as the array [[a, b], [c, d]] and its log
+    scale e ln 2."""
+    a, b, c, d, e = M
+    return np.array([[a, b], [c, d]]), e * LN2
+
+
+def single_site_products(v, E):
+    """The product of the one site of potential [v] at E, from each kernel."""
+    pot = np.array([v])
+    return transfer(pot, E, 0), *end_products(pot, np.array([E]))
+
+
 def test_one_step_layout_and_det():
-    M = one_step(0.7, 0.2)
-    np.testing.assert_allclose(M, [[0.5, -1.0], [1.0, 0.0]])
-    assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-15)
+    for a, b, c, d, e in single_site_products(0.7, 0.2):
+        M = np.ldexp([[a, b], [c, d]], e)
+        np.testing.assert_allclose(M, [[0.5, -1.0], [1.0, 0.0]])
+        np.testing.assert_array_equal(M, one_step(0.7, 0.2))
+        assert np.linalg.det(M) == pytest.approx(1.0, abs=1e-15)
 
 
 @given(v=st.floats(-10, 10), E=st.floats(-10, 10))
 def test_one_step_unimodular(v, E):
-    (a, b), (c, d) = one_step(v, E)
-    assert a * d - b * c == 1.0
+    # The scale is a power of two, so the scaled determinant is exact.
+    for a, b, c, d, e in single_site_products(v, E):
+        assert math.ldexp(a * d - b * c, 2 * e) == 1.0
 
 
 def test_product_matches_naive_small():
     rng = np.random.default_rng(0)
     pot = rng.uniform(-1, 1, 21)
     for L in (1, 5, 20):
-        M = transfer(pot, 0.3, L)
+        m, log_scale = unpack(transfer(pot, 0.3, L))
         ref, ref_log = naive_log_product(pot, 0.3, L)
         np.testing.assert_allclose(
-            M.m * math.exp(M.log_scale), ref * math.exp(ref_log), rtol=1e-12
+            m * math.exp(log_scale), ref * math.exp(ref_log), rtol=1e-12
         )
 
 
 def test_scaled_entries_stay_bounded():
     pot = generate(AndersonRandom(2.0, 5), 20000)
-    M = transfer(pot, 0.5, 20000)
-    assert np.max(np.abs(M.m)) <= 2.0
-    assert math.isfinite(M.log_scale)
-    assert M.log_scale > 100.0  # genuinely exponential growth
+    m, log_scale = unpack(transfer(pot, 0.5, 20000))
+    assert np.max(np.abs(m)) <= 2.0
+    assert math.isfinite(log_scale)
+    assert log_scale > 100.0  # genuinely exponential growth
 
 
 def test_log_spectral_norm_identity_and_clamp():
-    I = ScaledMatrix2(1.0, 0.0, 0.0, 1.0, 0)
-    assert log_spectral_norm(I) == 0.0
-    tiny = ScaledMatrix2(1.0, 0.0, 0.0, 1.0, -5)
-    assert log_spectral_norm(tiny) == 0.0
+    assert norm_and_resonance((1.0, 0.0, 0.0, 1.0, 0))[0] == 0.0
+    assert norm_and_resonance((1.0, 0.0, 0.0, 1.0, -5))[0] == 0.0
 
 
 def test_log_spectral_norm_against_numpy():
     rng = np.random.default_rng(1)
     pot = rng.uniform(-2, 2, 41)
     M = transfer(pot, -0.4, 40)
-    ref = math.log(np.linalg.norm(M.m * math.exp(M.log_scale), 2))
-    assert log_spectral_norm(M) == pytest.approx(ref, abs=1e-12)
+    m, log_scale = unpack(M)
+    ref = math.log(np.linalg.norm(m * math.exp(log_scale), 2))
+    assert norm_and_resonance(M)[0] == pytest.approx(ref, abs=1e-12)
 
 
 def _rotation(theta):
@@ -132,29 +142,25 @@ def test_checkpoint_products_match_full_products():
     out = checkpoint_products(pot, 0.1, cps)
     assert [x for x, _ in out] == cps
     for x, M in out:
-        ref = transfer(pot, 0.1, x)
-        np.testing.assert_array_equal(M.m, ref.m)
-        assert M.log_scale == ref.log_scale
-        assert log_spectral_norm(M) == log_spectral_norm(ref)
+        assert M == transfer(pot, 0.1, x)
     check_against_naive(pot, 0.1, cps)
 
 
 def test_scaled_matrix_floats_are_its_array():
-    # A product keeps its entries as Python floats; .m and smax are built
-    # from them with the bits of the array route.
+    # Either kernel's product is four Python floats and a Python int
+    # exponent, as the closed forms that read it expect.
     pot = generate(AndersonRandom(1.5, 3), 500)
-    for _, M in checkpoint_products(pot, 0.1, [0, 10, 17, 100, 500]):
-        entries = (M.a, M.b, M.c, M.d)
-        assert all(type(v) is float for v in entries)
-        assert M.m.tobytes() == np.array(entries).reshape(2, 2).tobytes()
-        assert M.smax == _smax(*M.m.ravel().tolist())
+    checkpoints = [M for _, M in checkpoint_products(pot, 0.1, [0, 10, 17, 100, 500])]
+    for M in (*checkpoints, *end_products(pot, np.array([0.1, 0.7]))):
+        assert type(M) is tuple and len(M) == 5
+        assert all(type(v) is float for v in M[:4]) and type(M[4]) is int
 
 
 def test_free_cocycle_period_four():
     # At E = 0 with v = 0 the one-step factor is a quarter rotation, so
     # the product over sites 0..L is orthogonal whenever L+1 % 4 == 0.
     for _, M in checkpoint_products(np.zeros(2001), 0.0, [3, 7, 999, 1999]):
-        assert log_spectral_norm(M) < 1e-12
+        assert norm_and_resonance(M)[0] < 1e-12
 
 
 def test_bad_checkpoints_rejected():
@@ -186,13 +192,14 @@ def check_against_naive(pot, E, cps):
     """Every checkpoint's product against the one_step oracle, in log space:
     the log-norms, and the matrices divided by their norms."""
     for x, M in checkpoint_products(pot, E, cps):
-        assert np.all(np.isfinite(M.m)) and math.isfinite(M.log_scale)
-        assert np.max(np.abs(M.m)) <= 2.0
+        m, log_scale = unpack(M)
+        assert np.all(np.isfinite(m)) and math.isfinite(log_scale)
+        assert np.max(np.abs(m)) <= 2.0
         ref, ref_log = naive_log_product(pot, E, x)
         ref_norm = ref_log + math.log(np.linalg.norm(ref, 2))
-        assert log_spectral_norm(M) == pytest.approx(max(ref_norm, 0.0), rel=1e-10, abs=1e-10)
+        assert norm_and_resonance(M)[0] == pytest.approx(max(ref_norm, 0.0), rel=1e-10, abs=1e-10)
         np.testing.assert_allclose(
-            M.m / np.linalg.norm(M.m, 2), ref / np.linalg.norm(ref, 2), rtol=0, atol=1e-9
+            m / np.linalg.norm(m, 2), ref / np.linalg.norm(ref, 2), rtol=0, atol=1e-9
         )
 
 
@@ -233,15 +240,15 @@ def test_fold_keeps_small_entries_normal(L):
     # rescales after every site here, never lets them).
     pot = np.full(L + 1, 1e300)
     ref = -1.0 / (1e300 - 0.5)
-    for T in (transfer(pot, 0.5, L), *end_products(pot, np.array([0.5]))):
-        assert abs(T.b / T.a / ref - 1.0) < 1e-15
-        assert abs(T.c / T.a / ref + 1.0) < 1e-15
+    for a, b, c, _, _ in (transfer(pot, 0.5, L), *end_products(pot, np.array([0.5]))):
+        assert abs(b / a / ref - 1.0) < 1e-15
+        assert abs(c / a / ref + 1.0) < 1e-15
 
 
 @pytest.mark.parametrize("spec", [AndersonRandom(1.0, 3), Periodic((1.0, 0.0))])
 def test_product_entry_is_the_characteristic_polynomial(spec):
     # Cross-layer check against the spectrum: T_11 of the product over sites
-    # 0..L is det(h - E) of those sites, so log|T.a| + T.log_scale is
+    # 0..L is det(h - E) of those sites, so log|a| + e ln 2 is
     # sum_n log|E - E_n| over the sample's Dirichlet eigenvalues E_n. The
     # tolerance is relative to sum_n |log|E - E_n||, the scale of the sum's
     # rounding: the sum itself comes near 0 inside the bands.
@@ -249,22 +256,18 @@ def test_product_entry_is_the_characteristic_polynomial(spec):
     for L in (50, 151, 300):
         eigenvalues = eigvalsh_tridiagonal(pot[: L + 1], -np.ones(L))
         for E in np.linspace(-2.5, 2.5, 37):
-            T = transfer(pot, E, L)
+            a, *_, e = transfer(pot, E, L)
             logs = np.log(np.abs(E - eigenvalues))
-            error = abs(math.log(abs(T.a)) + T.log_scale - logs.sum())
+            error = abs(math.log(abs(a)) + e * LN2 - logs.sum())
             assert error <= 1e-10 * np.abs(logs).sum(), (L, E)
-
-
-def _bits(M):
-    return (M.a, M.b, M.c, M.d, M.exponent)
 
 
 @pytest.mark.parametrize("amplitude", [0.0, 1.0, 1e150])
 def test_end_products_do_not_depend_on_the_batch(amplitude):
     # Each energy is its own lane, and rescaling by powers of two is exact:
-    # its product has the same bits alone, inside a batch, on either side
-    # of a chunk boundary, and beside an energy of 1e12 that makes the pass
-    # rescale more often.
+    # its product has the same bits alone, inside a batch of more than CHUNK
+    # energies, at either end of it, and beside an energy of 1e12 that makes
+    # the pass rescale more often.
     pot = generate(AndersonRandom(amplitude, 3), 300)
     energies = np.random.default_rng(4).uniform(-2.5, 2.5, 2 * CHUNK + 7)
     energies[CHUNK + 3] = 1e12
@@ -272,8 +275,8 @@ def test_end_products_do_not_depend_on_the_batch(amplitude):
     assert len(batch) == len(energies)
     for i in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK - 1, 2 * CHUNK, 2 * CHUNK + 6):
         (alone,) = end_products(pot, energies[i: i + 1])
-        assert _bits(batch[i]) == _bits(alone), i
-        assert type(alone.exponent) is int and all(type(v) is float for v in _bits(alone)[:4])
+        assert batch[i] == alone, i
+        assert type(alone[4]) is int and all(type(v) is float for v in alone[:4])
     assert list(end_products(pot, np.array([]))) == []
 
 
@@ -289,10 +292,11 @@ def test_end_products_match_naive_product(L, amplitude, seed, E):
     # as check_against_naive holds the checkpoint products.
     pot = generate(AndersonRandom(amplitude, seed), L)
     (M,) = end_products(pot, np.array([E]))
-    assert np.all(np.isfinite(M.m)) and 0.5 <= np.max(np.abs(M.m)) < 1.0
+    m, _ = unpack(M)
+    assert np.all(np.isfinite(m)) and 0.5 <= np.max(np.abs(m)) < 1.0
     ref, ref_log = naive_log_product(pot, E, L)
     ref_norm = ref_log + math.log(np.linalg.norm(ref, 2))
-    assert log_spectral_norm(M) == pytest.approx(max(ref_norm, 0.0), rel=1e-10, abs=1e-10)
+    assert norm_and_resonance(M)[0] == pytest.approx(max(ref_norm, 0.0), rel=1e-10, abs=1e-10)
     np.testing.assert_allclose(
-        M.m / np.linalg.norm(M.m, 2), ref / np.linalg.norm(ref, 2), rtol=0, atol=1e-9
+        m / np.linalg.norm(m, 2), ref / np.linalg.norm(ref, 2), rtol=0, atol=1e-9
     )
