@@ -53,10 +53,9 @@ def _energies(run: RunConfig, key: str) -> list:
     if value is None:
         raise ConfigError(f"sweep.{key}: required for this command")
     energies = list(value) if isinstance(value, tuple) else [value]
-    window = integration_window(run.lead_l, run.lead_r, run.quadrature.edge_margin)
-    for E in energies:
-        if not window.contains(E):
-            raise ConfigError(f"sweep.{key}: E={E} is outside the open-channel window")
+    outside = ~integration_window(run.lead_l, run.lead_r, run.quadrature.edge_margin).contains(energies)
+    if outside.any():
+        raise ConfigError(f"sweep.{key}: E={energies[outside.argmax()]} is outside the open-channel window")
     return energies
 
 

@@ -59,38 +59,42 @@ class FluxResult:
 
 
 def thermal_factors(E, thermo: ThermoParams) -> tuple:
-    """(rho_l - rho_r, xi_r - xi_l) at energy E, the factors of the
-    densities that do not depend on L."""
-    rho_l = fermi_density(E, thermo.beta_l, thermo.mu_l)
-    rho_r = fermi_density(E, thermo.beta_r, thermo.mu_r)
-    drho = rho_l - rho_r
+    """(rho_l - rho_r, xi_r - xi_l) at each energy of the float array E,
+    the factors of the densities that do not depend on L."""
+    drho = fermi_density(E, thermo.beta_l, thermo.mu_l) - fermi_density(E, thermo.beta_r, thermo.mu_r)
     dxi = xi(E, thermo.beta_r, thermo.mu_r) - xi(E, thermo.beta_l, thermo.mu_l)
-    if drho == 0.0:
-        # Equal occupations carry nothing, also where dxi overflowed to inf
-        # (inf * 0 is NaN); only dxi's sign reaches sigma's signed zero.
-        dxi = math.copysign(1.0, dxi)
-    return drho, dxi
+    # Equal occupations carry nothing, also where dxi overflowed to inf
+    # (inf * 0 is NaN); only dxi's sign reaches sigma's signed zero.
+    return drho, np.where(drho == 0.0, np.copysign(1.0, dxi), dxi)
 
 
-def spectral_densities(E, T_of_E, thermo: ThermoParams, factors=None) -> tuple:
-    """Pointwise densities (phi_l, j_l, sigma) at energy E for transmission
-    T_of_E, from `thermal_factors(E, thermo)` or the `factors` it returned
-    at this E. A density that is not finite raises NumericalFailure."""
-    drho, dxi = thermal_factors(E, thermo) if factors is None else factors
-    j_l = T_of_E * drho
-    phi_l = j_l * E
-    sigma = T_of_E * dxi * drho
-    if not (math.isfinite(phi_l) and math.isfinite(j_l) and math.isfinite(sigma)):
-        raise NumericalFailure(
-            f"densities at E={E} are not finite: phi_l {phi_l}, j_l {j_l}, sigma {sigma}"
-        )
-    if sigma < 0.0:
-        # (xi_r - xi_l) and (rho_l - rho_r) share their sign analytically;
-        # a tiny negative product is rounding at near-equal occupations.
-        if sigma < _SIGMA_ROUNDING_FLOOR:
-            raise DomainError(f"entropy density {sigma} is negative beyond rounding")
-        sigma = 0.0
-    return phi_l, j_l, sigma
+def spectral_densities(E, tau, thermo: ThermoParams, faults=None):
+    """Pointwise densities (phi_l, j_l, sigma) for the energies E and
+    transmissions tau, float arrays that broadcast together, as the rows of
+    an array of their shape + (3,); the thermal factors are taken at E's own
+    shape. A row that is not finite fails with NumericalFailure, and one
+    whose sigma is negative beyond rounding with DomainError: the first in
+    node order raises, or, given a dict `faults`, each is stored there
+    under its flat row index and its densities read NaN."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drho, dxi = thermal_factors(E, thermo)
+        out = np.empty(np.broadcast_shapes(np.shape(E), np.shape(tau)) + (3,))
+        j_l = np.multiply(tau, drho, out=out[..., 1])
+        np.multiply(j_l, E, out=out[..., 0])
+        np.multiply(np.multiply(tau, dxi, out=out[..., 2]), drho, out=out[..., 2])
+    rows = out.reshape(-1, 3)
+    sigma, finite = rows[:, 2], np.isfinite(rows).all(axis=1)
+    for i in np.flatnonzero(~finite | (sigma < _SIGMA_ROUNDING_FLOOR)).tolist():
+        (phi_l, j_l, s), E_i = rows[i].tolist(), np.broadcast_to(E, out.shape[:-1]).flat[i]
+        exc = DomainError(f"entropy density {s} is negative beyond rounding") if finite[i] else NumericalFailure(
+            f"densities at E={E_i} are not finite: phi_l {phi_l}, j_l {j_l}, sigma {s}")
+        if faults is None:
+            raise exc
+        faults[i], rows[i] = exc, math.nan
+    # (xi_r - xi_l) and (rho_l - rho_r) share their sign analytically; a
+    # tiny negative product is rounding at near-equal occupations.
+    np.copyto(sigma, 0.0, where=sigma < 0.0)
+    return out
 
 
 def self_energies(lead_l: LeadModel, lead_r: LeadModel, E):
@@ -131,8 +135,9 @@ def integrate_fluxes(
 
     Each pass's nodes are taken CHUNK at a time: a chunk gets each lead's
     boundary values from one call and its transfer products T_L from one
-    energy-batched sweep (`transfer.end_products`); each node then runs the
-    per-energy chain on its own product, with every check of that chain.
+    energy-batched sweep (`transfer.end_products`); each node then runs
+    `evaluate_point` on its own product, with every check of that chain, and
+    the chunk's densities come from one `spectral_densities` call.
     """
     window = integration_window(lead_l, lead_r, quadrature.edge_margin)
     if window.is_empty:
@@ -141,16 +146,20 @@ def integrate_fluxes(
     L = sample.length
     max_residual = [0.0]
 
+    def slice_densities(chunk):
+        # The chain per node, then the densities of the whole slice; nothing
+        # built for the slice outlives this call.
+        tau, residual = np.empty(len(chunk)), np.empty(len(chunk))
+        nodes = zip(chunk.tolist(), self_energies(lead_l, lead_r, chunk), end_products(sample.potential, chunk))
+        for i, (E, se, T) in enumerate(nodes):
+            tau[i], residual[i] = evaluate_point(sample, E, L, se, T)
+        max_residual[0] = max([max_residual[0], *residual.tolist()])
+        return spectral_densities(chunk, tau, thermo)
+
     def integrand(energies):
         out = np.empty((len(energies), 3))
         for k in range(0, len(energies), CHUNK):
-            chunk = energies[k: k + CHUNK]
-            nodes = zip(self_energies(lead_l, lead_r, chunk), end_products(sample.potential, chunk))
-            for i, (se, T) in enumerate(nodes, k):
-                E = energies.item(i)
-                tau, residual = evaluate_point(sample, E, L, se, T)
-                max_residual[0] = max(max_residual[0], residual)
-                out[i] = spectral_densities(E, tau, thermo)
+            out[k: k + CHUNK] = slice_densities(energies[k: k + CHUNK])
         return out
 
     # Panels of width at most pi/(L+1), so the base rule sees each of the ~L

@@ -155,8 +155,11 @@ class EnergyWindow:
     def is_empty(self) -> bool:
         return len(self.intervals) == 0
 
-    def contains(self, E: float) -> bool:
-        return any(a < E < b for a, b in self.intervals)
+    def contains(self, E):
+        """Whether each energy of the float array E lies in the window."""
+        lo, hi = np.reshape(self.intervals, (-1, 2)).T
+        E = np.asarray(E, dtype=float)[..., None]
+        return ((lo < E) & (E < hi)).any(axis=-1)
 
     def shrink(self, margin: float) -> EnergyWindow:
         """Remove a margin at each endpoint of every interval."""

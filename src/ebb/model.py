@@ -68,19 +68,19 @@ class SampleSpec:
         self.potential, self.length = pot, len(pot) - 1
 
 
-def xi(E: float, beta: float, mu: float) -> float:
+def xi(E, beta: float, mu: float):
     """Dimensionless energy argument beta*(E - mu) of the Fermi factor."""
     return beta * (E - mu)
 
 
-def fermi_density(E: float, beta: float, mu: float) -> float:
-    """Fermi-Dirac occupation 1/(1 + exp(beta*(E - mu))).
+def fermi_density(E, beta: float, mu: float):
+    """Fermi-Dirac occupation 1/(1 + exp(beta*(E - mu))) at each energy of
+    the float array E.
 
-    Evaluated on the branch that never overflows: for positive argument
-    the numerator carries the decaying exponential.
+    Evaluated on the branch that never overflows: z = exp(-|x|), and for
+    positive argument the numerator carries it. Each z is one `math.exp`:
+    numpy's vectorised exp differs from it in the last bit on some inputs.
     """
-    x = xi(E, beta, mu)
-    if x >= 0.0:
-        z = math.exp(-x)
-        return z / (1.0 + z)
-    return 1.0 / (1.0 + math.exp(x))
+    x = xi(np.asarray(E, dtype=float), beta, mu)
+    z = np.fromiter(map(math.exp, memoryview(-np.abs(x).ravel())), float, x.size).reshape(x.shape)
+    return np.where(x >= 0.0, z, 1.0) / (1.0 + z)

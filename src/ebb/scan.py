@@ -7,10 +7,11 @@ classifier below labels each energy from finite-L evidence only, and every
 report carries the L_max actually used. No claim is made about the true
 infinite-L behavior.
 
-Both L-sweep commands take one route: the kernels fill one energies x
-checkpoints float table, checking each sigma against its explicit envelope
-as it is computed, and the fits and labels then run as array operations, row
-by row, on the whole table; `l_sweep` is its one-energy case.
+Both L-sweep commands take one route: the per-point chain fills one
+energies x checkpoints float table, one densities call gives all its sigmas,
+each checked against its explicit envelope, and the fits and labels then run
+as array operations, row by row, on the whole table; `l_sweep` is its
+one-energy case.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError, NumericalFailure
-from .fluxes import evaluate_point, self_energies, spectral_densities, thermal_factors
+from .fluxes import evaluate_point, self_energies, spectral_densities
 from .leads import LeadModel, sigma_intersection
 from .model import SampleSpec, ThermoParams, check_length
 from .transfer import CHUNK, checkpoint_products, end_products, norm_and_resonance
@@ -105,30 +106,36 @@ def check_checkpoints(checkpoints: Sequence[int]) -> list:
 def _sweep_table(sample: SampleSpec, grid, lead_l, lead_r, thermo: ThermoParams, checkpoints):
     """The checked checkpoints cps, and the L-sweeps at the grid energies
     (see `l_sweep`) as one len(grid) x len(cps) x 5 float table of the
-    `LSweepPoint` fields after L, in field order. Each sigma is checked
-    against a crude explicit envelope as soon as it is computed. Per
-    energy, one transfer pass gives T_L at every checkpoint, and each
-    checkpoint's Green block is read from its T_L in closed form, so no
-    site is solved; the thermal factors of sigma are taken once, and the
-    self-energies of the whole grid from one boundary call per lead."""
+    `LSweepPoint` fields after L, in field order. Per energy, one transfer
+    pass gives T_L at every checkpoint, and each checkpoint's Green block is
+    read from its T_L in closed form, so no site is solved; the
+    self-energies come from one boundary call per lead, and the sigmas from
+    one `spectral_densities` call, each checked against a crude explicit
+    envelope. The first failure in grid order is raised."""
     cps = check_checkpoints(checkpoints)
-    window = sigma_intersection(lead_l, lead_r)
-    for E in grid:
-        if not window.contains(E):
-            raise DomainError(f"E={E} is outside the band intersection; sigma vanishes trivially")
+    energies = np.asarray(grid, dtype=float)
+    outside = ~sigma_intersection(lead_l, lead_r).contains(energies)
+    if outside.any():
+        raise DomainError(f"E={grid[outside.argmax()]} is outside the band intersection; sigma vanishes trivially")
     pot = sample.potential[: cps[-1] + 1]
-    bmax, bmin = max(thermo.beta_l, thermo.beta_r), min(thermo.beta_l, thermo.beta_r)
-    table = np.empty((len(grid), len(cps), 5))
-    ses = self_energies(lead_l, lead_r, np.asarray(grid, dtype=float))
-    for row, E, se in zip(table, grid, ses):
-        factors = thermal_factors(E, thermo)
-        energy_term = abs(E) + abs(thermo.mu_l) + abs(thermo.mu_r) + 2.0 / bmin
-        for point, (L, T) in zip(row, checkpoint_products(pot, E, cps)):
-            tau, residual = evaluate_point(sample, E, L, se, T)
-            sigma = spectral_densities(E, tau, thermo, factors)[2]
-            if sigma > 4.0 * tau * bmax * energy_term:
-                raise NumericalFailure(f"entropy density {sigma} exceeds its explicit envelope at L={L}")
-            point[:] = sigma, tau, *norm_and_resonance(T), residual
+    table, solved = np.zeros((len(grid), len(cps), 5)), 0
+    try:
+        for row, E, se in zip(table, grid, self_energies(lead_l, lead_r, energies)):
+            for point, (L, T) in zip(row, checkpoint_products(pot, E, cps)):
+                tau, residual = evaluate_point(sample, E, L, se, T)
+                point[1:] = tau, *norm_and_resonance(T), residual
+                solved += 1
+    finally:
+        # The first failure among the points solved, in grid order, is raised;
+        # the points not solved read tau = 0.
+        (sigma, tau), faults = np.moveaxis(table[..., :2], -1, 0), {}
+        sigma[:] = spectral_densities(energies[:, None], tau, thermo, faults)[..., 2]
+        bmax, bmin = max(thermo.beta_l, thermo.beta_r), min(thermo.beta_l, thermo.beta_r)
+        energy_term = np.abs(energies) + abs(thermo.mu_l) + abs(thermo.mu_r) + 2.0 / bmin
+        for i in np.flatnonzero(sigma > 4.0 * tau * bmax * energy_term[:, None])[:1].tolist():
+            faults[i] = NumericalFailure(f"entropy density {sigma.flat[i]} exceeds its explicit envelope at L={cps[i % len(cps)]}")
+        if min(faults, default=solved) < solved:
+            raise faults[min(faults)]
     return cps, table
 
 
@@ -241,26 +248,33 @@ def energy_sweep(
     gets each lead's boundary values from one call and the transfer products
     of all the sample's sites from one energy-batched sweep
     (`transfer.end_products`); failures are recorded per point."""
-    energies = np.asarray(grid, dtype=float)
-    out = []
-    for k in range(0, len(energies), CHUNK):
-        chunk = energies[k: k + CHUNK]
+
+    def slice_points(Es):
+        # Nothing built for the slice outlives this call.
+        chunk = np.asarray(Es, dtype=float)
         try:
             ses = self_energies(lead_l, lead_r, chunk)
         except DomainError:
             # An energy outside a lead's table: each energy's own call
             # below names the ones that fail.
             ses = [None] * len(chunk)
-        for E, se, T in zip(grid[k: k + CHUNK], ses, end_products(sample.potential, chunk)):
+        tau, residual, errors = np.empty(len(chunk)), np.empty(len(chunk)), {}
+        for i, (E, se, T) in enumerate(zip(Es, ses, end_products(sample.potential, chunk))):
             try:
                 se = se or self_energies(lead_l, lead_r, E)
-                tau, residual = evaluate_point(sample, E, sample.length, se, T)
-                out.append(EnergyPoint(E, tau, *spectral_densities(E, tau, thermo), residual))
+                tau[i], residual[i] = evaluate_point(sample, E, sample.length, se, T)
             except (DomainError, NumericalFailure) as exc:
-                out.append(
-                    EnergyPoint(E, math.nan, math.nan, math.nan, math.nan, math.nan, str(exc))
-                )
-    return out
+                errors[i] = str(exc)
+        # The densities of the energies that solved; a fault fails its energy alone.
+        solved, faults = [i for i in range(len(chunk)) if i not in errors], {}
+        values = np.full((len(chunk), 5), math.nan)
+        densities = spectral_densities(chunk[solved], tau[solved], thermo, faults)
+        values[solved] = np.column_stack((tau[solved], densities, residual[solved]))
+        for i, exc in faults.items():
+            values[solved[i]], errors[solved[i]] = math.nan, str(exc)
+        return list(map(EnergyPoint, Es, *values.T.tolist(), map(errors.get, range(len(Es)))))
+
+    return [p for k in range(0, len(grid), CHUNK) for p in slice_points(grid[k: k + CHUNK])]
 
 
 def equivalence_rows(

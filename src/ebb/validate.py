@@ -262,12 +262,11 @@ def check_density_identities(L: int = 40, n_energies: int = 100, thermos=(NONEQ,
             for E, T in zip(grid, end_products(sample.potential, grid))]
     gap, min_sigma, min_margin = 0.0, math.inf, math.inf
     for th in thermos:
-        for E, tau in zip(grid, taus):
-            phi_l, j_l, sigma = spectral_densities(E, tau, th)
-            phi_r, j_r = -phi_l, -j_l
-            recon = -th.beta_l * (phi_l - th.mu_l * j_l) - th.beta_r * (phi_r - th.mu_r * j_r)
-            gap = max(gap, abs(recon - sigma))
-            min_sigma = min(min_sigma, sigma)
+        phi_l, j_l, sigma = spectral_densities(grid, taus, th).T
+        phi_r, j_r = -phi_l, -j_l
+        recon = -th.beta_l * (phi_l - th.mu_l * j_l) - th.beta_r * (phi_r - th.mu_r * j_r)
+        gap = max(gap, np.abs(recon - sigma).max().item())
+        min_sigma = min(min_sigma, sigma.min().item())
         res = integrate_fluxes(sample, LEAD, LEAD, th)
         min_margin = min(min_margin, res.entropy_flux + res.quadrature_error_estimate)
     detail = (f"max identity gap {gap:.3e} (< 1e-12), min sigma {min_sigma:.1e} (>= 0), "

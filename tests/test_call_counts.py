@@ -5,7 +5,10 @@ The benchmark's traced run counts calls at these bindings and requires
 checkpoints x energies. These tests pin that contract on small inputs, with
 a counting wrapper on each binding that a caller looks up. Within it, an
 L-sweep energy reads each checkpoint's Green block from its transfer
-product, so one transfer pass walks sites 0..L_max once.
+product, so one transfer pass walks sites 0..L_max once. The densities are
+no part of the per-energy chain: one `spectral_densities` call covers a
+CHUNK slice of energies in `fluxes` and `sweep-e`, and a whole table in the
+L-sweeps.
 """
 
 import numpy as np
@@ -17,6 +20,7 @@ from ebb.fluxes import QuadratureParams, integrate_fluxes
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, generate
 from ebb.scan import energy_sweep, equivalence_rows, l_sweep
+from ebb.transfer import CHUNK
 
 THERMO = ThermoParams(1.0, 2.0, 0.5, -0.5)
 CHECKPOINTS = [10, 16, 25, 40, 63, 100, 158, 251]
@@ -30,6 +34,8 @@ def calls(monkeypatch):
         (ebb.scan, "evaluate_point"),
         (ebb.fluxes, "coupled_green_direct"),
         (ebb.scan, "checkpoint_products"),
+        (ebb.fluxes, "spectral_densities"),
+        (ebb.scan, "spectral_densities"),
     ):
         key = f"{module.__name__.split('.')[-1]}.{name}"
         counts[key] = 0
@@ -93,3 +99,32 @@ def test_equivalence_energy_solves_each_site_once(lead11, monkeypatch, checkpoin
     pot = generate(Periodic((1.0, 0.0)), checkpoints[-1])
     equivalence_rows(SampleSpec(pot), grid, checkpoints, lead11, lead11, THERMO)
     assert transfer_sites == [checkpoints[-1] + 1] * len(grid)
+
+
+def test_integrate_fluxes_computes_densities_once_per_pass(calls, lead11, monkeypatch):
+    # Every pass of this quadrature is shorter than CHUNK: one slice each.
+    passes = []
+    gk15 = ebb.fluxes.adaptive_gk15
+    monkeypatch.setattr(ebb.fluxes, "adaptive_gk15", lambda f, *a: gk15(lambda E: passes.append(len(E)) or f(E), *a))
+    pot = generate(AlmostMathieu(0.5, 0.6180339887498949, 0.0), 30)
+    integrate_fluxes(SampleSpec(pot), lead11, lead11, THERMO, QuadratureParams(tolerance=1e-8))
+    assert len(passes) > 1 and max(passes) <= CHUNK
+    assert calls["fluxes.spectral_densities"] == len(passes)
+
+
+def test_energy_sweep_computes_densities_once_per_chunk(calls, lead11):
+    pot = generate(AndersonRandom(1.0, 4), 10)
+    energy_sweep(SampleSpec(pot), lead11, lead11, THERMO, np.linspace(-1.9, 1.9, 2 * CHUNK + 3))
+    assert calls["scan.spectral_densities"] == 3
+    assert calls["scan.evaluate_point"] == 2 * CHUNK + 3
+
+
+@pytest.mark.parametrize("n_energies", [1, 7])
+def test_l_sweeps_compute_densities_once_per_table(calls, lead11, n_energies):
+    grid = np.linspace(-1.9, 1.9, n_energies)
+    sample = SampleSpec(generate(Periodic((1.0, 0.0)), CHECKPOINTS[-1]))
+    equivalence_rows(sample, grid, CHECKPOINTS, lead11, lead11, THERMO)
+    assert calls["scan.spectral_densities"] == 1
+    l_sweep(sample, 0.3, lead11, lead11, THERMO, CHECKPOINTS)
+    assert calls["scan.spectral_densities"] == 2
+    assert calls["scan.evaluate_point"] == len(CHECKPOINTS) * (n_energies + 1)

@@ -814,6 +814,11 @@ BAD_CONFIGS = {
         "sweep-l", {"sweep": {"energy": 2.5, "l_checkpoints": SWEEP_L}},
         "sweep.energy: E=2.5 is outside the open-channel window",
     ),
+    # Two energies outside the window: the earlier one is named.
+    "sweep-e-grid-outside-twice": (
+        "sweep-e", {"sweep": {"e_grid": [0.5, 2.5, 0.7, -3.0]}},
+        "sweep.e_grid: E=2.5 is outside the open-channel window",
+    ),
     "too-few-l-checkpoints": (
         "equivalence", {"sweep": {"e_grid": [0.5], "l_checkpoints": [10, 20]}},
         "sweep.l_checkpoints: need at least 8 checkpoints",

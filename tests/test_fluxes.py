@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ebb.fluxes
 import ebb.transfer
@@ -75,8 +75,8 @@ def test_density_equal_occupations_carry_nothing():
     # signs of the product: phi_l is -0 at negative E.
     thermo = ThermoParams(1e308, 1e308, 0.5, -0.5)
     for E in (-1.5, 1.5):
-        densities = spectral_densities(E, 1.0, thermo)
-        assert densities == (0.0, 0.0, 0.0)
+        densities = spectral_densities(E, 1.0, thermo).tolist()
+        assert densities == [0.0, 0.0, 0.0]
         assert [math.copysign(1.0, d) for d in densities] == [math.copysign(1.0, E), 1.0, 1.0]
     # Both occupations round to 1 with xi_r - xi_l = -1 finite: sigma is
     # the product's -0, as the plain arithmetic gives it.
@@ -90,6 +90,90 @@ def test_density_not_finite_raises():
         spectral_densities(0.25, 1.0, ThermoParams(2.0, 1.0, -1e308, -0.5))
     with pytest.raises(NumericalFailure, match="densities at E=0.25 are not finite"):
         spectral_densities(0.25, math.nan, ThermoParams(1.0, 2.0, 0.5, -0.5))
+
+
+def _scalar_densities(E, tau, thermo):
+    """The per-node formula the array kernel replaced, written out: one
+    math.exp per occupation, and the checks of each node."""
+    def fermi(beta, mu):
+        x = beta * (E - mu)
+        if x >= 0.0:
+            z = math.exp(-x)
+            return z / (1.0 + z)
+        return 1.0 / (1.0 + math.exp(x))
+
+    drho = fermi(thermo.beta_l, thermo.mu_l) - fermi(thermo.beta_r, thermo.mu_r)
+    dxi = thermo.beta_r * (E - thermo.mu_r) - thermo.beta_l * (E - thermo.mu_l)
+    if drho == 0.0:
+        dxi = math.copysign(1.0, dxi)
+    j_l = tau * drho
+    phi_l = j_l * E
+    sigma = tau * dxi * drho
+    if not (math.isfinite(phi_l) and math.isfinite(j_l) and math.isfinite(sigma)):
+        raise NumericalFailure(f"densities at E={E} are not finite: phi_l {phi_l}, j_l {j_l}, sigma {sigma}")
+    if sigma < 0.0:
+        if sigma < -1e-30:
+            raise DomainError(f"entropy density {sigma} is negative beyond rounding")
+        sigma = 0.0
+    return phi_l, j_l, sigma
+
+
+_GRID = np.linspace(-1.9, 1.9, 41).tolist()
+_BETA = st.floats(0.1, 1e3) | st.just(1e308)
+_MU = st.floats(-2, 2) | st.sampled_from([0.0, -0.0, -1e308])
+_NODE = st.tuples(
+    st.floats(-50, 50) | st.sampled_from([0.0, -0.0, 1.5, -1.5]),
+    st.floats(0, 1) | st.sampled_from([0.0, 5e-324, 1.0, -1.0, math.nan]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(nodes=st.lists(_NODE, min_size=1, max_size=40), beta_l=_BETA, beta_r=_BETA, mu_l=_MU, mu_r=_MU)
+# On this grid math.exp and numpy's exp round differently at some nodes.
+@example(nodes=[(E, 1.0) for E in _GRID], beta_l=1.0, beta_r=2.0, mu_l=0.5, mu_r=-0.5)
+# Equal occupations while xi_r - xi_l overflows; x = +-0.0; |x| > 745.
+@example(nodes=[(-1.5, 1.0), (1.5, 5e-324), (1.5, 0.0)], beta_l=1e308, beta_r=1e308, mu_l=0.5, mu_r=-0.5)
+@example(nodes=[(0.0, 1.0), (-0.0, 1.0), (-0.0, 0.0)], beta_l=1.0, beta_r=2.0, mu_l=0.0, mu_r=-0.0)
+@example(nodes=[(50.0, 1.0), (-50.0, 1.0), (1.0, 5e-324)], beta_l=1e3, beta_r=20.0, mu_l=0.0, mu_r=0.5)
+def test_density_kernel_is_the_scalar_formula_bit_for_bit(nodes, beta_l, beta_r, mu_l, mu_r):
+    # Each row is the scalar formula's densities to the bit, signed zeros
+    # included, or the fault it raised, with its message; without a faults
+    # dict the kernel raises the first fault in node order.
+    thermo = ThermoParams(beta_l, beta_r, mu_l, mu_r)
+    E, tau = (np.array(v) for v in zip(*nodes))
+    expected = []
+    for e, t in nodes:
+        try:
+            expected.append([v.hex() for v in _scalar_densities(e, t, thermo)])
+        except (DomainError, NumericalFailure) as exc:
+            expected.append((type(exc), str(exc)))
+    faults = {}
+    rows = spectral_densities(E, tau, thermo, faults).tolist()
+    got = [(type(faults[i]), str(faults[i])) if i in faults else [v.hex() for v in row] for i, row in enumerate(rows)]
+    assert got == expected
+    first = next((f for f in expected if isinstance(f, tuple)), None)
+    if first is None:
+        assert spectral_densities(E, tau, thermo).tolist() == rows
+    else:
+        with pytest.raises(first[0]) as info:
+            spectral_densities(E, tau, thermo)
+        assert str(info.value) == first[1]
+
+
+def test_density_kernel_broadcasts_energies_against_transmissions():
+    # One energy per row of a transmission table: the thermal factors are
+    # taken per energy, and the table is the 1-D kernel on the repeated
+    # energies bit for bit, faults under the same flat indices.
+    thermo = ThermoParams(1.0, 2.0, 0.5, -0.5)
+    E, tau = np.array([-1.0, 0.25, 1.5]), np.tile([0.0, 5e-324, 0.5, 1.0], (3, 1))
+    tau[1, 2], tau[2, 1] = -1.0, math.nan
+    faults, flat_faults = {}, {}
+    table = spectral_densities(E[:, None], tau, thermo, faults)
+    flat = spectral_densities(np.repeat(E, 4), tau.ravel(), thermo, flat_faults)
+    assert table.shape == (3, 4, 3) and table.tobytes() == flat.tobytes()
+    assert [(i, str(exc)) for i, exc in faults.items()] == [(i, str(exc)) for i, exc in flat_faults.items()]
+    assert list(faults) == [6, 9]
+    assert str(faults[9]) == "densities at E=1.5 are not finite: phi_l nan, j_l nan, sigma nan"
 
 
 def _product(E, L=1):
@@ -257,13 +341,16 @@ def test_flux_quadrature_memory_stays_small_at_long_length():
 
 def test_integrate_fluxes_runs_energy_only_work_once_per_chunk(monkeypatch):
     # A quadrature pass is cut into CHUNK slices of its nodes; each slice
-    # takes one boundary call per lead and one end_products sweep, and no
-    # product's spectral norm is computed: fluxes never reads one.
+    # takes one boundary call per lead, one end_products sweep and one
+    # spectral_densities call, and no product's spectral norm is computed:
+    # fluxes never reads one.
     left, right = SemiInfiniteLaplacian(1.0, 1.0), SemiInfiniteLaplacian(1.0, 0.8)
-    passes, sweeps, norms, boundary = [], [], [], {left: [], right: []}
+    passes, sweeps, norms, densities, boundary = [], [], [], [], {left: [], right: []}
     gk15, sweep, smax, weiss = (
         ebb.fluxes.adaptive_gk15, ebb.fluxes.end_products, ebb.transfer._smax, ebb.fluxes.weiss_boundary
     )
+    kernel = ebb.fluxes.spectral_densities
+    monkeypatch.setattr(ebb.fluxes, "spectral_densities", lambda E, *a: densities.append(len(E)) or kernel(E, *a))
     monkeypatch.setattr(ebb.fluxes, "adaptive_gk15", lambda f, *a: gk15(lambda E: passes.append(len(E)) or f(E), *a))
     monkeypatch.setattr(ebb.fluxes, "end_products", lambda pot, E: sweeps.append(len(E)) or sweep(pot, E))
     monkeypatch.setattr(ebb.transfer, "_smax", lambda *m: norms.append(m) or smax(*m))
@@ -272,5 +359,5 @@ def test_integrate_fluxes_runs_energy_only_work_once_per_chunk(monkeypatch):
     res = integrate_fluxes(sample, left, right, ThermoParams(1.0, 2.0, 0.5, -0.5), QuadratureParams(tolerance=1e-6))
     assert sum(passes) == res.evaluations and max(passes) > CHUNK
     chunks = [min(CHUNK, n - k) for n in passes for k in range(0, n, CHUNK)]
-    assert sweeps == boundary[left] == boundary[right] == chunks
+    assert sweeps == boundary[left] == boundary[right] == densities == chunks
     assert norms == []

@@ -211,6 +211,10 @@ def test_tabulated_band_support_zero_crossings():
 def test_energy_window_operations():
     win = EnergyWindow(((-2.0, -1.0), (0.0, 3.0)))
     assert win.contains(0.5) and not win.contains(-0.5)
+    # Open intervals, each energy of an array tested on its own.
+    E = [-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 3.0, math.nan]
+    assert win.contains(E).tolist() == [False, True, False, False, False, True, False, False]
+    assert EnergyWindow().contains(E).tolist() == [False] * len(E)
     shrunk = win.shrink(0.6)
     assert shrunk.intervals == ((0.6, 2.4),)
     assert EnergyWindow(()).is_empty

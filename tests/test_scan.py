@@ -91,6 +91,11 @@ def test_l_sweep_rejects_out_of_band_energy(lead11):
         l_sweep(FREE, 0.5, lead11, lead11, THERMO, [0, 10])
 
 
+def test_energies_outside_the_band_name_the_earlier_one(lead11):
+    with pytest.raises(DomainError, match=r"^E=2\.5 is outside the band intersection"):
+        equivalence_rows(FREE, [0.5, 2.5, 0.7, -3.0], CHECKPOINTS, lead11, lead11, THERMO)
+
+
 def test_checkpoint_past_the_sample_rejected_before_any_solve(lead11, monkeypatch):
     # A sample shorter than the last checkpoint fails the range check of the
     # transfer product, before any Green solve.
@@ -149,12 +154,13 @@ def test_l_sweep_routes_agree(lead11, spec):
     (len(CHECKPOINTS) + 3, None, "envelope"),
 ])
 def test_first_failure_in_grid_order_is_reported(lead11, monkeypatch, envelope_at, solve_at, reported):
-    # Sigma is checked against its envelope at each point as it is
-    # computed, so the failure reported is the first in grid order: an
-    # envelope violation at an earlier point outranks a failed solve at a
-    # later one, and the other way round. Points are counted in grid order.
+    # Sigma is checked against its envelope on the table the solves filled;
+    # once a solve fails, the points before it are checked first, so the
+    # failure reported is the first in grid order: an envelope violation at
+    # an earlier point outranks a failed solve at a later one, and the other
+    # way round. Points are counted in grid order.
     evaluate, densities = ebb.scan.evaluate_point, ebb.scan.spectral_densities
-    count = {"solve": -1, "densities": -1}
+    count = {"solve": -1}
 
     def solve(*args):
         count["solve"] += 1
@@ -162,10 +168,10 @@ def test_first_failure_in_grid_order_is_reported(lead11, monkeypatch, envelope_a
             raise NumericalFailure("solve failed")
         return evaluate(*args)
 
-    def above_envelope(E, tau, thermo, factors=None):
-        count["densities"] += 1
-        phi_l, j_l, sigma = densities(E, tau, thermo, factors)
-        return phi_l, j_l, 1e300 if count["densities"] == envelope_at else sigma
+    def above_envelope(*args):
+        out = densities(*args)
+        out.reshape(-1, 3)[envelope_at, 2] = 1e300
+        return out
 
     monkeypatch.setattr(ebb.scan, "evaluate_point", solve)
     monkeypatch.setattr(ebb.scan, "spectral_densities", above_envelope)
@@ -177,26 +183,61 @@ def test_first_failure_in_grid_order_is_reported(lead11, monkeypatch, envelope_a
         equivalence_rows(FREE, [-0.5, 0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
 
 
-def test_envelope_violation_ends_the_sweep_at_once(lead11, monkeypatch):
-    # Sigma is checked against its envelope as soon as it is computed: no
-    # solve runs after the point that violates it.
+def test_envelope_violation_fails_the_sweep_before_any_fit(lead11, monkeypatch):
+    # An envelope violation fails the whole sweep with its message: no fit
+    # runs on the table, and it outranks a failed solve at a later point.
     evaluate, densities = ebb.scan.evaluate_point, ebb.scan.spectral_densities
-    solves, points = [], []
+    solves = []
 
-    def counted(*args):
+    def solve(*args):
         solves.append(args)
+        if len(solves) == fail_at:
+            raise NumericalFailure("solve failed")
         return evaluate(*args)
 
-    def above_envelope(E, tau, thermo, factors=None):
-        points.append(E)
-        phi_l, j_l, sigma = densities(E, tau, thermo, factors)
-        return phi_l, j_l, 1e300 if len(points) == 15 else sigma
+    def above_envelope(*args):
+        out = densities(*args)
+        out.reshape(-1, 3)[14, 2] = 1e300
+        return out
 
-    monkeypatch.setattr(ebb.scan, "evaluate_point", counted)
+    def no_fit(*args):
+        raise AssertionError("a table that failed its envelope was fitted")
+
+    monkeypatch.setattr(ebb.scan, "evaluate_point", solve)
     monkeypatch.setattr(ebb.scan, "spectral_densities", above_envelope)
-    with pytest.raises(NumericalFailure, match=f"envelope at L={CHECKPOINTS[3]}$"):
+    monkeypatch.setattr(ebb.scan, "_fit", no_fit)
+    message = f"^entropy density 1e\\+300 exceeds its explicit envelope at L={CHECKPOINTS[3]}$"
+    for fail_at, n_solves in ((None, 3 * len(CHECKPOINTS)), (2 * len(CHECKPOINTS), 2 * len(CHECKPOINTS))):
+        solves.clear()
+        with pytest.raises(NumericalFailure, match=message):
+            equivalence_rows(FREE, [-0.5, 0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
+        assert len(solves) == n_solves
+
+
+@pytest.mark.parametrize("fault_at, reported", [(5, "density"), (20, "envelope")])
+def test_density_fault_and_envelope_violation_in_grid_order(lead11, monkeypatch, fault_at, reported):
+    # A density fault and an envelope violation in one table: the one at the
+    # earlier point in grid order is raised.
+    evaluate, densities = ebb.scan.evaluate_point, ebb.scan.spectral_densities
+    solves = []
+
+    def solve(*args):
+        solves.append(args)
+        return (math.nan, 0.0) if len(solves) == fault_at + 1 else evaluate(*args)
+
+    def above_envelope(*args):
+        out = densities(*args)
+        out.reshape(-1, 3)[14, 2] = 1e300
+        return out
+
+    monkeypatch.setattr(ebb.scan, "evaluate_point", solve)
+    monkeypatch.setattr(ebb.scan, "spectral_densities", above_envelope)
+    message = {
+        "density": "densities at E=-0.5 are not finite: phi_l nan, j_l nan, sigma nan",
+        "envelope": f"entropy density 1e+300 exceeds its explicit envelope at L={CHECKPOINTS[3]}",
+    }[reported]
+    with pytest.raises(NumericalFailure, match=f"^{re.escape(message)}$"):
         equivalence_rows(FREE, [-0.5, 0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
-    assert len(solves) == 15
 
 
 @pytest.mark.parametrize(
@@ -297,11 +338,13 @@ def test_energy_sweep_records_errors_per_point(lead11):
 
 def test_energy_sweep_runs_energy_only_work_once_per_chunk(monkeypatch):
     # The grid is cut into CHUNK slices; each takes one boundary call per
-    # lead and one end_products sweep, and no product's spectral norm is
-    # computed: sweep-e never reads one.
+    # lead, one end_products sweep and one spectral_densities call, and no
+    # product's spectral norm is computed: sweep-e never reads one.
     left, right = SemiInfiniteLaplacian(1.0, 1.0), SemiInfiniteLaplacian(1.0, 0.8)
-    sweeps, norms, boundary = [], [], {left: [], right: []}
+    sweeps, norms, densities, boundary = [], [], [], {left: [], right: []}
     sweep, smax, weiss = ebb.scan.end_products, ebb.transfer._smax, ebb.fluxes.weiss_boundary
+    kernel = ebb.scan.spectral_densities
+    monkeypatch.setattr(ebb.scan, "spectral_densities", lambda E, *a: densities.append(len(E)) or kernel(E, *a))
     monkeypatch.setattr(ebb.scan, "end_products", lambda pot, E: sweeps.append(len(E)) or sweep(pot, E))
     monkeypatch.setattr(ebb.transfer, "_smax", lambda *m: norms.append(m) or smax(*m))
     monkeypatch.setattr(ebb.fluxes, "weiss_boundary", lambda lead, E: boundary[lead].append(len(E)) or weiss(lead, E))
@@ -311,6 +354,7 @@ def test_energy_sweep_runs_energy_only_work_once_per_chunk(monkeypatch):
     assert sweeps == [CHUNK, 5]
     assert boundary == {left: [CHUNK, 5], right: [CHUNK, 5]}
     assert norms == []
+    assert densities == [CHUNK, 5]
 
 
 def test_energy_sweep_names_each_energy_outside_a_lead_table(lead11):
@@ -323,6 +367,23 @@ def test_energy_sweep_names_each_energy_outside_a_lead_table(lead11):
         "E=-1.5 outside table range [-1.0, 1.0]", None, None, "E=1.5 outside table range [-1.0, 1.0]"
     ]
     assert out[1:3] == energy_sweep(sample, table, lead11, THERMO, [-0.5, 0.5])
+
+
+@pytest.mark.parametrize("tau, message", [
+    (math.nan, "densities at E=0.5 are not finite: phi_l nan, j_l nan, sigma nan"),
+    (-1.0, "entropy density -0.7615941559557649 is negative beyond rounding"),
+])
+def test_energy_sweep_density_fault_fails_its_energy_alone(lead11, monkeypatch, tau, message):
+    # A density fault at one energy of a slice is recorded for that energy
+    # with the kernel's message; the other energies keep their values.
+    sample, grid = SampleSpec(generate(AndersonRandom(1.0, 4), 20)), [-0.5, 0.5, 1.0]
+    evaluate = ebb.scan.evaluate_point
+    monkeypatch.setattr(ebb.scan, "evaluate_point", lambda s, E, *a: (tau, 0.0) if E == 0.5 else evaluate(s, E, *a))
+    out = energy_sweep(sample, lead11, lead11, THERMO, grid)
+    assert [p.error for p in out] == [None, message, None]
+    assert all(math.isnan(v) for v in out[1][1:6])
+    monkeypatch.setattr(ebb.scan, "evaluate_point", evaluate)
+    assert out[0::2] == energy_sweep(sample, lead11, lead11, THERMO, grid[0::2])
 
 
 def test_equivalence_report_clean_split(lead11):
