@@ -138,7 +138,9 @@ def cmd_equivalence(run: RunConfig):
     }
     for label in ("persistent", "vanishing"):
         sigmas = [r.sigma_at_l_max for r in rows if r.label == label]
-        summary[f"mean_sigma_{label}"] = float(np.mean(sigmas)) if sigmas else math.nan
+        with np.errstate(over="ignore"):  # finite densities whose sum passes float range: sum x/n
+            mean = np.mean(sigmas) if sigmas else math.nan
+        summary[f"mean_sigma_{label}"] = float(np.sum(np.divide(sigmas, len(sigmas))) if np.isinf(mean) else mean)
     summary["l_max"] = cps[-1]
     max_residual = max((r.max_unitarity_residual for r in rows), default=0.0)
     return summary, rows, max_residual, None

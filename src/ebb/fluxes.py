@@ -68,17 +68,17 @@ def thermal_factors(E, thermo: ThermoParams) -> tuple:
     return drho, np.where(drho == 0.0, np.copysign(1.0, dxi), dxi)
 
 
-def spectral_densities(E, tau, thermo: ThermoParams, faults=None):
+def spectral_densities(E, tau, thermo: ThermoParams, faults=None, out=None):
     """Pointwise densities (phi_l, j_l, sigma) for the energies E and
     transmissions tau, float arrays that broadcast together, as the rows of
-    an array of their shape + (3,); the thermal factors are taken at E's own
-    shape. A row that is not finite fails with NumericalFailure, and one
-    whose sigma is negative beyond rounding with DomainError: the first in
-    node order raises, or, given a dict `faults`, each is stored there
-    under its flat row index and its densities read NaN."""
+    an array (`out`, if given) of their shape + (3,); the thermal factors
+    are taken at E's own shape. A row that is not finite fails with
+    NumericalFailure, and one whose sigma is negative beyond rounding with
+    DomainError: the first in node order raises, or, given a dict `faults`,
+    each is stored under its flat row index and its densities read NaN."""
     with np.errstate(over="ignore", invalid="ignore"):
         drho, dxi = thermal_factors(E, thermo)
-        out = np.empty(np.broadcast_shapes(np.shape(E), np.shape(tau)) + (3,))
+        out = np.empty(np.broadcast_shapes(np.shape(E), np.shape(tau)) + (3,)) if out is None else out
         j_l = np.multiply(tau, drho, out=out[..., 1])
         np.multiply(j_l, E, out=out[..., 0])
         np.multiply(np.multiply(tau, dxi, out=out[..., 2]), drho, out=out[..., 2])
@@ -100,8 +100,7 @@ def spectral_densities(E, tau, thermo: ThermoParams, faults=None):
 def self_energies(lead_l: LeadModel, lead_r: LeadModel, E):
     """The lead boundary values F_l(E+i0), F_r(E+i0) as self-energies at a
     float E, or an iterator of them over the float array E, from one
-    boundary call per lead. They depend on E only, so they are built once
-    per energy, and a batch of energies takes each lead's values at once."""
+    boundary call per lead."""
     F_l, F_r = weiss_boundary(lead_l, E), weiss_boundary(lead_r, E)
     return SelfEnergyPair(F_l, F_r) if np.ndim(E) == 0 else map(SelfEnergyPair, F_l, F_r)
 
@@ -119,6 +118,55 @@ def evaluate_point(sample: SampleSpec, E, L: int, se: SelfEnergyPair, T: tuple) 
     return transmission(t), unitarity_residual(t)
 
 
+def node_table(sample, lead_l, lead_r, thermo, energies, Ls: list, products, faults=None) -> tuple:
+    """Transmission, unitarity residual and densities (see
+    `spectral_densities`, as rows of 3) at each node (E, L) of the float
+    array energies by the lengths Ls, as len(energies) x len(Ls) arrays;
+    products(chunk) yields each node's transfer product, in node order.
+    CHUNK energies at a time: each lead's boundary values from one call
+    (per energy where a lead table rejects one, so only those fail), one
+    `evaluate_point` per node, energy by energy, and one densities call,
+    each sigma checked against its explicit envelope. Given a dict
+    `faults`, each failing node's error (a solve, a density fault or an
+    envelope violation) is stored there under its flat index and its values
+    read NaN; given none, the solves stop at the first that fails, and the
+    first failure in node order is raised."""
+    n_L, found = len(Ls), {} if faults is None else faults
+    tau, residual = np.full((2, len(energies) * n_L), math.nan)
+    densities = np.empty((len(energies), n_L, 3))
+    bmax, bmin = max(thermo.beta_l, thermo.beta_r), min(thermo.beta_l, thermo.beta_r)
+    for k in range(0, len(energies), CHUNK):
+        chunk, first = energies[k: k + CHUNK], k * n_L
+        try:
+            ses = self_energies(lead_l, lead_r, chunk)
+        except DomainError:
+            ses = [None] * len(chunk)
+        nodes = ((E, se, L) for E, se in zip(chunk.tolist(), ses) for L in Ls)
+        for i, (T, (E, se, L)) in enumerate(zip(products(chunk), nodes), first):
+            try:
+                tau[i], residual[i] = evaluate_point(sample, E, L, se or self_energies(lead_l, lead_r, E), T)
+            except (DomainError, NumericalFailure) as exc:
+                found[i] = exc
+                if faults is None:
+                    break
+        # The chunk's density faults and envelope violations; a failed solve
+        # left its node's values NaN, and its own fault outranks theirs.
+        t, failed = tau[first: first + len(chunk) * n_L].reshape(-1, n_L), {}
+        out = spectral_densities(chunk[:, None], t, thermo, failed, densities[k: k + CHUNK])
+        with np.errstate(over="ignore", invalid="ignore"):
+            envelope = 4.0 * t * bmax * (np.abs(chunk) + abs(thermo.mu_l) + abs(thermo.mu_r) + 2.0 / bmin)[:, None]
+        sigma = out[..., 2]
+        for i in np.flatnonzero(sigma > envelope).tolist():
+            failed[i] = NumericalFailure(f"entropy density {sigma.flat[i]} exceeds its explicit envelope at L={Ls[i % n_L]}")
+        for i, exc in failed.items():
+            found.setdefault(first + i, exc)
+            tau[first + i] = residual[first + i] = math.nan
+            out.reshape(-1, 3)[i] = math.nan
+        if faults is None and found:
+            raise found[min(found)]
+    return tau.reshape(-1, n_L), residual.reshape(-1, n_L), densities
+
+
 def integration_window(lead_l: LeadModel, lead_r: LeadModel, edge_margin: float) -> leads_mod.EnergyWindow:
     """Open-channel window minus the band-edge margins."""
     return sigma_intersection(lead_l, lead_r).shrink(edge_margin)
@@ -131,36 +179,20 @@ def integrate_fluxes(
     thermo: ThermoParams,
     quadrature: QuadratureParams = QuadratureParams(),
 ) -> FluxResult:
-    """Adaptive quadrature of the densities over the open-channel window.
-
-    Each pass's nodes are taken CHUNK at a time: a chunk gets each lead's
-    boundary values from one call and its transfer products T_L from one
-    energy-batched sweep (`transfer.end_products`); each node then runs
-    `evaluate_point` on its own product, with every check of that chain, and
-    the chunk's densities come from one `spectral_densities` call.
-    """
+    """Adaptive quadrature of the densities over the open-channel window:
+    one `node_table` per pass, on its nodes, with each chunk's transfer
+    products from one energy-batched sweep (`transfer.end_products`)."""
     window = integration_window(lead_l, lead_r, quadrature.edge_margin)
     if window.is_empty:
         return FluxResult(0.0, 0.0, 0.0, 0.0, 0, True, True, 0.0, 0, 0)
 
-    L = sample.length
-    max_residual = [0.0]
-
-    def slice_densities(chunk):
-        # The chain per node, then the densities of the whole slice; nothing
-        # built for the slice outlives this call.
-        tau, residual = np.empty(len(chunk)), np.empty(len(chunk))
-        nodes = zip(chunk.tolist(), self_energies(lead_l, lead_r, chunk), end_products(sample.potential, chunk))
-        for i, (E, se, T) in enumerate(nodes):
-            tau[i], residual[i] = evaluate_point(sample, E, L, se, T)
-        max_residual[0] = max([max_residual[0], *residual.tolist()])
-        return spectral_densities(chunk, tau, thermo)
+    L, max_residual = sample.length, [0.0]
 
     def integrand(energies):
-        out = np.empty((len(energies), 3))
-        for k in range(0, len(energies), CHUNK):
-            out[k: k + CHUNK] = slice_densities(energies[k: k + CHUNK])
-        return out
+        _, residual, densities = node_table(
+            sample, lead_l, lead_r, thermo, energies, [L], lambda chunk: end_products(sample.potential, chunk))
+        max_residual[0] = max(max_residual[0], residual.max().item())
+        return densities.reshape(-1, 3)
 
     # Panels of width at most pi/(L+1), so the base rule sees each of the ~L
     # transmission resonances across the band before any subdivision.

@@ -7,26 +7,25 @@ classifier below labels each energy from finite-L evidence only, and every
 report carries the L_max actually used. No claim is made about the true
 infinite-L behavior.
 
-Both L-sweep commands take one route: the per-point chain fills one
-energies x checkpoints float table, one densities call gives all its sigmas,
-each checked against its explicit envelope, and the fits and labels then run
-as array operations, row by row, on the whole table; `l_sweep` is its
-one-energy case.
+Both L-sweep commands take one route: `fluxes.node_table` fills one
+energies x checkpoints table, and the fits and labels then run as array
+operations, row by row, on the whole table; `l_sweep` is its one-energy case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import count
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import DomainError, NumericalFailure
-from .fluxes import evaluate_point, self_energies, spectral_densities
+from .errors import DomainError
+from .fluxes import node_table
 from .leads import LeadModel, sigma_intersection
 from .model import SampleSpec, ThermoParams, check_length
-from .transfer import CHUNK, checkpoint_products, end_products, norm_and_resonance
+from .transfer import checkpoint_products, end_products, norm_and_resonance
 
 # Below this the density has decayed hundreds of decades: its logarithm is
 # no longer fit-worthy and the point is decisive evidence of vanishing.
@@ -105,38 +104,29 @@ def check_checkpoints(checkpoints: Sequence[int]) -> list:
 
 def _sweep_table(sample: SampleSpec, grid, lead_l, lead_r, thermo: ThermoParams, checkpoints):
     """The checked checkpoints cps, and the L-sweeps at the grid energies
-    (see `l_sweep`) as one len(grid) x len(cps) x 5 float table of the
-    `LSweepPoint` fields after L, in field order. Per energy, one transfer
-    pass gives T_L at every checkpoint, and each checkpoint's Green block is
-    read from its T_L in closed form, so no site is solved; the
-    self-energies come from one boundary call per lead, and the sigmas from
-    one `spectral_densities` call, each checked against a crude explicit
-    envelope. The first failure in grid order is raised."""
+    (see `l_sweep`) as the `LSweepPoint` fields after L, in field order, each
+    a len(grid) x len(cps) float array, from one `fluxes.node_table`. Each
+    energy's one transfer pass gives T_L at every checkpoint, whose norm is
+    read as the kernel takes it. The first failure in grid order is raised."""
     cps = check_checkpoints(checkpoints)
     energies = np.asarray(grid, dtype=float)
     outside = ~sigma_intersection(lead_l, lead_r).contains(energies)
     if outside.any():
         raise DomainError(f"E={grid[outside.argmax()]} is outside the band intersection; sigma vanishes trivially")
-    pot = sample.potential[: cps[-1] + 1]
-    table, solved = np.zeros((len(grid), len(cps), 5)), 0
-    try:
-        for row, E, se in zip(table, grid, self_energies(lead_l, lead_r, energies)):
-            for point, (L, T) in zip(row, checkpoint_products(pot, E, cps)):
-                tau, residual = evaluate_point(sample, E, L, se, T)
-                point[1:] = tau, *norm_and_resonance(T), residual
-                solved += 1
-    finally:
-        # The first failure among the points solved, in grid order, is raised;
-        # the points not solved read tau = 0.
-        (sigma, tau), faults = np.moveaxis(table[..., :2], -1, 0), {}
-        sigma[:] = spectral_densities(energies[:, None], tau, thermo, faults)[..., 2]
-        bmax, bmin = max(thermo.beta_l, thermo.beta_r), min(thermo.beta_l, thermo.beta_r)
-        energy_term = np.abs(energies) + abs(thermo.mu_l) + abs(thermo.mu_r) + 2.0 / bmin
-        for i in np.flatnonzero(sigma > 4.0 * tau * bmax * energy_term[:, None])[:1].tolist():
-            faults[i] = NumericalFailure(f"entropy density {sigma.flat[i]} exceeds its explicit envelope at L={cps[i % len(cps)]}")
-        if min(faults, default=solved) < solved:
-            raise faults[min(faults)]
-    return cps, table
+    pot, index = sample.potential[: cps[-1] + 1], count()
+    log_norm, flag = np.empty((2, len(grid) * len(cps)))
+
+    def products(chunk):
+        # Each energy's one transfer pass; each product's norm and flag are
+        # written under its flat node index as the kernel takes it.
+        for E in chunk.tolist():
+            for (_, T), j in zip(checkpoint_products(pot, E, cps), index):
+                log_norm[j], flag[j] = norm_and_resonance(T)
+                yield T
+
+    tau, residual, densities = node_table(sample, lead_l, lead_r, thermo, energies, cps, products)
+    # sigma alone is kept: a copy, so the other densities are freed.
+    return cps, (densities[..., 2].copy(), tau, log_norm.reshape(tau.shape), flag.reshape(tau.shape), residual)
 
 
 def l_sweep(
@@ -147,18 +137,13 @@ def l_sweep(
     thermo: ThermoParams,
     checkpoints: Sequence[int],
 ) -> list:
-    """Entropy density, transmission, and transfer norm at each checkpoint.
-
-    The sample at checkpoint L is sites 0..L of the sample (prefix
-    stability); a checkpoint past sample.length raises ValueError before
-    any solve. The transfer norms come from a single scaled product pass
-    over sites 0..checkpoints[-1]; the Green-function pipeline runs once
-    per checkpoint on the block read from that checkpoint's product, with
-    the self-energies of E built once.
-    This is the one-energy row of the `equivalence_rows` table.
-    """
-    cps, table = _sweep_table(sample, (E,), lead_l, lead_r, thermo, checkpoints)
-    return [LSweepPoint(L, s, t, n, bool(f), r) for L, (s, t, n, f, r) in zip(cps, table[0].tolist())]
+    """Entropy density, transmission, and transfer norm at each checkpoint
+    L, on sites 0..L of the sample, from one transfer pass over sites
+    0..checkpoints[-1]; a checkpoint past sample.length raises ValueError
+    before any solve. This is the one-energy row of the `equivalence_rows`
+    table, and fails as it does (see `_sweep_table`)."""
+    cps, columns = _sweep_table(sample, (E,), lead_l, lead_r, thermo, checkpoints)
+    return [LSweepPoint(L, s, t, n, bool(f), r) for L, s, t, n, f, r in zip(cps, *(c[0].tolist() for c in columns))]
 
 
 def _fit(xs, ys, alive=True):
@@ -244,37 +229,15 @@ def energy_sweep(
     thermo: ThermoParams,
     grid: Sequence[float],
 ) -> list:
-    """Full pipeline at each grid energy, CHUNK energies at a time: a chunk
-    gets each lead's boundary values from one call and the transfer products
-    of all the sample's sites from one energy-batched sweep
-    (`transfer.end_products`); failures are recorded per point."""
-
-    def slice_points(Es):
-        # Nothing built for the slice outlives this call.
-        chunk = np.asarray(Es, dtype=float)
-        try:
-            ses = self_energies(lead_l, lead_r, chunk)
-        except DomainError:
-            # An energy outside a lead's table: each energy's own call
-            # below names the ones that fail.
-            ses = [None] * len(chunk)
-        tau, residual, errors = np.empty(len(chunk)), np.empty(len(chunk)), {}
-        for i, (E, se, T) in enumerate(zip(Es, ses, end_products(sample.potential, chunk))):
-            try:
-                se = se or self_energies(lead_l, lead_r, E)
-                tau[i], residual[i] = evaluate_point(sample, E, sample.length, se, T)
-            except (DomainError, NumericalFailure) as exc:
-                errors[i] = str(exc)
-        # The densities of the energies that solved; a fault fails its energy alone.
-        solved, faults = [i for i in range(len(chunk)) if i not in errors], {}
-        values = np.full((len(chunk), 5), math.nan)
-        densities = spectral_densities(chunk[solved], tau[solved], thermo, faults)
-        values[solved] = np.column_stack((tau[solved], densities, residual[solved]))
-        for i, exc in faults.items():
-            values[solved[i]], errors[solved[i]] = math.nan, str(exc)
-        return list(map(EnergyPoint, Es, *values.T.tolist(), map(errors.get, range(len(Es)))))
-
-    return [p for k in range(0, len(grid), CHUNK) for p in slice_points(grid[k: k + CHUNK])]
+    """Full pipeline at each grid energy: one `fluxes.node_table` at
+    L = sample.length, with each chunk's products from one `end_products`
+    sweep. A failure fails its energy alone, which records it and reads NaN."""
+    faults = {}
+    tau, residual, densities = node_table(sample, lead_l, lead_r, thermo, np.asarray(grid, dtype=float),
+                                          [sample.length], lambda chunk: end_products(sample.potential, chunk), faults)
+    columns = tau[:, 0], *densities[:, 0].T, residual[:, 0]
+    errors = (str(faults[i]) if i in faults else None for i in range(len(grid)))
+    return list(map(EnergyPoint, grid, *(c.tolist() for c in columns), errors))
 
 
 def equivalence_rows(
@@ -289,8 +252,7 @@ def equivalence_rows(
     """Classification rows for each grid energy, on sites 0..L of the sample
     at each checkpoint L (see `l_sweep`), from one sweep table classified at
     once. The checkpoints and energies are checked once, before any solve."""
-    cps, table = _sweep_table(sample, grid, lead_l, lead_r, thermo, checkpoints)
-    sigmas, _, norms, _, residuals = np.moveaxis(table, -1, 0)
+    cps, (sigmas, _, norms, _, residuals) = _sweep_table(sample, grid, lead_l, lead_r, thermo, checkpoints)
     classes = _classify_table(cps, sigmas, norms, thresholds)
     label, norm_slope, _, sigma_slope, _, _, contradiction = classes
     columns = label, norm_slope, sigma_slope, sigmas[:, -1], contradiction, residuals.max(axis=1)

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NumericalFailure
-from .fluxes import evaluate_point, integrate_fluxes, self_energies, spectral_densities
+from .fluxes import evaluate_point, integrate_fluxes, node_table, self_energies
 from .green import SelfEnergyPair, coupled_green_direct
 from .leads import SemiInfiniteLaplacian
 from .model import SampleSpec, ThermoParams
@@ -134,18 +134,18 @@ def _rel_diff(A: tuple, B: tuple) -> float:
 
 
 def check_unitarity(n_energies: int = 100, lengths=(10, 200)) -> CheckResult:
-    """Unitarity residual of `evaluate_point` on an energy grid across the
-    band, for each potential and length, with the Green block read from
-    `end_products`, as `integrate_fluxes` and `energy_sweep` read it
-    (bound 1e-10)."""
+    """Unitarity residual of the production kernel, `fluxes.node_table`,
+    on an energy grid across the band, for each potential and length, with
+    the Green block read from `end_products`, as `integrate_fluxes` and
+    `energy_sweep` read it (bound 1e-10)."""
     grid = np.linspace(-2 + 1e-6, 2 - 1e-6, n_energies)
     worst = 0.0
     for spec in POTENTIALS:
         sample = SampleSpec(generate(spec, max(lengths)))
         for L in lengths:
-            for E, T in zip(grid, end_products(sample.potential[: L + 1], grid)):
-                se = self_energies(LEAD, LEAD, E)
-                worst = max(worst, evaluate_point(sample, E, L, se, T)[1])
+            pot = sample.potential[: L + 1]
+            _, residual, _ = node_table(sample, LEAD, LEAD, NONEQ, grid, [L], lambda chunk: end_products(pot, chunk))
+            worst = max(worst, residual.max().item())
     return CheckResult("unitarity", worst < 1e-10, f"max residual {worst:.3e} (< 1e-10)", worst)
 
 
@@ -258,11 +258,10 @@ def check_density_identities(L: int = 40, n_energies: int = 100, thermos=(NONEQ,
     estimate >= 0."""
     sample = SampleSpec(generate(AndersonRandom(1.0, 42), L))
     grid = np.linspace(-1.9, 1.9, n_energies)
-    taus = [evaluate_point(sample, E, L, self_energies(LEAD, LEAD, E), T)[0]
-            for E, T in zip(grid, end_products(sample.potential, grid))]
     gap, min_sigma, min_margin = 0.0, math.inf, math.inf
     for th in thermos:
-        phi_l, j_l, sigma = spectral_densities(grid, taus, th).T
+        densities = node_table(sample, LEAD, LEAD, th, grid, [L], lambda chunk: end_products(sample.potential, chunk))[2]
+        phi_l, j_l, sigma = densities[:, 0].T
         phi_r, j_r = -phi_l, -j_l
         recon = -th.beta_l * (phi_l - th.mu_l * j_l) - th.beta_r * (phi_r - th.mu_r * j_r)
         gap = max(gap, np.abs(recon - sigma).max().item())

@@ -5,10 +5,11 @@ The benchmark's traced run counts calls at these bindings and requires
 checkpoints x energies. These tests pin that contract on small inputs, with
 a counting wrapper on each binding that a caller looks up. Within it, an
 L-sweep energy reads each checkpoint's Green block from its transfer
-product, so one transfer pass walks sites 0..L_max once. The densities are
-no part of the per-energy chain: one `spectral_densities` call covers a
-CHUNK slice of energies in `fluxes` and `sweep-e`, and a whole table in the
-L-sweeps.
+product, so one transfer pass walks sites 0..L_max once. Every command
+runs the chain through one kernel, `fluxes.node_table`, so the stages are
+counted at their `ebb.fluxes` bindings. The densities are no part of the
+per-energy chain: one `spectral_densities` call covers a CHUNK of energies,
+which in these L-sweeps is the whole table.
 """
 
 import numpy as np
@@ -31,11 +32,9 @@ def calls(monkeypatch):
     counts = {}
     for module, name in (
         (ebb.fluxes, "evaluate_point"),
-        (ebb.scan, "evaluate_point"),
         (ebb.fluxes, "coupled_green_direct"),
         (ebb.scan, "checkpoint_products"),
         (ebb.fluxes, "spectral_densities"),
-        (ebb.scan, "spectral_densities"),
     ):
         key = f"{module.__name__.split('.')[-1]}.{name}"
         counts[key] = 0
@@ -62,7 +61,7 @@ def test_energy_sweep_calls_evaluate_point_once_per_energy(calls, lead11):
     grid = np.linspace(-1.9, 1.9, 23)
     pot = generate(AndersonRandom(1.0, 4), 40)
     energy_sweep(SampleSpec(pot), lead11, lead11, THERMO, grid)
-    assert calls["scan.evaluate_point"] == len(grid)
+    assert calls["fluxes.evaluate_point"] == len(grid)
     assert calls["fluxes.coupled_green_direct"] == len(grid)
 
 
@@ -71,7 +70,7 @@ def test_equivalence_rows_call_counts(calls, lead11):
     pot = generate(Periodic((1.0, 0.0)), CHECKPOINTS[-1])
     equivalence_rows(SampleSpec(pot), grid, CHECKPOINTS, lead11, lead11, THERMO)
     assert calls["scan.checkpoint_products"] == len(grid)
-    assert calls["scan.evaluate_point"] == len(CHECKPOINTS) * len(grid)
+    assert calls["fluxes.evaluate_point"] == len(CHECKPOINTS) * len(grid)
     assert calls["fluxes.coupled_green_direct"] == len(CHECKPOINTS) * len(grid)
 
 
@@ -79,7 +78,7 @@ def test_l_sweep_call_counts(calls, lead11):
     pot = generate(AndersonRandom(1.0, 3), CHECKPOINTS[-1])
     l_sweep(SampleSpec(pot), 0.3, lead11, lead11, THERMO, CHECKPOINTS)
     assert calls["scan.checkpoint_products"] == 1
-    assert calls["scan.evaluate_point"] == len(CHECKPOINTS)
+    assert calls["fluxes.evaluate_point"] == len(CHECKPOINTS)
     assert calls["fluxes.coupled_green_direct"] == len(CHECKPOINTS)
 
 
@@ -115,8 +114,8 @@ def test_integrate_fluxes_computes_densities_once_per_pass(calls, lead11, monkey
 def test_energy_sweep_computes_densities_once_per_chunk(calls, lead11):
     pot = generate(AndersonRandom(1.0, 4), 10)
     energy_sweep(SampleSpec(pot), lead11, lead11, THERMO, np.linspace(-1.9, 1.9, 2 * CHUNK + 3))
-    assert calls["scan.spectral_densities"] == 3
-    assert calls["scan.evaluate_point"] == 2 * CHUNK + 3
+    assert calls["fluxes.spectral_densities"] == 3
+    assert calls["fluxes.evaluate_point"] == 2 * CHUNK + 3
 
 
 @pytest.mark.parametrize("n_energies", [1, 7])
@@ -124,7 +123,7 @@ def test_l_sweeps_compute_densities_once_per_table(calls, lead11, n_energies):
     grid = np.linspace(-1.9, 1.9, n_energies)
     sample = SampleSpec(generate(Periodic((1.0, 0.0)), CHECKPOINTS[-1]))
     equivalence_rows(sample, grid, CHECKPOINTS, lead11, lead11, THERMO)
-    assert calls["scan.spectral_densities"] == 1
+    assert calls["fluxes.spectral_densities"] == 1
     l_sweep(sample, 0.3, lead11, lead11, THERMO, CHECKPOINTS)
-    assert calls["scan.spectral_densities"] == 2
-    assert calls["scan.evaluate_point"] == len(CHECKPOINTS) * (n_energies + 1)
+    assert calls["fluxes.spectral_densities"] == 2
+    assert calls["fluxes.evaluate_point"] == len(CHECKPOINTS) * (n_energies + 1)

@@ -238,6 +238,27 @@ def test_extreme_reservoirs_end_quickly_and_visibly(tmp_path, capsys, case):
     assert err == f"numerical failure: {payload['failure']}\n"
     assert payload["manifest"]["command"] == "fluxes"
     assert sorted(p.name for p in out.iterdir()) == ["fluxes.json"]
+    # The L-sweeps at E = 0.3 (and -0.2) on zeros(2000): the envelope check
+    # and the equivalence mean stay quiet where sigma nears float range,
+    # and a density that is not finite fails the command, naming its energy.
+    cfg = write_config(
+        tmp_path, name="sweep.json", sample={"length": 2000, "potential": {"type": "zero"}},
+        thermo=thermo, extra={"sweep": {"energy": 0.3, "e_grid": [0.3, -0.2]}},
+    )
+    for command in ("sweep-l", "equivalence"):
+        rc, out = run_cli(tmp_path / command, command, cfg)
+        err = capsys.readouterr().err
+        assert "Warning" not in err
+        payload = strict_json(out / f"{command.replace('-', '_')}.json")
+        if case == "beta":
+            assert (rc, err) == (0, "")
+            if command == "equivalence":
+                assert payload["counts"] == {"persistent": 2}
+                assert 1e307 < payload["mean_sigma_persistent"] < math.inf
+        else:
+            assert rc == 1
+            assert payload["failure"].startswith("densities at E=0.3 are not finite")
+            assert err == f"numerical failure: {payload['failure']}\n"
 
 
 def test_sweep_e_command_deterministic_csv(tmp_path):
@@ -450,6 +471,7 @@ def test_ill_conditioned_energy_fails_alone(tmp_path):
     assert payload["failed_reasons"] == ["coupled system ill-conditioned (condition estimate 1.00e+14)"]
     rows = list(csv.DictReader((out / "sweep_e.csv").read_text().splitlines()))
     assert [float(row["E"]) for row in rows] == [-1.0, 0.3]
+    assert [rows[0][k] for k in ("transmission", "phi_l", "j_l", "sigma", "unitarity_residual")] == ["nan"] * 5
     F = weiss_boundary(parse_config(cfg).lead_l, 0.3)
     with mpmath.workdps(80):
         diag = [mpmath.mpc(-0.3)] * 11

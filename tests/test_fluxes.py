@@ -361,3 +361,38 @@ def test_integrate_fluxes_runs_energy_only_work_once_per_chunk(monkeypatch):
     chunks = [min(CHUNK, n - k) for n in passes for k in range(0, n, CHUNK)]
     assert sweeps == boundary[left] == boundary[right] == densities == chunks
     assert norms == []
+
+
+def test_integrate_fluxes_raises_the_first_failure_in_node_order(monkeypatch):
+    # The 4th node's densities are not finite and the 11th node's solve
+    # fails: the solves stop there, and the density fault at the earlier
+    # node is the one raised.
+    evaluate, nodes = ebb.fluxes.evaluate_point, []
+
+    def solve(*args):
+        nodes.append(args)
+        if len(nodes) == 4:
+            return math.nan, 0.0
+        if len(nodes) == 11:
+            raise NumericalFailure("solve failed")
+        return evaluate(*args)
+
+    monkeypatch.setattr(ebb.fluxes, "evaluate_point", solve)
+    with pytest.raises(NumericalFailure, match=r"^densities at E=\S+ are not finite: phi_l nan, j_l nan, sigma nan$"):
+        integrate_fluxes(SampleSpec(np.zeros(11)), LEAD, LEAD, ThermoParams(1.0, 2.0, 0.5, -0.5))
+    assert len(nodes) == 11
+
+
+def test_integrate_fluxes_checks_the_entropy_envelope(monkeypatch):
+    # The quadrature's densities are checked against sigma's explicit
+    # envelope, as the L-sweeps' are: a violation fails the run.
+    densities = ebb.fluxes.spectral_densities
+
+    def above_envelope(*args):
+        out = densities(*args)
+        out.reshape(-1, 3)[7, 2] = 1e300
+        return out
+
+    monkeypatch.setattr(ebb.fluxes, "spectral_densities", above_envelope)
+    with pytest.raises(NumericalFailure, match=r"^entropy density 1e\+300 exceeds its explicit envelope at L=10$"):
+        integrate_fluxes(SampleSpec(np.zeros(11)), LEAD, LEAD, ThermoParams(1.0, 2.0, 0.5, -0.5))

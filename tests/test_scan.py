@@ -159,7 +159,7 @@ def test_first_failure_in_grid_order_is_reported(lead11, monkeypatch, envelope_a
     # failure reported is the first in grid order: an envelope violation at
     # an earlier point outranks a failed solve at a later one, and the other
     # way round. Points are counted in grid order.
-    evaluate, densities = ebb.scan.evaluate_point, ebb.scan.spectral_densities
+    evaluate, densities = ebb.fluxes.evaluate_point, ebb.fluxes.spectral_densities
     count = {"solve": -1}
 
     def solve(*args):
@@ -173,8 +173,8 @@ def test_first_failure_in_grid_order_is_reported(lead11, monkeypatch, envelope_a
         out.reshape(-1, 3)[envelope_at, 2] = 1e300
         return out
 
-    monkeypatch.setattr(ebb.scan, "evaluate_point", solve)
-    monkeypatch.setattr(ebb.scan, "spectral_densities", above_envelope)
+    monkeypatch.setattr(ebb.fluxes, "evaluate_point", solve)
+    monkeypatch.setattr(ebb.fluxes, "spectral_densities", above_envelope)
     message = {
         "envelope": f"entropy density 1e+300 exceeds its explicit envelope at L={CHECKPOINTS[3]}",
         "solve": "solve failed",
@@ -186,7 +186,7 @@ def test_first_failure_in_grid_order_is_reported(lead11, monkeypatch, envelope_a
 def test_envelope_violation_fails_the_sweep_before_any_fit(lead11, monkeypatch):
     # An envelope violation fails the whole sweep with its message: no fit
     # runs on the table, and it outranks a failed solve at a later point.
-    evaluate, densities = ebb.scan.evaluate_point, ebb.scan.spectral_densities
+    evaluate, densities = ebb.fluxes.evaluate_point, ebb.fluxes.spectral_densities
     solves = []
 
     def solve(*args):
@@ -203,8 +203,8 @@ def test_envelope_violation_fails_the_sweep_before_any_fit(lead11, monkeypatch):
     def no_fit(*args):
         raise AssertionError("a table that failed its envelope was fitted")
 
-    monkeypatch.setattr(ebb.scan, "evaluate_point", solve)
-    monkeypatch.setattr(ebb.scan, "spectral_densities", above_envelope)
+    monkeypatch.setattr(ebb.fluxes, "evaluate_point", solve)
+    monkeypatch.setattr(ebb.fluxes, "spectral_densities", above_envelope)
     monkeypatch.setattr(ebb.scan, "_fit", no_fit)
     message = f"^entropy density 1e\\+300 exceeds its explicit envelope at L={CHECKPOINTS[3]}$"
     for fail_at, n_solves in ((None, 3 * len(CHECKPOINTS)), (2 * len(CHECKPOINTS), 2 * len(CHECKPOINTS))):
@@ -218,7 +218,7 @@ def test_envelope_violation_fails_the_sweep_before_any_fit(lead11, monkeypatch):
 def test_density_fault_and_envelope_violation_in_grid_order(lead11, monkeypatch, fault_at, reported):
     # A density fault and an envelope violation in one table: the one at the
     # earlier point in grid order is raised.
-    evaluate, densities = ebb.scan.evaluate_point, ebb.scan.spectral_densities
+    evaluate, densities = ebb.fluxes.evaluate_point, ebb.fluxes.spectral_densities
     solves = []
 
     def solve(*args):
@@ -230,8 +230,8 @@ def test_density_fault_and_envelope_violation_in_grid_order(lead11, monkeypatch,
         out.reshape(-1, 3)[14, 2] = 1e300
         return out
 
-    monkeypatch.setattr(ebb.scan, "evaluate_point", solve)
-    monkeypatch.setattr(ebb.scan, "spectral_densities", above_envelope)
+    monkeypatch.setattr(ebb.fluxes, "evaluate_point", solve)
+    monkeypatch.setattr(ebb.fluxes, "spectral_densities", above_envelope)
     message = {
         "density": "densities at E=-0.5 are not finite: phi_l nan, j_l nan, sigma nan",
         "envelope": f"entropy density 1e+300 exceeds its explicit envelope at L={CHECKPOINTS[3]}",
@@ -343,8 +343,8 @@ def test_energy_sweep_runs_energy_only_work_once_per_chunk(monkeypatch):
     left, right = SemiInfiniteLaplacian(1.0, 1.0), SemiInfiniteLaplacian(1.0, 0.8)
     sweeps, norms, densities, boundary = [], [], [], {left: [], right: []}
     sweep, smax, weiss = ebb.scan.end_products, ebb.transfer._smax, ebb.fluxes.weiss_boundary
-    kernel = ebb.scan.spectral_densities
-    monkeypatch.setattr(ebb.scan, "spectral_densities", lambda E, *a: densities.append(len(E)) or kernel(E, *a))
+    kernel = ebb.fluxes.spectral_densities
+    monkeypatch.setattr(ebb.fluxes, "spectral_densities", lambda E, *a: densities.append(len(E)) or kernel(E, *a))
     monkeypatch.setattr(ebb.scan, "end_products", lambda pot, E: sweeps.append(len(E)) or sweep(pot, E))
     monkeypatch.setattr(ebb.transfer, "_smax", lambda *m: norms.append(m) or smax(*m))
     monkeypatch.setattr(ebb.fluxes, "weiss_boundary", lambda lead, E: boundary[lead].append(len(E)) or weiss(lead, E))
@@ -377,12 +377,31 @@ def test_energy_sweep_density_fault_fails_its_energy_alone(lead11, monkeypatch, 
     # A density fault at one energy of a slice is recorded for that energy
     # with the kernel's message; the other energies keep their values.
     sample, grid = SampleSpec(generate(AndersonRandom(1.0, 4), 20)), [-0.5, 0.5, 1.0]
-    evaluate = ebb.scan.evaluate_point
-    monkeypatch.setattr(ebb.scan, "evaluate_point", lambda s, E, *a: (tau, 0.0) if E == 0.5 else evaluate(s, E, *a))
+    evaluate = ebb.fluxes.evaluate_point
+    monkeypatch.setattr(ebb.fluxes, "evaluate_point", lambda s, E, *a: (tau, 0.0) if E == 0.5 else evaluate(s, E, *a))
     out = energy_sweep(sample, lead11, lead11, THERMO, grid)
     assert [p.error for p in out] == [None, message, None]
     assert all(math.isnan(v) for v in out[1][1:6])
-    monkeypatch.setattr(ebb.scan, "evaluate_point", evaluate)
+    monkeypatch.setattr(ebb.fluxes, "evaluate_point", evaluate)
+    assert out[0::2] == energy_sweep(sample, lead11, lead11, THERMO, grid[0::2])
+
+
+def test_energy_sweep_envelope_violation_fails_its_energy_alone(lead11, monkeypatch):
+    # sweep-e checks sigma against its explicit envelope as the L-sweeps do,
+    # and a violation fails its energy alone: that point reads NaN.
+    sample, grid = SampleSpec(generate(AndersonRandom(1.0, 4), 20)), [-0.5, 0.5, 1.0]
+    densities = ebb.fluxes.spectral_densities
+
+    def above_envelope(*args):
+        out = densities(*args)
+        out.reshape(-1, 3)[1, 2] = 1e300
+        return out
+
+    monkeypatch.setattr(ebb.fluxes, "spectral_densities", above_envelope)
+    out = energy_sweep(sample, lead11, lead11, THERMO, grid)
+    assert [p.error for p in out] == [None, "entropy density 1e+300 exceeds its explicit envelope at L=20", None]
+    assert all(math.isnan(v) for v in out[1][1:6])
+    monkeypatch.setattr(ebb.fluxes, "spectral_densities", densities)
     assert out[0::2] == energy_sweep(sample, lead11, lead11, THERMO, grid[0::2])
 
 
