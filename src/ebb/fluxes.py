@@ -18,7 +18,7 @@ import numpy as np
 
 from . import leads as leads_mod
 from .errors import DomainError, NumericalFailure
-from .green import SelfEnergyPair, coupled_green_direct
+from .green import coupled_green_direct
 from .leads import LeadModel, sigma_intersection, weiss_boundary
 from .model import SampleSpec, ThermoParams, fermi_density, xi
 from .quadrature import adaptive_gk15
@@ -61,8 +61,10 @@ class FluxResult:
 def thermal_factors(E, thermo: ThermoParams) -> tuple:
     """(rho_l - rho_r, xi_r - xi_l) at each energy of the float array E,
     the factors of the densities that do not depend on L."""
-    drho = fermi_density(E, thermo.beta_l, thermo.mu_l) - fermi_density(E, thermo.beta_r, thermo.mu_r)
-    dxi = xi(E, thermo.beta_r, thermo.mu_r) - xi(E, thermo.beta_l, thermo.mu_l)
+    drho = fermi_density(E, thermo.beta_l, thermo.mu_l)
+    drho -= fermi_density(E, thermo.beta_r, thermo.mu_r)
+    dxi = xi(E, thermo.beta_r, thermo.mu_r)
+    dxi -= xi(E, thermo.beta_l, thermo.mu_l)
     # Equal occupations carry nothing, also where dxi overflowed to inf
     # (inf * 0 is NaN); only dxi's sign reaches sigma's signed zero.
     return drho, np.where(drho == 0.0, np.copysign(1.0, dxi), dxi)
@@ -97,24 +99,16 @@ def spectral_densities(E, tau, thermo: ThermoParams, faults=None, out=None):
     return out
 
 
-def self_energies(lead_l: LeadModel, lead_r: LeadModel, E):
-    """The lead boundary values F_l(E+i0), F_r(E+i0) as self-energies at a
-    float E, or an iterator of them over the float array E, from one
-    boundary call per lead."""
-    F_l, F_r = weiss_boundary(lead_l, E), weiss_boundary(lead_r, E)
-    return SelfEnergyPair(F_l, F_r) if np.ndim(E) == 0 else map(SelfEnergyPair, F_l, F_r)
-
-
-def evaluate_point(sample: SampleSpec, E, L: int, se: SelfEnergyPair, T: tuple) -> tuple:
+def evaluate_point(sample: SampleSpec, E: float, L: int, F_l: complex, F_r: complex, T: tuple) -> tuple:
     """Coupled Green block -> t-matrix: the transmission and unitarity
-    residual at E of sites 0..L of the sample between the leads of the
-    self-energies se (see `self_energies`), with the block read from the
-    transfer product T of sites 0..L (see `green.coupled_green_direct`).
+    residual at E of sites 0..L of the sample between leads with boundary
+    values F_l, F_r (see `leads.weiss_boundary`), with the block read from
+    the transfer product T of sites 0..L (see `green.coupled_green_direct`).
     The one open-channel test: with Im F = 0 on both leads it returns an
     exact (0.0, 0.0) without reading the block."""
-    if not (se.F_l.imag > 0 or se.F_r.imag > 0):
+    if not (F_l.imag > 0 or F_r.imag > 0):
         return 0.0, 0.0
-    t = t_matrix(coupled_green_direct(sample, E, L, se, T), se)
+    t = t_matrix(coupled_green_direct(sample, E, L, F_l, F_r, T), F_l, F_r)
     return transmission(t), unitarity_residual(t)
 
 
@@ -138,13 +132,15 @@ def node_table(sample, lead_l, lead_r, thermo, energies, Ls: list, products, fau
     for k in range(0, len(energies), CHUNK):
         chunk, first = energies[k: k + CHUNK], k * n_L
         try:
-            ses = self_energies(lead_l, lead_r, chunk)
+            Fs = weiss_boundary(lead_l, chunk), weiss_boundary(lead_r, chunk)
         except DomainError:
-            ses = [None] * len(chunk)
-        nodes = ((E, se, L) for E, se in zip(chunk.tolist(), ses) for L in Ls)
-        for i, (T, (E, se, L)) in enumerate(zip(products(chunk), nodes), first):
+            Fs = [None] * len(chunk), [None] * len(chunk)
+        nodes = ((E, F_l, F_r, L) for E, F_l, F_r in zip(chunk.tolist(), *Fs) for L in Ls)
+        for i, (T, (E, F_l, F_r, L)) in enumerate(zip(products(chunk), nodes), first):
             try:
-                tau[i], residual[i] = evaluate_point(sample, E, L, se or self_energies(lead_l, lead_r, E), T)
+                if F_l is None:
+                    F_l, F_r = weiss_boundary(lead_l, E), weiss_boundary(lead_r, E)
+                tau[i], residual[i] = evaluate_point(sample, E, L, F_l, F_r, T)
             except (DomainError, NumericalFailure) as exc:
                 found[i] = exc
                 if faults is None:

@@ -12,7 +12,6 @@ and the graph correspondence) are oracles in `ebb.validate`.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 from .errors import NumericalFailure
 from .model import SampleSpec
@@ -20,18 +19,10 @@ from .model import SampleSpec
 CONDITION_LIMIT = 1e12
 
 
-class SelfEnergyPair(NamedTuple):
-    """Boundary values F_l(E+i0), F_r(E+i0) acting as lead self-energies.
-    A plain value pair: the leads that make F keep Im F >= 0."""
-
-    F_l: complex
-    F_r: complex
-
-
-def coupled_green_direct(sample: SampleSpec, E: float, L: int, se: SelfEnergyPair, T: tuple) -> tuple:
+def coupled_green_direct(sample: SampleSpec, E: float, L: int, F_l: complex, F_r: complex, T: tuple) -> tuple:
     """Coupled block (G_00, G_0L, G_LL) of sites 0..L.
 
-    The lead self-energies are absorbed into the boundary diagonal:
+    The lead self-energies F_l, F_r are absorbed into the boundary diagonal:
     A = h_{S,L} - E - F_l P_0 - F_r P_L, and G is the boundary block of
     A^(-1). Im F > 0 on a lead makes A invertible (any kernel vector
     vanishes at the coupling sites, then everywhere by the three-term
@@ -46,7 +37,6 @@ def coupled_green_direct(sample: SampleSpec, E: float, L: int, se: SelfEnergyPai
     boundary rows j of (|A_jj| + 1) * max|G_j.| exceeds CONDITION_LIMIT,
     raises NumericalFailure.
     """
-    F_l, F_r = se.F_l, se.F_r
     a, b, c, d, e = T
     D = (a + b * F_l) - F_r * (c + d * F_l)
     if D == 0:

@@ -83,4 +83,9 @@ def fermi_density(E, beta: float, mu: float):
     """
     x = xi(np.asarray(E, dtype=float), beta, mu)
     z = np.fromiter(map(math.exp, memoryview(-np.abs(x).ravel())), float, x.size).reshape(x.shape)
-    return np.where(x >= 0.0, z, 1.0) / (1.0 + z)
+    rho = np.where(x >= 0.0, z, 1.0)
+    # Freed before the in-place division, so no third array of E's size lives on.
+    del x
+    z += 1.0
+    rho /= z
+    return rho

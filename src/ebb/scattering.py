@@ -5,13 +5,12 @@ from __future__ import annotations
 import math
 
 from .errors import UnitarityError
-from .green import SelfEnergyPair
 from .transfer import _smax
 
 TRANSMISSION_OVERSHOOT = 1e-10
 
 
-def t_matrix(G: tuple, se: SelfEnergyPair) -> tuple:
+def t_matrix(G: tuple, F_l: complex, F_r: complex) -> tuple:
     """t(E) = 2i (Im F)^(1/2) G (Im F)^(1/2), entrywise, for G = (G_00, G_0L, G_LL).
 
     A lead with Im F = 0 has no open channel; its row and column of t are
@@ -19,7 +18,7 @@ def t_matrix(G: tuple, se: SelfEnergyPair) -> tuple:
     nested tuples of Python complex numbers, which round as numpy's complex
     arrays do; wrap them in np.array where a matrix is needed.
     """
-    sl, sr = math.sqrt(se.F_l.imag), math.sqrt(se.F_r.imag)
+    sl, sr = math.sqrt(F_l.imag), math.sqrt(F_r.imag)
     g00, g01, g11 = G
     return (
         (2j * (sl * g00 * sl), 2j * (sl * g01 * sr)),

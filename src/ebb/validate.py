@@ -22,9 +22,9 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import NumericalFailure
-from .fluxes import evaluate_point, integrate_fluxes, node_table, self_energies
-from .green import SelfEnergyPair, coupled_green_direct
-from .leads import SemiInfiniteLaplacian
+from .fluxes import evaluate_point, integrate_fluxes, node_table
+from .green import coupled_green_direct
+from .leads import SemiInfiniteLaplacian, weiss_boundary
 from .model import SampleSpec, ThermoParams
 from .potentials import AndersonRandom, Periodic, Zero, generate
 from .scattering import t_matrix
@@ -92,22 +92,22 @@ def _tridiag_solve_boundary(sample: SampleSpec, E: float, L: int, F_l=0j, F_r=0j
     return (x.item(0, 0), x.item(L, 0), x.item(L, 1)), max(s0 * x0, sL * xL)
 
 
-def coupled_green(G0: tuple, se: SelfEnergyPair) -> tuple:
+def coupled_green(G0: tuple, F_l: complex, F_r: complex) -> tuple:
     """Coupled Green block from the junction identity G = (I - G0 F)^(-1) G0,
     F = diag(F_l, F_r), written out for G0 = (a, b, d): with delta = ad - b^2
     and det = (1 - a F_l)(1 - d F_r) - b^2 F_l F_r, G = (a - F_r delta, b,
     d - F_l delta) / det. G0, which may be singular, is never inverted."""
     a, b, d = G0
     delta = a * d - b * b
-    det = (1 - a * se.F_l) * (1 - d * se.F_r) - b * b * se.F_l * se.F_r
+    det = (1 - a * F_l) * (1 - d * F_r) - b * b * F_l * F_r
     if abs(det) < 1e-14:
         raise NumericalFailure(
             "det(I - G0*F) vanished; analytically excluded for Im F > 0"
         )
-    return (a - se.F_r * delta) / det, b / det, (d - se.F_l * delta) / det
+    return (a - F_r * delta) / det, b / det, (d - F_l * delta) / det
 
 
-def graph_map_check(G: tuple, T: tuple, se: SelfEnergyPair) -> float:
+def graph_map_check(G: tuple, T: tuple, F_l: complex, F_r: complex) -> float:
     """Residual of the graph correspondence between G(E+i0) and T(E).
 
     For (u, v) = G(x, y) the correspondence demands
@@ -118,8 +118,8 @@ def graph_map_check(G: tuple, T: tuple, se: SelfEnergyPair) -> float:
     """
     g00, g0L, gLL = G
     # Column j of w and of target belongs to the basis input (x, y) = e_j.
-    w = np.array([[g00, g0L], [1 + se.F_l * g00, se.F_l * g0L]])
-    target = np.array([[se.F_r * g0L, 1 + se.F_r * gLL], [g0L, gLL]])
+    w = np.array([[g00, g0L], [1 + F_l * g00, F_l * g0L]])
+    target = np.array([[F_r * g0L, 1 + F_r * gLL], [g0L, gLL]])
     a, b, c, d, e = T
     resid = np.linalg.norm(np.array([[a, b], [c, d]]) @ w - math.ldexp(1.0, -e) * target, axis=0)
     return float(resid.max() / _smax(a, b, c, d))
@@ -196,7 +196,7 @@ def check_decoupled_green_equivalence(
     solve (bound 1e-9)."""
     return _compare_routes(
         "decoupled-green-equivalence", 1e-9,
-        lambda s, E, L, G0, T: coupled_green_direct(s, E, L, SelfEnergyPair(0j, 0j), T),
+        lambda s, E, L, G0, T: coupled_green_direct(s, E, L, 0j, 0j, T),
         lambda s, E, L, G0, T: G0, seed, per_potential, max_length, min_kept,
     )
 
@@ -204,8 +204,8 @@ def check_decoupled_green_equivalence(
 def _junction_and_transfer_blocks(sample: SampleSpec, E: float, L: int, G0: tuple, T: tuple):
     """The coupled block from the junction identity on G0, then the one
     `coupled_green_direct` reads from the transfer product T_L: six entries."""
-    se = self_energies(LEAD, LEAD, E)
-    return (*coupled_green(G0, se), *coupled_green_direct(sample, E, L, se, T))
+    F = weiss_boundary(LEAD, E)
+    return (*coupled_green(G0, F, F), *coupled_green_direct(sample, E, L, F, F, T))
 
 
 def check_coupled_green_equivalence(
@@ -216,7 +216,7 @@ def check_coupled_green_equivalence(
     tridiagonal solve (bound 1e-8)."""
     return _compare_routes(
         "coupled-green-equivalence", 1e-8, _junction_and_transfer_blocks,
-        lambda s, E, L, G0, T: 2 * _tridiag_solve_boundary(s, E, L, *self_energies(LEAD, LEAD, E))[0],
+        lambda s, E, L, G0, T: 2 * _tridiag_solve_boundary(s, E, L, weiss_boundary(LEAD, E), weiss_boundary(LEAD, E))[0],
         seed, per_potential, max_length, min_kept,
     )
 
@@ -229,9 +229,9 @@ def check_graph_map(cases=((AndersonRandom(2.0, 7), 0.5, 500),)) -> CheckResult:
     worst = 0.0
     for spec, E, L in cases:
         sample = SampleSpec(generate(spec, L))
-        se = self_energies(LEAD, LEAD, E)
-        G = _tridiag_solve_boundary(sample, E, L, se.F_l, se.F_r)[0]
-        worst = max(worst, graph_map_check(G, checkpoint_products(sample.potential, E, [L])[0][1], se))
+        F = weiss_boundary(LEAD, E)
+        G = _tridiag_solve_boundary(sample, E, L, F, F)[0]
+        worst = max(worst, graph_map_check(G, checkpoint_products(sample.potential, E, [L])[0][1], F, F))
     return CheckResult("graph-map-residual", worst < 1e-8, f"max residual {worst:.3e} (< 1e-8)", worst)
 
 
@@ -239,13 +239,13 @@ def check_worked_point() -> CheckResult:
     """The closed-form point L = 1, v = 0, E = 0, where the unit lead gives
     F = i: G = (i, -1, i) / 2, transmission 1 and
     S = I + t = [[0, -i], [-i, 0]] (bound 1e-12)."""
-    sample, se = SampleSpec(np.zeros(2)), self_energies(LEAD, LEAD, 0.0)
+    sample, F = SampleSpec(np.zeros(2)), weiss_boundary(LEAD, 0.0)
     ((_, T),) = checkpoint_products(sample.potential, 0.0, [1])
-    G = coupled_green_direct(sample, 0.0, 1, se, T)
+    G = coupled_green_direct(sample, 0.0, 1, F, F, T)
     worst = max(
         max(abs(g - ref) for g, ref in zip(G, (0.5j, -0.5, 0.5j))),
-        abs(evaluate_point(sample, 0.0, 1, se, T)[0] - 1.0),
-        float(np.max(np.abs(np.eye(2) + np.array(t_matrix(G, se)) - np.array([[0.0, -1j], [-1j, 0.0]])))),
+        abs(evaluate_point(sample, 0.0, 1, F, F, T)[0] - 1.0),
+        float(np.max(np.abs(np.eye(2) + np.array(t_matrix(G, F, F)) - np.array([[0.0, -1j], [-1j, 0.0]])))),
     )
     return CheckResult("worked-point", worst < 1e-12, f"max deviation {worst:.3e} (< 1e-12)", worst)
 

@@ -9,7 +9,8 @@ product, so one transfer pass walks sites 0..L_max once. Every command
 runs the chain through one kernel, `fluxes.node_table`, so the stages are
 counted at their `ebb.fluxes` bindings. The densities are no part of the
 per-energy chain: one `spectral_densities` call covers a CHUNK of energies,
-which in these L-sweeps is the whole table.
+which in these L-sweeps is the whole table. Each `evaluate_point` call takes
+plain Python numbers, on every route into the chain.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import pytest
 import ebb.fluxes
 import ebb.scan
 from ebb.fluxes import QuadratureParams, integrate_fluxes
+from ebb.leads import TabulatedLead
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, generate
 from ebb.scan import energy_sweep, equivalence_rows, l_sweep
@@ -127,3 +129,29 @@ def test_l_sweeps_compute_densities_once_per_table(calls, lead11, n_energies):
     l_sweep(sample, 0.3, lead11, lead11, THERMO, CHECKPOINTS)
     assert calls["fluxes.spectral_densities"] == 2
     assert calls["fluxes.evaluate_point"] == len(CHECKPOINTS) * (n_energies + 1)
+
+
+def test_the_chain_takes_python_numbers_on_every_route(lead11, monkeypatch):
+    # The 2x2 arithmetic of the chain runs about 4x slower on numpy scalars
+    # (`transfer._smax`: 2.5 us against 0.6 us a call on complex entries, on
+    # a 2-core host): every route hands `evaluate_point` a float E,
+    # complex F_l and F_r, and T as four floats and an int, also where a
+    # lead table rejects a chunk and each energy takes its own boundary call.
+    evaluate, seen = ebb.fluxes.evaluate_point, set()
+
+    def spy(sample, E, L, F_l, F_r, T):
+        seen.add((type(E), type(F_l), type(F_r), tuple(map(type, T))))
+        return evaluate(sample, E, L, F_l, F_r, T)
+
+    monkeypatch.setattr(ebb.fluxes, "evaluate_point", spy)
+    sample = SampleSpec(generate(AndersonRandom(1.0, 4), CHECKPOINTS[-1]))
+    table = TabulatedLead([-1.0, 1.0], [0.1, -0.1], [1.0, 0.5])
+    routes = {
+        "integrate_fluxes": lambda: integrate_fluxes(sample, lead11, lead11, THERMO, QuadratureParams(tolerance=1e-4)),
+        "l_sweep": lambda: l_sweep(sample, 0.3, lead11, lead11, THERMO, CHECKPOINTS),
+        "energy_sweep": lambda: energy_sweep(sample, table, lead11, THERMO, [-1.5, 0.5]),
+    }
+    for route, run in routes.items():
+        seen.clear()
+        run()
+        assert seen == {(float, complex, complex, (float, float, float, float, int))}, route

@@ -659,11 +659,11 @@ def test_validate_route_failure_fails_only_its_check(tmp_path, capsys, monkeypat
 
     junction, calls = validate.coupled_green, []
 
-    def junction_failing_once(G0, se):
+    def junction_failing_once(G0, F_l, F_r):
         calls.append(G0)
         if len(calls) == 3:
             raise NumericalFailure("injected")
-        return junction(G0, se)
+        return junction(G0, F_l, F_r)
 
     monkeypatch.setattr(validate, "coupled_green", junction_failing_once)
     result = validate.check_coupled_green_equivalence()

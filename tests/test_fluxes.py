@@ -13,10 +13,10 @@ from ebb.fluxes import (
     evaluate_point,
     integrate_fluxes,
     integration_window,
-    self_energies,
     spectral_densities,
+    thermal_factors,
 )
-from ebb.leads import SemiInfiniteLaplacian, TabulatedLead
+from ebb.leads import SemiInfiniteLaplacian, TabulatedLead, weiss_boundary
 from ebb.model import SampleSpec, ThermoParams
 from ebb.potentials import AlmostMathieu, AndersonRandom, Zero, generate
 from ebb.transfer import CHUNK, checkpoint_products, end_products
@@ -176,6 +176,21 @@ def test_density_kernel_broadcasts_energies_against_transmissions():
     assert str(faults[9]) == "densities at E=1.5 are not finite: phi_l nan, j_l nan, sigma nan"
 
 
+def test_thermal_factors_peak_stays_within_four_and_a_half_arrays():
+    # The Fermi factors free their argument once the branch is selected and
+    # divide in place, and the differences are taken in place: on 10^5
+    # energies the traced peak, the two returned arrays included, stays
+    # within 4.5 arrays of as many floats.
+    E = np.linspace(-2.0, 2.0, 10**5)
+    tracemalloc.start()
+    try:
+        thermal_factors(E, ThermoParams(1.0, 2.0, 0.5, -0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * E.nbytes
+
+
 def _product(E, L=1):
     """T_L(E) of the free sample zeros(L + 1)."""
     ((_, T),) = checkpoint_products(np.zeros(L + 1), E, [L])
@@ -183,15 +198,15 @@ def _product(E, L=1):
 
 
 def test_evaluate_point_free_sample(lead11):
-    se = self_energies(lead11, lead11, 0.0)
-    tau, residual = evaluate_point(SampleSpec(np.zeros(2)), 0.0, 1, se, _product(0.0))
+    F = weiss_boundary(lead11, 0.0)
+    tau, residual = evaluate_point(SampleSpec(np.zeros(2)), 0.0, 1, F, F, _product(0.0))
     assert tau == pytest.approx(1.0, abs=1e-14)
     assert residual < 1e-13
 
 
 def test_evaluate_point_closed_channel(lead11):
-    se = self_energies(CLOSED, CLOSED, 0.5)
-    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, se, _product(0.5)) == (0.0, 0.0)
+    F = weiss_boundary(CLOSED, 0.5)
+    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, F, F, _product(0.5)) == (0.0, 0.0)
 
 
 def test_closed_channel_is_decided_before_the_solve(monkeypatch):
@@ -201,8 +216,8 @@ def test_closed_channel_is_decided_before_the_solve(monkeypatch):
         raise AssertionError("closed channel reached the Green block")
 
     monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", solve)
-    se = self_energies(CLOSED, CLOSED, 0.5)
-    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, se, _product(0.5)) == (0.0, 0.0)
+    F = weiss_boundary(CLOSED, 0.5)
+    assert evaluate_point(SampleSpec(np.zeros(2)), 0.5, 1, F, F, _product(0.5)) == (0.0, 0.0)
 
 
 def test_integration_window_margin():
@@ -230,7 +245,8 @@ def test_nonequilibrium_fluxes_against_trapezoid_oracle():
     E = np.linspace(-2 + 1e-6, 2 - 1e-6, 10_001)
     vals = np.empty((len(E), 3))
     for i, (e, T) in enumerate(zip(E, end_products(sample.potential, E))):
-        tau, _ = evaluate_point(sample, e, 10, self_energies(LEAD, LEAD, e), T)
+        F = weiss_boundary(LEAD, e)
+        tau, _ = evaluate_point(sample, e, 10, F, F, T)
         vals[i] = spectral_densities(e, tau, thermo)
     ref = np.trapezoid(vals, E, axis=0) / (2 * math.pi)
     assert res.energy_flux_l == pytest.approx(ref[0], abs=1e-6)

@@ -12,7 +12,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from scipy.linalg import eigh_tridiagonal, lapack
 
 from ebb.errors import NumericalFailure
-from ebb.green import CONDITION_LIMIT, SelfEnergyPair, coupled_green_direct
+from ebb.green import CONDITION_LIMIT, coupled_green_direct
 from ebb.leads import SemiInfiniteLaplacian, weiss_boundary
 from ebb.model import SampleSpec
 from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, Zero, generate
@@ -28,14 +28,7 @@ def _closed_form(sample, E, L):
     transfer product T_L in closed form at zero self-energies:
     (-b, 2^-e, c)/a."""
     ((_, T),) = checkpoint_products(sample.potential, E, [L])
-    return coupled_green_direct(sample, E, L, SelfEnergyPair(0j, 0j), T)
-
-
-def test_self_energy_pair_is_a_plain_value():
-    # Im F >= 0 is the leads' rule where F is made; the pair holds values.
-    assert SelfEnergyPair(1j, 0.5 + 0j) == (1j, 0.5 + 0j)
-    assert SelfEnergyPair._fields == ("F_l", "F_r")
-    assert SelfEnergyPair(-1e-6j, 1j).F_l == -1e-6j
+    return coupled_green_direct(sample, E, L, 0j, 0j, T)
 
 
 def test_every_route_gives_three_python_complex_numbers(lead11):
@@ -44,13 +37,13 @@ def test_every_route_gives_three_python_complex_numbers(lead11):
     # coupled or not, and the junction identity.
     pot = generate(AndersonRandom(1.0, 4), 12)
     sample, E = SampleSpec(pot), 0.3
-    se = _se(lead11, E)
+    F = weiss_boundary(lead11, E)
     ((_, T),) = checkpoint_products(pot, E, [12])
     G0 = _tridiag_solve_boundary(sample, E, 12)[0]
     blocks = [
-        _tridiag_solve_boundary(sample, E, 12, se.F_l, se.F_r)[0],
-        coupled_green_direct(sample, E, 12, se, T),
-        G0, _closed_form(sample, E, 12), coupled_green(G0, se),
+        _tridiag_solve_boundary(sample, E, 12, F, F)[0],
+        coupled_green_direct(sample, E, 12, F, F, T),
+        G0, _closed_form(sample, E, 12), coupled_green(G0, F, F),
     ]
     for G in blocks:
         assert type(G) is tuple and len(G) == 3
@@ -123,33 +116,28 @@ def test_offdiagonal_underflow_for_long_localized_sample():
     assert np.all(np.isfinite(G0))
 
 
-def _se(lead, E):
-    F = weiss_boundary(lead, E)
-    return SelfEnergyPair(F, F)
-
-
 def test_coupled_routes_agree_and_match_dense_oracle(lead11):
     rng = np.random.default_rng(3)
     for L in (1, 9, 50):
         pot = rng.uniform(-1, 1, L + 1)
         E = -0.6
-        se = _se(lead11, E)
-        direct = _tridiag_solve_boundary(SampleSpec(pot), E, L, se.F_l, se.F_r)[0]
-        via = coupled_green(_tridiag_solve_boundary(SampleSpec(pot), E, L)[0], se)
+        F = weiss_boundary(lead11, E)
+        direct = _tridiag_solve_boundary(SampleSpec(pot), E, L, F, F)[0]
+        via = coupled_green(_tridiag_solve_boundary(SampleSpec(pot), E, L)[0], F, F)
         np.testing.assert_allclose(via, direct, atol=1e-10)
-        ref = dense_green(pot, E, L, se.F_l, se.F_r)
+        ref = dense_green(pot, E, L, F, F)
         np.testing.assert_allclose(direct, ref, atol=1e-10)
         ((_, T),) = checkpoint_products(pot, E, [L])
-        np.testing.assert_allclose(coupled_green_direct(SampleSpec(pot), E, L, se, T), ref, atol=1e-10)
+        np.testing.assert_allclose(coupled_green_direct(SampleSpec(pot), E, L, F, F, T), ref, atol=1e-10)
 
 
 def test_coupled_direct_survives_dirichlet_resonance(lead11):
     # E = 1 is a Dirichlet eigenvalue of the decoupled L = 1 sample, but
     # the coupled system stays invertible because Im F > 0.
-    se = _se(lead11, 1.0)
+    F = weiss_boundary(lead11, 1.0)
     ((_, T),) = checkpoint_products(np.zeros(2), 1.0, [1])
-    G = coupled_green_direct(SampleSpec(np.zeros(2)), 1.0, 1, se, T)
-    ref = dense_green(np.zeros(2), 1.0, 1, se.F_l, se.F_r)
+    G = coupled_green_direct(SampleSpec(np.zeros(2)), 1.0, 1, F, F, T)
+    ref = dense_green(np.zeros(2), 1.0, 1, F, F)
     np.testing.assert_allclose(G, ref, atol=1e-12)
 
 
@@ -157,7 +145,7 @@ def test_coupled_direct_solves_a_closed_system():
     # Im F = 0 on both leads: A = [[-0.5, -1], [-1, 0.5]] is invertible, and
     # the closed form reads its real inverse like any other.
     ((_, T),) = checkpoint_products(np.zeros(2), 0.0, [1])
-    G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, SelfEnergyPair(0.5 + 0j, -0.5 + 0j), T)
+    G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, 0.5 + 0j, -0.5 + 0j, T)
     assert not any(g.imag for g in G)
     np.testing.assert_allclose(G, dense_green(np.zeros(2), 0.0, 1, 0.5, -0.5), rtol=0, atol=1e-14)
 
@@ -168,9 +156,10 @@ def test_ill_conditioned_solve_is_rejected():
     # closed form exceeds CONDITION_LIMIT (the oracle solve's reads 9.97e13),
     # and the read fails rather than return G.
     lead = SemiInfiniteLaplacian(1.0, 1e-7)
+    F = weiss_boundary(lead, -1.0)
     ((_, T),) = checkpoint_products(np.zeros(11), -1.0, [10])
     with pytest.raises(NumericalFailure) as exc:
-        coupled_green_direct(SampleSpec(np.zeros(11)), -1.0, 10, _se(lead, -1.0), T)
+        coupled_green_direct(SampleSpec(np.zeros(11)), -1.0, 10, F, F, T)
     assert str(exc.value) == "coupled system ill-conditioned (condition estimate 1.00e+14)"
 
 
@@ -180,7 +169,7 @@ def test_coupled_green_singular_junction_rejected():
     # I - G0 F = [[1, 1], [1, 1]].
     G0 = (0j, -1 + 0j, 0j)
     with pytest.raises(NumericalFailure):
-        coupled_green(G0, SelfEnergyPair(1.0 + 0j, 1.0 + 0j))
+        coupled_green(G0, 1.0 + 0j, 1.0 + 0j)
 
 
 def test_graph_map_residual_small():
@@ -192,10 +181,10 @@ def test_graph_map_residual_small():
 
 def test_graph_map_detects_wrong_green(lead11):
     pot = generate(AndersonRandom(1.0, 8), 30)
-    se = _se(lead11, 0.5)
-    G = _tridiag_solve_boundary(SampleSpec(pot), 0.5, 30, se.F_l, se.F_r)[0]
+    F = weiss_boundary(lead11, 0.5)
+    G = _tridiag_solve_boundary(SampleSpec(pot), 0.5, 30, F, F)[0]
     ((_, T),) = checkpoint_products(pot, 0.5, [30])
-    assert graph_map_check(tuple(g + 0.01 for g in G), T, se) > 1e-4
+    assert graph_map_check(tuple(g + 0.01 for g in G), T, F, F) > 1e-4
 
 
 @settings(max_examples=300, deadline=None)
@@ -230,13 +219,13 @@ def test_strong_barrier_is_well_conditioned(lead11):
     # neither the solve nor the closed form must reject it as
     # ill-conditioned.
     L, E = 1280, 0.5
-    se = _se(lead11, E)
+    F = weiss_boundary(lead11, E)
     barrier = SampleSpec(np.full(L + 1, 1e300))
-    G, cond = _tridiag_solve_boundary(barrier, E, L, se.F_l, se.F_r)
+    G, cond = _tridiag_solve_boundary(barrier, E, L, F, F)
     assert abs(G[0]) == pytest.approx(1e-300, rel=1e-12, abs=0)
     assert 1.0 <= cond <= 2.0
     (T,) = end_products(barrier.potential, np.array([E]))
-    G = coupled_green_direct(barrier, E, L, se, T)
+    G = coupled_green_direct(barrier, E, L, F, F, T)
     assert abs(G[0]) == pytest.approx(1e-300, rel=1e-12, abs=0)
 
 
@@ -350,13 +339,13 @@ def test_coupled_green_matches_continuants(seed, L, max_exponent, impurities, E)
     pot = rng.normal(size=L + 1) * 10.0 ** rng.uniform(-3.0, max_exponent, size=L + 1)
     for site, exponent in impurities:
         pot[site % (L + 1)] = rng.choice([-1.0, 1.0]) * 10.0**exponent
-    se = SelfEnergyPair(complex(rng.normal(), rng.uniform(0.1, 2.0)), complex(rng.normal(), rng.uniform(0.1, 2.0)))
+    F_l, F_r = complex(rng.normal(), rng.uniform(0.1, 2.0)), complex(rng.normal(), rng.uniform(0.1, 2.0))
     diag = (pot - E).astype(complex)
-    diag[0] -= se.F_l
-    diag[L] -= se.F_r
+    diag[0] -= F_l
+    diag[L] -= F_r
     refs, interior_resolvent = _continuant_reference(diag.tolist())
     assume(interior_resolvent <= 100.0)
-    G = _checked_solve(SampleSpec(pot), E, L, se)
+    G = _checked_solve(SampleSpec(pot), E, L, F_l, F_r)
     assert len(G) == 3 and all(type(g) is complex for g in G)
     for g, ref in zip(G, refs):
         # Below the normal range the float result keeps only absolute accuracy.
@@ -381,10 +370,10 @@ def _right_end_eigenvalues(pot, P, count=2):
     return w[best[log_ratio[best] > 100.0]].tolist()
 
 
-def _checked_solve(sample, E, L, se):
+def _checked_solve(sample, E, L, F_l, F_r):
     """The oracle solve's block, with the CONDITION_LIMIT check that the
     closed form applies to its own estimate."""
-    G, cond = _tridiag_solve_boundary(sample, E, L, se.F_l, se.F_r)
+    G, cond = _tridiag_solve_boundary(sample, E, L, F_l, F_r)
     if cond > CONDITION_LIMIT:
         raise NumericalFailure(f"coupled system ill-conditioned (condition estimate {cond:.2e})")
     return G
@@ -420,30 +409,30 @@ def test_transfer_route_matches_the_fresh_solve(lead11, spec, localized):
         assert len(eigenvalues) == (2 if localized else 0)
         energies += eigenvalues
     for E in energies:
-        se = _se(lead11, E)
+        F = weiss_boundary(lead11, E)
         for checkpoints in SWEEP_CHECKPOINTS:
             for L, T in checkpoint_products(pot, E, checkpoints):
-                fresh = _outcome(lambda: _checked_solve(sample, E, L, se))
-                closed = _outcome(lambda: coupled_green_direct(sample, E, L, se, T))
+                fresh = _outcome(lambda: _checked_solve(sample, E, L, F, F))
+                closed = _outcome(lambda: coupled_green_direct(sample, E, L, F, F, T))
                 if isinstance(fresh, NumericalFailure) or isinstance(closed, NumericalFailure):
                     assert type(fresh) is type(closed), (E, L, fresh, closed)
                     continue
-                tau = transmission(t_matrix(fresh, se))
+                tau = transmission(t_matrix(fresh, F, F))
                 if tau > 1e-300:
-                    assert abs(transmission(t_matrix(closed, se)) - tau) <= 1e-8 * tau, (E, L)
+                    assert abs(transmission(t_matrix(closed, F, F)) - tau) <= 1e-8 * tau, (E, L)
 
 
-def _tau_and_condition(pot, E, se):
+def _tau_and_condition(pot, E, F_l, F_r):
     """tau = 4 Im F_l Im F_r / |det A|^2 and kappa_tau = 2 sum_k |a_k| |G_kk|
     of the coupled A on sites 0..len(pot)-1, from the float inputs exactly:
     continuants in 80 digits, with G_kk = det A_0..k-1 det A_k+1..L / det A."""
     with mpmath.workdps(80):
         a = [mpmath.mpf(v) - mpmath.mpf(E) for v in pot]
-        a[0] -= mpmath.mpc(se.F_l)
-        a[-1] -= mpmath.mpc(se.F_r)
+        a[0] -= mpmath.mpc(F_l)
+        a[-1] -= mpmath.mpc(F_r)
         head, tail = continuants(a), continuants(a[::-1])[::-1]
         det = head[-1]
-        tau = 4 * se.F_l.imag * se.F_r.imag / abs(det) ** 2
+        tau = 4 * F_l.imag * F_r.imag / abs(det) ** 2
         kappa = 2 * sum(abs(a[k] * head[k] * tail[k + 1] / det) for k in range(len(a)))
         return float(tau), float(kappa)
 
@@ -468,10 +457,10 @@ def test_transfer_route_tau_within_its_conditioning(spec, L, E, coupling):
     # The same holds for the product of the energy-batched sweep that
     # `integrate_fluxes` reads, taken here inside a batch of energies.
     pot = generate(spec, L)
-    se = _se(SemiInfiniteLaplacian(1.0, coupling), E)
-    ref, kappa = _tau_and_condition(pot.tolist(), E, se)
+    F = weiss_boundary(SemiInfiniteLaplacian(1.0, coupling), E)
+    ref, kappa = _tau_and_condition(pot.tolist(), E, F, F)
     ((_, T),) = checkpoint_products(pot, E, [L])
     _, batched, _ = end_products(pot, np.array([E - 0.5, E, E + 0.5]))
     for T in (T, batched):
-        tau = transmission(t_matrix(coupled_green_direct(SampleSpec(pot), E, L, se, T), se))
+        tau = transmission(t_matrix(coupled_green_direct(SampleSpec(pot), E, L, F, F, T), F, F))
         assert abs(tau - ref) <= 2 * 2.0**-53 * kappa * ref

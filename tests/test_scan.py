@@ -116,9 +116,9 @@ def test_every_solve_receives_the_callers_sample(lead11, monkeypatch):
     seen = []
     inner = ebb.fluxes.coupled_green_direct
 
-    def recording(sample, E, L, se, T):
+    def recording(sample, E, L, F_l, F_r, T):
         seen.append(sample)
-        return inner(sample, E, L, se, T)
+        return inner(sample, E, L, F_l, F_r, T)
 
     monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", recording)
     l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
@@ -251,8 +251,7 @@ def test_lower_sandwich_bound(lead11, spec):
     cps = geometric_checkpoints()
     sample = SampleSpec(generate(spec, cps[-1]))
     for E in np.linspace(-1.99, 1.99, 201):
-        se = ebb.fluxes.self_energies(lead11, lead11, E)
-        F_l, F_r = se.F_l, se.F_r
+        F_l = F_r = ebb.fluxes.weiss_boundary(lead11, E)
         bound = math.log(4 * F_l.imag * F_r.imag / ((1 + abs(F_l) ** 2) * (1 + abs(F_r) ** 2)))
         for p in l_sweep(sample, E, lead11, lead11, THERMO, cps):
             if p.transmission > 1e-280:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ebb.errors import UnitarityError
-from ebb.green import SelfEnergyPair, coupled_green_direct
+from ebb.green import coupled_green_direct
 from ebb.leads import SemiInfiniteLaplacian, weiss_boundary
 from ebb.model import SampleSpec
 from ebb.potentials import AndersonRandom, generate
@@ -16,11 +16,10 @@ from ebb.transfer import checkpoint_products, end_products
 def test_worked_free_point(lead11):
     # L = 1, v = 0, E = 0: F = i, G = (i, -1, i) / 2,
     # t = [[-1, -i], [-i, -1]], so s = 1 + t is unitary and T = 1.
-    se = SelfEnergyPair(1j, 1j)
     ((_, T),) = checkpoint_products(np.zeros(2), 0.0, [1])
-    G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, se, T)
+    G = coupled_green_direct(SampleSpec(np.zeros(2)), 0.0, 1, 1j, 1j, T)
     np.testing.assert_allclose(G, (0.5j, -0.5, 0.5j), atol=1e-14)
-    t = t_matrix(G, se)
+    t = t_matrix(G, 1j, 1j)
     np.testing.assert_allclose(t, [[-1.0, -1j], [-1j, -1.0]], atol=1e-14)
     assert unitarity_residual(t) < 1e-14
     assert transmission(t) == pytest.approx(1.0, abs=1e-14)
@@ -28,8 +27,7 @@ def test_worked_free_point(lead11):
 
 def test_closed_channel_row_is_zero():
     G = (0.3 + 0.2j, 0.1j, -0.4 + 0.5j)
-    se = SelfEnergyPair(2j, 0.7 + 0j)
-    t = t_matrix(G, se)
+    t = t_matrix(G, 2j, 0.7 + 0j)
     m = np.array(t)
     assert np.all(m[1, :] == 0) and np.all(m[:, 1] == 0)
     assert transmission(t) == 0.0
@@ -64,10 +62,9 @@ def test_unitarity_everywhere_in_band(seed, L, E, k):
     lead = SemiInfiniteLaplacian(k, 1.0)
     sample = SampleSpec(generate(AndersonRandom(1.0, seed), L))
     F = weiss_boundary(lead, E)
-    se = SelfEnergyPair(F, F)
     ((_, T),) = checkpoint_products(sample.potential, E, [L])
-    G = coupled_green_direct(sample, E, L, se, T)
-    t = t_matrix(G, se)
+    G = coupled_green_direct(sample, E, L, F, F, T)
+    t = t_matrix(G, F, F)
     assert unitarity_residual(t) < 1e-10
     tau = transmission(t)
     # A Python float, so the densities downstream run on Python numbers.
@@ -83,10 +80,10 @@ def as_t(m):
     return tuple(tuple(complex(z) for z in row) for row in m.tolist())
 
 
-def t_matrix_oracle(G, se):
+def t_matrix_oracle(G, F_l, F_r):
     """The matrix formula on the symmetric 2x2 matrix of G = (G_00, G_0L, G_LL)."""
     g00, g0L, gLL = G
-    sq = np.array([math.sqrt(se.F_l.imag), math.sqrt(se.F_r.imag)])
+    sq = np.array([math.sqrt(F_l.imag), math.sqrt(F_r.imag)])
     return 2j * (sq[:, None] * np.array([[g00, g0L], [g0L, gLL]]) * sq[None, :])
 
 
@@ -107,10 +104,9 @@ def test_t_matrix_matches_matrix_formula_bit_for_bit():
         F_l, F_r = complex(rng.normal(), rng.exponential()), complex(rng.normal(), rng.exponential())
         if k % 4 == 1:
             F_r = complex(F_r.real, 0.0)  # closed right channel
-        se = SelfEnergyPair(F_l, F_r)
-        t = t_matrix(G, se)
+        t = t_matrix(G, F_l, F_r)
         assert all(type(z) is complex for row in t for z in row)
-        m, ref = np.array(t), t_matrix_oracle(G, se)
+        m, ref = np.array(t), t_matrix_oracle(G, F_l, F_r)
         assert m.dtype == ref.dtype and m.shape == ref.shape
         assert m.tobytes() == ref.tobytes()
 
@@ -134,8 +130,7 @@ def test_unitarity_residual_matches_svd():
     grid = np.linspace(-1.9, 1.9, 200)
     for E, T in zip(grid, end_products(sample.potential, grid)):
         F = weiss_boundary(lead, E)
-        se = SelfEnergyPair(F, F)
-        ts.append(t_matrix(coupled_green_direct(sample, E, 60, se, T), se))
+        ts.append(t_matrix(coupled_green_direct(sample, E, 60, F, F, T), F, F))
     for t in ts:
         bound = 1e-15 * max(1.0, np.linalg.norm(t, 2) ** 2)
         assert abs(unitarity_residual(t) - residual_oracle(t)) <= bound

@@ -1,16 +1,17 @@
 """A lint of the package: each stage of the per-node chain has one caller.
 
-Every command reaches the chain from a transfer product to the densities
-through one kernel, `fluxes.node_table`, so `evaluate_point` and
-`spectral_densities` are read by that function alone. `validate` is left
-out: its oracles call the stages on their own.
+Every command reaches the chain from the leads' boundary values and a
+transfer product to the densities through one kernel, `fluxes.node_table`,
+so `weiss_boundary`, `evaluate_point` and `spectral_densities` are read by
+that function alone. `validate` is left out: its oracles call the stages on
+their own.
 """
 
 import ast
 import pathlib
 
 PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "ebb"
-STAGES = ("evaluate_point", "spectral_densities")
+STAGES = ("weiss_boundary", "evaluate_point", "spectral_densities")
 
 
 def readers(package, names, skip=("validate",)):
