@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, scan
 from .config import RunConfig, parse_config
 from .errors import BudgetError, ConfigError, NumericalFailure
-from .fluxes import integrate_fluxes, integration_window
+from .fluxes import integrate_fluxes, integration_window, thermal_factors
 from .model import SampleSpec
 from .potentials import generate
 
@@ -115,13 +115,15 @@ def cmd_sweep_e(run: RunConfig):
 
 
 def cmd_sweep_l(run: RunConfig):
-    (energy,) = _energies(run, "energy")
-    cps = run.sweep.l_checkpoints
-    points = scan.l_sweep(_sample(run, cps[-1]), energy, run.lead_l, run.lead_r, run.thermo, cps)
-    cls = scan.classify_transport(points, run.sweep.thresholds)
-    # Every field of the classification, two of them under their JSON names.
-    names = {"label": "classification", "underflowed": "sigma_underflowed"}
-    summary = {names.get(k, k): v for k, v in cls._asdict().items()}
+    # The one-row table of the command's energy.
+    grid, cps = _energies(run, "energy"), run.sweep.l_checkpoints
+    cps, columns = scan.l_sweep(_sample(run, cps[-1]), grid, run.lead_l, run.lead_r, run.thermo, cps)
+    bias = thermal_factors(np.array(grid), run.thermo)[0]
+    classes = scan.classify_transport(cps, columns[0], columns[2], run.sweep.thresholds, bias)
+    label, *fits, underflowed, contradiction = (c.item() for c in classes)
+    summary = {"classification": label, **dict(zip(("norm_slope", "norm_r2", "sigma_slope", "sigma_r2"), fits)),
+               "l_max": cps[-1], "sigma_underflowed": underflowed, "contradiction": contradiction}
+    points = [scan.LSweepPoint(L, s, t, n, bool(f), r) for L, s, t, n, f, r in zip(cps, *(c[0].tolist() for c in columns))]
     return summary, points, max(p.unitarity_residual for p in points), None
 
 

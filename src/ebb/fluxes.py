@@ -60,11 +60,13 @@ class FluxResult:
 
 def thermal_factors(E, thermo: ThermoParams) -> tuple:
     """(rho_l - rho_r, xi_r - xi_l) at each energy of the float array E,
-    the factors of the densities that do not depend on L."""
-    drho = fermi_density(E, thermo.beta_l, thermo.mu_l)
-    drho -= fermi_density(E, thermo.beta_r, thermo.mu_r)
-    dxi = xi(E, thermo.beta_r, thermo.mu_r)
-    dxi -= xi(E, thermo.beta_l, thermo.mu_l)
+    the factors of the densities that do not depend on L; an xi that passes
+    float range is +-inf, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        drho = fermi_density(E, thermo.beta_l, thermo.mu_l)
+        drho -= fermi_density(E, thermo.beta_r, thermo.mu_r)
+        dxi = xi(E, thermo.beta_r, thermo.mu_r)
+        dxi -= xi(E, thermo.beta_l, thermo.mu_l)
     # Equal occupations carry nothing, also where dxi overflowed to inf
     # (inf * 0 is NaN); only dxi's sign reaches sigma's signed zero.
     return drho, np.where(drho == 0.0, np.copysign(1.0, dxi), dxi)

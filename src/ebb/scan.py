@@ -7,9 +7,9 @@ classifier below labels each energy from finite-L evidence only, and every
 report carries the L_max actually used. No claim is made about the true
 infinite-L behavior.
 
-Both L-sweep commands take one route: `fluxes.node_table` fills one
-energies x checkpoints table, and the fits and labels then run as array
-operations, row by row, on the whole table; `l_sweep` is its one-energy case.
+Both L-sweep commands take one route: `l_sweep` fills one energies x
+checkpoints table from `fluxes.node_table`, and `classify_transport` runs
+the fits and labels as array operations, row by row, on the whole table.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .fluxes import node_table
+from .fluxes import node_table, thermal_factors
 from .leads import LeadModel, sigma_intersection
 from .model import SampleSpec, ThermoParams, check_length
 from .transfer import checkpoint_products, end_products, norm_and_resonance
@@ -52,18 +52,6 @@ class ClassificationThresholds:
     persistent_floor: float = 0.5          # min sigma > floor * median
     bounded_norm_slope_factor: float = 1.0  # norm slope < factor/L_max
     divergent_norm_slope_factor: float = 10.0  # contradiction screening
-
-
-class TransportClassification(NamedTuple):
-    label: str  # persistent | vanishing | indeterminate
-    norm_slope: float
-    norm_r2: float
-    sigma_slope: float
-    sigma_r2: float
-    l_max: int
-    underflowed: bool
-    # Finite-L evidence against the norm/transport equivalence.
-    contradiction: bool
 
 
 class EnergyPoint(NamedTuple):
@@ -102,12 +90,13 @@ def check_checkpoints(checkpoints: Sequence[int]) -> list:
     return cps
 
 
-def _sweep_table(sample: SampleSpec, grid, lead_l, lead_r, thermo: ThermoParams, checkpoints):
-    """The checked checkpoints cps, and the L-sweeps at the grid energies
-    (see `l_sweep`) as the `LSweepPoint` fields after L, in field order, each
-    a len(grid) x len(cps) float array, from one `fluxes.node_table`. Each
-    energy's one transfer pass gives T_L at every checkpoint, whose norm is
-    read as the kernel takes it. The first failure in grid order is raised."""
+def l_sweep(sample: SampleSpec, grid, lead_l: LeadModel, lead_r: LeadModel, thermo: ThermoParams, checkpoints):
+    """The checked checkpoints cps, and the L-sweeps at the grid energies as
+    the `LSweepPoint` fields after L, in field order, each a len(grid) x
+    len(cps) float array whose column L is sites 0..L of the sample, from one
+    `fluxes.node_table`. Each energy's one transfer pass gives T_L at every
+    checkpoint, whose norm is read as the kernel takes it. The checkpoints and
+    energies are checked before any solve; the first failure in grid order is raised."""
     cps = check_checkpoints(checkpoints)
     energies = np.asarray(grid, dtype=float)
     outside = ~sigma_intersection(lead_l, lead_r).contains(energies)
@@ -127,23 +116,6 @@ def _sweep_table(sample: SampleSpec, grid, lead_l, lead_r, thermo: ThermoParams,
     tau, residual, densities = node_table(sample, lead_l, lead_r, thermo, energies, cps, products)
     # sigma alone is kept: a copy, so the other densities are freed.
     return cps, (densities[..., 2].copy(), tau, log_norm.reshape(tau.shape), flag.reshape(tau.shape), residual)
-
-
-def l_sweep(
-    sample: SampleSpec,
-    E: float,
-    lead_l: LeadModel,
-    lead_r: LeadModel,
-    thermo: ThermoParams,
-    checkpoints: Sequence[int],
-) -> list:
-    """Entropy density, transmission, and transfer norm at each checkpoint
-    L, on sites 0..L of the sample, from one transfer pass over sites
-    0..checkpoints[-1]; a checkpoint past sample.length raises ValueError
-    before any solve. This is the one-energy row of the `equivalence_rows`
-    table, and fails as it does (see `_sweep_table`)."""
-    cps, columns = _sweep_table(sample, (E,), lead_l, lead_r, thermo, checkpoints)
-    return [LSweepPoint(L, s, t, n, bool(f), r) for L, s, t, n, f, r in zip(cps, *(c[0].tolist() for c in columns))]
 
 
 def _fit(xs, ys, alive=True):
@@ -182,26 +154,14 @@ def _median(values):
     return s[..., k] if s.shape[-1] % 2 else (s[..., k - 1] + s[..., k]) / 2
 
 
-def classify_transport(
-    sweep: Sequence[LSweepPoint],
-    thresholds: ClassificationThresholds = ClassificationThresholds(),
-) -> TransportClassification:
-    """Label an L-sweep as persistent, vanishing, or indeterminate, and say
-    whether the label contradicts the transfer norms: the one-energy case
-    of `_classify_table`."""
-    cps = check_checkpoints([p.L for p in sweep])
-    table = np.array([[p.sigma_density for p in sweep], [p.log_transfer_norm for p in sweep]])
-    columns = _classify_table(cps, table[:1], table[1:], thresholds)
-    label, *fits, underflowed, contradiction = (c.item() for c in columns)
-    return TransportClassification(label, *fits, cps[-1], underflowed, contradiction)
-
-
-def _classify_table(cps: list, sigmas, norms, thresholds: ClassificationThresholds) -> tuple:
-    """`classify_transport` of each row of the sigma and norm tables (a
-    column per checked checkpoint of cps), as arrays: label, the slopes and
-    r^2 of norm and sigma, underflowed and contradiction. Every operation
-    acts row by row, independent of the other rows."""
-    Ls, l_max = np.array(cps, dtype=float), cps[-1]
+def classify_transport(cps, sigmas, norms, thresholds=ClassificationThresholds(), bias=1.0) -> tuple:
+    """Label each row of the sigma and norm tables (a column per checkpoint of
+    cps) persistent, vanishing or indeterminate, or no_bias where the row's
+    bias, rho_l - rho_r (see `fluxes.thermal_factors`), is exactly 0, so that
+    sigma is 0 at every L. As arrays: label, the slopes and r^2 of norm and
+    sigma, underflowed and contradiction. Every operation acts row by row."""
+    cps = check_checkpoints(cps)
+    Ls, l_max, unbiased = np.array(cps, dtype=float), cps[-1], np.equal(bias, 0.0)
     norm_slope, norm_r2 = _fit(Ls, norms)
     bounded = norm_slope < thresholds.bounded_norm_slope_factor / l_max
     alive = sigmas > SIGMA_UNDERFLOW_FLOOR
@@ -214,12 +174,12 @@ def _classify_table(cps: list, sigmas, norms, thresholds: ClassificationThreshol
     vanishing = ~whole | (decaying & (sigma_r2 > thresholds.vanishing_r2))
     steady = sigmas.min(axis=1) > thresholds.persistent_floor * _median(sigmas)
     persistent = whole & steady & bounded
-    label = np.where(vanishing, "vanishing", np.where(persistent, "persistent", "indeterminate"))
+    label = np.select([unbiased, vanishing, persistent], ["no_bias", "vanishing", "persistent"], "indeterminate")
     # A contradiction is a vanishing label with bounded norms, or a
-    # persistent label with clearly growing norms.
+    # persistent label with clearly growing norms; a row without bias has none.
     growing = norm_slope > thresholds.divergent_norm_slope_factor / l_max
-    contradiction = np.where(vanishing, bounded, persistent & growing)
-    return label, norm_slope, norm_r2, sigma_slope, sigma_r2, ~whole, contradiction
+    contradiction = ~unbiased & np.where(vanishing, bounded, persistent & growing)
+    return label, norm_slope, norm_r2, sigma_slope, sigma_r2, ~whole & ~unbiased, contradiction
 
 
 def energy_sweep(
@@ -250,10 +210,9 @@ def equivalence_rows(
     thresholds: ClassificationThresholds = ClassificationThresholds(),
 ) -> list:
     """Classification rows for each grid energy, on sites 0..L of the sample
-    at each checkpoint L (see `l_sweep`), from one sweep table classified at
-    once. The checkpoints and energies are checked once, before any solve."""
-    cps, (sigmas, _, norms, _, residuals) = _sweep_table(sample, grid, lead_l, lead_r, thermo, checkpoints)
-    classes = _classify_table(cps, sigmas, norms, thresholds)
-    label, norm_slope, _, sigma_slope, _, _, contradiction = classes
+    at each checkpoint L: one `l_sweep` table, classified at once."""
+    cps, (sigmas, _, norms, _, residuals) = l_sweep(sample, grid, lead_l, lead_r, thermo, checkpoints)
+    bias = thermal_factors(np.asarray(grid, dtype=float), thermo)[0]
+    label, norm_slope, _, sigma_slope, _, _, contradiction = classify_transport(cps, sigmas, norms, thresholds, bias)
     columns = label, norm_slope, sigma_slope, sigmas[:, -1], contradiction, residuals.max(axis=1)
     return list(map(EquivalenceRow, grid, *(c.tolist() for c in columns)))

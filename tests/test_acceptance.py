@@ -82,33 +82,33 @@ def test_08_weiss_vs_truncated_lead():
 
 
 def test_09a_dichotomy_persistent_free():
-    points = l_sweep(SampleSpec(generate(Zero(), CHECKPOINTS[-1])), 0.5, LEAD, LEAD, NONEQ, CHECKPOINTS)
-    sigmas = np.array([p.sigma_density for p in points])
-    norms = [p.log_transfer_norm for p in points]
-    cls = classify_transport(points)
+    sample = SampleSpec(generate(Zero(), CHECKPOINTS[-1]))
+    cps, (sigmas, _, norms, _, _) = l_sweep(sample, [0.5], LEAD, LEAD, NONEQ, CHECKPOINTS)
+    (label,), *_ = classify_transport(cps, sigmas, norms)
     floor_ratio = float(sigmas.min() / np.median(sigmas))
-    ok = floor_ratio > 0.5 and max(norms) < 2.0 and cls.label == "persistent"
+    ok = floor_ratio > 0.5 and norms.max() < 2.0 and label == "persistent"
     report(
         9, ok,
         f"(a) free sample: sigma min/median {floor_ratio:.3f} (> 0.5), "
-        f"max log-norm {max(norms):.3f}, label {cls.label}",
+        f"max log-norm {norms.max():.3f}, label {label}",
     )
 
 
 def test_09b_dichotomy_vanishing_disordered():
     sample = SampleSpec(generate(AndersonRandom(2.0, 7), CHECKPOINTS[-1]))
-    points = l_sweep(sample, 0.5, LEAD, LEAD, NONEQ, CHECKPOINTS)
-    cls = classify_transport(points)
-    sigma_decays = cls.underflowed or cls.sigma_slope < 0.0
+    cps, (sigmas, _, norms, _, _) = l_sweep(sample, [0.5], LEAD, LEAD, NONEQ, CHECKPOINTS)
+    classes = classify_transport(cps, sigmas, norms)
+    label, norm_slope, norm_r2, sigma_slope, _, underflowed, _ = (c.item() for c in classes)
+    sigma_decays = underflowed or sigma_slope < 0.0
     ok = (
-        cls.norm_slope > 0.0 and cls.norm_r2 > 0.9
-        and sigma_decays and cls.label == "vanishing"
+        norm_slope > 0.0 and norm_r2 > 0.9
+        and sigma_decays and label == "vanishing"
     )
     report(
         9, ok,
-        f"(b) disordered sample: norm slope {cls.norm_slope:.3e} "
-        f"(R^2 {cls.norm_r2:.3f}), sigma slope {cls.sigma_slope:.3e}, "
-        f"underflowed {cls.underflowed}, label {cls.label}",
+        f"(b) disordered sample: norm slope {norm_slope:.3e} "
+        f"(R^2 {norm_r2:.3f}), sigma slope {sigma_slope:.3e}, "
+        f"underflowed {underflowed}, label {label}",
     )
 
 

@@ -13,11 +13,14 @@ which in these L-sweeps is the whole table. Each `evaluate_point` call takes
 plain Python numbers, on every route into the chain.
 """
 
+import json
+
 import numpy as np
 import pytest
 
 import ebb.fluxes
 import ebb.scan
+from ebb import cli
 from ebb.fluxes import QuadratureParams, integrate_fluxes
 from ebb.leads import TabulatedLead
 from ebb.model import SampleSpec, ThermoParams
@@ -78,10 +81,38 @@ def test_equivalence_rows_call_counts(calls, lead11):
 
 def test_l_sweep_call_counts(calls, lead11):
     pot = generate(AndersonRandom(1.0, 3), CHECKPOINTS[-1])
-    l_sweep(SampleSpec(pot), 0.3, lead11, lead11, THERMO, CHECKPOINTS)
+    l_sweep(SampleSpec(pot), [0.3], lead11, lead11, THERMO, CHECKPOINTS)
     assert calls["scan.checkpoint_products"] == 1
     assert calls["fluxes.evaluate_point"] == len(CHECKPOINTS)
     assert calls["fluxes.coupled_green_direct"] == len(CHECKPOINTS)
+
+
+@pytest.mark.parametrize("n_energies", [1, 7])
+def test_l_sweep_commands_call_each_table_function_once(lead11, monkeypatch, tmp_path, n_energies):
+    # The benchmark wraps ebb.scan.l_sweep and ebb.scan.classify_transport:
+    # both L-sweep routes fill their table with one l_sweep call and label
+    # it with one classify_transport call, whatever the number of energies.
+    counts = {"l_sweep": 0, "classify_transport": 0}
+    for name in counts:
+        def counted(*args, _inner=getattr(ebb.scan, name), _name=name):
+            counts[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(ebb.scan, name, counted)
+    sample = SampleSpec(generate(Periodic((1.0, 0.0)), CHECKPOINTS[-1]))
+    equivalence_rows(sample, np.linspace(-1.9, 1.9, n_energies), CHECKPOINTS, lead11, lead11, THERMO)
+    assert counts == {"l_sweep": 1, "classify_transport": 1}
+    counts.update(l_sweep=0, classify_transport=0)
+    lead = {"type": "semi_infinite", "hopping": 1.0, "coupling": 1.0}
+    config = {
+        "sample": {"length": 10, "potential": {"type": "periodic", "cell": [1.0, 0.0]}},
+        "lead_l": lead, "lead_r": lead,
+        "thermo": {"beta_l": 1.0, "beta_r": 2.0, "mu_l": 0.5, "mu_r": -0.5},
+        "sweep": {"energy": 0.3, "l_checkpoints": CHECKPOINTS},
+    }
+    (tmp_path / "run.json").write_text(json.dumps(config))
+    assert cli.main(["sweep-l", "--config", str(tmp_path / "run.json"), "--out", str(tmp_path)]) == 0
+    assert counts == {"l_sweep": 1, "classify_transport": 1}
 
 
 @pytest.mark.parametrize("checkpoints", [CHECKPOINTS, [1, 2, 3, 4, 5, 6, 8, 10]])
@@ -126,7 +157,7 @@ def test_l_sweeps_compute_densities_once_per_table(calls, lead11, n_energies):
     sample = SampleSpec(generate(Periodic((1.0, 0.0)), CHECKPOINTS[-1]))
     equivalence_rows(sample, grid, CHECKPOINTS, lead11, lead11, THERMO)
     assert calls["fluxes.spectral_densities"] == 1
-    l_sweep(sample, 0.3, lead11, lead11, THERMO, CHECKPOINTS)
+    l_sweep(sample, [0.3], lead11, lead11, THERMO, CHECKPOINTS)
     assert calls["fluxes.spectral_densities"] == 2
     assert calls["fluxes.evaluate_point"] == len(CHECKPOINTS) * (n_energies + 1)
 
@@ -148,7 +179,7 @@ def test_the_chain_takes_python_numbers_on_every_route(lead11, monkeypatch):
     table = TabulatedLead([-1.0, 1.0], [0.1, -0.1], [1.0, 0.5])
     routes = {
         "integrate_fluxes": lambda: integrate_fluxes(sample, lead11, lead11, THERMO, QuadratureParams(tolerance=1e-4)),
-        "l_sweep": lambda: l_sweep(sample, 0.3, lead11, lead11, THERMO, CHECKPOINTS),
+        "l_sweep": lambda: l_sweep(sample, [0.3], lead11, lead11, THERMO, CHECKPOINTS),
         "energy_sweep": lambda: energy_sweep(sample, table, lead11, THERMO, [-1.5, 0.5]),
     }
     for route, run in routes.items():

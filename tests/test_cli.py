@@ -344,15 +344,16 @@ def test_sweep_l_command(tmp_path):
     assert payload["classification"] == "persistent"
     assert payload["l_max"] == 251
     run = parse_config(cfg)
-    points = l_sweep(SampleSpec(generate(Zero(), SWEEP_L[-1])), 0.5, run.lead_l, run.lead_r, run.thermo, SWEEP_L)
-    residual = max(p.unitarity_residual for p in points)
+    sample = SampleSpec(generate(Zero(), SWEEP_L[-1]))
+    _, (_, _, _, _, residuals) = l_sweep(sample, [0.5], run.lead_l, run.lead_r, run.thermo, SWEEP_L)
+    residual = max(residuals[0].tolist())
     assert payload["manifest"]["max_unitarity_residual"] == residual > 0.0
 
 
 def test_sweep_l_json_matches_the_equivalence_rows(tmp_path):
     # sweep_l.json holds every field of the classification, contradiction
-    # included: on the free chain E = -1.5 (where sigma is 0, so its slope
-    # is -inf, written as null) reads vanishing against bounded norms, and
+    # included: on the free chain E = -1.5 (where the reservoirs agree, so
+    # sigma is 0 and its slope -inf, written as null) reads no_bias, and
     # E = 0.5 persistent. At both, sweep-l gives the label, the slopes and
     # the contradiction of the equivalence row at that energy.
     energies = [-1.5, 0.5]
@@ -360,7 +361,7 @@ def test_sweep_l_json_matches_the_equivalence_rows(tmp_path):
     rc, out = run_cli(tmp_path / "eq", "equivalence", cfg)
     assert rc == 0
     rows = list(csv.DictReader((out / "equivalence.csv").read_text().splitlines()))
-    assert [(r["label"], r["contradiction"]) for r in rows] == [("vanishing", "1"), ("persistent", "0")]
+    assert [(r["label"], r["contradiction"]) for r in rows] == [("no_bias", "0"), ("persistent", "0")]
     for E, row in zip(energies, rows):
         sweep = {"energy": E, "l_checkpoints": SWEEP_L}
         rc, out = run_cli(tmp_path / str(E), "sweep-l", write_config(tmp_path, extra={"sweep": sweep}))
@@ -512,6 +513,35 @@ def test_failed_run_removes_an_earlier_csv(tmp_path):
     assert not (out / "sweep_l.csv").exists()
 
 
+@pytest.mark.parametrize("thermo, energies", [
+    ({"beta_l": 1.0, "beta_r": 1.0, "mu_l": 0.0, "mu_r": 0.0}, [-1.5, -0.5, 0.5, 1.5]),
+    (BASE["thermo"], [-1.5]),
+], ids=["equal-reservoirs", "crossing-energy"])
+def test_energies_without_bias_are_no_bias(tmp_path, thermo, energies):
+    # Where rho_l == rho_r at E, sigma is 0 at every L whatever the
+    # transport: both L-sweep commands label the energy no_bias, with no
+    # contradiction of the bounded free-chain norms and no underflow.
+    sample = {"length": 10, "potential": {"type": "zero"}}
+    cfg = write_config(tmp_path, sample=sample, thermo=thermo,
+                       extra={"sweep": {"e_grid": energies, "l_checkpoints": SWEEP_L}})
+    rc, out = run_cli(tmp_path / "eq", "equivalence", cfg)
+    assert rc == 0
+    payload = strict_json(out / "equivalence.json")
+    assert payload["counts"] == {"no_bias": len(energies)}
+    assert payload["contradictions"] == 0
+    rows = list(csv.DictReader((out / "equivalence.csv").read_text().splitlines()))
+    assert [(r["label"], r["contradiction"]) for r in rows] == [("no_bias", "0")] * len(energies)
+    for E in energies:
+        sweep = {"energy": E, "l_checkpoints": SWEEP_L}
+        cfg = write_config(tmp_path, sample=sample, thermo=thermo, extra={"sweep": sweep}, name=f"{E}.json")
+        rc, out = run_cli(tmp_path / str(E), "sweep-l", cfg)
+        assert rc == 0
+        payload = strict_json(out / "sweep_l.json")
+        assert payload["classification"] == "no_bias"
+        assert payload["contradiction"] is False
+        assert payload["sigma_underflowed"] is False
+
+
 def test_sweep_l_requires_energy(tmp_path):
     rc, _ = run_cli(tmp_path, "sweep-l", write_config(tmp_path))
     assert rc == 2
@@ -545,8 +575,8 @@ def test_equivalence_command(tmp_path):
 @pytest.mark.parametrize("e_grid", [[-1.5, 0.2, 0.5], [0.2, 0.5]])
 def test_equivalence_summary_matches_rows(tmp_path, e_grid):
     # The free sample persists at 0.2 and 0.5. At -1.5 the two Fermi factors
-    # cross, sigma vanishes identically under bounded norms: a vanishing
-    # label that contradicts them. Without -1.5 no energy is vanishing.
+    # cross and sigma vanishes identically: a no_bias label, which
+    # contradicts nothing. No energy is vanishing.
     cfg = write_config(tmp_path, extra={"sweep": {"e_grid": e_grid, "l_checkpoints": SWEEP_L}})
     rc, out = run_cli(tmp_path, "equivalence", cfg)
     assert rc == 0
@@ -556,13 +586,14 @@ def test_equivalence_summary_matches_rows(tmp_path, e_grid):
     # counts tallies the label column, in order of first appearance.
     assert list(payload["counts"].items()) == list(Counter(labels).items())
     assert payload["contradictions"] == sum(r["contradiction"] == "1" for r in rows)
-    assert payload["contradictions"] == (-1.5 in e_grid)
+    assert payload["contradictions"] == 0
+    assert payload["counts"].get("no_bias", 0) == (-1.5 in e_grid)
     for label in ("persistent", "vanishing"):
         sigmas = [float(r["sigma_at_l_max"]) for r in rows if r["label"] == label]
         # A label no energy received has a null mean.
         expected = float(np.mean(sigmas)) if sigmas else None
         assert payload[f"mean_sigma_{label}"] == expected
-    assert (payload["mean_sigma_vanishing"] is None) == (-1.5 not in e_grid)
+    assert payload["mean_sigma_vanishing"] is None
     assert payload["l_max"] == SWEEP_L[-1]
 
 

@@ -21,8 +21,6 @@ from ebb.potentials import AlmostMathieu, AndersonRandom, Periodic, Zero, genera
 from ebb.scan import (
     SIGMA_UNDERFLOW_FLOOR,
     ClassificationThresholds,
-    LSweepPoint,
-    _classify_table,
     _fit,
     _median,
     classify_transport,
@@ -39,14 +37,14 @@ DISORDERED = SampleSpec(generate(AndersonRandom(2.0, 7), CHECKPOINTS[-1]))
 
 
 def test_l_sweep_free_sample(lead11):
-    points = l_sweep(FREE, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
-    assert [p.L for p in points] == CHECKPOINTS
-    for p in points:
-        assert 0.0 < p.transmission <= 1.0
-        assert p.sigma_density > 0.0
-        assert not p.resonance_flag
+    cps, (sigma, tau, log_norm, flag, _) = l_sweep(FREE, [0.5], lead11, lead11, THERMO, CHECKPOINTS)
+    assert cps == CHECKPOINTS
+    assert sigma.shape == tau.shape == log_norm.shape == flag.shape == (1, len(CHECKPOINTS))
+    assert ((0.0 < tau) & (tau <= 1.0)).all()
+    assert (sigma > 0.0).all()
+    assert not flag.any()
     # Free transfer norms stay bounded along the whole sweep.
-    assert max(p.log_transfer_norm for p in points) < 2.0
+    assert log_norm.max() < 2.0
 
 
 def test_l_sweep_one_spectral_norm_per_checkpoint(lead11, monkeypatch):
@@ -60,11 +58,12 @@ def test_l_sweep_one_spectral_norm_per_checkpoint(lead11, monkeypatch):
         return smax(*m)
 
     monkeypatch.setattr(ebb.transfer, "_smax", counting)
-    points = l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
+    _, (_, _, log_norm, flag, _) = l_sweep(DISORDERED, [0.5], lead11, lead11, THERMO, CHECKPOINTS)
     assert len(calls) == len(CHECKPOINTS)
-    for p, m, (_, T) in zip(points, calls, ebb.transfer.checkpoint_products(DISORDERED.potential, 0.5, CHECKPOINTS)):
-        assert p.log_transfer_norm == max(0.0, T[4] * math.log(2.0) + math.log(smax(*m)))
-        assert p.resonance_flag == (abs(m[0]) < RESONANCE_RELATIVE_CUTOFF * smax(*m))
+    products = ebb.transfer.checkpoint_products(DISORDERED.potential, 0.5, CHECKPOINTS)
+    for n, f, m, (_, T) in zip(log_norm[0].tolist(), flag[0].tolist(), calls, products):
+        assert n == max(0.0, T[4] * math.log(2.0) + math.log(smax(*m)))
+        assert f == (abs(m[0]) < RESONANCE_RELATIVE_CUTOFF * smax(*m))
 
 
 def test_l_sweep_builds_one_self_energy_pair(lead11, monkeypatch):
@@ -80,15 +79,15 @@ def test_l_sweep_builds_one_self_energy_pair(lead11, monkeypatch):
     monkeypatch.setattr(ebb.fluxes, "weiss_boundary", counting)
     for cps in (CHECKPOINTS[:8], CHECKPOINTS):
         calls.clear()
-        l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, cps)
+        l_sweep(DISORDERED, [0.5], lead11, lead11, THERMO, cps)
         assert calls == [0.5, 0.5]
 
 
 def test_l_sweep_rejects_out_of_band_energy(lead11):
     with pytest.raises(DomainError, match="band"):
-        l_sweep(FREE, 3.0, lead11, lead11, THERMO, CHECKPOINTS)
+        l_sweep(FREE, [3.0], lead11, lead11, THERMO, CHECKPOINTS)
     with pytest.raises(DomainError, match="checkpoints"):
-        l_sweep(FREE, 0.5, lead11, lead11, THERMO, [0, 10])
+        l_sweep(FREE, [0.5], lead11, lead11, THERMO, [0, 10])
 
 
 def test_energies_outside_the_band_name_the_earlier_one(lead11):
@@ -105,7 +104,7 @@ def test_checkpoint_past_the_sample_rejected_before_any_solve(lead11, monkeypatc
     monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", no_solve)
     short = SampleSpec(generate(Zero(), CHECKPOINTS[-1] - 1))
     with pytest.raises(ValueError, match="checkpoints"):
-        l_sweep(short, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
+        l_sweep(short, [0.5], lead11, lead11, THERMO, CHECKPOINTS)
     with pytest.raises(ValueError, match="checkpoints"):
         equivalence_rows(short, [0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
 
@@ -121,7 +120,7 @@ def test_every_solve_receives_the_callers_sample(lead11, monkeypatch):
         return inner(sample, E, L, F_l, F_r, T)
 
     monkeypatch.setattr(ebb.fluxes, "coupled_green_direct", recording)
-    l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
+    l_sweep(DISORDERED, [0.5], lead11, lead11, THERMO, CHECKPOINTS)
     assert len(seen) == len(CHECKPOINTS) and all(s is DISORDERED for s in seen)
     seen.clear()
     equivalence_rows(FREE, [-0.5, 0.5, 1.0], CHECKPOINTS, lead11, lead11, THERMO)
@@ -133,19 +132,19 @@ def test_every_solve_receives_the_callers_sample(lead11, monkeypatch):
 
 @pytest.mark.parametrize("spec", [Zero(), AndersonRandom(1.0, 3), Periodic((3.0, 0.0))])
 def test_l_sweep_routes_agree(lead11, spec):
-    # The one-energy case, l_sweep and classify_transport, and the rows of
-    # the batched table that equivalence_rows classifies at once give the
+    # A one-energy table, from l_sweep and classify_transport, and the rows
+    # of the batched table that equivalence_rows classifies at once give the
     # same fields bit for bit.
     sample = SampleSpec(generate(spec, CHECKPOINTS[-1]))
     grid = [-1.2, -0.5, 0.3, 1.1]
     rows = equivalence_rows(sample, grid, CHECKPOINTS, lead11, lead11, THERMO)
     for E, row in zip(grid, rows):
-        points = l_sweep(sample, E, lead11, lead11, THERMO, CHECKPOINTS)
-        cls = classify_transport(points)
-        assert row.sigma_at_l_max == points[-1].sigma_density
-        assert (row.norm_slope, row.sigma_slope) == (cls.norm_slope, cls.sigma_slope)
-        assert (row.label, row.contradiction) == (cls.label, cls.contradiction)
-        assert row.max_unitarity_residual == max(p.unitarity_residual for p in points)
+        cps, (sigmas, _, norms, _, residuals) = l_sweep(sample, [E], lead11, lead11, THERMO, CHECKPOINTS)
+        label, norm_slope, _, sigma_slope, _, _, contradiction = classify_transport(cps, sigmas, norms)
+        assert row.sigma_at_l_max == sigmas[0, -1]
+        assert (row.norm_slope, row.sigma_slope) == (norm_slope[0], sigma_slope[0])
+        assert (row.label, row.contradiction) == (label[0], contradiction[0])
+        assert row.max_unitarity_residual == residuals.max()
 
 
 @pytest.mark.parametrize("envelope_at, solve_at, reported", [
@@ -250,78 +249,94 @@ def test_lower_sandwich_bound(lead11, spec):
     # smallest margin seen is above 0.01.
     cps = geometric_checkpoints()
     sample = SampleSpec(generate(spec, cps[-1]))
-    for E in np.linspace(-1.99, 1.99, 201):
+    grid = np.linspace(-1.99, 1.99, 201)
+    _, (_, tau, log_norm, _, _) = l_sweep(sample, grid, lead11, lead11, THERMO, cps)
+    for E, taus, norms in zip(grid.tolist(), tau.tolist(), log_norm.tolist()):
         F_l = F_r = ebb.fluxes.weiss_boundary(lead11, E)
         bound = math.log(4 * F_l.imag * F_r.imag / ((1 + abs(F_l) ** 2) * (1 + abs(F_r) ** 2)))
-        for p in l_sweep(sample, E, lead11, lead11, THERMO, cps):
-            if p.transmission > 1e-280:
-                assert math.log(p.transmission) + 2 * p.log_transfer_norm >= bound - 1e-9, (E, p.L)
+        for L, t, n in zip(cps, taus, norms):
+            if t > 1e-280:
+                assert math.log(t) + 2 * n >= bound - 1e-9, (E, L)
 
 
 def test_classify_persistent_free(lead11):
-    points = l_sweep(FREE, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
-    cls = classify_transport(points)
-    assert cls.label == "persistent"
-    assert cls.l_max == 1000
-    assert abs(cls.norm_slope) < 1.0 / 1000
-    assert not cls.underflowed
+    cps, (sigmas, _, norms, _, _) = l_sweep(FREE, [0.5], lead11, lead11, THERMO, CHECKPOINTS)
+    label, norm_slope, _, _, _, underflowed, _ = classify_transport(cps, sigmas, norms)
+    assert label.tolist() == ["persistent"]
+    assert cps[-1] == 1000
+    assert abs(norm_slope[0]) < 1.0 / 1000
+    assert not underflowed[0]
 
 
 def test_classify_vanishing_strong_disorder(lead11):
-    points = l_sweep(DISORDERED, 0.5, lead11, lead11, THERMO, CHECKPOINTS)
-    cls = classify_transport(points)
-    assert cls.label == "vanishing"
-    assert cls.norm_slope > 0.0
-    assert cls.norm_r2 > 0.9
+    cps, (sigmas, _, norms, _, _) = l_sweep(DISORDERED, [0.5], lead11, lead11, THERMO, CHECKPOINTS)
+    (label,), (norm_slope,), (norm_r2,), (sigma_slope,), (sigma_r2,), (underflowed,), _ = classify_transport(
+        cps, sigmas, norms)
+    assert label == "vanishing"
+    assert norm_slope > 0.0
+    assert norm_r2 > 0.9
     # sigma either decays with a clean fit or underflows outright.
-    assert cls.underflowed or (cls.sigma_slope < 0 and cls.sigma_r2 > 0.8)
+    assert underflowed or (sigma_slope < 0 and sigma_r2 > 0.8)
 
 
 def test_classify_requirements():
-    pts = [LSweepPoint(L, 1.0, 1.0, 0.0, False) for L in (10, 20, 30, 40)]
     with pytest.raises(DomainError, match="8 checkpoints"):
-        classify_transport(pts)
-    pts = [LSweepPoint(10 + i, 1.0, 1.0, 0.0, False) for i in range(8)]
+        classify_transport([10, 20, 30, 40], np.ones((1, 4)), np.zeros((1, 4)))
     with pytest.raises(DomainError, match="factor 10"):
-        classify_transport(pts)
+        classify_transport([10 + i for i in range(8)], np.ones((1, 8)), np.zeros((1, 8)))
+
+
+LS = [10, 20, 40, 80, 160, 320, 640, 1280]
 
 
 def test_classify_synthetic_underflow_is_vanishing():
-    Ls = [10, 20, 40, 80, 160, 320, 640, 1280]
-    pts = [LSweepPoint(L, 0.0 if L > 100 else 1e-150, 0.0, 0.1 * L, False) for L in Ls]
-    cls = classify_transport(pts)
-    assert cls.label == "vanishing"
-    assert cls.underflowed
+    sigmas = np.array([[0.0 if L > 100 else 1e-150 for L in LS]])
+    label, *_, underflowed, _ = classify_transport(LS, sigmas, 0.1 * np.array([LS]))
+    assert label.tolist() == ["vanishing"]
+    assert underflowed.tolist() == [True]
 
 
 def test_classify_flags_contradiction():
     # Underflowed sigma with flat norms: a vanishing label the bounded norms
     # contradict. With growing norms the same label is consistent.
-    Ls = [10, 20, 40, 80, 160, 320, 640, 1280]
-    flat = [LSweepPoint(L, 0.0, 0.0, 0.0, False) for L in Ls]
-    growing = [LSweepPoint(L, 0.0, 0.0, 0.1 * L, False) for L in Ls]
-    assert classify_transport(flat).label == "vanishing"
-    assert classify_transport(flat).contradiction
-    assert not classify_transport(growing).contradiction
+    sigmas = np.zeros((2, len(LS)))
+    flat, growing = np.zeros(len(LS)), 0.1 * np.array(LS)
+    label, *_, contradiction = classify_transport(LS, sigmas, np.array([flat, growing]))
+    assert label.tolist() == ["vanishing", "vanishing"]
+    assert contradiction.tolist() == [True, False]
+
+
+def test_classify_unbiased_rows_are_no_bias():
+    # A row whose reservoirs agree at its energy (rho_l == rho_r) has sigma
+    # 0 at every L: it reads no_bias, neither underflowed nor contradicted,
+    # whatever its norms. The other rows keep their labels and fits.
+    sigmas = np.array([np.zeros(len(LS)), np.zeros(len(LS)), np.full(len(LS), 0.3)])
+    norms = np.array([np.zeros(len(LS)), 0.1 * np.array(LS), np.zeros(len(LS))])
+    biased = classify_transport(LS, sigmas, norms)
+    classes = classify_transport(LS, sigmas, norms, ClassificationThresholds(), np.array([0.0, 0.2, 0.0]))
+    label, *fits, underflowed, contradiction = classes
+    assert label.tolist() == ["no_bias", "vanishing", "no_bias"]
+    assert underflowed.tolist() == [False, True, False]
+    assert contradiction.tolist() == [False, False, False]
+    for fit, expected in zip(fits, biased[1:5]):
+        assert fit.tolist() == expected.tolist()
+    assert biased[0].tolist() == ["vanishing", "vanishing", "persistent"]
 
 
 def test_classify_indeterminate_between_regimes():
     # Flat norms but strongly fluctuating sigma: neither test should fire
     # with the default thresholds.
-    Ls = [10, 20, 40, 80, 160, 320, 640, 1280]
-    sigmas = [1.0, 1e-3, 1.0, 1e-3, 1.0, 1e-3, 1.0, 1e-3]
-    pts = [LSweepPoint(L, s, 0.5, 0.0, False) for L, s in zip(Ls, sigmas)]
-    assert classify_transport(pts).label == "indeterminate"
+    sigmas = np.array([[1.0, 1e-3, 1.0, 1e-3, 1.0, 1e-3, 1.0, 1e-3]])
+    assert classify_transport(LS, sigmas, np.zeros((1, len(LS))))[0].tolist() == ["indeterminate"]
 
 
 def test_thresholds_are_tunable():
-    Ls = [10, 20, 40, 80, 160, 320, 640, 1280]
     # min/median ratio ~ 0.3: below the default floor, above a loose one.
-    sigmas = [1.0, 0.9, 1.1, 0.3, 1.0, 0.95, 1.05, 0.9]
-    pts = [LSweepPoint(L, s, 0.5, 0.0, False) for L, s in zip(Ls, sigmas)]
-    assert classify_transport(pts).label == "indeterminate"
+    sigmas = np.array([[1.0, 0.9, 1.1, 0.3, 1.0, 0.95, 1.05, 0.9]])
+    norms = np.zeros((1, len(LS)))
+    assert classify_transport(LS, sigmas, norms)[0].tolist() == ["indeterminate"]
     loose = ClassificationThresholds(persistent_floor=0.1)
-    assert classify_transport(pts, loose).label == "persistent"
+    assert classify_transport(LS, sigmas, norms, loose)[0].tolist() == ["persistent"]
 
 
 def test_energy_sweep_records_errors_per_point(lead11):
@@ -419,7 +434,8 @@ def test_equivalence_report_clean_split(lead11):
 
 def test_equivalence_rows_check_once_per_command(lead11, monkeypatch):
     # The checkpoint rule and the band intersection depend only on the
-    # command's inputs: one check of each, whatever the number of energies.
+    # command's inputs: one band check, and one checkpoint check in each of
+    # the two public table functions, whatever the number of energies.
     calls = {"check_checkpoints": 0, "sigma_intersection": 0}
     for name in calls:
         inner = getattr(ebb.scan, name)
@@ -432,7 +448,7 @@ def test_equivalence_rows_check_once_per_command(lead11, monkeypatch):
     grid = np.linspace(-1.2, 1.5, 5)
     rows = equivalence_rows(FREE, grid, CHECKPOINTS, lead11, lead11, THERMO)
     assert len(rows) == len(grid)
-    assert calls == {"check_checkpoints": 1, "sigma_intersection": 1}
+    assert calls == {"check_checkpoints": 2, "sigma_intersection": 1}
 
 
 def test_periodic_band_energy_is_persistent(lead11):
@@ -479,10 +495,9 @@ def test_sigma_fits_match_linregress_on_alive_points(lead11, spec, underflowed):
     # whose sigma underflowed at some checkpoints.
     cps = geometric_checkpoints()
     sample = SampleSpec(generate(spec, cps[-1]))
-    sweeps = [l_sweep(sample, E, lead11, lead11, THERMO, cps) for E in np.linspace(-1.99, 1.99, 101)]
-    sigmas = np.array([[p.sigma_density for p in sweep] for sweep in sweeps])
-    norms = np.array([[p.log_transfer_norm for p in sweep] for sweep in sweeps])
-    _, _, _, slopes, r2s, _, _ = _classify_table(cps, sigmas, norms, ClassificationThresholds())
+    grid = np.linspace(-1.99, 1.99, 101)
+    cps, (sigmas, _, norms, _, _) = l_sweep(sample, grid, lead11, lead11, THERMO, cps)
+    _, _, _, slopes, r2s, _, _ = classify_transport(cps, sigmas, norms)
     alive = sigmas > SIGMA_UNDERFLOW_FLOOR
     assert np.count_nonzero(~alive.all(axis=1)) == underflowed
     Ls = np.array(cps, dtype=float)
